@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
 Each benchmark regenerates one of the paper's tables/figures: it runs
-the experiment sweep once inside the timed section (``pedantic`` with a
-single round — the interesting number is the sweep's cost, not its
-variance), prints the figure's rows, and asserts the qualitative shape
-the paper reports.
+the figure's registered scenario once — one replication at seed 42, no
+warm-up, the paper's single-run table — inside the timed section
+(``pedantic`` with a single round — the interesting number is the
+sweep's cost, not its variance), prints the figure's rows, and asserts
+the qualitative shape the paper reports on the envelope records.
 
 Default horizons are reduced so ``pytest benchmarks/ --benchmark-only``
 finishes in minutes; set ``REPRO_FULL=1`` for the paper's 96 h horizon
@@ -46,13 +47,39 @@ def horizon(fast_hours: float) -> float:
 
 
 @pytest.fixture()
-def figure_bench(benchmark, capsys):
-    """Run a figure-regeneration callable once, timed, and print it."""
+def figure_bench(benchmark):
+    """Run one paper scenario once, timed, print it, return its records."""
+    from repro.experiments.report import render_ci_rows
+    from repro.experiments.scenarios import get_scenario, run_scenario
 
-    def run(fn):
-        table = benchmark.pedantic(fn, rounds=1, iterations=1)
-        benchmark.extra_info["rows"] = len(table.rows)
+    def run(name, hours, metrics=("hit_ratio", "response_time", "error_rate")):
+        result = benchmark.pedantic(
+            lambda: run_scenario(
+                get_scenario(name),
+                replications=1,
+                horizon_hours=hours,
+                warmup_fraction=0.0,
+                seed=42,
+            ),
+            rounds=1,
+            iterations=1,
+        )
+        assert not result.failures
+        benchmark.extra_info["cells"] = len(result.cells)
         benchmark.extra_info["full_scale"] = full_scale()
-        return table
+        print()
+        print(render_ci_rows(result, metrics))
+        return result.envelope()["records"]
 
     return run
+
+
+def value(records, metric, **dims):
+    """The ``metric`` of the single envelope record matching ``dims``."""
+    matching = [
+        record
+        for record in records
+        if all(record[name] == want for name, want in dims.items())
+    ]
+    assert len(matching) == 1, f"{len(matching)} records match {dims!r}"
+    return matching[0][metric]

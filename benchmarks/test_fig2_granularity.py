@@ -11,55 +11,55 @@ and checks the paper's headline shapes:
 * Bursty NQ is the congested corner (the paper's Figure 2h anomaly).
 """
 
-from conftest import full_scale, horizon
-from repro.experiments import exp1_granularity, report
+from conftest import full_scale, horizon, value
 
 
 def test_fig2_granularity(figure_bench):
     hours = horizon(3.0)
-    table = figure_bench(
-        lambda: exp1_granularity.run(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table, ["query_kind", "arrival", "heat", "granularity"]
-    ))
+    records = figure_bench("exp1-granularity", hours)
 
     base = dict(query_kind="AQ", arrival="poisson", heat="SH")
-    nc = table.filter(granularity="NC", **base).rows[0]
-    ac = table.filter(granularity="AC", **base).rows[0]
-    oc = table.filter(granularity="OC", **base).rows[0]
-    hc = table.filter(granularity="HC", **base).rows[0]
+    nc, ac, oc, hc = (
+        {
+            metric: value(records, metric, granularity=granularity, **base)
+            for metric in ("hit_ratio", "response_time")
+        }
+        for granularity in ("NC", "AC", "OC", "HC")
+    )
 
     # NC is far worse than any storage-caching scheme.
     for cached in (ac, oc, hc):
-        assert nc.hit_ratio < cached.hit_ratio / 2
-        assert nc.response_time > 2 * cached.response_time
+        assert nc["hit_ratio"] < cached["hit_ratio"] / 2
+        assert nc["response_time"] > 2 * cached["response_time"]
 
     # OC: more hits than AC, but slower responses.
-    assert oc.hit_ratio > ac.hit_ratio - 0.02
-    assert oc.response_time > 1.5 * ac.response_time
+    assert oc["hit_ratio"] > ac["hit_ratio"] - 0.02
+    assert oc["response_time"] > 1.5 * ac["response_time"]
 
     # HC: response near AC, far below OC.
-    assert hc.response_time < (ac.response_time + oc.response_time) / 2
-    assert hc.hit_ratio > ac.hit_ratio - 0.03
+    assert hc["response_time"] < (
+        ac["response_time"] + oc["response_time"]
+    ) / 2
+    assert hc["hit_ratio"] > ac["hit_ratio"] - 0.03
 
     if full_scale():
         # The crisper orderings need the 96 h horizon.
-        assert oc.hit_ratio > ac.hit_ratio
-        assert hc.hit_ratio > ac.hit_ratio
-        assert hc.response_time < 1.3 * ac.response_time
+        assert oc["hit_ratio"] > ac["hit_ratio"]
+        assert hc["hit_ratio"] > ac["hit_ratio"]
+        assert hc["response_time"] < 1.3 * ac["response_time"]
 
     # CSH trails SH for the caching schemes (hit ratio).
     for granularity in ("AC", "OC", "HC"):
-        sh = table.value(
+        sh = value(
+            records,
             "hit_ratio",
             granularity=granularity,
             query_kind="AQ",
             arrival="poisson",
             heat="SH",
         )
-        csh = table.value(
+        csh = value(
+            records,
             "hit_ratio",
             granularity=granularity,
             query_kind="AQ",
@@ -74,14 +74,16 @@ def test_fig2_granularity(figure_bench):
     # lull where bursty arrivals are *sparser* than Poisson.
     if hours >= 10.0:
         for granularity in ("AC", "OC", "HC"):
-            poisson_nq = table.value(
+            poisson_nq = value(
+                records,
                 "response_time",
                 granularity=granularity,
                 query_kind="NQ",
                 arrival="poisson",
                 heat="SH",
             )
-            bursty_nq = table.value(
+            bursty_nq = value(
+                records,
                 "response_time",
                 granularity=granularity,
                 query_kind="NQ",

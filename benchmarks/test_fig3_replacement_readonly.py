@@ -6,24 +6,21 @@ on CSH the Mean scheme collapses (it never forgets) while EWMA-0.5
 adapts best of the paper's schemes; NQ responses are about twice AQ's.
 """
 
-from conftest import full_scale, horizon
-from repro.experiments import exp2_replacement_ro, report
+from conftest import full_scale, horizon, value
+
+POLICIES = ("lru", "lru-3", "lrd", "mean", "window-10", "ewma-0.5")
 
 
 def test_fig3_replacement_readonly(figure_bench):
     hours = horizon(8.0)
-    table = figure_bench(
-        lambda: exp2_replacement_ro.run(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table,
-        ["heat", "query_kind", "arrival", "policy"],
+    records = figure_bench(
+        "exp2-replacement-ro", hours,
         metrics=("hit_ratio", "response_time"),
-    ))
+    )
 
     def hit(policy, heat="SH", kind="AQ"):
-        return table.value(
+        return value(
+            records,
             "hit_ratio",
             policy=policy,
             heat=heat,
@@ -36,12 +33,14 @@ def test_fig3_replacement_readonly(figure_bench):
     assert max(hit("mean"), hit("ewma-0.5")) > hit("lrd")
 
     # NQ responses roughly double AQ's (selectivity doubles).
-    for policy in exp2_replacement_ro.POLICIES:
-        aq = table.value(
+    for policy in POLICIES:
+        aq = value(
+            records,
             "response_time",
             policy=policy, heat="SH", query_kind="AQ", arrival="poisson",
         )
-        nq = table.value(
+        nq = value(
+            records,
             "response_time",
             policy=policy, heat="SH", query_kind="NQ", arrival="poisson",
         )

@@ -6,26 +6,23 @@ re-fetched), and Bursty responses exceed Poisson's because results
 queue on the shared downlink during bursts.
 """
 
-from conftest import horizon
+from conftest import horizon, value
 from repro import SimulationConfig, run_simulation
-from repro.experiments import exp3_replacement_rw, report
+
+POLICIES = ("lru", "lru-3", "lrd", "mean", "window-10", "ewma-0.5")
 
 
 def test_fig4_replacement_writes(figure_bench):
     hours = horizon(4.0)
-    table = figure_bench(
-        lambda: exp3_replacement_rw.run(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table,
-        ["heat", "query_kind", "arrival", "policy"],
+    records = figure_bench(
+        "exp3-replacement-rw", hours,
         metrics=("hit_ratio", "response_time"),
-    ))
+    )
 
     # Writes depress hit ratios: compare the EWMA cell against a
     # read-only twin run at the same horizon.
-    with_writes = table.value(
+    with_writes = value(
+        records,
         "hit_ratio",
         policy="ewma-0.5", heat="SH", query_kind="AQ", arrival="poisson",
     )
@@ -43,13 +40,15 @@ def test_fig4_replacement_writes(figure_bench):
     # assertable once the horizon reaches the first 07:00 burst; shorter
     # smoke horizons sit entirely in the overnight lull.
     if hours >= 10.0:
-        for policy in exp3_replacement_rw.POLICIES:
-            poisson = table.value(
+        for policy in POLICIES:
+            poisson = value(
+                records,
                 "response_time",
                 policy=policy, heat="SH", query_kind="NQ",
                 arrival="poisson",
             )
-            bursty = table.value(
+            bursty = value(
+                records,
                 "response_time",
                 policy=policy, heat="SH", query_kind="NQ",
                 arrival="bursty",
@@ -57,5 +56,6 @@ def test_fig4_replacement_writes(figure_bench):
             assert bursty > poisson
 
     # Every policy still clears a sane hit-ratio band under writes.
-    for row in table.filter(query_kind="AQ", arrival="poisson").rows:
-        assert 0.15 < row.hit_ratio < 0.9
+    for record in records:
+        if record["query_kind"] == "AQ" and record["arrival"] == "poisson":
+            assert 0.15 < record["hit_ratio"] < 0.9

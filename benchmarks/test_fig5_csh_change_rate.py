@@ -11,41 +11,38 @@ so the crossover only materialises at the paper-scale horizon
 checks coarse sanity.
 """
 
-from conftest import full_scale, horizon
-from repro.experiments import exp4_adaptivity, report
+from conftest import full_scale, horizon, value
+
+POLICIES = ("lru", "lru-3", "lrd", "ewma-0.5")
 
 
 def test_fig5_change_rates(figure_bench):
     hours = horizon(12.0)
-    table = figure_bench(
-        lambda: exp4_adaptivity.run_change_rates(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table, ["change_rate", "policy"],
+    records = figure_bench(
+        "exp4-change-rates", hours,
         metrics=("hit_ratio", "response_time"),
-    ))
+    )
 
-    assert len(table.rows) == 12
-    for row in table.rows:
-        assert 0.1 < row.hit_ratio < 0.95
-        assert row.response_time > 0
+    assert len(records) == 12
+    for record in records:
+        assert 0.1 < record["hit_ratio"] < 0.95
+        assert record["response_time"] > 0
 
     # Faster change rates can only hurt (or leave unchanged) a policy's
     # hit ratio.
-    for policy in exp4_adaptivity.POLICIES:
-        fast = table.value("hit_ratio", policy=policy, change_rate=300)
-        slow = table.value("hit_ratio", policy=policy, change_rate=700)
+    for policy in POLICIES:
+        fast = value(records, "hit_ratio", policy=policy, change_rate=300)
+        slow = value(records, "hit_ratio", policy=policy, change_rate=700)
         assert fast <= slow + 0.05
 
     if full_scale():
         # The paper's crossover: EWMA-0.5 best at slow change rates.
-        ewma = table.value(
-            "hit_ratio", policy="ewma-0.5", change_rate=700
+        ewma = value(
+            records, "hit_ratio", policy="ewma-0.5", change_rate=700
         )
-        assert ewma >= table.value(
-            "hit_ratio", policy="lru", change_rate=700
+        assert ewma >= value(
+            records, "hit_ratio", policy="lru", change_rate=700
         )
-        assert ewma >= table.value(
-            "hit_ratio", policy="lrd", change_rate=700
+        assert ewma >= value(
+            records, "hit_ratio", policy="lrd", change_rate=700
         )

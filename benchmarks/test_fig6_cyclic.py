@@ -8,22 +8,17 @@ close to LRU-3 and clearly above LRD despite not being designed for the
 pattern.
 """
 
-from conftest import horizon
-from repro.experiments import exp4_adaptivity, report
+from conftest import horizon, value
 
 
 def test_fig6_cyclic(figure_bench):
     hours = horizon(8.0)
-    table = figure_bench(
-        lambda: exp4_adaptivity.run_cyclic(horizon_hours=hours)
+    records = figure_bench(
+        "exp4-cyclic", hours, metrics=("hit_ratio", "response_time")
     )
-    print()
-    print(report.render_rows(
-        table, ["policy"], metrics=("hit_ratio", "response_time")
-    ))
 
     def hit(policy):
-        return table.value("hit_ratio", policy=policy)
+        return value(records, "hit_ratio", policy=policy)
 
     # LRU suffers; LRU-3 is clearly better.
     assert hit("lru-3") > hit("lru") + 0.02
@@ -34,6 +29,6 @@ def test_fig6_cyclic(figure_bench):
     assert hit("ewma-0.5") > hit("lru-3") - 0.10
 
     # Response times order inversely with hit ratios.
-    assert table.value("response_time", policy="lru") > table.value(
-        "response_time", policy="lru-3"
+    assert value(records, "response_time", policy="lru") > value(
+        records, "response_time", policy="lru-3"
     )

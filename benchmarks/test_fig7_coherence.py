@@ -10,19 +10,15 @@ U in {0.1, 0.3, 0.5} and beta in {-1, 0, 1}.  The paper's shapes:
 * hit ratios grow with beta while response times fall.
 """
 
-from conftest import horizon
-from repro.experiments import exp5_coherence, report
+from conftest import horizon, value
+
+GRANULARITIES = ("AC", "OC", "HC")
+UPDATE_PROBABILITIES = (0.1, 0.3, 0.5)
 
 
 def test_fig7_coherence(figure_bench):
     hours = horizon(4.0)
-    table = figure_bench(
-        lambda: exp5_coherence.run(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table, ["beta", "update_probability", "granularity"]
-    ))
+    records = figure_bench("exp5-coherence", hours)
 
     # OC errors highest, HC at or below AC, wherever object caching
     # actually functions (at beta = -1 with high U the refresh times are
@@ -30,9 +26,9 @@ def test_fig7_coherence(figure_bench):
     # served fresh, and its error rate collapses — see EXPERIMENTS.md).
     for beta in (0.0, 1.0):
         point = dict(beta=beta, update_probability=0.1)
-        oc = table.value("error_rate", granularity="OC", **point)
-        ac = table.value("error_rate", granularity="AC", **point)
-        hc = table.value("error_rate", granularity="HC", **point)
+        oc = value(records, "error_rate", granularity="OC", **point)
+        ac = value(records, "error_rate", granularity="AC", **point)
+        hc = value(records, "error_rate", granularity="HC", **point)
         assert oc > ac
         assert oc > hc
         assert hc <= ac + 0.02
@@ -42,22 +38,24 @@ def test_fig7_coherence(figure_bench):
     # asserted here; the pinned-seed integration suite checks the
     # exposure-regime instance.  What must always hold: more writes can
     # only destroy hits, never create them.
-    for granularity in exp5_coherence.GRANULARITIES:
+    for granularity in GRANULARITIES:
         hits = [
-            table.value(
+            value(
+                records,
                 "hit_ratio",
                 granularity=granularity,
                 beta=0.0,
                 update_probability=u,
             )
-            for u in exp5_coherence.UPDATE_PROBABILITIES
+            for u in UPDATE_PROBABILITIES
         ]
         assert hits == sorted(hits, reverse=True)
 
     # Larger beta: more hits, more errors, faster responses (U = 0.1).
-    for granularity in exp5_coherence.GRANULARITIES:
+    for granularity in GRANULARITIES:
         def metric(name, beta):
-            return table.value(
+            return value(
+                records,
                 name,
                 granularity=granularity,
                 beta=beta,

@@ -7,8 +7,9 @@ clients are disconnected (V), because every extra disconnected client
 adds stale local reads.
 """
 
-from conftest import horizon
-from repro.experiments import exp6_disconnect, report
+from conftest import horizon, value
+
+GRANULARITIES = ("AC", "OC", "HC")
 
 
 def test_fig8a_c_duration_sweep(figure_bench):
@@ -16,24 +17,20 @@ def test_fig8a_c_duration_sweep(figure_bench):
     # so the horizon must be long enough to fit them with room for
     # connected operation; 16 h is the shortest verified geometry.
     hours = horizon(16.0)
-    table = figure_bench(
-        lambda: exp6_disconnect.run_durations(horizon_hours=hours)
-    )
-    print()
-    print(report.render_rows(
-        table,
-        ["granularity", "duration_hours"],
+    records = figure_bench(
+        "exp6-durations", hours,
         metrics=("disconnected_error_rate", "error_rate", "hit_ratio"),
-    ))
+    )
 
-    for granularity in exp6_disconnect.GRANULARITIES:
+    for granularity in GRANULARITIES:
         errors = [
-            table.value(
+            value(
+                records,
                 "disconnected_error_rate",
                 granularity=granularity,
                 duration_hours=d,
             )
-            for d in exp6_disconnect.DURATIONS_HOURS
+            for d in (1.0, 4.0, 7.0, 10.0)
         ]
         # Strong growth from the shortest to the longest disconnection.
         assert errors[0] < errors[-1]
@@ -47,24 +44,19 @@ def test_fig8d_client_count_sweep(figure_bench):
     # the paper's geometry; shorter horizons make V=9 remove most of
     # the writer pool and the slow-growth shape inverts.
     hours = horizon(16.0)
-    table = figure_bench(
-        lambda: exp6_disconnect.run_client_counts(horizon_hours=hours)
+    records = figure_bench(
+        "exp6-client-counts", hours, metrics=("error_rate", "hit_ratio")
     )
-    print()
-    print(report.render_rows(
-        table,
-        ["granularity", "disconnected_clients"],
-        metrics=("error_rate", "hit_ratio"),
-    ))
 
-    for granularity in exp6_disconnect.GRANULARITIES:
+    for granularity in GRANULARITIES:
         errors = [
-            table.value(
+            value(
+                records,
                 "error_rate",
                 granularity=granularity,
                 disconnected_clients=v,
             )
-            for v in exp6_disconnect.CLIENT_COUNTS
+            for v in (1, 3, 5, 7, 9)
         ]
         # More disconnected clients -> more stale local reads overall;
         # the paper calls the increase "relatively slow", so the

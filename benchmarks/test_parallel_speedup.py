@@ -1,9 +1,9 @@
 """Smoke benchmark: the parallel executor actually scales.
 
-Runs a reduced-horizon slice of Experiment #1 serially and with one
-worker per core, checks the pool produces byte-identical rows, and
-asserts a conservative speedup floor.  Skipped on single-core machines,
-where a process pool can only add overhead.
+Runs a reduced-horizon, one-replication Experiment #1 scenario serially
+and with one worker per core, checks the pool produces a byte-identical
+envelope, and asserts a conservative speedup floor.  Skipped on
+single-core machines, where a process pool can only add overhead.
 """
 
 import os
@@ -12,8 +12,7 @@ import time
 import pytest
 
 from conftest import horizon
-from repro.experiments import exp1_granularity
-from repro.experiments.framework import execute
+from repro.experiments.scenarios import get_scenario, run_scenario
 
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2,
@@ -23,17 +22,23 @@ pytestmark = pytest.mark.skipif(
 
 def test_parallel_speedup_smoke():
     jobs = os.cpu_count() or 1
-    runs = exp1_granularity.build_runs(horizon_hours=horizon(0.5))
 
-    started = time.perf_counter()
-    serial = execute("exp1", "speedup", runs, jobs=1)
-    serial_elapsed = time.perf_counter() - started
+    def sweep(workers):
+        started = time.perf_counter()
+        result = run_scenario(
+            get_scenario("exp1-granularity"),
+            replications=1,
+            horizon_hours=horizon(0.5),
+            warmup_fraction=0.0,
+            jobs=workers,
+        )
+        return result.envelope(), time.perf_counter() - started
 
-    started = time.perf_counter()
-    parallel = execute("exp1", "speedup", runs, jobs=jobs)
-    parallel_elapsed = time.perf_counter() - started
+    serial, serial_elapsed = sweep(1)
+    parallel, parallel_elapsed = sweep(jobs)
 
-    assert serial.rows == parallel.rows
+    assert serial == parallel
+    assert not serial["failures"]
     speedup = serial_elapsed / parallel_elapsed
     print(
         f"\njobs={jobs}: serial {serial_elapsed:.1f}s, "

@@ -1,18 +1,26 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper in one sweep.
 
-Writes ``results/reproduction.json`` (sweep metadata plus one record
-per run, including per-run wall-clock) and ``results/reproduction.txt``
-(rendered figure tables).  Horizons are configurable; the defaults trade
-simulated time for wall-clock so the whole sweep finishes in under an
-hour on one core.  ``--full`` runs everything at the paper's 96
-simulated hours (several CPU-hours serially).
+Each paper experiment is a registered scenario; this script runs every
+one of them once (one replication at the base seed, no warm-up — the
+paper's single-run tables) and writes
 
-Runs are embarrassingly parallel: ``--jobs N`` fans each experiment's
-run list over N worker processes (default: all cores) with results
-bit-identical to a serial sweep — every run derives all of its random
-streams from its own config, so worker count and completion order
-cannot perturb a single draw.
+* ``results/reproduction.json`` — one scenario result envelope per
+  scenario, keyed by scenario name.  Like every envelope it holds no
+  wall-clock time or worker count, so the file is byte-stable across
+  reruns, ``--jobs`` values and machines;
+* ``results/reproduction.txt`` — Table 1 plus one rendered table per
+  scenario.
+
+Per-run wall-clock times go to the stderr progress lines only.
+Horizons are configurable; the defaults trade simulated time for
+wall-clock so the whole sweep finishes in under an hour on one core.
+``--full`` runs everything at the paper's 96 simulated hours (several
+CPU-hours serially).
+
+Runs are embarrassingly parallel: ``--jobs N`` fans each scenario's
+runs over N worker processes (default: all cores) with results
+bit-identical to a serial sweep.
 
 Usage::
 
@@ -25,8 +33,8 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -34,101 +42,90 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments import (  # noqa: E402
-    exp1_granularity,
-    exp2_replacement_ro,
-    exp3_replacement_rw,
-    exp4_adaptivity,
-    exp5_coherence,
-    exp6_disconnect,
-    exp7_faults,
-    report,
+from repro.errors import ReproError  # noqa: E402
+from repro.experiments.parallel import (  # noqa: E402
+    ParallelExecutor,
+    resolve_jobs,
 )
-from repro.experiments.framework import ExperimentTable, execute  # noqa: E402
-from repro.experiments.parallel import resolve_jobs  # noqa: E402
+from repro.experiments.report import render_ci_rows  # noqa: E402
+from repro.experiments.scenarios import (  # noqa: E402
+    ReplicationPlan,
+    collect_outcomes,
+    get_scenario,
+)
+from repro.experiments.scenarios.spec import (  # noqa: E402
+    FULL_HORIZON_HOURS,
+)
 from repro.experiments.tables import render_table1  # noqa: E402
 
-#: Reduced horizons per experiment (hours).  Experiment #4's change-rate
-#: sweep needs several hot-set eras (an era is 8-19 h of client time at
-#: the paper's change rates), so it gets the longest window.
+#: Reduced horizon (hours) per paper scenario, in sweep order.
+#: Experiment #4's change-rate sweep needs several hot-set eras (an era
+#: is 8-19 h of client time at the paper's change rates), so it gets the
+#: longest window.
 REDUCED_HORIZONS = {
-    "exp1": 16.0,
-    "exp2": 24.0,
-    "exp3": 16.0,
-    "exp4_f5": 48.0,
-    "exp4_f6": 24.0,
-    "exp5": 16.0,
-    "exp6": 16.0,
-    "exp7": 8.0,
-}
-FULL_HORIZON = 96.0
-
-
-def run_experiment(name, horizon, seed, progress=True, jobs=None,
-                   trace_dir=None):
-    builders = {
-        "exp1": (exp1_granularity.build_runs, "exp1",
-                 exp1_granularity.TITLE),
-        "exp2": (exp2_replacement_ro.build_runs, "exp2",
-                 exp2_replacement_ro.TITLE),
-        "exp3": (exp3_replacement_rw.build_runs, "exp3",
-                 exp3_replacement_rw.TITLE),
-        "exp4_f5": (exp4_adaptivity.build_change_rate_runs, "exp4-f5",
-                    exp4_adaptivity.TITLE_F5),
-        "exp4_f6": (exp4_adaptivity.build_cyclic_runs, "exp4-f6",
-                    exp4_adaptivity.TITLE_F6),
-        "exp5": (exp5_coherence.build_runs, "exp5", exp5_coherence.TITLE),
-        "exp6": (None, "exp6", exp6_disconnect.TITLE),
-        "exp7": (None, "exp7", exp7_faults.TITLE),
-    }
-    build, experiment_id, title = builders[name]
-    if name == "exp6":
-        runs = exp6_disconnect.build_duration_runs(horizon, seed)
-        runs += exp6_disconnect.build_client_count_runs(horizon, seed)
-    elif name == "exp7":
-        runs = exp7_faults.build_loss_runs(horizon, seed)
-        runs += exp7_faults.build_burst_runs(horizon, seed)
-    else:
-        runs = build(horizon, seed)
-    if trace_dir is not None:
-        # One JSONL trace per run, named by sweep position so a re-run
-        # with the same arguments overwrites rather than accumulates.
-        runs = [
-            (dims, cfg.replaced(
-                trace_path=str(Path(trace_dir) / f"{name}-{i:03d}.jsonl")
-            ))
-            for i, (dims, cfg) in enumerate(runs)
-        ]
-    return execute(experiment_id, title, runs, progress=progress,
-                   jobs=jobs)
-
-
-RENDER_DIMS = {
-    "exp1": ["query_kind", "arrival", "heat", "granularity"],
-    "exp2": ["heat", "query_kind", "arrival", "policy"],
-    "exp3": ["heat", "query_kind", "arrival", "policy"],
-    "exp4_f5": ["change_rate", "policy"],
-    "exp4_f6": ["policy"],
-    "exp5": ["beta", "update_probability", "granularity"],
-    "exp6": ["granularity", "duration_hours", "disconnected_clients"],
-    "exp7": ["granularity", "loss_rate", "burst", "retry_budget"],
+    "exp1-granularity": 16.0,
+    "exp2-replacement-ro": 24.0,
+    "exp3-replacement-rw": 16.0,
+    "exp4-change-rates": 48.0,
+    "exp4-cyclic": 24.0,
+    "exp5-coherence": 16.0,
+    "exp6-durations": 16.0,
+    "exp6-client-counts": 16.0,
+    "exp7-losses": 8.0,
+    "exp7-bursts": 8.0,
 }
 
+#: Metrics rendered per scenario (default: hit, response, error).
 RENDER_METRICS = {
-    "exp6": (
-        "disconnected_error_rate",
-        "error_rate",
-        "hit_ratio",
+    "exp2-replacement-ro": ("hit_ratio", "response_time"),
+    "exp3-replacement-rw": ("hit_ratio", "response_time"),
+    "exp4-change-rates": ("hit_ratio", "response_time"),
+    "exp4-cyclic": ("hit_ratio", "response_time"),
+    "exp6-durations": (
+        "disconnected_error_rate", "error_rate", "hit_ratio",
     ),
-    "exp7": (
-        "hit_ratio",
-        "response_time",
-        "drops",
-        "retries",
-        "timeouts",
+    "exp6-client-counts": ("error_rate", "hit_ratio"),
+    "exp7-losses": (
+        "hit_ratio", "response_time", "drops", "retries", "timeouts",
+        "degraded",
+    ),
+    "exp7-bursts": (
+        "hit_ratio", "response_time", "drops", "retries", "timeouts",
         "degraded",
     ),
 }
+
+
+def select(tokens: list[str] | None) -> list[str]:
+    """Scenario names for ``--only``: ``4``, ``exp4`` or a full name."""
+    if not tokens:
+        return list(REDUCED_HORIZONS)
+    wanted = set(tokens) | {f"exp{token}" for token in tokens}
+    return [
+        name
+        for name in REDUCED_HORIZONS
+        if name in wanted or name.split("-")[0] in wanted
+    ]
+
+
+def run_one(name, horizon, seed, executor, trace_dir=None):
+    """One replication of every cell at ``seed``, no warm-up."""
+    plan = ReplicationPlan(
+        get_scenario(name), replications=1, horizon_hours=horizon,
+        seed=seed,
+    )
+    descriptors = plan.descriptors()
+    if trace_dir is not None:
+        # One JSONL trace per run, named by sweep position so a re-run
+        # with the same arguments overwrites rather than accumulates.
+        descriptors = [
+            dataclasses.replace(d, config=d.config.replaced(
+                trace_path=str(Path(trace_dir) / f"{name}-{d.index:03d}.jsonl")
+            ))
+            for d in descriptors
+        ]
+    outcomes = executor.run(name, descriptors)
+    return collect_outcomes(plan, outcomes, warmup_fraction=0.0)
 
 
 def main() -> int:
@@ -136,15 +133,15 @@ def main() -> int:
     parser.add_argument("--full", action="store_true",
                         help="run at the paper's 96 h horizon")
     parser.add_argument("--horizon", type=float, default=None,
-                        help="override every experiment's horizon "
+                        help="override every scenario's horizon "
                              "(simulated hours; for smoke runs and "
                              "speedup measurements)")
     parser.add_argument("--only", nargs="*", default=None,
-                        help="experiment keys to run "
-                             "(1 2 3 4 5 6 7, or exp4_f5 style)")
+                        help="experiments to run: 1-7, exp4 or a "
+                             "scenario name such as exp4-cyclic")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: all cores; "
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="worker processes (default 0: all cores; "
                              "results are identical at any job count)")
     parser.add_argument("--out-dir", default=str(REPO_ROOT / "results"))
     parser.add_argument("--trace-dir", default=None,
@@ -152,109 +149,62 @@ def main() -> int:
                              "this directory (inspect with "
                              "'repro-mobicache trace summarize')")
     args = parser.parse_args()
-    jobs = resolve_jobs(os.cpu_count() if args.jobs is None else args.jobs)
+    try:
+        jobs = resolve_jobs(args.jobs)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    executor = ParallelExecutor(jobs=jobs, progress=True)
 
-    keys = list(REDUCED_HORIZONS)
-    if args.only:
-        wanted = set()
-        for token in args.only:
-            if token in REDUCED_HORIZONS:
-                wanted.add(token)
-            elif token == "4":
-                wanted.update(("exp4_f5", "exp4_f6"))
-            else:
-                wanted.add(f"exp{token}")
-        keys = [k for k in keys if k in wanted]
-
+    names = select(args.only)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.trace_dir is not None:
         Path(args.trace_dir).mkdir(parents=True, exist_ok=True)
-    records = []
-    failures = []
+    envelopes = {}
     rendered = [render_table1(), ""]
-
-    started = time.time()
     metadata = {
         "seed": args.seed,
-        "jobs": jobs,
         "full": bool(args.full),
         "horizon_override_hours": args.horizon,
-        "cpu_count": os.cpu_count(),
-        "experiments": keys,
+        "scenarios": names,
     }
+    failed = False
 
-    def flush():
+    started = time.perf_counter()
+    for name in names:
+        horizon = FULL_HORIZON_HOURS if args.full else REDUCED_HORIZONS[name]
+        if args.horizon is not None:
+            horizon = args.horizon
+        print(f"=== {name} @ {horizon:g} h (jobs={jobs}) ===",
+              file=sys.stderr, flush=True)
+        scenario_started = time.perf_counter()
+        result = run_one(name, horizon, args.seed, executor,
+                         trace_dir=args.trace_dir)
+        failed = failed or bool(result.failures)
+        envelopes[name] = result.envelope()
+        rendered.append(render_ci_rows(
+            result,
+            RENDER_METRICS.get(
+                name, ("hit_ratio", "response_time", "error_rate")
+            ),
+        ))
+        rendered.append("")
+        print(f"=== {name} done in "
+              f"{time.perf_counter() - scenario_started:.1f}s "
+              f"({len(result.cells)} cells) ===",
+              file=sys.stderr, flush=True)
         # Flush incrementally so partial sweeps are still useful.
-        metadata["wall_clock_seconds"] = round(time.time() - started, 3)
         (out_dir / "reproduction.json").write_text(
-            json.dumps(
-                {
-                    "metadata": metadata,
-                    "records": records,
-                    "failures": failures,
-                },
-                indent=1,
-            )
+            json.dumps({"metadata": metadata, "scenarios": envelopes},
+                       indent=1) + "\n"
         )
         (out_dir / "reproduction.txt").write_text("\n".join(rendered))
 
-    for key in keys:
-        horizon = FULL_HORIZON if args.full else REDUCED_HORIZONS[key]
-        if args.horizon is not None:
-            horizon = args.horizon
-        print(f"=== {key} @ {horizon:g} h (jobs={jobs}) ===",
-              file=sys.stderr, flush=True)
-        experiment_started = time.time()
-        table: ExperimentTable = run_experiment(
-            key, horizon, args.seed, jobs=jobs, trace_dir=args.trace_dir
-        )
-        experiment_elapsed = time.time() - experiment_started
-        for row in table.rows:
-            record = {"experiment": key, "horizon_hours": horizon}
-            record.update(row.dims)
-            record.update(
-                {
-                    "hit_ratio": row.hit_ratio,
-                    "response_time": row.response_time,
-                    "error_rate": row.error_rate,
-                    "disconnected_error_rate": row.disconnected_error_rate,
-                    "queries": row.queries,
-                    "drops": row.drops,
-                    "retries": row.retries,
-                    "timeouts": row.timeouts,
-                    "degraded": row.degraded,
-                    "event_counts": row.event_counts,
-                    "elapsed_seconds": round(row.elapsed_seconds, 3),
-                }
-            )
-            records.append(record)
-        for failure in table.failures:
-            print(f"[{key}] FAILED {failure.label}\n{failure.traceback}",
-                  file=sys.stderr, flush=True)
-            failures.append(
-                {
-                    "experiment": key,
-                    "label": failure.label,
-                    "dims": failure.dims,
-                    "traceback": failure.traceback,
-                }
-            )
-        print(f"=== {key} done in {experiment_elapsed:.1f}s "
-              f"({len(table.rows)} runs) ===", file=sys.stderr, flush=True)
-        metrics = RENDER_METRICS.get(
-            key, ("hit_ratio", "response_time", "error_rate")
-        )
-        rendered.append(
-            report.render_rows(table, RENDER_DIMS[key], metrics=metrics)
-        )
-        rendered.append("")
-        flush()
-
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     print(f"done in {elapsed / 60:.1f} min with jobs={jobs}; "
           f"results in {out_dir}", file=sys.stderr)
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,8 @@ The package layers:
 * :mod:`repro.core` — the paper's contribution: granularities,
   coherence, replacement policies, the client storage cache;
 * :mod:`repro.client`, :mod:`repro.workload`, :mod:`repro.metrics`;
-* :mod:`repro.experiments` — per-figure experiment drivers.
+* :mod:`repro.experiments` — the simulation runner and the paper's
+  experiments as replicated scenarios.
 """
 
 from repro.core import (

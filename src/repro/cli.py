@@ -1,4 +1,4 @@
-"""Command-line driver: run single simulations or whole experiments.
+"""Command-line driver: run single simulations or whole scenario sweeps.
 
 Examples::
 
@@ -9,9 +9,8 @@ Examples::
     repro-mobicache trace summarize out.jsonl --event-type CacheAccess --top 10
     repro-mobicache run --invariants --hours 2
     repro-mobicache check-trace out.jsonl
-    repro-mobicache experiment 1 --hours 8
-    repro-mobicache experiment all --hours 4
     repro-mobicache scenario list
+    repro-mobicache scenario run exp1-granularity --replications 1 --warmup 0
     repro-mobicache scenario run exp1-granularity --replications 10 --jobs 0
     repro-mobicache list-policies
     repro-mobicache lint src tests
@@ -26,7 +25,6 @@ import sys
 import typing as t
 
 from repro.core.replacement import available_policies
-from repro.experiments import report
 from repro.experiments.config import (
     ARRIVAL_PATTERNS,
     GRANULARITIES,
@@ -34,8 +32,8 @@ from repro.experiments.config import (
     QUERY_KINDS,
     SimulationConfig,
 )
-from repro.experiments.framework import default_horizon_hours
 from repro.experiments.runner import run_simulation
+from repro.experiments.scenarios.spec import default_horizon_hours
 from repro.experiments.tables import render_table1
 
 
@@ -136,22 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="violations recorded before further "
                                    "ones are only counted (default: 100)")
 
-    exp_parser = sub.add_parser(
-        "experiment", help="run a paper experiment (1-7 or 'all')"
-    )
-    exp_parser.add_argument("number", help="experiment number 1-7 or 'all'")
-    exp_parser.add_argument("--hours", type=float, default=None)
-    exp_parser.add_argument("--seed", type=int, default=42)
-    exp_parser.add_argument("--jobs", type=int, default=None,
-                            help="parallel worker processes (0 = all "
-                                 "cores; default: REPRO_JOBS or serial); "
-                                 "results are identical at any job count")
-    exp_parser.add_argument("--quiet", action="store_true",
-                            help="suppress per-run progress on stderr")
-
     scenario_parser = sub.add_parser(
         "scenario",
-        help="replicated scenario runs with confidence intervals",
+        help="run a paper experiment (or a custom sweep) as a "
+             "scenario, replicated with confidence intervals",
     )
     scenario_sub = scenario_parser.add_subparsers(
         dest="scenario_command", required=True
@@ -460,83 +446,8 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
     return 0 if result.ok else 1
 
 
-def _run_experiment(number: str, hours: float | None, seed: int,
-                    progress: bool, jobs: int | None = None) -> None:
-    from repro.experiments import (
-        exp1_granularity,
-        exp2_replacement_ro,
-        exp3_replacement_rw,
-        exp4_adaptivity,
-        exp5_coherence,
-        exp6_disconnect,
-        exp7_faults,
-    )
-
-    if number == "1":
-        table = exp1_granularity.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["query_kind", "arrival", "heat", "granularity"]
-        ))
-    elif number == "2":
-        table = exp2_replacement_ro.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["heat", "query_kind", "arrival", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-    elif number == "3":
-        table = exp3_replacement_rw.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["heat", "query_kind", "arrival", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-    elif number == "4":
-        table = exp4_adaptivity.run_change_rates(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["change_rate", "policy"],
-            metrics=("hit_ratio", "response_time"),
-        ))
-        print()
-        cyclic = exp4_adaptivity.run_cyclic(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            cyclic, ["policy"], metrics=("hit_ratio", "response_time")
-        ))
-    elif number == "5":
-        table = exp5_coherence.run(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["beta", "update_probability", "granularity"]
-        ))
-    elif number == "6":
-        table = exp6_disconnect.run_durations(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["granularity", "duration_hours"],
-            metrics=("disconnected_error_rate", "error_rate", "hit_ratio"),
-        ))
-        print()
-        counts = exp6_disconnect.run_client_counts(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            counts, ["granularity", "disconnected_clients"],
-            metrics=("error_rate", "hit_ratio"),
-        ))
-    elif number == "7":
-        table = exp7_faults.run_losses(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            table, ["granularity", "loss_rate", "retry_budget"],
-            metrics=("hit_ratio", "response_time", "drops",
-                     "retries", "timeouts", "degraded"),
-        ))
-        print()
-        bursts = exp7_faults.run_bursts(hours, seed, progress, jobs=jobs)
-        print(report.render_rows(
-            bursts, ["granularity", "retry_budget"],
-            metrics=("hit_ratio", "response_time", "drops",
-                     "retries", "timeouts", "degraded"),
-        ))
-    else:
-        raise SystemExit(f"unknown experiment {number!r}; use 1-7 or 'all'")
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.errors import ScenarioError, StatisticsError
+    from repro.errors import ReproError
     from repro.experiments.report import render_ci_rows
     from repro.experiments.scenarios import (
         get_scenario,
@@ -564,7 +475,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
                 progress=not args.quiet,
                 invariants=args.invariants,
             )
-        except (ScenarioError, StatisticsError) as exc:
+        except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(render_ci_rows(result))
@@ -585,25 +496,10 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     raise SystemExit(2)
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    numbers = (
-        ["1", "2", "3", "4", "5", "6", "7"]
-        if args.number == "all"
-        else [args.number]
-    )
-    for number in numbers:
-        _run_experiment(number, args.hours, args.seed, not args.quiet,
-                        jobs=args.jobs)
-        print()
-    return 0
-
-
 def main(argv: t.Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
     if args.command == "scenario":
         return _cmd_scenario(args)
     if args.command == "trace":

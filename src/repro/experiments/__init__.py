@@ -1,30 +1,26 @@
-"""Experiment drivers: one module per paper figure, plus Table 1.
+"""Experiments: the simulation runner plus the paper's scenario sweeps.
 
-Quick use::
+Every table and figure of the paper is a registered scenario, and a
+scenario run's envelope is the one experiment result type.  Quick use::
 
-    from repro.experiments import exp1_granularity, report
+    from repro.experiments.report import render_ci_rows
+    from repro.experiments.scenarios import get_scenario, run_scenario
 
-    table = exp1_granularity.run(horizon_hours=8)
-    print(report.render_rows(
-        table, ["granularity", "query_kind", "arrival", "heat"]
-    ))
+    result = run_scenario(
+        get_scenario("exp1-granularity"),
+        replications=1,
+        warmup_fraction=0.0,
+        horizon_hours=8,
+    )
+    print(render_ci_rows(result))
 """
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import (
-    ExperimentRow,
-    ExperimentTable,
-    FAST_HORIZON_HOURS,
-    FULL_HORIZON_HOURS,
-    default_horizon_hours,
-    execute,
-)
 from repro.experiments.parallel import (
     ParallelExecutor,
     RunDescriptor,
     RunFailure,
     RunOutcome,
-    build_descriptors,
     resolve_jobs,
 )
 from repro.experiments.runner import (
@@ -34,10 +30,6 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ExperimentRow",
-    "ExperimentTable",
-    "FAST_HORIZON_HOURS",
-    "FULL_HORIZON_HOURS",
     "ParallelExecutor",
     "RunDescriptor",
     "RunFailure",
@@ -45,9 +37,6 @@ __all__ = [
     "Simulation",
     "SimulationConfig",
     "SimulationResult",
-    "build_descriptors",
-    "default_horizon_hours",
-    "execute",
     "resolve_jobs",
     "run_simulation",
 ]

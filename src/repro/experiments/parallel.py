@@ -1,7 +1,7 @@
 """Parallel execution engine for experiment sweeps.
 
-Every experiment driver declares an ordered list of runs; this module
-fans that list out over a ``multiprocessing`` pool.  The engine's
+A scenario's replication plan declares an ordered list of runs; this
+module fans that list out over a ``multiprocessing`` pool.  The engine's
 contract, which the determinism test suite locks down:
 
 * **Bit-identical results at any worker count.**  Each run is a pure
@@ -23,15 +23,10 @@ Worker-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then 1 (serial).  ``jobs=0`` means
 "all cores" (``os.cpu_count()``).
 
-Seed handling: by default every run keeps its config's own seed, which
-for the paper sweeps means *common random numbers* across the
-configurations of one experiment — the classic variance-reduction
-discipline for comparing policies (see :mod:`repro.sim.rand`).  Passing
-``decorrelate_seeds=True`` to :func:`build_descriptors` instead derives
-each run's seed via :func:`repro.sim.rand.spawn_seed` from the run's
-*content key* — a stable digest of the config minus its seed — so
-distinct runs draw decorrelated streams while a given configuration's
-stream never depends on its position in the run list.
+Seed handling: every run keeps its config's own seed.  Seeds are chosen
+upstream — by :class:`~repro.experiments.scenarios.plan.ReplicationPlan`
+for scenario sweeps and by :func:`plan_shards` for sharded fleets — so
+the executor never perturbs a stream.
 """
 
 from __future__ import annotations
@@ -46,7 +41,7 @@ import typing as t
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro._units import WallSeconds
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.sim.rand import spawn_seed
 
@@ -61,8 +56,8 @@ JOBS_ENV_VAR = "REPRO_JOBS"
 def resolve_jobs(jobs: int | None = None) -> int:
     """Resolve a worker count: explicit arg > ``REPRO_JOBS`` env > 1.
 
-    ``0`` (from either source) means "all cores".  Negative counts are
-    rejected.
+    ``0`` (from either source) means "all cores".  Negative counts and a
+    non-integer ``REPRO_JOBS`` raise :class:`ConfigurationError`.
     """
     if jobs is None:
         raw = os.environ.get(JOBS_ENV_VAR, "").strip()
@@ -70,7 +65,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
             try:
                 jobs = int(raw)
             except ValueError:
-                raise ValueError(
+                raise ConfigurationError(
                     f"{JOBS_ENV_VAR} must be an integer, got {raw!r}"
                 ) from None
         else:
@@ -78,33 +73,19 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs == 0:
         jobs = os.cpu_count() or 1
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1 (or 0 for all cores), got {jobs}")
+        raise ConfigurationError(
+            f"jobs must be >= 1 (or 0 for all cores), got {jobs}"
+        )
     return jobs
-
-
-def config_key(config: SimulationConfig) -> str:
-    """A stable content key for a config, independent of its seed.
-
-    Two runs with identical parameters map to the same key no matter
-    where they sit in a run list, so seed decorrelation keyed on this
-    never depends on declaration order.
-    """
-    parts = [
-        f"{field.name}={getattr(config, field.name)!r}"
-        for field in dataclasses.fields(config)
-        if field.name != "seed"
-    ]
-    return "|".join(parts)
 
 
 @dataclasses.dataclass(frozen=True)
 class RunDescriptor:
     """One run of a sweep, picklable for shipment to a worker process.
 
-    Replaces closure-based run lists: everything a worker needs — the
-    dimensions identifying the run and the full config — is plain data.
-    ``index`` is the run's position in the declared list and fixes the
-    output order.
+    Everything a worker needs — the dimensions identifying the run and
+    the full config — is plain data.  ``index`` is the run's position in
+    the declared list and fixes the output order.
     """
 
     index: int
@@ -139,30 +120,6 @@ class RunFailure:
     dims: dict[str, t.Any]
     label: str
     traceback: str
-
-
-def build_descriptors(
-    runs: t.Sequence[tuple[dict[str, t.Any], SimulationConfig]],
-    decorrelate_seeds: bool = False,
-) -> list[RunDescriptor]:
-    """Turn a driver's ``(dims, config)`` list into run descriptors.
-
-    With ``decorrelate_seeds`` every config is re-seeded via
-    ``spawn_seed(config.seed, config_key(config))`` — content-keyed, so
-    reordering the run list never changes a given configuration's
-    stream.  The default keeps each config's seed untouched (common
-    random numbers across a sweep).
-    """
-    descriptors = []
-    for index, (dims, config) in enumerate(runs):
-        if decorrelate_seeds:
-            config = config.replaced(
-                seed=spawn_seed(config.seed, config_key(config))
-            )
-        descriptors.append(
-            RunDescriptor(index=index, dims=dict(dims), config=config)
-        )
-    return descriptors
 
 
 def execute_descriptor(descriptor: RunDescriptor) -> RunOutcome:
@@ -202,8 +159,7 @@ def execute_descriptor(descriptor: RunDescriptor) -> RunOutcome:
 class ParallelExecutor:
     """Fan a descriptor list over worker processes; return declared order.
 
-    ``jobs=1`` executes in-process, serially, in declaration order — the
-    exact pre-parallel behaviour.  ``jobs>1`` uses a spawn-context
+    ``jobs=1`` executes in-process, serially, in declaration order.  ``jobs>1`` uses a spawn-context
     ``ProcessPoolExecutor`` (spawn is fork-safe on every platform and
     matches what macOS/Windows force anyway).
     """

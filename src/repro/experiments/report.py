@@ -1,80 +1,44 @@
-"""Plain-text rendering of experiment tables, figure by figure."""
+"""Plain-text rendering of scenario results, figure by figure."""
 
 from __future__ import annotations
 
 import typing as t
 
-from repro.experiments.framework import ExperimentRow, ExperimentTable
-
 if t.TYPE_CHECKING:
     from repro.experiments.scenarios.run import ScenarioResult
+    from repro.experiments.scenarios.stats import MetricStats
 
-#: Metric -> (column header, formatter).
-_METRICS: dict[str, tuple[str, t.Callable[[float], str]]] = {
-    "hit_ratio": ("hit", lambda v: f"{v:7.2%}"),
-    "response_time": ("resp(s)", lambda v: f"{v:8.3f}"),
-    "error_rate": ("err", lambda v: f"{v:7.2%}"),
-    "disconnected_error_rate": ("disc-err", lambda v: f"{v:7.2%}"),
-    "uplink_bytes": ("up-bytes", lambda v: f"{v:8.0f}"),
-    "drops": ("drops", lambda v: f"{v:8d}"),
-    "retries": ("retries", lambda v: f"{v:8d}"),
-    "timeouts": ("timeouts", lambda v: f"{v:8d}"),
-    "degraded": ("degraded", lambda v: f"{v:8d}"),
+#: Metric -> column header.
+_HEADERS: dict[str, str] = {
+    "hit_ratio": "hit",
+    "response_time": "resp(s)",
+    "error_rate": "err",
+    "disconnected_error_rate": "disc-err",
+    "uplink_bytes": "up-bytes",
+    "drops": "drops",
+    "retries": "retries",
+    "timeouts": "timeouts",
+    "degraded": "degraded",
 }
 
-
-def render_rows(
-    table: ExperimentTable,
-    dimensions: t.Sequence[str],
-    metrics: t.Sequence[str] = ("hit_ratio", "response_time", "error_rate"),
-) -> str:
-    """Aligned text table: one line per run."""
-    header_cells = [d for d in dimensions]
-    widths = [
-        max(
-            len(dimension),
-            max(
-                (len(str(row.dims.get(dimension, ""))) for row in table.rows),
-                default=0,
-            ),
-        )
-        for dimension in header_cells
-    ]
-    lines = [table.title, ""]
-    header = "  ".join(
-        cell.ljust(width)
-        for cell, width in zip(header_cells, widths, strict=True)
-    )
-    header += "  " + "  ".join(_METRICS[m][0].rjust(8) for m in metrics)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row in table.rows:
-        cells = "  ".join(
-            str(row.dims.get(dimension, "")).ljust(width)
-            for dimension, width in zip(header_cells, widths, strict=True)
-        )
-        values = "  ".join(
-            _METRICS[m][1](getattr(row, m)).rjust(8) for m in metrics
-        )
-        lines.append(f"{cells}  {values}")
-    return "\n".join(lines)
-
-
-#: Metric -> "mean ± half-width" cell formatter for scenario reports.
-_CI_FORMATS: dict[str, t.Callable[[float, float], str]] = {
-    "hit_ratio": lambda m, h: f"{m:6.2%} ±{h:5.2%}",
-    "response_time": lambda m, h: f"{m:7.3f} ±{h:6.3f}",
-    "error_rate": lambda m, h: f"{m:6.2%} ±{h:5.2%}",
-    "disconnected_error_rate": lambda m, h: f"{m:6.2%} ±{h:5.2%}",
-    "uplink_bytes": lambda m, h: f"{m:9.0f} ±{h:7.0f}",
+#: Metric -> (mean, half-width) format specs; counters use the default.
+_FORMATS: dict[str, tuple[str, str]] = {
+    "hit_ratio": ("6.2%", "5.2%"),
+    "response_time": ("7.3f", "6.3f"),
+    "error_rate": ("6.2%", "5.2%"),
+    "disconnected_error_rate": ("6.2%", "5.2%"),
+    "uplink_bytes": ("9.0f", "7.0f"),
 }
+_DEFAULT_FORMAT = ("9.1f", "7.1f")
 
 
-def _ci_cell(metric: str, mean: float, half_width: float) -> str:
-    formatter = _CI_FORMATS.get(
-        metric, lambda m, h: f"{m:9.1f} ±{h:7.1f}"
-    )
-    return formatter(mean, half_width)
+def _ci_cell(metric: str, stat: "MetricStats", replicated: bool) -> str:
+    """``mean ±half-width``; a single replication shows the mean only."""
+    mean_spec, half_spec = _FORMATS.get(metric, _DEFAULT_FORMAT)
+    text = format(stat.mean, mean_spec)
+    if replicated:
+        text += f" ±{format(stat.half_width, half_spec)}"
+    return text
 
 
 def render_ci_rows(
@@ -86,8 +50,11 @@ def render_ci_rows(
     """Aligned text table of a replicated scenario: mean ± half-width.
 
     One line per cell; the header notes the replication count, warm-up
-    fraction and confidence level so a table is self-describing.
+    fraction and confidence level so a table is self-describing.  A
+    one-replication result has no interval, so its cells show the mean
+    alone.
     """
+    replicated = result.replications > 1
     dimensions = (
         list(result.cells[0].dims) if result.cells else []
     )
@@ -106,10 +73,10 @@ def render_ci_rows(
     ]
     cell_widths = [
         max(
-            len(_METRICS[m][0]),
+            len(_HEADERS[m]),
             max(
                 (
-                    len(_ci_cell(m, c.stats[m].mean, c.stats[m].half_width))
+                    len(_ci_cell(m, c.stats[m], replicated))
                     for c in result.cells
                 ),
                 default=0,
@@ -132,7 +99,7 @@ def render_ci_rows(
         for cell, width in zip(dimensions, widths, strict=True)
     )
     header += "  " + "  ".join(
-        _METRICS[m][0].rjust(width)
+        _HEADERS[m].rjust(width)
         for m, width in zip(metrics, cell_widths, strict=True)
     )
     lines.append(header)
@@ -143,9 +110,7 @@ def render_ci_rows(
             for dimension, width in zip(dimensions, widths, strict=True)
         )
         values = "  ".join(
-            _ci_cell(
-                m, cell.stats[m].mean, cell.stats[m].half_width
-            ).rjust(width)
+            _ci_cell(m, cell.stats[m], replicated).rjust(width)
             for m, width in zip(metrics, cell_widths, strict=True)
         )
         lines.append(f"{label}  {values}")
@@ -155,63 +120,3 @@ def render_ci_rows(
         for failure in result.failures:
             lines.append(f"  {failure.label}")
     return "\n".join(lines)
-
-
-def render_matrix(
-    table: ExperimentTable,
-    row_dim: str,
-    column_dim: str,
-    metric: str,
-    **fixed: t.Any,
-) -> str:
-    """A paper-figure-style grid: one metric, rows x columns."""
-    filtered = table.filter(**fixed)
-    row_values = filtered.dimension_values(row_dim)
-    column_values = filtered.dimension_values(column_dim)
-    __, formatter = _METRICS[metric]
-    label_width = max(
-        [len(str(v)) for v in row_values] + [len(row_dim)]
-    )
-    cell_width = 9
-    title_bits = ", ".join(f"{k}={v}" for k, v in fixed.items())
-    lines = [f"{metric} [{title_bits}]" if fixed else metric]
-    header = str(row_dim).ljust(label_width) + "  " + "  ".join(
-        str(c).rjust(cell_width) for c in column_values
-    )
-    lines.append(header)
-    lines.append("-" * len(header))
-    for row_value in row_values:
-        cells = []
-        for column_value in column_values:
-            matching = filtered.filter(
-                **{row_dim: row_value, column_dim: column_value}
-            ).rows
-            if len(matching) == 1:
-                cells.append(
-                    formatter(getattr(matching[0], metric)).rjust(cell_width)
-                )
-            else:
-                cells.append("-".rjust(cell_width))
-        lines.append(
-            str(row_value).ljust(label_width) + "  " + "  ".join(cells)
-        )
-    return "\n".join(lines)
-
-
-def summarize_best(
-    table: ExperimentTable, group_dim: str, metric: str = "hit_ratio",
-    maximize: bool = True,
-) -> list[tuple[t.Any, ExperimentRow]]:
-    """Best row per value of ``group_dim`` (highest/lowest metric)."""
-    best: dict[t.Any, ExperimentRow] = {}
-    for row in table.rows:
-        group = row.dims.get(group_dim)
-        current = best.get(group)
-        value = getattr(row, metric)
-        if (
-            current is None
-            or (maximize and value > getattr(current, metric))
-            or (not maximize and value < getattr(current, metric))
-        ):
-            best[group] = row
-    return sorted(best.items(), key=lambda kv: str(kv[0]))

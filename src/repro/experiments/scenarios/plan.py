@@ -11,6 +11,12 @@ from the scenario base seed via
 * distinct replications draw decorrelated streams;
 * nothing depends on run-list position or worker scheduling, so the
   plan is bit-identical under any ``--jobs`` and any execution order.
+
+A one-replication plan runs every cell at the base seed itself rather
+than at ``replication_seed(base, 0)``: that is the paper's single-run
+table (seed 42 by default), and it keeps a plain ``run_simulation`` of
+any cell config an exact oracle for the envelope.  Plans with N >= 2
+replications always use the derived seeds.
 """
 
 from __future__ import annotations
@@ -18,8 +24,13 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
+from repro.errors import ScenarioError
 from repro.experiments.parallel import RunDescriptor
-from repro.experiments.scenarios.spec import Cell, Scenario
+from repro.experiments.scenarios.spec import (
+    Cell,
+    Scenario,
+    default_horizon_hours,
+)
 from repro.sim.rand import replication_seed
 
 #: The dimension name carrying the replication index in run dims.
@@ -48,8 +59,6 @@ class ReplicationPlan:
         seed: int = 42,
         extra_base: "t.Mapping[str, t.Any] | None" = None,
     ) -> None:
-        from repro.experiments.framework import default_horizon_hours
-
         self.scenario = scenario
         self.replications = (
             replications
@@ -57,7 +66,7 @@ class ReplicationPlan:
             else scenario.replications
         )
         if self.replications < 1:
-            raise ValueError(
+            raise ScenarioError(
                 f"replications must be >= 1, got {self.replications!r}"
             )
         self.horizon_hours = (
@@ -74,17 +83,24 @@ class ReplicationPlan:
 
     def runs(self) -> list[PlannedRun]:
         """Every run, cells outer, replications inner."""
+        if self.replications == 1:
+            seeds = [self.base_seed]
+        else:
+            seeds = [
+                replication_seed(self.base_seed, replication)
+                for replication in range(self.replications)
+            ]
         planned = []
         index = 0
         for cell_index, cell in enumerate(self.cells):
-            for replication in range(self.replications):
+            for replication, seed in enumerate(seeds):
                 planned.append(
                     PlannedRun(
                         index=index,
                         cell_index=cell_index,
                         replication=replication,
                         cell=cell,
-                        seed=replication_seed(self.base_seed, replication),
+                        seed=seed,
                     )
                 )
                 index += 1

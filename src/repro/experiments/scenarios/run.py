@@ -15,7 +15,8 @@ discards at least the first bucket (1800 s wide by default).  Metrics
 without a time series (query/retry counters, the disconnected error
 rate) aggregate whole-run values.
 
-The JSON envelope mirrors ``results/reproduction.json``:
+The envelope is the one experiment result type —
+``results/reproduction.json`` holds one per paper scenario:
 ``{"metadata": ..., "records": [...], "failures": [...]}`` with one
 flat record per cell (``<metric>`` mean plus ``<metric>_half_width``).
 Wall-clock times and the worker count are deliberately excluded — the
@@ -41,6 +42,7 @@ from repro.experiments.scenarios.plan import ReplicationPlan
 from repro.experiments.scenarios.spec import Scenario
 from repro.experiments.scenarios.stats import (
     MetricStats,
+    check_confidence,
     replication_ci,
     warmup_window,
 )
@@ -194,7 +196,9 @@ def collect_outcomes(
 
     Outcomes are re-keyed by their declared index, so any arrival order
     (serial, pooled, even deliberately shuffled) collapses to the same
-    result — the plan, not the scheduler, owns the structure.
+    result — the plan, not the scheduler, owns the structure.  A cell
+    whose every replication failed has no record; its runs are listed
+    in :attr:`ScenarioResult.failures` like any other crash.
     """
     warmup = (
         warmup_fraction
@@ -234,11 +238,7 @@ def collect_outcomes(
             if report is not None:
                 violations = (violations or 0) + report.total_violations
         if completed == 0:
-            raise StatisticsError(
-                f"cell {cell.key()} of scenario "
-                f"{plan.scenario.name!r} completed zero of {reps} "
-                f"replications"
-            )
+            continue
         cells.append(
             CellResult(
                 dims=cell.dims_dict(),
@@ -280,9 +280,14 @@ def run_scenario(
     ``warmup_fraction`` and ``replications`` default to the scenario's
     own values; ``invariants`` switches the protocol-invariant engine
     on for every run and surfaces the total violation count in the
-    envelope.  The warm-up fraction is validated up front so a doomed
+    envelope.  The confidence level, replication count, warm-up
+    fraction and worker count are all validated up front so a doomed
     sweep fails before burning CPU on it.
+
+    ``replications=1, warmup_fraction=0.0`` reproduces the paper's
+    single-run tables: every cell runs once at ``seed`` itself.
     """
+    check_confidence(confidence)
     warmup = (
         warmup_fraction
         if warmup_fraction is not None

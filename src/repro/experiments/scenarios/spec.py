@@ -6,8 +6,7 @@ swept dimensions (expanded as a cartesian product in declaration order),
 a default replication count and a warm-up fraction.  Scenarios are plain
 data — a dict (or a TOML table) validated into a frozen
 :class:`Scenario` — so the full experiment grid is inspectable without
-executing anything, and the paper's experiment drivers can delegate
-their run-list construction to the very same specs.
+executing anything.
 
 Spec format (dict keys / TOML table entries)::
 
@@ -40,11 +39,25 @@ nominal value.
 from __future__ import annotations
 
 import dataclasses
+import os
 import typing as t
 
+from repro._units import Hours
 from repro.errors import ScenarioError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import RunSpec, default_horizon_hours
+
+#: The paper's horizon (hours).
+FULL_HORIZON_HOURS: Hours = 96.0
+#: Default reduced horizon for benchmarks and smoke runs.
+FAST_HORIZON_HOURS: Hours = 8.0
+
+
+def default_horizon_hours() -> Hours:
+    """Choose the horizon: paper scale iff ``REPRO_FULL=1`` is set."""
+    if os.environ.get("REPRO_FULL", "") == "1":
+        return FULL_HORIZON_HOURS
+    return FAST_HORIZON_HOURS
+
 
 #: Config field names a spec may override or sweep.
 _CONFIG_FIELDS = frozenset(
@@ -297,34 +310,6 @@ class Scenario:
         return SimulationConfig(
             horizon_hours=horizon_hours, seed=seed, **values
         )
-
-    def build_runs(
-        self,
-        horizon_hours: "float | None" = None,
-        seed: int = 42,
-        extra_base: "t.Mapping[str, t.Any] | None" = None,
-    ) -> list[RunSpec]:
-        """The classic driver run list: one (dims, config) per cell.
-
-        This is what keeps the single-replication experiment drivers
-        thin wrappers: their golden-pinned run lists come out of the
-        scenario spec, bit-identical to the hand-rolled loops they
-        replace.
-        """
-        horizon = (
-            horizon_hours
-            if horizon_hours is not None
-            else (self.horizon_hours or default_horizon_hours())
-        )
-        return [
-            (
-                cell.dims_dict(),
-                self.build_config(
-                    cell, horizon, seed, extra_base=extra_base
-                ),
-            )
-            for cell in self.cells()
-        ]
 
 
 def load_toml(path: str) -> dict[str, Scenario]:

@@ -114,6 +114,14 @@ def t_cdf(x: float, df: int) -> float:
     return 1.0 - tail if x > 0 else tail
 
 
+def check_confidence(confidence: float) -> None:
+    """Reject a confidence level outside the open interval (0, 1)."""
+    if not 0.0 < confidence < 1.0:
+        raise StatisticsError(
+            f"confidence must lie in (0, 1), got {confidence!r}"
+        )
+
+
 def t_critical(df: int, confidence: float = 0.95) -> float:
     """Two-sided critical value: P(|T| <= t*) = ``confidence``.
 
@@ -121,10 +129,7 @@ def t_critical(df: int, confidence: float = 0.95) -> float:
     ~1e-12, far below any reporting precision, and the whole path is
     deterministic.
     """
-    if not 0.0 < confidence < 1.0:
-        raise StatisticsError(
-            f"confidence must lie in (0, 1), got {confidence!r}"
-        )
+    check_confidence(confidence)
     target = 1.0 - (1.0 - confidence) / 2.0
     lo, hi = 0.0, 1.0
     while t_cdf(hi, df) < target:

@@ -2,26 +2,27 @@
 
 The paper's Table 1 summarises which values every experimental dimension
 takes in each of the six experiments.  :func:`table1_rows` regenerates
-it from the experiment drivers themselves, so the table can never drift
-from what the code actually runs.
+it from the registered scenario specs themselves, so the table can never
+drift from what the code actually runs.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from repro.experiments import (
-    exp1_granularity,
-    exp2_replacement_ro,
-    exp3_replacement_rw,
-    exp4_adaptivity,
-    exp5_coherence,
-    exp6_disconnect,
-)
+from repro.experiments.scenarios.registry import get_scenario, scenarios
 
 
 def _fmt(values: t.Iterable[t.Any]) -> str:
     return ", ".join(str(v) for v in values)
+
+
+def _sweep(scenario: str, dimension: str) -> str:
+    """The formatted values one scenario sweeps along one dimension."""
+    for swept in get_scenario(scenario).sweep:
+        if swept.name == dimension:
+            return _fmt(swept.values)
+    raise KeyError(f"scenario {scenario!r} sweeps no {dimension!r}")
 
 
 def table1_rows() -> list[dict[str, str]]:
@@ -29,31 +30,31 @@ def table1_rows() -> list[dict[str, str]]:
     return [
         {
             "experiment": "#1 (Fig 2)",
-            "G": _fmt(exp1_granularity.GRANULARITIES),
-            "A": _fmt(exp1_granularity.HEATS),
-            "Q": _fmt(exp1_granularity.QUERY_KINDS),
+            "G": _sweep("exp1-granularity", "granularity"),
+            "A": _sweep("exp1-granularity", "heat"),
+            "Q": _sweep("exp1-granularity", "query_kind"),
             "R_disk": "ewma-0.5",
-            "P": _fmt(exp1_granularity.ARRIVALS),
+            "P": _sweep("exp1-granularity", "arrival"),
             "U": "0.1",
             "D/V": "none",
         },
         {
             "experiment": "#2 (Fig 3)",
             "G": "HC",
-            "A": _fmt(exp2_replacement_ro.HEATS),
-            "Q": _fmt(exp2_replacement_ro.QUERY_KINDS),
-            "R_disk": _fmt(exp2_replacement_ro.POLICIES),
-            "P": _fmt(exp2_replacement_ro.ARRIVALS),
+            "A": _sweep("exp2-replacement-ro", "heat"),
+            "Q": _sweep("exp2-replacement-ro", "query_kind"),
+            "R_disk": _sweep("exp2-replacement-ro", "policy"),
+            "P": _sweep("exp2-replacement-ro", "arrival"),
             "U": "0 (1 client)",
             "D/V": "none",
         },
         {
             "experiment": "#3 (Fig 4)",
             "G": "HC",
-            "A": _fmt(exp2_replacement_ro.HEATS),
-            "Q": _fmt(exp2_replacement_ro.QUERY_KINDS),
-            "R_disk": _fmt(exp3_replacement_rw.POLICIES),
-            "P": _fmt(exp2_replacement_ro.ARRIVALS),
+            "A": _sweep("exp3-replacement-rw", "heat"),
+            "Q": _sweep("exp3-replacement-rw", "query_kind"),
+            "R_disk": _sweep("exp3-replacement-rw", "policy"),
+            "P": _sweep("exp3-replacement-rw", "arrival"),
             "U": "0.1 (10 clients)",
             "D/V": "none",
         },
@@ -62,33 +63,33 @@ def table1_rows() -> list[dict[str, str]]:
             "G": "HC",
             "A": "CSH 300/500/700, cyclic",
             "Q": "AQ",
-            "R_disk": _fmt(exp4_adaptivity.POLICIES),
+            "R_disk": _sweep("exp4-change-rates", "policy"),
             "P": "poisson",
             "U": "0.1",
             "D/V": "none",
         },
         {
             "experiment": "#5 (Fig 7)",
-            "G": _fmt(exp5_coherence.GRANULARITIES),
+            "G": _sweep("exp5-coherence", "granularity"),
             "A": "SH",
             "Q": "AQ",
             "R_disk": "ewma-0.5",
             "P": "poisson",
-            "U": _fmt(exp5_coherence.UPDATE_PROBABILITIES)
-            + f"; beta {_fmt(exp5_coherence.BETAS)}",
+            "U": _sweep("exp5-coherence", "update_probability")
+            + f"; beta {_sweep('exp5-coherence', 'beta')}",
             "D/V": "none",
         },
         {
             "experiment": "#6 (Fig 8)",
-            "G": _fmt(exp6_disconnect.GRANULARITIES),
+            "G": _sweep("exp6-durations", "granularity"),
             "A": "SH",
             "Q": "AQ",
             "R_disk": "ewma-0.5",
             "P": "poisson",
             "U": "0.1",
             "D/V": (
-                f"D {_fmt(exp6_disconnect.DURATIONS_HOURS)} h; "
-                f"V {_fmt(exp6_disconnect.CLIENT_COUNTS)}"
+                f"D {_sweep('exp6-durations', 'duration_hours')} h; "
+                f"V {_sweep('exp6-client-counts', 'disconnected_clients')}"
             ),
         },
     ]
@@ -96,8 +97,6 @@ def table1_rows() -> list[dict[str, str]]:
 
 def render_scenarios() -> str:
     """Plain-text listing of the registered scenarios."""
-    from repro.experiments.scenarios.registry import scenarios
-
     entries = scenarios()
     name_width = max(len(s.name) for s in entries)
     lines = []

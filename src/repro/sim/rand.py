@@ -55,9 +55,9 @@ def replication_seed(base_seed: int, replication: int) -> int:
     replications draw decorrelated streams.
 
     The ``rep`` key namespace keeps replication seeds disjoint from the
-    content-keyed ``spawn_seed(config_key)`` scheme of the parallel
-    executor (content keys are ``|``-joined ``field=value`` lists and
-    can never equal ``rep:<n>``), and the ``spawn:`` domain prefix
+    fleet shards' ``shard:<i>/<n>`` keys and from any content-keyed
+    ``field=value|...`` scheme (neither can equal ``rep:<n>``), and the
+    ``spawn:`` domain prefix
     inherited from :func:`spawn_seed` keeps them disjoint from every
     :meth:`RandomStream.fork` label derivation.
     """

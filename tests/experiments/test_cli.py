@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -80,9 +82,13 @@ def test_run_rejects_bad_granularity():
         main(["run", "--granularity", "ZZ"])
 
 
-def test_experiment_requires_valid_number():
+def test_experiment_requires_valid_number(capsys):
+    """Paper experiments run as scenarios; there is no Experiment #9."""
+    assert main(["scenario", "run", "exp9-granularity", "--quiet"]) == 2
+    assert "unknown scenario" in capsys.readouterr().err
+    # The old per-number subcommand is gone.
     with pytest.raises(SystemExit):
-        main(["experiment", "9", "--hours", "0.1"])
+        main(["experiment", "1", "--hours", "0.1"])
 
 
 def test_no_command_exits():
@@ -90,28 +96,40 @@ def test_no_command_exits():
         main([])
 
 
+def paper_experiment(name, *extra):
+    """The paper's single-run table of one scenario at a tiny horizon."""
+    return main(["scenario", "run", name, "--replications", "1",
+                 "--warmup", "0", "--hours", "0.2", "--quiet", *extra])
+
+
 def test_experiment_four_smoke(capsys):
-    """One full experiment command at a tiny horizon."""
-    assert main(["experiment", "4", "--hours", "0.2", "--quiet"]) == 0
+    """Experiment #4 (Figures 5 and 6) at a tiny horizon."""
+    assert paper_experiment("exp4-change-rates") == 0
+    assert paper_experiment("exp4-cyclic") == 0
     out = capsys.readouterr().out
     assert "Figure 5" in out
     assert "Figure 6" in out
     assert "ewma-0.5" in out
+    # A single replication has no interval to print.
+    assert "±" not in out
 
 
-def test_experiment_six_smoke(capsys):
-    assert main(["experiment", "6", "--hours", "0.2", "--quiet"]) == 0
-    out = capsys.readouterr().out
-    assert "disc-err" in out
+def test_experiment_six_smoke(capsys, tmp_path):
+    """Experiment #6 (Figure 8) reports the disconnected error rate."""
+    for name in ("exp6-durations", "exp6-client-counts"):
+        out_path = tmp_path / f"{name}.json"
+        assert paper_experiment(name, "--out", str(out_path)) == 0
+        envelope = json.loads(out_path.read_text())
+        assert not envelope["failures"]
+        for record in envelope["records"]:
+            assert 0.0 <= record["disconnected_error_rate"] <= 1.0
 
 
 def test_experiment_jobs_flag_matches_serial(capsys):
     """--jobs N must be invisible in the rendered output."""
-    assert main(["experiment", "4", "--hours", "0.2", "--quiet",
-                 "--jobs", "2"]) == 0
+    assert paper_experiment("exp4-change-rates", "--jobs", "2") == 0
     parallel_out = capsys.readouterr().out
-    assert main(["experiment", "4", "--hours", "0.2", "--quiet",
-                 "--jobs", "1"]) == 0
+    assert paper_experiment("exp4-change-rates", "--jobs", "1") == 0
     serial_out = capsys.readouterr().out
     assert parallel_out == serial_out
     assert "Figure 5" in parallel_out

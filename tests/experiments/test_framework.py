@@ -1,19 +1,15 @@
-"""Unit tests for the experiment framework, drivers and reports."""
+"""The paper's experiments as scenarios: run lists, horizons, reports."""
 
-import pytest
-
-from repro.experiments import (
-    exp1_granularity,
-    exp2_replacement_ro,
-    exp3_replacement_rw,
-    exp4_adaptivity,
-    exp5_coherence,
-    exp6_disconnect,
-    report,
+from repro.experiments import report
+from repro.experiments.parallel import RunFailure
+from repro.experiments.scenarios import (
+    CellResult,
+    MetricStats,
+    ReplicationPlan,
+    ScenarioResult,
+    get_scenario,
 )
-from repro.experiments.framework import (
-    ExperimentRow,
-    ExperimentTable,
+from repro.experiments.scenarios.spec import (
     FAST_HORIZON_HOURS,
     FULL_HORIZON_HOURS,
     default_horizon_hours,
@@ -21,34 +17,15 @@ from repro.experiments.framework import (
 from repro.experiments.tables import render_table1, table1_rows
 
 
-def make_table():
-    rows = [
-        ExperimentRow({"g": "AC", "q": "AQ"}, 0.5, 1.0, 0.01, 100),
-        ExperimentRow({"g": "OC", "q": "AQ"}, 0.6, 2.0, 0.02, 100),
-        ExperimentRow({"g": "AC", "q": "NQ"}, 0.4, 3.0, 0.03, 100),
+def paper_runs(name, horizon_hours):
+    """The one-replication run list of a paper scenario: (dims, config)."""
+    plan = ReplicationPlan(
+        get_scenario(name), replications=1, horizon_hours=horizon_hours
+    )
+    return [
+        (descriptor.dims, descriptor.config)
+        for descriptor in plan.descriptors()
     ]
-    return ExperimentTable("t", "test table", rows)
-
-
-class TestExperimentTable:
-    def test_filter(self):
-        table = make_table()
-        assert len(table.filter(q="AQ").rows) == 2
-        assert len(table.filter(g="AC", q="NQ").rows) == 1
-
-    def test_series(self):
-        table = make_table()
-        points = table.series("g", "hit_ratio", q="AQ")
-        assert points == [("AC", 0.5), ("OC", 0.6)]
-
-    def test_value_unique(self):
-        table = make_table()
-        assert table.value("response_time", g="OC", q="AQ") == 2.0
-        with pytest.raises(ValueError):
-            table.value("hit_ratio", g="AC")
-
-    def test_dimension_values_preserve_order(self):
-        assert make_table().dimension_values("g") == ["AC", "OC"]
 
 
 class TestDefaultHorizon:
@@ -62,16 +39,16 @@ class TestDefaultHorizon:
 
 
 class TestRunSpecs:
-    """The drivers must enumerate exactly the paper's sweeps."""
+    """The scenarios must enumerate exactly the paper's sweeps."""
 
     def test_exp1_covers_full_grid(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
+        runs = paper_runs("exp1-granularity", 1.0)
         assert len(runs) == 4 * 2 * 2 * 2
         labels = {tuple(sorted(d.items())) for d, __ in runs}
         assert len(labels) == len(runs)
 
     def test_exp2_policies_and_single_client(self):
-        runs = exp2_replacement_ro.build_runs(horizon_hours=1.0)
+        runs = paper_runs("exp2-replacement-ro", 1.0)
         assert len(runs) == 6 * 2 * 2 * 2
         for __, config in runs:
             assert config.num_clients == 1
@@ -79,30 +56,30 @@ class TestRunSpecs:
             assert config.granularity == "HC"
 
     def test_exp3_is_exp2_with_writes(self):
-        runs = exp3_replacement_rw.build_runs(horizon_hours=1.0)
+        runs = paper_runs("exp3-replacement-rw", 1.0)
         for __, config in runs:
             assert config.num_clients == 10
             assert config.update_probability == 0.1
 
     def test_exp4_change_rates(self):
-        runs = exp4_adaptivity.build_change_rate_runs(horizon_hours=1.0)
+        runs = paper_runs("exp4-change-rates", 1.0)
         assert len(runs) == 4 * 3
         rates = {config.csh_change_every for __, config in runs}
         assert rates == {300, 500, 700}
 
     def test_exp4_cyclic(self):
-        runs = exp4_adaptivity.build_cyclic_runs(horizon_hours=1.0)
+        runs = paper_runs("exp4-cyclic", 1.0)
         assert len(runs) == 4
         assert all(config.heat == "cyclic" for __, config in runs)
 
     def test_exp5_grid(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0)
+        runs = paper_runs("exp5-coherence", 1.0)
         assert len(runs) == 3 * 3 * 3
         betas = {config.beta for __, config in runs}
         assert betas == {-1.0, 0.0, 1.0}
 
     def test_exp6_durations_scaled_to_short_horizon(self):
-        runs = exp6_disconnect.build_duration_runs(horizon_hours=8.0)
+        runs = paper_runs("exp6-durations", 8.0)
         for dims, config in runs:
             assert config.disconnection_hours <= 8.0
             assert config.disconnected_clients == 5
@@ -110,31 +87,54 @@ class TestRunSpecs:
             assert dims["duration_hours"] in (1.0, 4.0, 7.0, 10.0)
 
     def test_exp6_client_count_sweep(self):
-        runs = exp6_disconnect.build_client_count_runs(horizon_hours=8.0)
+        runs = paper_runs("exp6-client-counts", 8.0)
         counts = {config.disconnected_clients for __, config in runs}
         assert counts == {1, 3, 5, 7, 9}
 
 
-class TestReports:
-    def test_render_rows(self):
-        text = report.render_rows(make_table(), ["g", "q"])
-        assert "test table" in text
-        assert "AC" in text
-        assert "50.00%" in text
+def stats(mean, half_width=0.0, n=1):
+    return MetricStats(
+        mean=mean, half_width=half_width, n=n, std=0.0, confidence=0.95
+    )
 
-    def test_render_matrix(self):
-        text = report.render_matrix(
-            make_table(), "g", "q", "hit_ratio"
+
+def make_result(replications):
+    """A two-cell result over the three headline metrics."""
+    cells = [
+        CellResult(
+            dims={"g": g},
+            replications=replications,
+            stats={
+                "hit_ratio": stats(hit, 0.01),
+                "response_time": stats(1.0),
+                "uplink_bytes": stats(2048.0),
+            },
         )
-        assert "AC" in text and "OC" in text
-        assert "-" in text  # OC/NQ cell is missing
+        for g, hit in (("AC", 0.5), ("OC", 0.6))
+    ]
+    return ScenarioResult(
+        scenario=get_scenario("exp1-granularity"),
+        horizon_hours=1.0,
+        base_seed=42,
+        replications=replications,
+        warmup_fraction=0.0,
+        confidence=0.95,
+        cells=cells,
+        failures=[RunFailure(1, {"g": "HC"}, "HC run", "Traceback")],
+    )
 
-    def test_summarize_best(self):
-        best = report.summarize_best(make_table(), "q", "hit_ratio")
-        assert dict((k, row.dims["g"]) for k, row in best) == {
-            "AQ": "OC",
-            "NQ": "AC",
-        }
+
+class TestReports:
+    def test_render_ci_rows(self):
+        single = report.render_ci_rows(make_result(1))
+        assert "Figure 2" in single
+        assert "AC" in single and "OC" in single
+        assert "50.00%" in single
+        # One replication has no interval to show.
+        assert "±" not in single
+        assert "1 run(s) FAILED" in single
+        replicated = report.render_ci_rows(make_result(3))
+        assert "50.00% ±1.00%" in replicated
 
 
 class TestTable1:

@@ -1,91 +1,101 @@
 """Parallel execution engine: golden equivalence and isolation tests.
 
 The pool's contract is that worker count and completion order are
-unobservable in the results: ``execute(..., jobs=N)`` must produce
-byte-identical rows to the serial path for every experiment driver.
-These tests lock that down on reduced-horizon exp1 and exp5 sweeps,
-plus the out-of-order-completion and worker-crash-isolation cases the
-contract implies.
+unobservable in the results: a scenario run with ``jobs=N`` must
+produce a byte-identical envelope to the serial path.  These tests lock
+that down on reduced-horizon paper scenarios, plus the
+out-of-order-completion and worker-crash-isolation cases the contract
+implies.
 """
 
 import io
+import json
 import pickle
 
 import pytest
 
-from repro.experiments import exp1_granularity, exp5_coherence, exp7_faults
+from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
-from repro.experiments.framework import execute
 from repro.experiments.parallel import (
     JOBS_ENV_VAR,
     ParallelExecutor,
-    build_descriptors,
-    config_key,
+    RunDescriptor,
     execute_descriptor,
     resolve_jobs,
+)
+from repro.experiments.scenarios import (
+    ReplicationPlan,
+    Scenario,
+    collect_outcomes,
+    get_scenario,
+    run_scenario,
 )
 
 #: Small horizon keeping the grids affordable (exp1 is 32 runs, exp5 27).
 EQUIVALENCE_HORIZON_HOURS = 0.15
 
 
-def row_bytes(table):
-    """Canonical byte serialisation of a table's simulation outputs.
+def descriptors(runs):
+    """Run descriptors for an ad-hoc ``(dims, config)`` list."""
+    return [
+        RunDescriptor(index=index, dims=dict(dims), config=config)
+        for index, (dims, config) in enumerate(runs)
+    ]
 
-    ``elapsed_seconds`` is wall-clock, not a simulation output, so it is
-    excluded; everything the paper's figures are built from is included.
-    """
-    parts = []
-    for row in table.rows:
-        parts.append(
-            repr(
-                (
-                    sorted(row.dims.items()),
-                    row.hit_ratio,
-                    row.response_time,
-                    row.error_rate,
-                    row.queries,
-                    row.disconnected_error_rate,
-                    row.drops,
-                    row.retries,
-                    row.timeouts,
-                    row.degraded,
-                    sorted(row.event_counts.items()),
-                )
-            )
-        )
-    return "\n".join(parts).encode("utf-8")
+
+def envelope_bytes(result):
+    """Canonical byte serialisation of a scenario result envelope."""
+    return json.dumps(result.envelope()).encode("utf-8")
+
+
+def paper_run(scenario, jobs, **kwargs):
+    """One replication of every cell, no warm-up, at the short horizon."""
+    if isinstance(scenario, str):
+        scenario = get_scenario(scenario)
+    return run_scenario(
+        scenario,
+        replications=1,
+        horizon_hours=EQUIVALENCE_HORIZON_HOURS,
+        warmup_fraction=0.0,
+        jobs=jobs,
+        **kwargs,
+    )
 
 
 class TestGoldenEquivalence:
     """jobs=4 and jobs=1 must agree bitwise on real experiment sweeps."""
 
     def test_exp1_parallel_matches_serial(self):
-        runs = exp1_granularity.build_runs(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS
-        )
-        serial = execute("exp1", "t", runs, jobs=1)
-        parallel = execute("exp1", "t", runs, jobs=4)
-        assert row_bytes(serial) == row_bytes(parallel)
-        assert serial.rows == parallel.rows
+        serial = paper_run("exp1-granularity", jobs=1)
+        parallel = paper_run("exp1-granularity", jobs=4)
+        assert envelope_bytes(serial) == envelope_bytes(parallel)
+        assert len(serial.cells) == 32
         assert not serial.failures and not parallel.failures
 
     def test_exp5_parallel_matches_serial(self):
-        runs = exp5_coherence.build_runs(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS
+        plan = ReplicationPlan(
+            get_scenario("exp5-coherence"),
+            replications=1,
+            horizon_hours=EQUIVALENCE_HORIZON_HOURS,
         )
-        serial = execute("exp5", "t", runs, jobs=1)
-        parallel = execute("exp5", "t", runs, jobs=4)
-        assert row_bytes(serial) == row_bytes(parallel)
-        assert serial.rows == parallel.rows
+        serial = ParallelExecutor(jobs=1).run("exp5", plan.descriptors())
+        parallel = ParallelExecutor(jobs=4).run("exp5", plan.descriptors())
+        assert envelope_bytes(
+            collect_outcomes(plan, serial, warmup_fraction=0.0)
+        ) == envelope_bytes(
+            collect_outcomes(plan, parallel, warmup_fraction=0.0)
+        )
         # The instrumentation spine must be as deterministic as the
         # metrics it feeds: identical per-type event totals regardless
         # of worker count.
-        merged = serial.merged_event_counts()
-        assert merged == parallel.merged_event_counts()
-        assert merged["QueryComplete"] == sum(
-            row.queries for row in serial.rows
-        )
+        assert [o.result.event_counts for o in serial] == [
+            o.result.event_counts for o in parallel
+        ]
+        for outcome in serial:
+            summary = outcome.result.summary
+            assert outcome.result.event_counts["QueryComplete"] == (
+                summary.total_queries
+            )
 
     def test_exp7_parallel_matches_serial(self):
         """Fault draws must replay identically across worker processes.
@@ -94,49 +104,38 @@ class TestGoldenEquivalence:
         recovery paths genuinely fire within the reduced horizon, then
         checks the drop/retry/timeout/degraded counters bitwise.
         """
-        runs = [
-            (
-                {"granularity": g, "retry_budget": budget},
-                SimulationConfig(
-                    granularity=g,
-                    loss_rate=0.2,
-                    request_timeout_seconds=10.0,
-                    retry_budget=budget,
-                    backoff_base_seconds=2.0,
-                    horizon_hours=EQUIVALENCE_HORIZON_HOURS,
-                ),
-            )
-            for g in ("AC", "OC", "HC")
-            for budget in (0, 2)
-        ]
-        serial = execute("exp7", "t", runs, jobs=1)
-        parallel = execute("exp7", "t", runs, jobs=4)
-        assert row_bytes(serial) == row_bytes(parallel)
-        assert serial.rows == parallel.rows
+        scenario = Scenario.from_dict("faults", {
+            "base": {
+                "loss_rate": 0.2,
+                "request_timeout_seconds": 10.0,
+                "backoff_base_seconds": 2.0,
+            },
+            "sweep": [
+                {"name": "granularity", "values": ["AC", "OC", "HC"]},
+                {"name": "retry_budget", "values": [0, 2]},
+            ],
+        })
+        serial = paper_run(scenario, jobs=1)
+        parallel = paper_run(scenario, jobs=4)
+        assert envelope_bytes(serial) == envelope_bytes(parallel)
         assert not serial.failures and not parallel.failures
         # The sweep must actually have exercised the fault machinery.
-        assert sum(row.drops for row in serial.rows) > 0
-        assert sum(row.retries for row in serial.rows) > 0
-        assert sum(row.timeouts for row in serial.rows) > 0
+        records = serial.envelope()["records"]
+        assert sum(record["drops"] for record in records) > 0
+        assert sum(record["retries"] for record in records) > 0
+        assert sum(record["timeouts"] for record in records) > 0
 
     def test_exp7_driver_entrypoint_matches_serial(self):
-        serial = exp7_faults.run_bursts(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=1
-        )
-        parallel = exp7_faults.run_bursts(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=2
-        )
-        assert row_bytes(serial) == row_bytes(parallel)
-        assert serial.rows == parallel.rows
+        serial = paper_run("exp7-bursts", jobs=1)
+        parallel = paper_run("exp7-bursts", jobs=2)
+        assert envelope_bytes(serial) == envelope_bytes(parallel)
 
-    def test_driver_entrypoint_accepts_jobs(self):
-        table = exp5_coherence.run(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=2
-        )
-        reference = exp5_coherence.run(
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS, jobs=1
-        )
-        assert table.rows == reference.rows
+    def test_driver_entrypoint_accepts_jobs(self, monkeypatch):
+        """``jobs=None`` defers to ``REPRO_JOBS``, invisibly."""
+        reference = paper_run("exp4-cyclic", jobs=1)
+        monkeypatch.setenv(JOBS_ENV_VAR, "2")
+        from_env = paper_run("exp4-cyclic", jobs=None)
+        assert envelope_bytes(from_env) == envelope_bytes(reference)
 
 
 class TestOutOfOrderCompletion:
@@ -151,7 +150,7 @@ class TestOutOfOrderCompletion:
         ]
         log = io.StringIO()
         executor = ParallelExecutor(jobs=2, progress=True, stream=log)
-        outcomes = executor.run("order", build_descriptors(runs))
+        outcomes = executor.run("order", descriptors(runs))
         assert [o.dims["which"] for o in outcomes] == ["slow", "fast"]
         assert [o.index for o in outcomes] == [0, 1]
         # The progress log records completion order: the fast run is
@@ -162,7 +161,7 @@ class TestOutOfOrderCompletion:
     def test_serial_path_used_for_single_run(self):
         runs = [({"which": "only"}, SimulationConfig(horizon_hours=0.1))]
         executor = ParallelExecutor(jobs=8)
-        outcomes = executor.run("single", build_descriptors(runs))
+        outcomes = executor.run("single", descriptors(runs))
         assert len(outcomes) == 1 and outcomes[0].ok
 
 
@@ -170,34 +169,49 @@ class TestCrashIsolation:
     """A run that raises must not take the sweep down with it."""
 
     @staticmethod
-    def runs_with_crash():
+    def crash_scenario():
         # An unknown replacement spec passes config validation but
         # raises ReplacementError when the simulation is wired up —
         # i.e. inside the worker.
-        return [
-            ({"slot": 0}, SimulationConfig(horizon_hours=0.1)),
-            ({"slot": 1}, SimulationConfig(replacement="no-such-policy",
-                                           horizon_hours=0.1)),
-            ({"slot": 2}, SimulationConfig(granularity="AC",
-                                           horizon_hours=0.1)),
-        ]
+        return Scenario.from_dict("crash", {
+            "sweep": [
+                {
+                    "name": "replacement",
+                    "values": ["ewma-0.5", "no-such-policy", "lru"],
+                },
+            ],
+        })
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failure_surfaces_without_killing_sweep(self, jobs):
-        table = execute("crash", "t", self.runs_with_crash(), jobs=jobs)
-        assert [row.dims["slot"] for row in table.rows] == [0, 2]
-        assert len(table.failures) == 1
-        failure = table.failures[0]
+        result = run_scenario(
+            self.crash_scenario(),
+            replications=1,
+            horizon_hours=0.1,
+            warmup_fraction=0.0,
+            jobs=jobs,
+        )
+        assert [cell.dims["replacement"] for cell in result.cells] == [
+            "ewma-0.5", "lru",
+        ]
+        assert len(result.failures) == 1
+        failure = result.failures[0]
         assert failure.index == 1
         assert "no-such-policy" in failure.label
         assert "ReplacementError" in failure.traceback
+        assert result.envelope()["failures"][0]["label"] == failure.label
 
     def test_serial_and_parallel_agree_on_failures(self):
-        serial = execute("crash", "t", self.runs_with_crash(), jobs=1)
-        parallel = execute("crash", "t", self.runs_with_crash(), jobs=2)
-        assert serial.rows == parallel.rows
-        assert [f.index for f in serial.failures] == [
-            f.index for f in parallel.failures
+        plan = ReplicationPlan(
+            self.crash_scenario(), replications=1, horizon_hours=0.1
+        )
+        serial = ParallelExecutor(jobs=1).run("crash", plan.descriptors())
+        parallel = ParallelExecutor(jobs=2).run("crash", plan.descriptors())
+        assert [o.ok for o in serial] == [o.ok for o in parallel] == [
+            True, False, True,
+        ]
+        assert [o.result.summary.total_queries for o in serial if o.ok] == [
+            o.result.summary.total_queries for o in parallel if o.ok
         ]
 
 
@@ -221,30 +235,36 @@ class TestJobsResolution:
         assert resolve_jobs(0) == (os.cpu_count() or 1)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="-2"):
             resolve_jobs(-2)
 
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="many"):
             resolve_jobs(None)
 
 
 class TestRunDescriptors:
+    @staticmethod
+    def granularity_descriptors():
+        return ReplicationPlan(
+            get_scenario("exp1-granularity"),
+            replications=1,
+            horizon_hours=1.0,
+        ).descriptors()
+
     def test_descriptor_is_picklable(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
-        descriptors = build_descriptors(runs)
-        clone = pickle.loads(pickle.dumps(descriptors[5]))
-        assert clone == descriptors[5]
-        assert clone.config == descriptors[5].config
+        plan_descriptors = self.granularity_descriptors()
+        clone = pickle.loads(pickle.dumps(plan_descriptors[5]))
+        assert clone == plan_descriptors[5]
+        assert clone.config == plan_descriptors[5].config
 
     def test_indices_follow_declaration_order(self):
-        runs = exp1_granularity.build_runs(horizon_hours=1.0)
-        descriptors = build_descriptors(runs)
-        assert [d.index for d in descriptors] == list(range(len(runs)))
+        plan_descriptors = self.granularity_descriptors()
+        assert [d.index for d in plan_descriptors] == list(range(32))
 
     def test_execute_descriptor_records_timing(self):
-        descriptor = build_descriptors(
+        descriptor = descriptors(
             [({"k": 1}, SimulationConfig(horizon_hours=0.1))]
         )[0]
         outcome = execute_descriptor(descriptor)
@@ -253,44 +273,73 @@ class TestRunDescriptors:
 
 
 class TestSeedDecorrelation:
-    """Content-keyed seed spawning: opt-in, order-invariant."""
+    """Replication seeding: CRN within a replication, order-invariant."""
+
+    @staticmethod
+    def seeds(scenario, replications):
+        plan = ReplicationPlan(
+            scenario, replications=replications, horizon_hours=1.0, seed=42
+        )
+        return [
+            (d.dims["replication"], d.config.seed)
+            for d in plan.descriptors()
+        ]
 
     def test_default_preserves_config_seeds(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        descriptors = build_descriptors(runs)
-        assert all(d.config.seed == 42 for d in descriptors)
+        """One replication runs every cell at the base seed itself."""
+        seeds = self.seeds(get_scenario("exp5-coherence"), 1)
+        assert {seed for __, seed in seeds} == {42}
 
     def test_decorrelated_runs_get_distinct_seeds(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        descriptors = build_descriptors(runs, decorrelate_seeds=True)
-        seeds = {d.config.seed for d in descriptors}
-        assert len(seeds) == len(descriptors)
+        seeds = self.seeds(get_scenario("exp5-coherence"), 3)
+        by_replication = {}
+        for replication, seed in seeds:
+            by_replication.setdefault(replication, set()).add(seed)
+        # Common random numbers within a replication ...
+        assert all(len(s) == 1 for s in by_replication.values())
+        # ... decorrelated streams across replications.
+        assert len(set.union(*by_replication.values())) == 3
 
     def test_reordering_never_changes_a_configs_seed(self):
-        runs = exp5_coherence.build_runs(horizon_hours=1.0, seed=42)
-        forward = build_descriptors(runs, decorrelate_seeds=True)
-        backward = build_descriptors(
-            list(reversed(runs)), decorrelate_seeds=True
-        )
-        by_key_fwd = {config_key(d.config): d.config.seed for d in forward}
-        by_key_bwd = {config_key(d.config): d.config.seed for d in backward}
-        assert by_key_fwd == by_key_bwd
+        forward = get_scenario("exp5-coherence")
+        sweep = [
+            {"name": d.name, "field": d.field, "values": list(d.values)[::-1]}
+            for d in reversed(forward.sweep)
+        ]
+        backward = Scenario.from_dict("backward", {
+            "base": dict(forward.base), "sweep": sweep,
+        })
 
-    def test_config_key_ignores_seed(self):
-        a = SimulationConfig(horizon_hours=1.0, seed=1)
-        b = SimulationConfig(horizon_hours=1.0, seed=2)
-        c = SimulationConfig(horizon_hours=2.0, seed=1)
-        assert config_key(a) == config_key(b)
-        assert config_key(a) != config_key(c)
+        def by_config(scenario):
+            plan = ReplicationPlan(scenario, replications=2, horizon_hours=1.0)
+            return {
+                (repr(d.config.replaced(seed=0)), d.dims["replication"]): (
+                    d.config.seed
+                )
+                for d in plan.descriptors()
+            }
+
+        assert by_config(forward) == by_config(backward)
 
     def test_decorrelated_parallel_matches_serial(self):
-        runs = [
-            ({"g": g}, SimulationConfig(granularity=g, horizon_hours=0.15))
-            for g in ("AC", "OC", "HC")
-        ]
-        serial = execute("dec", "t", runs, jobs=1, decorrelate_seeds=True)
-        parallel = execute("dec", "t", runs, jobs=2, decorrelate_seeds=True)
-        assert serial.rows == parallel.rows
-        # And decorrelation really changed the draws vs the CRN default.
-        crn = execute("dec", "t", runs, jobs=1)
-        assert row_bytes(crn) != row_bytes(serial)
+        scenario = Scenario.from_dict("dec", {
+            "sweep": [{"name": "granularity", "values": ["AC", "OC", "HC"]}],
+        })
+
+        def run(jobs):
+            return run_scenario(
+                scenario,
+                replications=2,
+                horizon_hours=EQUIVALENCE_HORIZON_HOURS,
+                warmup_fraction=0.0,
+                jobs=jobs,
+            )
+
+        serial = run(1)
+        assert envelope_bytes(serial) == envelope_bytes(run(2))
+        # And the two replications really drew different streams.
+        assert any(
+            cell.stats[metric].half_width > 0.0
+            for cell in serial.cells
+            for metric in ("hit_ratio", "response_time", "queries")
+        )

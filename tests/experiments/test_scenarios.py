@@ -15,6 +15,7 @@ from repro.cli import main
 from repro.errors import ScenarioError, StatisticsError
 from repro.experiments.config import SimulationConfig
 from repro.experiments.parallel import ParallelExecutor, execute_descriptor
+from repro.experiments.runner import run_simulation
 from repro.experiments.scenarios import (
     METRICS,
     ReplicationPlan,
@@ -45,6 +46,14 @@ TINY_HORIZON_HOURS = 0.15
 def tiny_scenario(**overrides):
     spec = {**TINY, **overrides}
     return Scenario.from_dict("tiny", spec)
+
+
+def cell_configs(scenario, horizon_hours, seed=42):
+    """Every cell's (dims, config) at one horizon and seed."""
+    return [
+        (cell.dims_dict(), scenario.build_config(cell, horizon_hours, seed))
+        for cell in scenario.cells()
+    ]
 
 
 def envelope_bytes(result):
@@ -156,10 +165,13 @@ class TestExpansion:
         assert "granularity='OC'" in key
 
     def test_build_runs_full_configs(self):
-        runs = tiny_scenario().build_runs(1.0, seed=7)
+        plan = ReplicationPlan(
+            tiny_scenario(), replications=1, horizon_hours=1.0, seed=7
+        )
+        runs = plan.descriptors()
         assert len(runs) == 2
-        dims, config = runs[0]
-        assert dims == {"granularity": "OC"}
+        dims, config = runs[0].dims, runs[0].config
+        assert dims == {"granularity": "OC", "replication": 0}
         assert config == SimulationConfig(
             granularity="OC",
             num_clients=2,
@@ -170,8 +182,7 @@ class TestExpansion:
 
     def test_scaled_fields_cap_at_horizon_fraction(self):
         scenario = get_scenario("exp6-durations")
-        runs = scenario.build_runs(2.0, seed=42)
-        for dims, config in runs:
+        for dims, config in cell_configs(scenario, 2.0):
             assert config.disconnection_hours == min(
                 dims["duration_hours"], 0.8 * 2.0
             )
@@ -180,7 +191,7 @@ class TestExpansion:
 
     def test_registered_scenarios_expand_to_valid_configs(self):
         for name in scenario_names():
-            for dims, config in get_scenario(name).build_runs(1.0):
+            for dims, config in cell_configs(get_scenario(name), 1.0):
                 config.validate()
                 assert dims
 
@@ -211,9 +222,9 @@ values = ["OC", "HC"]
         assert loaded.replications == 3
         assert loaded.warmup_fraction == 0.25
         # The TOML spec and the equivalent dict spec agree exactly.
-        runs_toml = loaded.build_runs(1.0, seed=5)
-        runs_dict = tiny_scenario().build_runs(1.0, seed=5)
-        assert [c for __, c in runs_toml] == [c for __, c in runs_dict]
+        runs_toml = cell_configs(loaded, 1.0, seed=5)
+        runs_dict = cell_configs(tiny_scenario(), 1.0, seed=5)
+        assert runs_toml == runs_dict
 
     def test_invalid_toml_raises_scenario_error(self, tmp_path):
         path = tmp_path / "broken.toml"
@@ -247,8 +258,15 @@ class TestReplicationPlan:
         assert descriptors[0].config.seed != descriptors[1].config.seed
 
     def test_plan_rejects_bad_replications(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ScenarioError, match="replications .* got 0"):
             ReplicationPlan(tiny_scenario(), replications=0)
+
+    def test_single_replication_runs_at_base_seed(self):
+        """N = 1 is the paper's single-run table: the base seed itself,
+        not ``replication_seed(base, 0)``."""
+        plan = ReplicationPlan(tiny_scenario(), replications=1, seed=42)
+        assert [d.config.seed for d in plan.descriptors()] == [42, 42]
+        assert replication_seed(42, 0) != 42
 
     def test_default_replications_from_scenario(self):
         plan = ReplicationPlan(tiny_scenario())
@@ -431,3 +449,99 @@ values = ["HC"]
         ])
         assert code == 2
         assert "warm-up" in capsys.readouterr().err
+
+    def test_scenario_run_bad_replications(self, capsys):
+        code = main([
+            "scenario", "run", "exp4-cyclic",
+            "--replications", "0", "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "replications must be >= 1, got 0" in err
+
+    def test_scenario_run_bad_jobs(self, capsys):
+        code = main([
+            "scenario", "run", "exp4-cyclic",
+            "--jobs", "-1", "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "jobs must be >= 1" in err and "got -1" in err
+
+    def test_scenario_run_bad_confidence(self, capsys):
+        code = main([
+            "scenario", "run", "exp4-cyclic",
+            "--replications", "1", "--confidence", "1.5", "--quiet",
+        ])
+        assert code == 2
+        assert "confidence must lie in (0, 1), got 1.5" in (
+            capsys.readouterr().err
+        )
+
+
+class TestConfidenceValidation:
+    @pytest.mark.parametrize("replications", [1, 2])
+    def test_bad_confidence_fails_before_any_run(
+        self, monkeypatch, replications
+    ):
+        def no_runs(self, experiment_id, descriptors):
+            raise AssertionError("a run executed before validation")
+
+        monkeypatch.setattr(ParallelExecutor, "run", no_runs)
+        with pytest.raises(StatisticsError, match="confidence"):
+            run_scenario(
+                tiny_scenario(),
+                replications=replications,
+                horizon_hours=TINY_HORIZON_HOURS,
+                confidence=1.5,
+            )
+
+
+class TestSingleReplicationOracle:
+    """A one-replication, warm-up-free envelope record is exactly what a
+    plain ``run_simulation`` of the cell's config at the base seed
+    reports.  ``response_time`` alone may differ in the last bits: the
+    envelope sums the bucketed series, the run's Welford tally does
+    not.  Exp7 runs at 0.3 h: at 0.15 h its bursts drop a few messages
+    but no timeout, retry or degraded answer happens yet."""
+
+    @pytest.mark.parametrize(
+        "name, hours",
+        [("exp5-coherence", TINY_HORIZON_HOURS), ("exp7-bursts", 0.3)],
+    )
+    def test_records_match_run_simulation(self, name, hours):
+        scenario = get_scenario(name)
+        result = run_scenario(
+            scenario,
+            replications=1,
+            horizon_hours=hours,
+            warmup_fraction=0.0,
+            seed=42,
+        )
+        records = result.envelope()["records"]
+        assert len(records) == len(scenario.cells())
+        for cell, record in zip(scenario.cells(), records, strict=True):
+            direct = run_simulation(
+                scenario.build_config(cell, hours, 42)
+            )
+            summary = direct.summary
+            assert record["queries"] == summary.total_queries
+            assert record["hit_ratio"] == direct.hit_ratio
+            assert record["error_rate"] == direct.error_rate
+            assert record["disconnected_error_rate"] == (
+                direct.disconnected_error_rate
+            )
+            assert record["uplink_bytes"] == summary.total_bytes_sent
+            assert record["drops"] == direct.messages_dropped
+            assert record["retries"] == direct.retries
+            assert record["timeouts"] == direct.timeouts
+            assert record["degraded"] == direct.degraded_queries
+            assert record["response_time"] == pytest.approx(
+                direct.response_time, rel=1e-12, abs=0.0
+            )
+        if name == "exp7-bursts":
+            # The fault counters must actually have fired.
+            for counter in ("drops", "retries", "timeouts", "degraded"):
+                assert sum(record[counter] for record in records) > 0

@@ -10,9 +10,9 @@ The two acceptance properties of the refactor:
 
 import pytest
 
-from repro.experiments import exp5_coherence
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
+from repro.experiments.scenarios import get_scenario
 from repro.metrics.collectors import MetricsSink
 from repro.obs.sinks import summarize_trace
 
@@ -73,9 +73,10 @@ class TestTraceRoundTrip:
     ):
         # One representative run of the coherence experiment (updates
         # present, so refresh/staleness machinery is exercised).
-        __, config = exp5_coherence.build_runs(
-            horizon_hours=HORIZON_HOURS
-        )[0]
+        scenario = get_scenario("exp5-coherence")
+        config = scenario.build_config(
+            scenario.cells()[0], HORIZON_HOURS, seed=42
+        )
         path = str(tmp_path / "exp5.jsonl")
         result = run_simulation(config.replaced(trace_path=path))
         summary = summarize_trace(path)

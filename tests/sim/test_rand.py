@@ -247,9 +247,9 @@ def test_replication_seed_disjoint_from_fork_domain(base_seed, rep):
 @given(st.integers(min_value=0, max_value=2**31),
        st.integers(min_value=0, max_value=999))
 def test_replication_seed_disjoint_from_content_key_spawns(base_seed, rep):
-    """The ``rep:<n>`` key namespace never collides with the parallel
-    executor's content-keyed spawn scheme (``|``-joined field=value
-    lists), so decorrelate_seeds and replication seeding compose."""
+    """The ``rep:<n>`` key namespace never collides with content-keyed
+    spawn schemes (``|``-joined field=value lists), so replication
+    seeding composes with any such keying."""
     assert replication_seed(base_seed, rep) != spawn_seed(
         base_seed, f"granularity='HC'|seed={rep}"
     )
