@@ -63,7 +63,7 @@ def test_bus_off_overhead_under_budget():
     def direct():
         record = metrics.record_access
         for __ in range(MICRO_EMITS):
-            record(True, False, answered=True, connected=True, now=1.0)
+            record(1.0, True, False, answered=True, connected=True)
 
     per_event_overhead = max(
         0.0, (_time(via_bus) - _time(direct)) / MICRO_EMITS

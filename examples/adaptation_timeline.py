@@ -46,7 +46,7 @@ def main() -> None:
             )
         )
         result = simulation.run()
-        series = result.summary.hit_series
+        series = result.summary.hit
         print(f"{policy:>10}  |{series.sparkline(width=64)}|  "
               f"overall {result.hit_ratio:.2%}")
     print()

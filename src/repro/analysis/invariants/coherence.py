@@ -164,10 +164,10 @@ class CoherenceChecker(InvariantChecker):
         for client_id, metrics in sorted(context.metrics.items()):
             counts = self._clients.get(client_id, _ClientCounts())
             pairs = (
-                ("hit accesses", counts.hits, metrics.hit.hits),
-                ("total accesses", counts.accesses, metrics.hit.total),
-                ("errors", counts.errors, metrics.error.hits),
-                ("answered reads", counts.answered, metrics.error.total),
+                ("hit accesses", counts.hits, metrics.hit.sum),
+                ("total accesses", counts.accesses, metrics.hit.count),
+                ("errors", counts.errors, metrics.error.sum),
+                ("answered reads", counts.answered, metrics.error.count),
                 (
                     "stale serves",
                     counts.stale_served,

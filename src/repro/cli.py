@@ -25,6 +25,7 @@ import sys
 import typing as t
 
 from repro.core.replacement import available_policies
+from repro.errors import ReproError
 from repro.experiments.config import (
     ARRIVAL_PATTERNS,
     GRANULARITIES,
@@ -226,34 +227,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    hours = args.hours or default_horizon_hours()
-    config = SimulationConfig(
-        granularity=args.granularity,
-        replacement=args.replacement,
-        query_kind=args.query_kind,
-        arrival=args.arrival,
-        heat=args.heat,
-        update_probability=args.update_probability,
-        beta=args.beta,
-        num_clients=args.clients,
-        disconnected_clients=args.disconnected_clients,
-        disconnection_hours=args.disconnection_hours,
-        horizon_hours=hours,
-        seed=args.seed,
-        loss_rate=args.loss_rate,
-        burst_loss_rate=args.burst_loss_rate,
-        burst_on_probability=args.burst_on_probability,
-        burst_off_probability=args.burst_off_probability,
-        request_timeout_seconds=args.request_timeout_seconds,
-        retry_budget=args.retry_budget,
-        backoff_base_seconds=args.backoff_base_seconds,
-        trace_path=args.trace_path,
-        profile=args.profile,
-        staleness_timeline=args.staleness_timeline,
-        determinism_audit=args.determinism_audit,
-        invariants=args.invariants,
-    )
-    result = run_simulation(config)
+    hours = default_horizon_hours() if args.hours is None else args.hours
+    try:
+        config = SimulationConfig(
+            granularity=args.granularity,
+            replacement=args.replacement,
+            query_kind=args.query_kind,
+            arrival=args.arrival,
+            heat=args.heat,
+            update_probability=args.update_probability,
+            beta=args.beta,
+            num_clients=args.clients,
+            disconnected_clients=args.disconnected_clients,
+            disconnection_hours=args.disconnection_hours,
+            horizon_hours=hours,
+            seed=args.seed,
+            loss_rate=args.loss_rate,
+            burst_loss_rate=args.burst_loss_rate,
+            burst_on_probability=args.burst_on_probability,
+            burst_off_probability=args.burst_off_probability,
+            request_timeout_seconds=args.request_timeout_seconds,
+            retry_budget=args.retry_budget,
+            backoff_base_seconds=args.backoff_base_seconds,
+            trace_path=args.trace_path,
+            profile=args.profile,
+            staleness_timeline=args.staleness_timeline,
+            determinism_audit=args.determinism_audit,
+            invariants=args.invariants,
+        )
+        result = run_simulation(config)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"configuration : {config.label()}")
     print(f"horizon       : {hours:g} simulated hours")
     print(f"queries       : {result.summary.total_queries}")
@@ -447,7 +452,6 @@ def _cmd_check_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.errors import ReproError
     from repro.experiments.report import render_ci_rows
     from repro.experiments.scenarios import (
         get_scenario,

@@ -23,7 +23,7 @@ import typing as t
 
 from repro._units import Seconds
 from repro.core.entry import NEVER_EXPIRES
-from repro.sim.monitor import Tally
+from repro.metrics.stats import Tally
 
 
 class WriteIntervalStats:

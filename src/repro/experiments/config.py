@@ -10,6 +10,7 @@ replacement, U = 0.1, beta = 0, 96 simulated hours.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro._units import (
     Bps,
@@ -151,6 +152,18 @@ class SimulationConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on any inconsistent value."""
+        # First: the disconnection check below is relative to the horizon.
+        if not (math.isfinite(self.horizon_hours) and self.horizon_hours > 0):
+            raise ConfigurationError(
+                f"horizon must be positive and finite, got "
+                f"{self.horizon_hours!r} hours"
+            )
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{field.name} must be finite, got {value!r}"
+                )
         if self.granularity not in GRANULARITIES:
             raise ConfigurationError(
                 f"granularity must be one of {GRANULARITIES}, "
@@ -209,10 +222,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"selectivity must lie in [1, {self.num_objects}], "
                 f"got {self.selectivity!r}"
-            )
-        if self.horizon_hours <= 0:
-            raise ConfigurationError(
-                f"horizon must be positive, got {self.horizon_hours!r}"
             )
         if self.arrival_rate <= 0:
             raise ConfigurationError(

@@ -6,7 +6,7 @@ import typing as t
 
 if t.TYPE_CHECKING:
     from repro.experiments.scenarios.run import ScenarioResult
-    from repro.experiments.scenarios.stats import MetricStats
+    from repro.metrics.stats import MetricStats
 
 #: Metric -> column header.
 _HEADERS: dict[str, str] = {

@@ -63,9 +63,6 @@ class SimulationResult:
     # -- fault-injection / recovery accounting (Experiment #7) ----------
     messages_dropped: int = 0
     messages_aborted: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    degraded_queries: int = 0
     #: All airtime spent, in bytes (completed plus aborted partials).
     raw_bytes: float = 0.0
     #: Bytes of messages that actually reached their receiver.
@@ -108,6 +105,18 @@ class SimulationResult:
     @property
     def disconnected_error_rate(self) -> float:
         return self.summary.disconnected_error_rate
+
+    @property
+    def retries(self) -> int:
+        return self.summary.total_retries
+
+    @property
+    def timeouts(self) -> int:
+        return self.summary.total_timeouts
+
+    @property
+    def degraded_queries(self) -> int:
+        return self.summary.total_degraded_queries
 
 
 class Simulation:
@@ -357,9 +366,6 @@ class Simulation:
             events_processed=self.env.events_processed,
             messages_dropped=self.network.messages_dropped,
             messages_aborted=self.network.messages_aborted,
-            retries=summary.total_retries,
-            timeouts=summary.total_timeouts,
-            degraded_queries=summary.total_degraded_queries,
             raw_bytes=self.network.raw_bytes,
             goodput_bytes=self.network.goodput_bytes,
             event_counts=dict(self.bus.counts),

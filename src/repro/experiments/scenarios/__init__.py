@@ -35,14 +35,6 @@ from repro.experiments.scenarios.spec import (
     Scenario,
     load_toml,
 )
-from repro.experiments.scenarios.stats import (
-    MetricStats,
-    batch_means_ci,
-    replication_ci,
-    t_cdf,
-    t_critical,
-    warmup_window,
-)
 
 __all__ = [
     "METRICS",
@@ -50,24 +42,18 @@ __all__ = [
     "Cell",
     "CellResult",
     "Dimension",
-    "MetricStats",
     "PlannedRun",
     "ReplicationPlan",
     "Scenario",
     "ScenarioResult",
-    "batch_means_ci",
     "collect_outcomes",
     "get_scenario",
     "load_toml",
     "register",
     "register_dict",
     "register_toml",
-    "replication_ci",
     "replication_metrics",
     "run_scenario",
     "scenario_names",
     "scenarios",
-    "t_cdf",
-    "t_critical",
-    "warmup_window",
 ]

@@ -11,9 +11,9 @@ half-widths.
 Truncation happens at bucket granularity: the measurement window is
 ``[warmup_fraction * horizon, horizon)`` and a time-series bucket
 belongs to the window iff its *start* does, so any non-zero warm-up
-discards at least the first bucket (1800 s wide by default).  Metrics
-without a time series (query/retry counters, the disconnected error
-rate) aggregate whole-run values.
+discards at least the first bucket (1800 s wide by default).  The
+counters (queries, drops, retries, ...) and the disconnected error
+rate aggregate whole-run values.
 
 The envelope is the one experiment result type —
 ``results/reproduction.json`` holds one per paper scenario:
@@ -40,7 +40,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.scenarios.plan import ReplicationPlan
 from repro.experiments.scenarios.spec import Scenario
-from repro.experiments.scenarios.stats import (
+from repro.metrics.stats import (
     MetricStats,
     check_confidence,
     replication_ci,
@@ -80,7 +80,7 @@ def replication_metrics(
     start, end = warmup_window(
         result.config.horizon_seconds, warmup_fraction
     )
-    if summary.hit_series.samples_between(start, end) == 0:
+    if summary.hit.samples_between(start, end) == 0:
         raise StatisticsError(
             f"no cache accesses in the measurement window "
             f"[{start:g}s, {end:g}s) — warm-up fraction "
@@ -95,9 +95,9 @@ def replication_metrics(
             f"horizon"
         )
     return {
-        "hit_ratio": summary.hit_series.ratio_between(start, end),
+        "hit_ratio": summary.hit.mean_between(start, end),
         "response_time": summary.response_series.mean_between(start, end),
-        "error_rate": summary.error_series.ratio_between(start, end),
+        "error_rate": summary.error.mean_between(start, end),
         "uplink_bytes": summary.uplink_series.sum_between(start, end),
         "disconnected_error_rate": summary.disconnected_error_rate,
         "queries": float(summary.total_queries),

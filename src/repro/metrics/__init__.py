@@ -6,13 +6,13 @@ from repro.metrics.collectors import (
     MetricsSummary,
     SummaryRow,
 )
-from repro.metrics.timeseries import BucketedRatio, BucketedTally
+from repro.metrics.stats import BucketedSeries, Tally
 
 __all__ = [
-    "BucketedRatio",
-    "BucketedTally",
+    "BucketedSeries",
     "ClientMetrics",
     "MetricsSink",
     "MetricsSummary",
     "SummaryRow",
+    "Tally",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro._units import Bytes, HOUR, Ratio, Seconds
-from repro.metrics.timeseries import BucketedRatio, BucketedTally
+from repro.metrics.stats import BucketedSeries, Tally
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     CacheAccess,
@@ -30,10 +30,13 @@ from repro.obs.events import (
     ReplyTimeout,
     RequestSent,
 )
-from repro.sim.monitor import RatioCounter, Tally
 
-#: Bucket width of the per-client hit-ratio time series (seconds).
+#: Bucket width of every per-client time series (seconds).
 DEFAULT_SERIES_BUCKET: Seconds = 0.5 * HOUR
+
+
+def _series(name: str) -> BucketedSeries:
+    return BucketedSeries(DEFAULT_SERIES_BUCKET, name)
 
 
 class ClientMetrics:
@@ -41,21 +44,19 @@ class ClientMetrics:
 
     def __init__(self, client_id: int) -> None:
         self.client_id = client_id
-        self.hit = RatioCounter("hit")
-        self.error = RatioCounter("error")
+        #: Hit (1) or miss (0) per access, in half-hour buckets: the
+        #: whole-run mean is the hit ratio, a windowed mean its
+        #: warm-up-truncated value, the buckets its dynamics.
+        self.hit = _series("hit")
+        #: Error (1) or not (0) per answered read, same buckets.
+        self.error = _series("error")
         #: Errors among value-consuming reads made *while disconnected*
         #: (the paper's Experiment #6 lens).
-        self.disconnected_error = RatioCounter("disconnected-error")
-        #: Hit ratio over time (half-hour buckets), for dynamics analysis.
-        self.hit_series = BucketedRatio(DEFAULT_SERIES_BUCKET, "hit")
-        #: Error rate over time (answered reads only), same buckets.
-        self.error_series = BucketedRatio(DEFAULT_SERIES_BUCKET, "error")
+        self.disconnected_error = _series("disconnected-error")
         #: Response time over time, for warm-up truncation of means.
-        self.response_series = BucketedTally(
-            DEFAULT_SERIES_BUCKET, "response"
-        )
+        self.response_series = _series("response")
         #: Uplink bytes over time (request sizes), for windowed totals.
-        self.uplink_series = BucketedTally(DEFAULT_SERIES_BUCKET, "uplink")
+        self.uplink_series = _series("uplink")
         self.response = Tally("response")
         self.queries = 0
         self.disconnected_queries = 0
@@ -80,17 +81,17 @@ class ClientMetrics:
 
     def __repr__(self) -> str:
         return (
-            f"<ClientMetrics #{self.client_id} hit={self.hit.ratio:.3f} "
-            f"err={self.error.ratio:.3f} resp={self.response.mean:.3f}s>"
+            f"<ClientMetrics #{self.client_id} hit={self.hit.mean:.3f} "
+            f"err={self.error.mean:.3f} resp={self.response.mean:.3f}s>"
         )
 
     def record_access(
         self,
+        now: Seconds,
         is_hit: bool,
         is_error: bool,
         answered: bool = True,
         connected: bool = True,
-        now: "Seconds | None" = None,
     ) -> None:
         """One attribute access: hit/miss plus error-oracle outcome.
 
@@ -98,28 +99,20 @@ class ClientMetrics:
         (uncached items during disconnection); they count as misses but
         stay out of the error denominator.
         """
-        self.hit.record(is_hit)
-        if now is not None:
-            self.hit_series.record(now, is_hit)
+        self.hit.record(now, is_hit)
         if answered:
-            self.error.record(is_error)
-            if now is not None:
-                self.error_series.record(now, is_error)
+            self.error.record(now, is_error)
             if not connected:
-                self.disconnected_error.record(is_error)
+                self.disconnected_error.record(now, is_error)
         elif is_error:
             raise ValueError("an unanswered read cannot be an error")
 
     def record_query(
-        self,
-        response_time: Seconds,
-        connected: bool,
-        now: "Seconds | None" = None,
+        self, now: Seconds, response_time: Seconds, connected: bool
     ) -> None:
         self.queries += 1
         self.response.record(response_time)
-        if now is not None:
-            self.response_series.record(now, response_time)
+        self.response_series.record(now, response_time)
         if not connected:
             self.disconnected_queries += 1
 
@@ -174,11 +167,11 @@ class MetricsSink:
     def on_access(self, event: CacheAccess) -> None:
         metrics = self.client(event.client_id)
         metrics.record_access(
+            event.time,
             event.hit,
             event.error,
             answered=event.answered,
             connected=event.connected,
-            now=event.time,
         )
         if event.stale_served:
             metrics.stale_served_accesses += 1
@@ -187,7 +180,7 @@ class MetricsSink:
 
     def on_query_complete(self, event: QueryComplete) -> None:
         self.client(event.client_id).record_query(
-            event.response_seconds, event.connected, now=event.time
+            event.time, event.response_seconds, event.connected
         )
 
     def on_query_degraded(self, event: QueryDegraded) -> None:
@@ -247,23 +240,17 @@ class MetricsSummary:
         if not clients:
             raise ValueError("summary needs at least one client")
         self.clients = list(clients)
-        self.hit = RatioCounter("hit")
-        self.error = RatioCounter("error")
-        self.disconnected_error = RatioCounter("disconnected-error")
-        #: Hit ratio over time (half-hour buckets), for dynamics analysis.
-        self.hit_series = BucketedRatio(DEFAULT_SERIES_BUCKET, "hit")
-        self.error_series = BucketedRatio(DEFAULT_SERIES_BUCKET, "error")
-        self.response_series = BucketedTally(
-            DEFAULT_SERIES_BUCKET, "response"
-        )
-        self.uplink_series = BucketedTally(DEFAULT_SERIES_BUCKET, "uplink")
+        self.hit = _series("hit")
+        self.error = _series("error")
+        self.disconnected_error = _series("disconnected-error")
+        self.response_series = _series("response")
+        self.uplink_series = _series("uplink")
+        #: Welford mean over every query, merged in client order.
         self.response = Tally("response")
         for client in self.clients:
             self.hit.merge(client.hit)
             self.error.merge(client.error)
             self.disconnected_error.merge(client.disconnected_error)
-            self.hit_series.merge(client.hit_series)
-            self.error_series.merge(client.error_series)
             self.response_series.merge(client.response_series)
             self.uplink_series.merge(client.uplink_series)
             self.response.merge(client.response)
@@ -276,16 +263,16 @@ class MetricsSummary:
 
     @property
     def hit_ratio(self) -> Ratio:
-        return self.hit.ratio
+        return self.hit.mean
 
     @property
     def error_rate(self) -> Ratio:
-        return self.error.ratio
+        return self.error.mean
 
     @property
     def disconnected_error_rate(self) -> Ratio:
         """Error share of value-consuming reads made while disconnected."""
-        return self.disconnected_error.ratio
+        return self.disconnected_error.mean
 
     @property
     def response_time(self) -> Seconds:
@@ -298,7 +285,7 @@ class MetricsSummary:
 
     @property
     def total_accesses(self) -> int:
-        return self.hit.total
+        return self.hit.count
 
     # -- fault-injection / recovery totals (Experiment #7) -------------
     @property

@@ -25,7 +25,6 @@ from repro.sim.events import (
     Resume,
     Timeout,
 )
-from repro.sim.monitor import RatioCounter, Tally, TimeWeighted, summarize
 from repro.sim.process import Interrupt, Process
 from repro.sim.rand import (
     RandomStream,
@@ -46,16 +45,12 @@ __all__ = [
     "Process",
     "Resume",
     "RandomStream",
-    "RatioCounter",
     "Request",
     "Resource",
     "Store",
     "StoreGet",
-    "Tally",
-    "TimeWeighted",
     "Timeout",
     "cumulative",
     "replication_seed",
     "spawn_seed",
-    "summarize",
 ]

@@ -205,15 +205,15 @@ class TestCheckTrace:
 
 
 @dataclasses.dataclass
-class FakeRatio:
-    hits: int
-    total: int
+class FakeSeries:
+    sum: int
+    count: int
 
 
 @dataclasses.dataclass
 class FakeMetrics:
-    hit: FakeRatio
-    error: FakeRatio
+    hit: FakeSeries
+    error: FakeSeries
     stale_served_accesses: int = 0
     unanswered_accesses: int = 0
 
@@ -224,7 +224,7 @@ class TestReconcile:
         engine = InvariantEngine([checker])
         engine.feed(access(1.0, hit=True))
         context = RunContext(
-            metrics={0: FakeMetrics(FakeRatio(0, 1), FakeRatio(0, 1))}
+            metrics={0: FakeMetrics(FakeSeries(0, 1), FakeSeries(0, 1))}
         )
         engine.reconcile(context)
         report = engine.report()
@@ -235,7 +235,7 @@ class TestReconcile:
         engine = InvariantEngine([checker])
         engine.feed(access(1.0, hit=True))
         context = RunContext(
-            metrics={0: FakeMetrics(FakeRatio(1, 1), FakeRatio(0, 1))}
+            metrics={0: FakeMetrics(FakeSeries(1, 1), FakeSeries(0, 1))}
         )
         engine.reconcile(context)
         assert engine.report().ok

@@ -66,11 +66,11 @@ class TestAttributeCaching:
         harness = Harness("AC")
         harness.run_query(reads((1, "a0")))
         metrics = harness.client.metrics
-        assert metrics.hit.total == 1
-        assert metrics.hit.hits == 0
+        assert metrics.hit.count == 1
+        assert metrics.hit.sum == 0
         assert harness.client.cache.lookup((OID("Root", 1), "a0")) is not None
         harness.run_query(reads((1, "a0")))
-        assert metrics.hit.hits == 1
+        assert metrics.hit.sum == 1
         assert metrics.remote_rounds == 1  # second query was fully local
 
     def test_response_time_includes_wireless_round(self):
@@ -106,7 +106,7 @@ class TestObjectCaching:
         harness.run_query(reads((1, "a0")))
         harness.run_query(reads((1, "a7")))  # never requested explicitly
         metrics = harness.client.metrics
-        assert metrics.hit.hits == 1
+        assert metrics.hit.sum == 1
         assert metrics.remote_rounds == 1
 
 
@@ -158,7 +158,7 @@ class TestDisconnection:
         harness.run_query(reads((1, "a0")))
         metrics = harness.client.metrics
         assert metrics.stale_served_accesses == 1
-        assert metrics.error.hits == 1  # the stale read is an error
+        assert metrics.error.sum == 1  # the stale read is an error
 
     def test_valid_entry_hit_while_disconnected(self):
         schedule = DisconnectionSchedule({0: [(100.0, 1e9)]})
@@ -166,7 +166,7 @@ class TestDisconnection:
         harness.run_query(reads((1, "a0")))
         harness.env._now = 200.0
         harness.run_query(reads((1, "a0")))
-        assert harness.client.metrics.hit.hits == 1
+        assert harness.client.metrics.hit.sum == 1
         assert harness.client.metrics.disconnected_queries == 1
 
 
@@ -180,8 +180,8 @@ class TestErrorOracle:
         harness.database.get(oid).write("a0", 1234, now=harness.env.now)
         harness.run_query(reads((1, "a0")))
         metrics = harness.client.metrics
-        assert metrics.hit.hits == 1
-        assert metrics.error.hits == 1
+        assert metrics.hit.sum == 1
+        assert metrics.error.sum == 1
 
     def test_object_granularity_error_inflation(self):
         """Under OC, a write to ANY attribute poisons the whole object."""
@@ -190,7 +190,7 @@ class TestErrorOracle:
         harness.run_query(reads((1, "a0")))
         harness.database.get(oid).write("a7", 1, now=harness.env.now)
         harness.run_query(reads((1, "a0")))  # a0 untouched, still an error
-        assert harness.client.metrics.error.hits == 1
+        assert harness.client.metrics.error.sum == 1
 
 
 class TestNoCaching:
@@ -203,7 +203,7 @@ class TestNoCaching:
         harness = Harness("NC")
         harness.run_query(reads((1, "a0")))
         harness.run_query(reads((1, "a1")))  # same object, memory hit
-        assert harness.client.metrics.hit.hits == 1
+        assert harness.client.metrics.hit.sum == 1
 
 
 class TestExistentList:
@@ -234,7 +234,7 @@ class TestPageCaching:
         harness = Harness("PC")
         harness.run_query(reads((5, "a0")))
         harness.run_query(reads((6, "a3")))  # page-mate, never requested
-        assert harness.client.metrics.hit.hits == 1
+        assert harness.client.metrics.hit.sum == 1
         assert harness.client.metrics.remote_rounds == 1
 
     def test_held_page_mates_suppress_retransmission(self):

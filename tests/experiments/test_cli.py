@@ -82,6 +82,19 @@ def test_run_rejects_bad_granularity():
         main(["run", "--granularity", "ZZ"])
 
 
+@pytest.mark.parametrize("hours", ["nan", "inf", "0", "-1"])
+def test_run_rejects_bad_horizon(capsys, hours):
+    assert main(["run", f"--hours={hours}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "horizon" in err
+
+
+def test_run_rejects_nonfinite_beta(capsys):
+    assert main(["run", "--hours", "0.1", "--beta", "nan"]) == 2
+    assert "beta" in capsys.readouterr().err
+
+
 def test_experiment_requires_valid_number(capsys):
     """Paper experiments run as scenarios; there is no Experiment #9."""
     assert main(["scenario", "run", "exp9-granularity", "--quiet"]) == 2

@@ -1,5 +1,7 @@
 """Unit tests for SimulationConfig validation and helpers."""
 
+import math
+
 import pytest
 
 from repro._units import HOUR
@@ -35,6 +37,25 @@ class TestValidation:
     )
     def test_invalid_value_rejected(self, field, value):
         with pytest.raises(ConfigurationError):
+            SimulationConfig(**{field: value})
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_horizon_is_reported_before_other_checks(self, hours):
+        # A disconnection that would "exceed" a negative horizon must
+        # not mask the real problem.
+        with pytest.raises(ConfigurationError, match="horizon"):
+            SimulationConfig(
+                horizon_hours=hours,
+                disconnected_clients=1,
+                disconnection_hours=1.0,
+            )
+
+    @pytest.mark.parametrize(
+        "field", ["beta", "update_probability", "zipf_s", "arrival_rate"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_float_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
             SimulationConfig(**{field: value})
 
     def test_disconnection_requires_duration(self):

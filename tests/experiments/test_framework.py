@@ -4,7 +4,6 @@ from repro.experiments import report
 from repro.experiments.parallel import RunFailure
 from repro.experiments.scenarios import (
     CellResult,
-    MetricStats,
     ReplicationPlan,
     ScenarioResult,
     get_scenario,
@@ -15,6 +14,7 @@ from repro.experiments.scenarios.spec import (
     default_horizon_hours,
 )
 from repro.experiments.tables import render_table1, table1_rows
+from repro.metrics.stats import MetricStats
 
 
 def paper_runs(name, horizon_hours):

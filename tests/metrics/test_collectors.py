@@ -7,10 +7,10 @@ from repro.metrics.collectors import ClientMetrics, MetricsSummary
 
 def make_client(client_id=0, accesses=(), queries=()):
     metrics = ClientMetrics(client_id)
-    for is_hit, is_error in accesses:
-        metrics.record_access(is_hit, is_error)
-    for response, connected in queries:
-        metrics.record_query(response, connected)
+    for now, (is_hit, is_error) in enumerate(accesses):
+        metrics.record_access(float(now), is_hit, is_error)
+    for now, (response, connected) in enumerate(queries):
+        metrics.record_query(float(now), response, connected)
     return metrics
 
 
@@ -19,8 +19,8 @@ class TestClientMetrics:
         metrics = make_client(
             accesses=[(True, False), (True, True), (False, False)]
         )
-        assert metrics.hit.ratio == pytest.approx(2 / 3)
-        assert metrics.error.ratio == pytest.approx(1 / 3)
+        assert metrics.hit.mean == pytest.approx(2 / 3)
+        assert metrics.error.mean == pytest.approx(1 / 3)
 
     def test_query_accounting(self):
         metrics = make_client(
@@ -32,7 +32,7 @@ class TestClientMetrics:
 
     def test_initial_state(self):
         metrics = ClientMetrics(7)
-        assert metrics.hit.ratio == 0.0
+        assert metrics.hit.mean == 0.0
         assert metrics.queries == 0
         assert metrics.bytes_sent == 0
 
