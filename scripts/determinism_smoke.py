@@ -1,43 +1,47 @@
 #!/usr/bin/env python3
-"""CI determinism smoke check: audited double-run fingerprint diff.
+"""CI determinism smoke check: trace digests under two hash seeds.
 
-Runs the default experiment-1 configuration twice with the scheduling
-auditor on — once in this process, once in a subprocess with a
-*different* ``PYTHONHASHSEED`` — and fails unless:
+Runs the default configuration twice with a JSONL trace — once in this
+process, once in a subprocess with a *different* ``PYTHONHASHSEED`` —
+and fails unless both runs processed the same number of kernel events
+and wrote byte-identical traces (equal SHA-256 digests).
 
-* both runs report **zero unexplained scheduling collisions**, and
-* both runs produce the **identical order-insensitive trace
-  fingerprint** (see ``repro.analysis.audit``).
-
-Together the two assertions pin the repo's core determinism claim: for
-one seedset, the set of scheduled work is independent of Python's
-string-hash randomisation, and insertion order is never load-bearing
-except where the kernel's program order already fixes it.
+The trace holds every bus event in emission order, so the digest is
+order-sensitive: any hash-order leak that changes which work happens,
+or only the order in which it happens, changes it.  Together with the
+fixed seed this pins the repo's core determinism claim: a run is a
+pure function of its seed, independent of Python's string-hash
+randomisation.
 
 Usage::
 
     PYTHONPATH=src python scripts/determinism_smoke.py [--hours H]
+        [--hash-seed SEED]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 
 
-def run_once(hours: float) -> tuple[str, int, int]:
-    """(fingerprint, unexplained collisions, steps) for one audited run."""
+def run_once(hours: float, trace_path: str) -> tuple[str, int]:
+    """(trace SHA-256, events processed) for one traced run."""
     from repro.experiments.config import SimulationConfig
     from repro.experiments.runner import run_simulation
 
     result = run_simulation(
-        SimulationConfig(horizon_hours=hours, determinism_audit=True)
+        SimulationConfig(horizon_hours=hours, trace_path=trace_path)
     )
-    report = result.determinism
-    assert report is not None
-    return report.fingerprint, report.collisions, report.steps
+    digest = hashlib.sha256()
+    with open(trace_path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest(), result.events_processed
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -55,63 +59,52 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--single",
-        action="store_true",
-        help="run once and print 'fingerprint collisions steps' (internal)",
+        default=None,
+        metavar="TRACE",
+        help="run once, tracing to TRACE, and print 'digest events' "
+        "(internal: the second run)",
     )
     args = parser.parse_args(argv)
 
     if args.single:
-        fingerprint, collisions, steps = run_once(args.hours)
-        print(fingerprint, collisions, steps)
+        digest, events = run_once(args.hours, args.single)
+        print(digest, events)
         return 0
 
-    fingerprint, collisions, steps = run_once(args.hours)
-    print(f"run 1: steps={steps} collisions={collisions} fp={fingerprint}")
-    if collisions:
-        print(
-            f"FAIL: {collisions} unexplained scheduling collision(s); "
-            "run with --determinism-audit for the sites",
-            file=sys.stderr,
+    with tempfile.TemporaryDirectory() as scratch:
+        digest, events = run_once(args.hours, os.path.join(scratch, "a.jsonl"))
+        print(f"run 1: events={events} sha256={digest}")
+        env = dict(os.environ, PYTHONHASHSEED=args.hash_seed)
+        second = subprocess.run(
+            [
+                sys.executable,
+                os.path.abspath(__file__),
+                "--hours",
+                str(args.hours),
+                "--single",
+                os.path.join(scratch, "b.jsonl"),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
         )
-        return 1
-
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = args.hash_seed
-    second = subprocess.run(
-        [
-            sys.executable,
-            os.path.abspath(__file__),
-            "--single",
-            "--hours",
-            str(args.hours),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
     if second.returncode != 0:
         print(second.stderr, file=sys.stderr)
         print("FAIL: second run crashed", file=sys.stderr)
         return 1
-    fp2, coll2, steps2 = second.stdout.split()
+    digest2, events2 = second.stdout.split()
     print(
-        f"run 2: steps={steps2} collisions={coll2} fp={fp2} "
+        f"run 2: events={events2} sha256={digest2} "
         f"(PYTHONHASHSEED={args.hash_seed})"
     )
-    if int(coll2):
+    if int(events2) != events or digest2 != digest:
         print(
-            "FAIL: unexplained collisions under the second hash seed",
+            "FAIL: the runs differ across PYTHONHASHSEED values "
+            "— hash order is leaking into the simulation",
             file=sys.stderr,
         )
         return 1
-    if fp2 != fingerprint:
-        print(
-            "FAIL: trace fingerprints differ across PYTHONHASHSEED values "
-            "— hash order is leaking into the event queue",
-            file=sys.stderr,
-        )
-        return 1
-    print("OK: identical fingerprints, zero unexplained collisions")
+    print("OK: identical traces and event counts")
     return 0
 
 

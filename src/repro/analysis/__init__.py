@@ -1,46 +1,31 @@
-"""Static analysis and runtime determinism auditing.
-
-Two halves, one purpose: keep the simulation *fully deterministic for a
-given seedset* (the invariant every reproduced number rests on).
+"""Static and runtime checks that a run is a pure function of its seed.
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — a small
   AST lint framework with simulation-domain rules (REP001+) that turn
-  wall-clock reads, unseeded randomness, hash-order iteration and
-  similar reproducibility hazards into CI failures.  Run it with
+  wall-clock reads, unseeded randomness, hash-order iteration, unit
+  mix-ups and interleaving hazards into CI failures.  Run it with
   ``repro-mobicache lint src tests``.
-* :mod:`repro.analysis.audit` — an opt-in runtime auditor for the
-  event-queue kernel that records same-``(time, priority)`` scheduling
-  ties between different processes (the exact condition under which
-  heap insertion order is load-bearing) and produces an
-  order-insensitive trace fingerprint for cross-run comparison.
+* :mod:`repro.analysis.invariants` — streaming protocol-invariant
+  checkers over a run's obs events (``repro run --invariants``,
+  ``repro check-trace``).
+
+Hash-seed independence is checked end to end, not here:
+``scripts/determinism_smoke.py`` compares the SHA-256 of a run's JSONL
+trace under two ``PYTHONHASHSEED`` values.
 """
 
-from repro.analysis.audit import (
-    CollisionSite,
-    DeterminismAuditor,
-    DeterminismReport,
-)
 from repro.analysis.engine import (
     Finding,
     all_rules,
-    apply_baseline,
     lint_paths,
-    load_baseline,
     render_json,
     render_text,
-    snapshot_baseline,
 )
 
 __all__ = [
-    "CollisionSite",
-    "DeterminismAuditor",
-    "DeterminismReport",
     "Finding",
     "all_rules",
-    "apply_baseline",
     "lint_paths",
-    "load_baseline",
     "render_json",
     "render_text",
-    "snapshot_baseline",
 ]

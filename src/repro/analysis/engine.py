@@ -17,12 +17,6 @@ enforces hygiene on these comments (:class:`SuppressionRule`): a noqa
 that no longer suppresses any finding is reported as stale (REP022) and
 one without a ``-- reason`` is flagged (REP023), so waivers cannot
 silently outlive the hazard they excused.
-
-Baselines (``lint --baseline``) let a new rule family ratchet instead
-of blocking adoption: a snapshot of today's findings is committed, only
-*new* findings fail the run, and fixed findings must be removed from
-the snapshot (stale baseline entries fail too, so the file only ever
-shrinks).
 """
 
 from __future__ import annotations
@@ -144,9 +138,7 @@ class DataflowRule(Rule):
     — per-module symbol tables with imports resolved project-wide and
     unit tags propagated through assignments, calls and returns (see
     :mod:`repro.analysis.dataflow`).  The model is built once per lint
-    run and shared by every dataflow rule; the whole tier can be
-    disabled with ``lint_paths(..., dataflow=False)`` (the CLI's
-    ``--no-dataflow``).
+    run, and only when a dataflow rule is selected.
     """
 
     def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
@@ -164,9 +156,8 @@ class InterleaveRule(Rule):
     control-flow graphs for generator functions that drive sim
     processes, with yield expressions as *barrier* nodes and shared
     (``self.*``) accesses classified (see
-    :mod:`repro.analysis.interleave`).  Built lazily once per run;
-    disabled with ``lint_paths(..., interleave=False)`` (the CLI's
-    ``--no-interleave``).
+    :mod:`repro.analysis.interleave`).  Built lazily once per run,
+    and only when an interleave rule is selected.
     """
 
     def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
@@ -225,33 +216,24 @@ def all_rules() -> list[Rule]:
 # ----------------------------------------------------------------------
 def iter_python_files(paths: t.Sequence[str | Path]) -> t.Iterator[Path]:
     """Yield every ``.py`` file under ``paths`` (files pass through),
-    skipping hidden directories and ``__pycache__``."""
+    skipping hidden directories and ``__pycache__`` below each path.
+
+    Raises ``ValueError`` for a path that does not exist, so a typo can
+    never pass as a clean lint.
+    """
     for raw in paths:
         path = Path(raw)
         if path.is_file():
             if path.suffix == ".py":
                 yield path
             continue
+        if not path.is_dir():
+            raise ValueError(f"no such file or directory: {raw}")
         for candidate in sorted(path.rglob("*.py")):
-            parts = candidate.parts
+            parts = candidate.relative_to(path).parts
             if any(p == "__pycache__" or p.startswith(".") for p in parts):
                 continue
             yield candidate
-
-
-def suppressed_ids(line: str) -> frozenset[str] | None:
-    """Rule ids a ``# repro: noqa`` comment on ``line`` suppresses.
-
-    ``None`` means no suppression comment; an empty set means *suppress
-    everything* (bare noqa).
-    """
-    match = _NOQA_RE.search(line)
-    if match is None:
-        return None
-    ids = match.group("ids")
-    if not ids:
-        return frozenset()
-    return frozenset(part.strip() for part in ids.split(","))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,15 +297,6 @@ class _FileSuppressions:
         return True
 
 
-def _is_suppressed(finding: Finding, lines: list[str]) -> bool:
-    if not 1 <= finding.line <= len(lines):
-        return False
-    ids = suppressed_ids(lines[finding.line - 1])
-    if ids is None:
-        return False
-    return not ids or finding.rule_id in ids
-
-
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
@@ -332,18 +305,13 @@ def lint_paths(
     select: t.Collection[str] | None = None,
     ignore: t.Collection[str] | None = None,
     root: Path | None = None,
-    dataflow: bool = True,
-    interleave: bool = True,
 ) -> list[Finding]:
     """Run every (selected) rule over every Python file under ``paths``.
 
     ``select`` restricts the run to the given rule ids; ``ignore`` drops
-    ids from whatever is selected.  ``dataflow=False`` skips the
-    symbol-resolved unit-flow tier (:class:`DataflowRule` subclasses)
-    and ``interleave=False`` the yield-point CFG tier
-    (:class:`InterleaveRule` subclasses) — no model is built for a
-    skipped tier.  Unparseable files surface as :data:`PARSE_ERROR_ID`
-    findings rather than crashing the run.  After all tiers, the
+    ids from whatever is selected.  A project-wide tier whose rules are
+    all dropped builds no model.  Unparseable files surface as
+    :data:`PARSE_ERROR_ID` findings rather than crashing the run.  After all tiers, the
     suppression-hygiene pass (:class:`SuppressionRule`) reports noqa
     comments that suppressed nothing or lack a reason.
     """
@@ -360,10 +328,6 @@ def lint_paths(
         if unknown:
             raise ValueError(f"unknown rule ids ignored: {sorted(unknown)}")
         rules = [rule for rule in rules if rule.rule_id not in dropped]
-    if not dataflow:
-        rules = [r for r in rules if not isinstance(r, DataflowRule)]
-    if not interleave:
-        rules = [r for r in rules if not isinstance(r, InterleaveRule)]
 
     special = (ProjectRule, DataflowRule, InterleaveRule, SuppressionRule)
     file_rules = [r for r in rules if not isinstance(r, special)]
@@ -436,9 +400,7 @@ def lint_paths(
             r.rule_id for r in rules if not isinstance(r, SuppressionRule)
         }
         registered = {r.rule_id for r in all_rules()}
-        full_run = (
-            not select and not ignore and dataflow and interleave
-        )
+        full_run = not select and not ignore
         stale_rules = [r for r in suppression_rules if r.kind == "stale"]
         reason_rules = [r for r in suppression_rules if r.kind == "reason"]
         hygiene: list[Finding] = []
@@ -517,76 +479,3 @@ def _count_by_rule(findings: t.Sequence[Finding]) -> dict[str, int]:
     for finding in findings:
         counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
     return counts
-
-
-# ----------------------------------------------------------------------
-# Baselines (ratchet)
-# ----------------------------------------------------------------------
-def baseline_key(finding: Finding) -> str:
-    """Stable identity for baseline matching.
-
-    Deliberately excludes the line/column so unrelated edits that shift
-    a known finding do not count as "new"; two findings with the same
-    path, rule and message are interchangeable for ratchet purposes.
-    """
-    return f"{finding.path}::{finding.rule_id}::{finding.message}"
-
-
-def snapshot_baseline(findings: t.Sequence[Finding]) -> dict[str, t.Any]:
-    """Serialize current findings into a committed-baseline payload.
-
-    Parse errors (:data:`PARSE_ERROR_ID`) are never baselined — a file
-    the engine cannot read must fail every run until fixed.
-    """
-    counts: dict[str, int] = {}
-    for finding in findings:
-        if finding.rule_id == PARSE_ERROR_ID:
-            continue
-        key = baseline_key(finding)
-        counts[key] = counts.get(key, 0) + 1
-    return {"version": 1, "entries": dict(sorted(counts.items()))}
-
-
-def load_baseline(path: Path) -> dict[str, int]:
-    """Read a baseline file, validating shape; raises ValueError."""
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable baseline {path}: {exc}") from exc
-    if not isinstance(data, dict) or data.get("version") != 1:
-        raise ValueError(f"baseline {path}: expected {{'version': 1, ...}}")
-    entries = data.get("entries")
-    if not isinstance(entries, dict) or not all(
-        isinstance(k, str) and isinstance(v, int) and v > 0
-        for k, v in entries.items()
-    ):
-        raise ValueError(
-            f"baseline {path}: 'entries' must map keys to positive counts"
-        )
-    return dict(entries)
-
-
-def apply_baseline(
-    findings: t.Sequence[Finding], entries: dict[str, int]
-) -> tuple[list[Finding], dict[str, int]]:
-    """Split findings against a baseline.
-
-    Returns ``(new_findings, stale_entries)``: findings beyond the
-    baselined count for their key are new (parse errors are always
-    new), and baseline capacity nothing consumed is stale — the
-    ratchet direction, forcing the committed file to shrink as
-    findings are fixed.
-    """
-    remaining = dict(entries)
-    new: list[Finding] = []
-    for finding in sorted(findings):
-        if finding.rule_id == PARSE_ERROR_ID:
-            new.append(finding)
-            continue
-        key = baseline_key(finding)
-        if remaining.get(key, 0) > 0:
-            remaining[key] -= 1
-        else:
-            new.append(finding)
-    stale = {k: v for k, v in remaining.items() if v > 0}
-    return new, stale

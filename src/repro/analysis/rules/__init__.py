@@ -6,7 +6,6 @@ a rule by deleting its module, never by reusing its id.
 """
 
 from repro.analysis.rules import (  # noqa: F401
-    defaults,
     events,
     floats,
     interleave,
@@ -19,7 +18,6 @@ from repro.analysis.rules import (  # noqa: F401
 )
 
 __all__ = [
-    "defaults",
     "events",
     "floats",
     "interleave",

@@ -1,16 +1,9 @@
-"""REP005 + REP006 — event-discipline rules.
+"""REP006 — a simulation process may only ``yield`` events.
 
-REP005: every observability event (a class deriving from ``SimEvent``)
-must be declared ``@dataclass(frozen=True)``.  Sinks receive the same
-event instance in subscription order; a mutable event would let an
-earlier sink change what a later sink records, silently coupling
-outputs to dispatch order.
-
-REP006: a simulation process may only ``yield`` events.  ``yield``,
-``yield None`` or yielding any other literal is a latent crash — the
-kernel raises ``SimulationError`` only when the process first runs,
-which under rare configurations may be hours into a sweep.  This rule
-moves the obvious cases (literals) to lint time.
+``yield``, ``yield None`` or yielding any other literal is a latent
+crash — the kernel raises ``SimulationError`` only when the process
+first runs, which under rare configurations may be hours into a sweep.
+This rule moves the obvious cases (literals) to lint time.
 """
 
 from __future__ import annotations
@@ -19,75 +12,6 @@ import ast
 import typing as t
 
 from repro.analysis.engine import FileContext, Finding, Rule, register_rule
-
-
-def _decorator_is_frozen_dataclass(node: ast.expr) -> bool:
-    """``@dataclass(frozen=True)`` / ``@dataclasses.dataclass(frozen=True)``."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = (
-        func.id
-        if isinstance(func, ast.Name)
-        else func.attr
-        if isinstance(func, ast.Attribute)
-        else ""
-    )
-    if name != "dataclass":
-        return False
-    for keyword in node.keywords:
-        if keyword.arg == "frozen":
-            value = keyword.value
-            return isinstance(value, ast.Constant) and value.value is True
-    return False
-
-
-def _is_dataclass_decorator(node: ast.expr) -> bool:
-    name = ""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    elif isinstance(node, ast.Call):
-        return _decorator_is_frozen_dataclass(node) or _is_dataclass_decorator(
-            node.func
-        )
-    return name == "dataclass"
-
-
-@register_rule
-class FrozenObsEvents(Rule):
-    rule_id = "REP005"
-    title = "obs event classes must be @dataclass(frozen=True)"
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return "repro/" in ctx.rel_path
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            derives_simevent = any(
-                (isinstance(base, ast.Name) and base.id == "SimEvent")
-                or (
-                    isinstance(base, ast.Attribute)
-                    and base.attr == "SimEvent"
-                )
-                for base in node.bases
-            )
-            if not (derives_simevent or node.name == "SimEvent"):
-                continue
-            if not any(
-                _decorator_is_frozen_dataclass(decorator)
-                for decorator in node.decorator_list
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"event class {node.name} must be declared "
-                    "@dataclass(frozen=True); sinks share the instance, "
-                    "so mutability couples outputs to dispatch order",
-                )
 
 
 @register_rule

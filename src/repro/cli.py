@@ -15,7 +15,6 @@ Examples::
     repro-mobicache list-policies
     repro-mobicache lint src tests
     repro-mobicache lint --format json --select REP001,REP003 src
-    repro-mobicache run --determinism-audit --hours 2
 """
 
 from __future__ import annotations
@@ -99,9 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "breakdown of the run")
     obs_group.add_argument("--staleness-timeline", action="store_true",
                            help="print the bucketed age-at-read series")
-    obs_group.add_argument("--determinism-audit", action="store_true",
-                           help="audit same-instant scheduling ties and "
-                                "print the run's trace fingerprint")
     obs_group.add_argument("--invariants", action="store_true",
                            help="run the protocol-invariant checkers "
                                 "in-process and print their report")
@@ -192,11 +188,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the determinism + unit-dataflow + interleave lint "
              "(REP rules) over Python sources",
-        description="Exit codes: 0 = clean, 1 = violations found (or, "
-                    "with --baseline, new findings / stale baseline "
-                    "entries), 2 = parse/config error (unreadable or "
+        description="Exit codes: 0 = clean, 1 = violations found, "
+                    "2 = parse/config error (unreadable or "
                     "syntactically broken file [REP000], unknown rule "
-                    "id, unreadable baseline).",
+                    "id, missing path).",
     )
     lint_parser.add_argument("paths", nargs="*", default=["src"],
                              help="files or directories (default: src)")
@@ -207,20 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "(default: all)")
     lint_parser.add_argument("--ignore", default=None, metavar="IDS",
                              help="comma-separated rule ids to skip")
-    lint_parser.add_argument("--no-dataflow", action="store_true",
-                             help="skip the symbol-resolved unit-flow "
-                                  "tier (REP011-REP015)")
-    lint_parser.add_argument("--no-interleave", action="store_true",
-                             help="skip the yield-point CFG tier "
-                                  "(REP016-REP021, REP024)")
-    lint_parser.add_argument("--baseline", default=None, metavar="FILE",
-                             help="only fail on findings not in this "
-                                  "baseline snapshot; stale baseline "
-                                  "entries also fail (ratchet)")
-    lint_parser.add_argument("--write-baseline", default=None,
-                             metavar="FILE",
-                             help="snapshot current findings to FILE "
-                                  "and exit 0 (unless REP000)")
     lint_parser.add_argument("--list-rules", action="store_true",
                              help="print the rule catalogue and exit")
     return parser
@@ -252,7 +233,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace_path=args.trace_path,
             profile=args.profile,
             staleness_timeline=args.staleness_timeline,
-            determinism_audit=args.determinism_audit,
             invariants=args.invariants,
         )
         result = run_simulation(config)
@@ -284,15 +264,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {bucket:<16} {cells['seconds']:>9.3f} s  "
                   f"{cells['share']:>6.1%}  "
                   f"({cells['calls']:.0f} callbacks)")
-    if result.determinism is not None:
-        audit = result.determinism
-        print(f"determinism   : {audit.summary()}")
-        for site in audit.sites:
-            if not site.explained:
-                processes = ", ".join(site.processes) or "<kernel>"
-                print(f"  collision at t={site.time:g} "
-                      f"priority={site.priority} [{site.category}] "
-                      f"processes: {processes}")
     if config.staleness_timeline:
         print("staleness timeline (age at cache read):")
         for bucket in result.staleness:
@@ -311,18 +282,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    import json as _json
-    from pathlib import Path
-
-    from repro.analysis import (
-        all_rules,
-        apply_baseline,
-        lint_paths,
-        load_baseline,
-        render_json,
-        render_text,
-        snapshot_baseline,
-    )
+    from repro.analysis import all_rules, lint_paths, render_json, render_text
     from repro.analysis.engine import PARSE_ERROR_ID
 
     if args.list_rules:
@@ -332,45 +292,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     select = args.select.split(",") if args.select else None
     ignore = args.ignore.split(",") if args.ignore else None
     try:
-        baseline = (
-            load_baseline(Path(args.baseline)) if args.baseline else None
-        )
-        findings = lint_paths(
-            args.paths,
-            select=select,
-            ignore=ignore,
-            dataflow=not args.no_dataflow,
-            interleave=not args.no_interleave,
-        )
+        findings = lint_paths(args.paths, select=select, ignore=ignore)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parse_errors = any(f.rule_id == PARSE_ERROR_ID for f in findings)
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            _json.dumps(snapshot_baseline(findings), indent=2, sort_keys=True)
-            + "\n",
-            encoding="utf-8",
-        )
-        print(
-            f"baseline written to {args.write_baseline} "
-            f"({len(findings)} finding(s))"
-        )
-        return 2 if parse_errors else 0
-    if baseline is not None:
-        new, stale = apply_baseline(findings, baseline)
-        if args.output_format == "json":
-            print(render_json(new))
-        else:
-            print(render_text(new))
-        for key, count in sorted(stale.items()):
-            print(
-                f"stale baseline entry ({count} unmatched): {key}",
-                file=sys.stderr,
-            )
-        if parse_errors:
-            return 2
-        return 1 if new or stale else 0
     if args.output_format == "json":
         print(render_json(findings))
     else:
@@ -378,7 +303,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # Exit-code contract (asserted by the CLI tests): 2 = the lint
     # itself could not do its job (unparseable input), 1 = rule
     # violations, 0 = clean.  CI failures are attributable at a glance.
-    if parse_errors:
+    if any(f.rule_id == PARSE_ERROR_ID for f in findings):
         return 2
     return 1 if findings else 0
 

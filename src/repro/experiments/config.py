@@ -134,10 +134,6 @@ class SimulationConfig:
     staleness_timeline: bool = False
     #: Bucket width of the staleness timeline (simulated seconds).
     staleness_bucket_seconds: Seconds = 0.5 * HOUR
-    #: Attach the scheduling-race auditor to the kernel: record
-    #: same-(time, priority) event ties and the order-insensitive trace
-    #: fingerprint (see :mod:`repro.analysis.audit`).
-    determinism_audit: bool = False
     #: Run the protocol-invariant checkers in-process and attach their
     #: report to the result (see :mod:`repro.analysis.invariants`).
     invariants: bool = False

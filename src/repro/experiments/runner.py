@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 
-from repro.analysis.audit import DeterminismReport
 from repro.analysis.invariants import (
     InvariantEngine,
     InvariantReport,
@@ -82,8 +81,6 @@ class SimulationResult:
     )
     #: JSONL trace lines written when tracing was on.
     trace_events: int = 0
-    #: Scheduling-collision report when the determinism audit was on.
-    determinism: "DeterminismReport | None" = None
     #: Protocol-invariant report when ``--invariants`` was on (not a
     #: simulation output; excluded from result-equivalence comparisons).
     invariants: "InvariantReport | None" = dataclasses.field(
@@ -125,7 +122,7 @@ class Simulation:
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self.config = config
-        self.env = Environment(audit=config.determinism_audit)
+        self.env = Environment()
         #: One bus per run: every layer publishes here, every sink
         #: subscribes here.  The metrics sink is installed first so the
         #: headline numbers never depend on optional sink order.
@@ -148,8 +145,6 @@ class Simulation:
             self.invariant_engine = InvariantEngine().attach(self.bus)
         if config.profile:
             self.env.profiler = WallClockProfiler()
-        if self.env.auditor is not None:
-            self.env.auditor.attach_bus(self.bus)
         root_rng = RandomStream(config.seed, label="root")
 
         self.database: Database = build_default_database(
@@ -379,11 +374,6 @@ class Simulation:
                 self.trace_sink.events_written
                 if self.trace_sink is not None
                 else 0
-            ),
-            determinism=(
-                self.env.auditor.report()
-                if self.env.auditor is not None
-                else None
             ),
             invariants=invariant_report,
         )

@@ -18,7 +18,7 @@ Two emission disciplines keep the bus cheap:
   site checks ``bus.wants(EventType)`` first): :class:`CacheAdmit`,
   :class:`CacheRefresh`, :class:`CacheInvalidate`, :class:`CacheEvict`,
   :class:`CacheReject`, :class:`RefreshExpired`, :class:`RequestServed`,
-  :class:`ResourceWait`, :class:`SchedulingCollision`.
+  :class:`ResourceWait`.
 
 All fields are JSON-representable scalars or cache keys (which the
 trace sink stringifies), so every event round-trips through the JSONL
@@ -302,22 +302,6 @@ class RequestServed(SimEvent):
 # Simulation kernel
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
-class SchedulingCollision(SimEvent):  # repro: noqa REP009 -- audit-only diagnostic; consumed by the test suite and trace tooling, not by an in-tree sink
-    """Two pending events tied on ``(time, priority)`` at a heap pop
-    (guarded; only emitted when the determinism audit is on).
-
-    ``processes`` names the processes the tied events would resume;
-    ``category`` is the auditor's classification (``process-start``,
-    ``same-process``, ``causal-chain`` or ``coincident`` — only the
-    last is an unexplained ordering hazard).
-    """
-
-    priority: int
-    processes: tuple[str, ...]
-    category: str
-
-
-@dataclasses.dataclass(frozen=True)
 class ResourceWait(SimEvent):
     """A facility claim was released: queueing and holding times
     (guarded)."""
@@ -346,6 +330,5 @@ ALL_EVENT_TYPES: tuple[type[SimEvent], ...] = (
     TransmitOutcome,
     FaultEvent,
     RequestServed,
-    SchedulingCollision,
     ResourceWait,
 )

@@ -34,14 +34,12 @@ from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 if t.TYPE_CHECKING:  # pragma: no cover
-    from repro.analysis.audit import DeterminismAuditor
     from repro.obs.profiler import WallClockProfiler
 
 #: One pending heap entry: (time, priority, sequence, event).
 QueueEntry = tuple[float, int, int, Event]
 
-#: The next event to fire, as handed to the determinism auditor:
-#: (time, priority, event).
+#: The next event to fire: (time, priority, event).
 NextEntry = tuple[float, int, Event]
 
 
@@ -50,14 +48,10 @@ class Environment:
 
     Events scheduled for the same instant fire in (priority, insertion)
     order, which makes every simulation run fully deterministic for a
-    given seedset.  Pass ``audit=True`` to attach a
-    :class:`~repro.analysis.audit.DeterminismAuditor` that records every
-    same-``(time, priority)`` scheduling tie — the condition under which
-    insertion order is load-bearing — and an order-insensitive trace
-    fingerprint.
+    given seedset.
     """
 
-    def __init__(self, initial_time: float = 0.0, audit: bool = False) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         #: Heap of (time, priority, sequence, event) for delay > 0.
         self._queue: list[QueueEntry] = []
@@ -79,16 +73,6 @@ class Environment:
         #: execution is timed and charged to its process's subsystem
         #: bucket (see :mod:`repro.obs.profiler`).
         self.profiler: "WallClockProfiler | None" = None
-        #: Optional scheduling-race auditor; ``None`` (the default)
-        #: costs a single attribute check per step.
-        self.auditor: "DeterminismAuditor | None" = None
-        if audit:
-            # Imported lazily: repro.analysis.audit imports this module's
-            # sibling (sim.events), and the kernel must not depend on the
-            # analysis package unless auditing is requested.
-            from repro.analysis.audit import DeterminismAuditor
-
-            self.auditor = DeterminismAuditor()
 
     def __repr__(self) -> str:
         return f"<Environment now={self._now!r} pending={self._live}>"
@@ -150,9 +134,6 @@ class Environment:
                 (self._now + delay, priority, next(self._seq), event),
             )
         self._live += 1
-        auditor = self.auditor
-        if auditor is not None:
-            auditor.note_scheduled(event, delay)
 
     def cancel(self, event: Event) -> None:
         """Lazily cancel a triggered-but-unprocessed event.
@@ -259,14 +240,9 @@ class Environment:
 
     def step(self) -> None:
         """Process exactly one live event (advancing the clock to it)."""
-        self._now, priority, event = self._pop_entry()
+        self._now, _, event = self._pop_entry()
         self._live -= 1
         self.events_processed += 1
-        auditor = self.auditor
-        if auditor is not None:
-            # Before callbacks are detached: the auditor derives waiter
-            # process names from them.
-            auditor.observe(self._now, priority, event, self._peek_entry())
         callbacks = event.callbacks
         event.callbacks = None  # marks the event processed
         if callbacks:

@@ -126,9 +126,9 @@ class Event:
 class Initialize(Event):
     """Kernel bootstrap event that starts a process (URGENT priority).
 
-    A distinct type so diagnostics — notably the determinism auditor's
-    collision classifier — can tell deliberate program-order process
-    starts apart from ordinary same-instant ties.
+    A distinct type so a process start, whose same-instant order is
+    fixed by program order, can be told apart from an ordinary
+    zero-delay event.
     """
 
     __slots__ = ()

@@ -1,1 +1,1 @@
-"""Tests for the determinism analyzer (lint engine, rules, auditor)."""
+"""Tests for the determinism analyzer (lint engine, rules, invariants)."""

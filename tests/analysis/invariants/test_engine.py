@@ -18,9 +18,9 @@ from repro.obs.bus import EventBus
 from repro.obs.events import (
     CacheAccess,
     CacheAdmit,
+    CacheEvict,
     CacheReject,
     QueryComplete,
-    SchedulingCollision,
 )
 
 
@@ -127,16 +127,18 @@ class TestDecodeRecord:
         assert decoded == event
 
     def test_lists_become_tuples(self):
+        # JSON has no tuples: a list-valued field comes back hashable.
         record = {
-            "type": "SchedulingCollision",
+            "type": "CacheEvict",
             "time": 1.0,
-            "priority": 2,
-            "processes": ["a", "b"],
-            "category": "coincident",
+            "client_id": 0,
+            "cache": "object-cache",
+            "key": ["oid-7", "name"],
+            "size_bytes": 64,
         }
         decoded = decode_record(record)
-        assert isinstance(decoded, SchedulingCollision)
-        assert decoded.processes == ("a", "b")
+        assert isinstance(decoded, CacheEvict)
+        assert decoded.key == ("oid-7", "name")
 
     def test_cache_reject_round_trips(self):
         record = {

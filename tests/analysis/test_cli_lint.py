@@ -1,9 +1,9 @@
-"""The ``repro lint`` exit-code contract and dataflow-tier flags.
+"""The ``repro lint`` exit-code contract and the project-wide tiers.
 
 The contract CI relies on: 0 = clean, 1 = rule violations, 2 = the lint
-itself could not do its job (unparseable input, unknown rule ids).  A
-2 must never be mistaken for "the tree has findings" — it means the
-report is incomplete.
+itself could not do its job (unparseable input, unknown rule ids, a
+missing path).  A 2 must never be mistaken for "the tree has findings"
+— it means the report is incomplete.
 """
 
 import json
@@ -36,6 +36,9 @@ MIXED = (
     "def total(a_seconds: float, b_bytes: float) -> float:\n"
     "    return a_seconds + b_bytes\n"
 )
+#: The unit-dataflow tier and the interleave tier, as ``--ignore`` lists.
+UNIT_IDS = "REP011,REP012,REP013,REP014,REP015"
+INTERLEAVE_IDS = "REP016,REP017,REP018,REP019,REP020,REP021,REP024"
 
 
 class TestExitCodes:
@@ -70,11 +73,17 @@ class TestExitCodes:
         assert main(["lint", "--select", "REP999", root]) == 2
         assert "unknown rule ids" in capsys.readouterr().err
 
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        # A typo must not pass as a clean lint of nothing.
+        missing = str(tmp_path / "does" / "not" / "exist")
+        assert main(["lint", missing]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
+
 
 class TestDataflowFlags:
-    def test_no_dataflow_skips_the_unit_tier(self, tree, capsys):
+    def test_ignoring_the_unit_ids_skips_the_tier(self, tree, capsys):
         root = tree({"repro/core/mod.py": MIXED})
-        assert main(["lint", "--no-dataflow", root]) == 0
+        assert main(["lint", "--ignore", UNIT_IDS, root]) == 0
         assert "no findings" in capsys.readouterr().out
 
     def test_json_report_carries_dataflow_findings(self, tree, capsys):
@@ -125,49 +134,7 @@ class TestInterleaveFlags:
         assert main(["lint", root]) == 1
         assert "REP016" in capsys.readouterr().out
 
-    def test_no_interleave_skips_the_tier(self, tree, capsys):
+    def test_ignoring_the_interleave_ids_skips_the_tier(self, tree, capsys):
         root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        assert main(["lint", "--no-interleave", root]) == 0
+        assert main(["lint", "--ignore", INTERLEAVE_IDS, root]) == 0
         assert "no findings" in capsys.readouterr().out
-
-
-class TestBaselineFlags:
-    def test_write_then_check_is_clean(self, tree, tmp_path, capsys):
-        root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        base = str(tmp_path / "base.json")
-        assert main(["lint", "--write-baseline", base, root]) == 0
-        assert main(["lint", "--baseline", base, root]) == 0
-        assert "no findings" in capsys.readouterr().out
-
-    def test_new_finding_beyond_baseline_exits_one(self, tree, tmp_path, capsys):
-        root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        base = str(tmp_path / "base.json")
-        assert main(["lint", "--write-baseline", base, root]) == 0
-        tree({"repro/sim/extra.py": INTERLEAVE_BAD})
-        assert main(["lint", "--baseline", base, root]) == 1
-        out = capsys.readouterr().out
-        assert "repro/sim/extra.py" in out
-        assert "repro/sim/mod.py" not in out
-
-    def test_stale_baseline_entry_exits_one(self, tree, tmp_path, capsys):
-        root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        base = str(tmp_path / "base.json")
-        assert main(["lint", "--write-baseline", base, root]) == 0
-        (tmp_path / "repro" / "sim" / "mod.py").write_text("x = 1\n")
-        assert main(["lint", "--baseline", base, root]) == 1
-        captured = capsys.readouterr()
-        assert "stale baseline entry" in captured.err
-
-    def test_unreadable_baseline_exits_two(self, tree, tmp_path, capsys):
-        root = tree({"repro/core/mod.py": CLEAN})
-        base = tmp_path / "base.json"
-        base.write_text("not json")
-        assert main(["lint", "--baseline", str(base), root]) == 2
-        assert "unreadable baseline" in capsys.readouterr().err
-
-    def test_parse_error_still_beats_baseline(self, tree, tmp_path, capsys):
-        root = tree({"repro/core/broken.py": "def broken(:\n"})
-        base = str(tmp_path / "base.json")
-        # REP000 is never baselined: writing reports it and exits 2.
-        assert main(["lint", "--write-baseline", base, root]) == 2
-        assert main(["lint", "--baseline", base, root]) == 2

@@ -410,7 +410,7 @@ class TestCrossModuleResolution:
 
 
 # ----------------------------------------------------------------------
-# Gating: dataflow=False skips the tier entirely
+# Gating: ignoring the unit ids skips the tier entirely
 # ----------------------------------------------------------------------
 class TestGating:
     BAD = """\
@@ -418,8 +418,9 @@ class TestGating:
         return delay_seconds + size_bytes
     """
 
-    def test_dataflow_false_drops_the_unit_rules(self, lint):
-        findings = lint("repro/core/mod.py", self.BAD, dataflow=False)
+    def test_ignoring_the_unit_ids_drops_the_unit_rules(self, lint):
+        tier = ["REP011", "REP012", "REP013", "REP014", "REP015"]
+        findings = lint("repro/core/mod.py", self.BAD, ignore=tier)
         assert "REP011" not in ids(findings)
 
     def test_dataflow_true_is_the_default(self, lint):

@@ -428,5 +428,6 @@ class TestWalkerEdgeCases:
         findings = lint("repro/experiments/mod.py", RMW_BAD)
         assert findings == []
 
-    def test_interleave_false_disables_the_tier(self, lint):
-        assert lint("repro/sim/mod.py", RMW_BAD, interleave=False) == []
+    def test_ignoring_the_tier_ids_disables_it(self, lint):
+        tier = ["REP016", "REP017", "REP018", "REP019", "REP020", "REP021", "REP024"]
+        assert lint("repro/sim/mod.py", RMW_BAD, ignore=tier) == []

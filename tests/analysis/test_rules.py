@@ -164,60 +164,6 @@ class TestREP004FloatTimeEquality:
         assert findings == []
 
 
-class TestREP005FrozenObsEvents:
-    def test_unfrozen_event_class_is_flagged(self, lint):
-        findings = lint(
-            "repro/obs/mod.py",
-            """\
-            import dataclasses
-
-            from repro.obs.events import SimEvent
-
-
-            @dataclasses.dataclass
-            class Mutable(SimEvent):
-                x: int
-            """,
-        )
-        assert ids(findings) == ["REP005"]
-
-    def test_undecorated_event_class_is_flagged(self, lint):
-        findings = lint(
-            "repro/obs/mod.py",
-            """\
-            from repro.obs.events import SimEvent
-
-
-            class Plain(SimEvent):
-                pass
-            """,
-        )
-        assert ids(findings) == ["REP005"]
-
-    def test_frozen_event_class_is_fine(self, lint):
-        findings = lint(
-            "repro/obs/mod.py",
-            """\
-            import dataclasses
-
-            from repro.obs.events import SimEvent
-
-
-            @dataclasses.dataclass(frozen=True)
-            class Good(SimEvent):
-                x: int
-            """,
-        )
-        assert findings == []
-
-    def test_non_event_class_is_ignored(self, lint):
-        findings = lint(
-            "repro/obs/mod.py",
-            "class Helper:\n    value = 1\n",
-        )
-        assert findings == []
-
-
 class TestREP006YieldEventsOnly:
     def test_bare_yield_is_flagged(self, lint):
         findings = lint(
@@ -237,35 +183,5 @@ class TestREP006YieldEventsOnly:
         findings = lint(
             "repro/sim/mod.py",
             "def proc(env):\n    yield env.timeout(1.0)\n",
-        )
-        assert findings == []
-
-
-class TestREP007MutableDefaults:
-    def test_list_default_is_flagged(self, lint):
-        findings = lint(
-            "repro/core/mod.py",
-            "def f(out=[]):\n    return out\n",
-        )
-        assert ids(findings) == ["REP007"]
-
-    def test_dict_keyword_only_default_is_flagged(self, lint):
-        findings = lint(
-            "repro/core/mod.py",
-            "def f(*, cache={}):\n    return cache\n",
-        )
-        assert ids(findings) == ["REP007"]
-
-    def test_constructor_call_default_is_flagged(self, lint):
-        findings = lint(
-            "repro/core/mod.py",
-            "def f(out=list()):\n    return out\n",
-        )
-        assert ids(findings) == ["REP007"]
-
-    def test_none_and_tuple_defaults_are_fine(self, lint):
-        findings = lint(
-            "repro/core/mod.py",
-            "def f(a=None, b=(), c=0):\n    return a, b, c\n",
         )
         assert findings == []

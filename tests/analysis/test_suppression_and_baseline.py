@@ -1,23 +1,8 @@
-"""REP022/REP023 suppression hygiene and the baseline ratchet."""
-
-import json
-
-import pytest
-
-from repro.analysis import (
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-    snapshot_baseline,
-)
-from repro.analysis.engine import Finding, baseline_key
+"""REP022/REP023 suppression hygiene."""
 
 
 def ids(findings):
     return sorted({f.rule_id for f in findings})
-
-
-WALLCLOCK = "import time\nx = time.time()\n"
 
 
 class TestSuppressionHygiene:
@@ -42,8 +27,8 @@ class TestSuppressionHygiene:
         assert ids(findings) == ["REP022"]
 
     def test_partial_run_never_reports_named_waivers_stale(self, lint):
-        # REP007 did not run, so its waiver cannot be judged.
-        source = "x = 1  # repro: noqa REP007 -- judged only when REP007 runs\n"
+        # REP002 did not run, so its waiver cannot be judged.
+        source = "x = 1  # repro: noqa REP002 -- judged only when REP002 runs\n"
         findings = lint(
             "repro/sim/mod.py", source, select=["REP001", "REP022"]
         )
@@ -51,12 +36,13 @@ class TestSuppressionHygiene:
 
     def test_partial_run_never_reports_bare_waivers_stale(self, lint):
         source = "x = 1  # repro: noqa -- belt and braces\n"
-        findings = lint("repro/sim/mod.py", source, ignore=["REP005"])
+        findings = lint("repro/sim/mod.py", source, ignore=["REP006"])
         assert findings == []
 
     def test_disabled_tier_makes_the_run_partial(self, lint):
         source = "x = 1  # repro: noqa -- belt and braces\n"
-        findings = lint("repro/sim/mod.py", source, interleave=False)
+        interleave_ids = [f"REP0{n}" for n in (16, 17, 18, 19, 20, 21, 24)]
+        findings = lint("repro/sim/mod.py", source, ignore=interleave_ids)
         assert findings == []
 
     def test_bare_waiver_stale_on_full_run(self, lint):
@@ -78,74 +64,3 @@ class TestSuppressionHygiene:
         source = "import time\nx = time.time()  # repro: noqa\n"
         findings = lint("repro/sim/mod.py", source)
         assert "REP023" in ids(findings)
-
-
-class TestBaseline:
-    def _findings(self):
-        return [
-            Finding("repro/a.py", 3, 1, "REP001", "wall clock"),
-            Finding("repro/a.py", 9, 1, "REP001", "wall clock"),
-            Finding("repro/b.py", 2, 5, "REP017", "stale snapshot"),
-        ]
-
-    def test_round_trip_matches_everything(self):
-        findings = self._findings()
-        snap = snapshot_baseline(findings)
-        new, stale = apply_baseline(findings, snap["entries"])
-        assert new == [] and stale == {}
-
-    def test_extra_finding_is_new(self):
-        findings = self._findings()
-        snap = snapshot_baseline(findings[:2])
-        new, stale = apply_baseline(findings, snap["entries"])
-        assert [f.rule_id for f in new] == ["REP017"]
-        assert stale == {}
-
-    def test_line_shift_does_not_count_as_new(self):
-        snap = snapshot_baseline(self._findings())
-        shifted = [
-            Finding("repro/a.py", 30, 1, "REP001", "wall clock"),
-            Finding("repro/a.py", 90, 1, "REP001", "wall clock"),
-            Finding("repro/b.py", 20, 5, "REP017", "stale snapshot"),
-        ]
-        new, stale = apply_baseline(shifted, snap["entries"])
-        assert new == [] and stale == {}
-
-    def test_fixed_finding_leaves_a_stale_entry(self):
-        findings = self._findings()
-        snap = snapshot_baseline(findings)
-        new, stale = apply_baseline(findings[:2], snap["entries"])
-        assert new == []
-        assert stale == {baseline_key(findings[2]): 1}
-
-    def test_parse_errors_are_never_baselined(self):
-        broken = [Finding("repro/a.py", 1, 1, "REP000", "syntax error: x")]
-        snap = snapshot_baseline(broken)
-        assert snap["entries"] == {}
-        new, _ = apply_baseline(broken, {baseline_key(broken[0]): 1})
-        assert new == broken
-
-    def test_load_rejects_malformed_payloads(self, tmp_path):
-        target = tmp_path / "base.json"
-        target.write_text("not json")
-        with pytest.raises(ValueError, match="unreadable baseline"):
-            load_baseline(target)
-        target.write_text(json.dumps({"version": 2, "entries": {}}))
-        with pytest.raises(ValueError, match="version"):
-            load_baseline(target)
-        target.write_text(json.dumps({"version": 1, "entries": {"k": 0}}))
-        with pytest.raises(ValueError, match="positive counts"):
-            load_baseline(target)
-
-    def test_missing_file_is_a_value_error(self, tmp_path):
-        with pytest.raises(ValueError, match="unreadable baseline"):
-            load_baseline(tmp_path / "absent.json")
-
-    def test_baseline_with_live_lint(self, lint, tmp_path):
-        findings = lint("repro/sim/mod.py", WALLCLOCK)
-        assert ids(findings) == ["REP001"]
-        snap = snapshot_baseline(findings)
-        target = tmp_path / "repro" / "sim" / "mod.py"
-        again = lint_paths([target], root=tmp_path)
-        new, stale = apply_baseline(again, snap["entries"])
-        assert new == [] and stale == {}
