@@ -2,12 +2,11 @@
 
 Each benchmark regenerates one of the paper's tables/figures: it runs
 the figure's registered scenario once — one replication at seed 42, no
-warm-up, the paper's single-run table — inside the timed section
-(``pedantic`` with a single round — the interesting number is the
-sweep's cost, not its variance), prints the figure's rows, and asserts
-the qualitative shape the paper reports on the envelope records.
+warm-up, the paper's single-run table — prints the figure's rows, and
+asserts the qualitative shape the paper reports on the envelope
+records.  Timing lives in ``bench/`` (see ``BENCHMARK.json``), not here.
 
-Default horizons are reduced so ``pytest benchmarks/ --benchmark-only``
+Default horizons are reduced so ``pytest -m bench benchmarks/``
 finishes in minutes; set ``REPRO_FULL=1`` for the paper's 96 h horizon
 (and the stricter shape assertions that only emerge at that scale).
 """
@@ -47,26 +46,20 @@ def horizon(fast_hours: float) -> float:
 
 
 @pytest.fixture()
-def figure_bench(benchmark):
-    """Run one paper scenario once, timed, print it, return its records."""
+def figure_bench():
+    """Run one paper scenario once, print it, return its records."""
     from repro.experiments.report import render_ci_rows
     from repro.experiments.scenarios import get_scenario, run_scenario
 
     def run(name, hours, metrics=("hit_ratio", "response_time", "error_rate")):
-        result = benchmark.pedantic(
-            lambda: run_scenario(
-                get_scenario(name),
-                replications=1,
-                horizon_hours=hours,
-                warmup_fraction=0.0,
-                seed=42,
-            ),
-            rounds=1,
-            iterations=1,
+        result = run_scenario(
+            get_scenario(name),
+            replications=1,
+            horizon_hours=hours,
+            warmup_fraction=0.0,
+            seed=42,
         )
         assert not result.failures
-        benchmark.extra_info["cells"] = len(result.cells)
-        benchmark.extra_info["full_scale"] = full_scale()
         print()
         print(render_ci_rows(result, metrics))
         return result.envelope()["records"]

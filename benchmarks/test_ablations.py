@@ -27,27 +27,22 @@ def _hours():
     return horizon(HOURS_FAST)
 
 
-def test_ablation_prefetch_floor(benchmark):
+def test_ablation_prefetch_floor():
     """Floored threshold must prefetch less and respond faster."""
-
-    def run():
-        floored = run_simulation(
-            SimulationConfig(
-                granularity="HC",
-                prefetch_floor_at_uniform=True,
-                horizon_hours=_hours(),
-            )
+    floored = run_simulation(
+        SimulationConfig(
+            granularity="HC",
+            prefetch_floor_at_uniform=True,
+            horizon_hours=_hours(),
         )
-        literal = run_simulation(
-            SimulationConfig(
-                granularity="HC",
-                prefetch_floor_at_uniform=False,
-                horizon_hours=_hours(),
-            )
+    )
+    literal = run_simulation(
+        SimulationConfig(
+            granularity="HC",
+            prefetch_floor_at_uniform=False,
+            horizon_hours=_hours(),
         )
-        return floored, literal
-
-    floored, literal = benchmark.pedantic(run, rounds=1, iterations=1)
+    )
     print()
     print(f"floored : pf={floored.items_prefetched:7d} "
           f"resp={floored.response_time:6.3f}s hit={floored.hit_ratio:.2%}")
@@ -58,27 +53,22 @@ def test_ablation_prefetch_floor(benchmark):
     assert floored.response_time <= literal.response_time * 1.10
 
 
-def test_ablation_split_delivery(benchmark):
+def test_ablation_split_delivery():
     """Trailing prefetch delivery must beat inline delivery on response."""
-
-    def run():
-        split = run_simulation(
-            SimulationConfig(
-                granularity="HC",
-                prefetch_split_delivery=True,
-                horizon_hours=_hours(),
-            )
+    split = run_simulation(
+        SimulationConfig(
+            granularity="HC",
+            prefetch_split_delivery=True,
+            horizon_hours=_hours(),
         )
-        inline = run_simulation(
-            SimulationConfig(
-                granularity="HC",
-                prefetch_split_delivery=False,
-                horizon_hours=_hours(),
-            )
+    )
+    inline = run_simulation(
+        SimulationConfig(
+            granularity="HC",
+            prefetch_split_delivery=False,
+            horizon_hours=_hours(),
         )
-        return split, inline
-
-    split, inline = benchmark.pedantic(run, rounds=1, iterations=1)
+    )
     print()
     print(f"split  : resp={split.response_time:6.3f}s "
           f"hit={split.hit_ratio:.2%}")
@@ -89,28 +79,21 @@ def test_ablation_split_delivery(benchmark):
     assert abs(split.hit_ratio - inline.hit_ratio) < 0.05
 
 
-def test_ablation_attribute_entry_overhead(benchmark):
+def test_ablation_attribute_entry_overhead():
     """Zero cache-table overhead inflates AC's effective capacity."""
-
-    def run():
-        with_overhead = run_simulation(
-            SimulationConfig(
-                granularity="AC",
-                attribute_entry_overhead_bytes=40,
-                horizon_hours=_hours(),
-            )
+    with_overhead = run_simulation(
+        SimulationConfig(
+            granularity="AC",
+            attribute_entry_overhead_bytes=40,
+            horizon_hours=_hours(),
         )
-        without = run_simulation(
-            SimulationConfig(
-                granularity="AC",
-                attribute_entry_overhead_bytes=0,
-                horizon_hours=_hours(),
-            )
+    )
+    without = run_simulation(
+        SimulationConfig(
+            granularity="AC",
+            attribute_entry_overhead_bytes=0,
+            horizon_hours=_hours(),
         )
-        return with_overhead, without
-
-    with_overhead, without = benchmark.pedantic(
-        run, rounds=1, iterations=1
     )
     print()
     print(f"overhead=40B: hit={with_overhead.hit_ratio:.2%}")
@@ -118,7 +101,7 @@ def test_ablation_attribute_entry_overhead(benchmark):
     assert without.hit_ratio >= with_overhead.hit_ratio
 
 
-def test_ablation_young_penalty(benchmark):
+def test_ablation_young_penalty():
     """Without the young penalty, cold insertions squat in the cache."""
 
     def run_with_penalty(penalty):
@@ -135,73 +118,59 @@ def test_ablation_young_penalty(benchmark):
             client.cache.policy.young_penalty = penalty
         return simulation.run()
 
-    def run():
-        return run_with_penalty(3.0), run_with_penalty(1.0)
-
-    penalised, naive = benchmark.pedantic(run, rounds=1, iterations=1)
+    penalised, naive = run_with_penalty(3.0), run_with_penalty(1.0)
     print()
     print(f"young_penalty=3: hit={penalised.hit_ratio:.2%}")
     print(f"young_penalty=1: hit={naive.hit_ratio:.2%}")
     assert penalised.hit_ratio > naive.hit_ratio
 
 
-def test_ablation_existent_list(benchmark):
+def test_ablation_existent_list():
     """Existent/held lists stop the prefetcher from re-shipping items
     the client already holds, saving downlink bytes under HC."""
     from repro.client.mobile_client import MobileClient
 
-    def run():
-        results = {}
-        original = MobileClient._probe
-        for informed in (True, False):
-            if not informed:
-                def probe_uninformed(self, query, connected,
-                                     _orig=original):
-                    result = _orig(self, query, connected)
-                    result.existent = []
-                    result.held = []
-                    return result
+    results = {}
+    original = MobileClient._probe
+    for informed in (True, False):
+        if not informed:
+            def probe_uninformed(self, query, connected, _orig=original):
+                result = _orig(self, query, connected)
+                result.existent = []
+                result.held = []
+                return result
 
-                MobileClient._probe = probe_uninformed
-            try:
-                simulation = Simulation(
-                    SimulationConfig(
-                        granularity="HC", horizon_hours=_hours()
-                    )
-                )
-                simulation.run()
-                results[informed] = simulation.network.bytes_downstream
-            finally:
-                MobileClient._probe = original
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+            MobileClient._probe = probe_uninformed
+        try:
+            simulation = Simulation(
+                SimulationConfig(granularity="HC", horizon_hours=_hours())
+            )
+            simulation.run()
+            results[informed] = simulation.network.bytes_downstream
+        finally:
+            MobileClient._probe = original
     print()
     print(f"with existent/held lists    : {results[True]:>12,.0f} B down")
     print(f"without existent/held lists : {results[False]:>12,.0f} B down")
     assert results[True] < results[False]
 
 
-def test_ablation_ewma_alpha_sensitivity(benchmark):
+def test_ablation_ewma_alpha_sensitivity():
     """alpha trades adaptivity for stability; 0.5 is the paper's pick."""
-
-    def run():
-        return {
-            alpha: run_simulation(
-                SimulationConfig(
-                    granularity="HC",
-                    replacement=f"ewma-{alpha}",
-                    heat="CSH",
-                    csh_change_every=100,
-                    update_probability=0.0,
-                    num_clients=1,
-                    horizon_hours=horizon(12.0),
-                )
+    results = {
+        alpha: run_simulation(
+            SimulationConfig(
+                granularity="HC",
+                replacement=f"ewma-{alpha}",
+                heat="CSH",
+                csh_change_every=100,
+                update_probability=0.0,
+                num_clients=1,
+                horizon_hours=horizon(12.0),
             )
-            for alpha in (0.1, 0.5, 0.9)
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+        )
+        for alpha in (0.1, 0.5, 0.9)
+    }
     print()
     for alpha, result in sorted(results.items()):
         print(f"ewma-{alpha}: hit={result.hit_ratio:.2%}")
@@ -209,24 +178,20 @@ def test_ablation_ewma_alpha_sensitivity(benchmark):
         assert 0.1 < result.hit_ratio < 0.95
 
 
-def test_ablation_window_size(benchmark):
+def test_ablation_window_size():
     """Window size trades memory for smoothing."""
-
-    def run():
-        return {
-            window: run_simulation(
-                SimulationConfig(
-                    granularity="HC",
-                    replacement=f"window-{window}",
-                    update_probability=0.0,
-                    num_clients=1,
-                    horizon_hours=horizon(8.0),
-                )
+    results = {
+        window: run_simulation(
+            SimulationConfig(
+                granularity="HC",
+                replacement=f"window-{window}",
+                update_probability=0.0,
+                num_clients=1,
+                horizon_hours=horizon(8.0),
             )
-            for window in (2, 10, 50)
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+        )
+        for window in (2, 10, 50)
+    }
     print()
     for window, result in sorted(results.items()):
         print(f"window-{window}: hit={result.hit_ratio:.2%}")

@@ -38,18 +38,13 @@ def _run(coherence, disconnected=False):
     return result, purges
 
 
-def test_coherence_baseline_tradeoff(benchmark):
-    def run():
-        return {
-            ("refresh-time", False): _run("refresh-time"),
-            ("invalidation-report", False): _run("invalidation-report"),
-            ("refresh-time", True): _run("refresh-time", True),
-            ("invalidation-report", True): _run(
-                "invalidation-report", True
-            ),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_coherence_baseline_tradeoff():
+    results = {
+        ("refresh-time", False): _run("refresh-time"),
+        ("invalidation-report", False): _run("invalidation-report"),
+        ("refresh-time", True): _run("refresh-time", True),
+        ("invalidation-report", True): _run("invalidation-report", True),
+    }
     print()
     for (coherence, disconnected), (result, purges) in results.items():
         tag = "disc" if disconnected else "conn"

@@ -13,20 +13,14 @@ from conftest import horizon
 from repro import SimulationConfig, run_simulation
 
 
-def test_page_caching_loses_to_object_caching(benchmark):
+def test_page_caching_loses_to_object_caching():
     hours = horizon(3.0)
-
-    def run():
-        return {
-            granularity: run_simulation(
-                SimulationConfig(
-                    granularity=granularity, horizon_hours=hours
-                )
-            )
-            for granularity in ("AC", "OC", "PC")
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {
+        granularity: run_simulation(
+            SimulationConfig(granularity=granularity, horizon_hours=hours)
+        )
+        for granularity in ("AC", "OC", "PC")
+    }
     print()
     for granularity, result in results.items():
         print(

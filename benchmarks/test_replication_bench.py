@@ -1,6 +1,6 @@
 """Replicated-scenario benchmark: the registry at realistic scale.
 
-Times one registered scenario run with several replications through the
+Runs one registered scenario with several replications through the
 full pipeline — plan expansion, parallel fan-out, warm-up truncation,
 per-cell confidence intervals — and asserts the envelope's statistical
 shape: every cell carries a full metric set, half-widths are finite and
@@ -17,21 +17,13 @@ from repro.experiments.scenarios import METRICS, get_scenario, run_scenario
 REPLICATIONS = 5 if os.environ.get("REPRO_FULL", "") == "1" else 3
 
 
-def test_replicated_scenario_bench(benchmark):
-    scenario = get_scenario("exp4-cyclic")
-
-    def run():
-        return run_scenario(
-            scenario,
-            replications=REPLICATIONS,
-            horizon_hours=horizon(1.0),
-            jobs=0,
-        )
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-    benchmark.extra_info["cells"] = len(result.cells)
-    benchmark.extra_info["replications"] = REPLICATIONS
-
+def test_replicated_scenario_bench():
+    result = run_scenario(
+        get_scenario("exp4-cyclic"),
+        replications=REPLICATIONS,
+        horizon_hours=horizon(1.0),
+        jobs=0,
+    )
     assert not result.failures
     assert len(result.cells) == 4
     for cell in result.cells:

@@ -7,8 +7,8 @@ checks it lists exactly the sweeps the code runs.
 from repro.experiments.tables import render_table1, table1_rows
 
 
-def test_table1_regeneration(benchmark):
-    text = benchmark(render_table1)
+def test_table1_regeneration():
+    text = render_table1()
     print()
     print(text)
 

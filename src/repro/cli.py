@@ -313,7 +313,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.trace_command == "summarize":
         event_types = [args.event_type] if args.event_type else None
-        summary = summarize_trace(args.path, event_types=event_types)
+        try:
+            summary = summarize_trace(args.path, event_types=event_types)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"trace   : {summary['path']}")
         print(f"events  : {summary['events']}")
         if summary["events"]:

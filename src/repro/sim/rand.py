@@ -54,11 +54,10 @@ def replication_seed(base_seed: int, replication: int) -> int:
     that pairs cells for low-variance comparisons — while distinct
     replications draw decorrelated streams.
 
-    The ``rep`` key namespace keeps replication seeds disjoint from the
-    fleet shards' ``shard:<i>/<n>`` keys and from any content-keyed
-    ``field=value|...`` scheme (neither can equal ``rep:<n>``), and the
-    ``spawn:`` domain prefix
-    inherited from :func:`spawn_seed` keeps them disjoint from every
+    The ``rep`` key namespace keeps replication seeds disjoint from any
+    content-keyed ``field=value|...`` scheme (which cannot equal
+    ``rep:<n>``), and the ``spawn:`` domain prefix inherited from
+    :func:`spawn_seed` keeps them disjoint from every
     :meth:`RandomStream.fork` label derivation.
     """
     if replication < 0:

@@ -72,6 +72,15 @@ def test_run_with_trace_and_summarize(capsys, tmp_path):
     assert f"trace         : {total} events" in out
 
 
+def test_trace_summarize_missing_file_exits_2(capsys, tmp_path):
+    missing = str(tmp_path / "absent.jsonl")
+    assert main(["trace", "summarize", missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "absent.jsonl" in captured.err
+
+
 def test_trace_requires_subcommand():
     with pytest.raises(SystemExit):
         main(["trace"])
