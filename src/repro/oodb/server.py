@@ -254,11 +254,7 @@ class DatabaseServer:
                         )
                     )
         self.items_returned += len(items)
-        reply = ReplyMessage(
-            client_id=request.client_id,
-            query_id=request.query_id,
-            items=tuple(items),
-        )
+        reply_items = tuple(items)
         trailer = None
         if prefetched and self.split_delivery:
             trailer = ReplyMessage(
@@ -268,11 +264,12 @@ class DatabaseServer:
                 is_trailer=True,
             )
         elif prefetched:
-            reply = ReplyMessage(
-                client_id=request.client_id,
-                query_id=request.query_id,
-                items=tuple(items) + tuple(prefetched),
-            )
+            reply_items += tuple(prefetched)
+        reply = ReplyMessage(
+            client_id=request.client_id,
+            query_id=request.query_id,
+            items=reply_items,
+        )
         bus = self.network.bus
         if bus.wants(RequestServed):
             bus.emit(
@@ -354,21 +351,35 @@ class DatabaseServer:
         )
 
     def _attribute_item(self, obj: DBObject, attribute: str) -> ReplyItem:
-        definition = obj.class_def.attribute(attribute)
         # One state lookup instead of separate read()/version_of() trips:
-        # this constructor runs per attribute shipped, the hottest spot
-        # of the whole serve path at fleet scale.
+        # this runs per attribute shipped, the hottest spot of the whole
+        # serve path at fleet scale.
         state = obj.attribute_state(attribute)
-        return ReplyItem(
+        refresh_time = self._refresh_time(
+            self.attribute_estimator, (obj.oid, attribute)
+        )
+        # Reuse the last item built for this attribute while it is still
+        # exact.  Its OID, attribute and payload size are fixed; value and
+        # version move together on a write; the refresh time is compared
+        # as is, so an item built by another server sharing this
+        # database (another beta or coherence mode) is reused only when
+        # it is identical.
+        item = state.last_reply
+        if (
+            item is not None
+            and item.version == state.version
+            and item.refresh_time == refresh_time
+        ):
+            return item
+        item = state.last_reply = ReplyItem(
             oid=obj.oid,
             attribute=attribute,
             value=state.value,
             version=state.version,
-            refresh_time=self._refresh_time(
-                self.attribute_estimator, (obj.oid, attribute)
-            ),
-            payload_bytes=definition.size_bytes,
+            refresh_time=refresh_time,
+            payload_bytes=obj.class_def.attribute(attribute).size_bytes,
         )
+        return item
 
     def _prefetch_items(
         self,

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.granularity import CachingGranularity
 from repro.net.message import (
@@ -165,8 +166,8 @@ class TestReplySize:
 
 
 class TestSizeIsInsertionOrderIndependent:
-    """Regression for the REP003 fixes: wire sizes are iterated via
-    sorted(...) so dict build order can never reach the accounting."""
+    """Regression for the REP003 fixes: wire sizes are sums and counts,
+    so dict build order can never reach the accounting."""
 
     def test_needed_order(self):
         def make(needed):
@@ -195,3 +196,102 @@ class TestSizeIsInsertionOrderIndependent:
         forward = {oid(n): changes for n in (1, 2, 3)}
         backward = {oid(n): changes for n in (3, 2, 1)}
         assert make(forward).size_bytes == make(backward).size_bytes
+
+
+def reference_request_size(request):
+    """The request size as the sorted-loop accounting computed it."""
+    size = HEADER_BYTES + QUERY_DESCRIPTOR_BYTES
+    oids_on_wire = set()
+    for key, attrs in sorted(request.needed.items()):
+        oids_on_wire.add(key)
+        size += OID_BYTES + len(attrs) * ATTR_ID_BYTES
+    for key, attribute in (*request.existent, *request.held):
+        if key not in oids_on_wire:
+            oids_on_wire.add(key)
+            size += OID_BYTES
+        if attribute is not None:
+            size += ATTR_ID_BYTES
+    for key, changes in sorted(request.updates.items()):
+        if key not in oids_on_wire:
+            oids_on_wire.add(key)
+            size += OID_BYTES
+        for change in changes:
+            size += ATTR_ID_BYTES + change.size_bytes
+    return size
+
+
+def reference_reply_size(reply):
+    size = HEADER_BYTES
+    seen = set()
+    for item in reply.items:
+        if item.oid not in seen:
+            seen.add(item.oid)
+            size += OID_BYTES
+        size += item.wire_bytes
+    return size
+
+
+# A handful of OIDs, so the same object turns up in several lists.
+oids = st.builds(oid, st.integers(0, 5))
+attribute_names = st.sampled_from(["a0", "a1", "a2"])
+cache_keys = st.tuples(oids, st.one_of(st.none(), attribute_names))
+update_values = st.builds(
+    UpdateValue, attribute_names, st.integers(0, 9), st.integers(0, 200)
+)
+requests = st.builds(
+    RequestMessage,
+    client_id=st.just(0),
+    query_id=st.just(1),
+    granularity=st.sampled_from(list(CachingGranularity)),
+    needed=st.dictionaries(
+        oids, st.lists(attribute_names, max_size=3).map(tuple), max_size=4
+    ),
+    existent=st.lists(cache_keys, max_size=5).map(tuple),
+    held=st.lists(cache_keys, max_size=5).map(tuple),
+    updates=st.dictionaries(
+        oids, st.lists(update_values, max_size=3).map(tuple), max_size=4
+    ),
+)
+reply_items = st.builds(
+    ReplyItem,
+    oids,
+    st.one_of(st.none(), attribute_names),
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.floats(0.0, 100.0),
+    st.integers(0, 1000),
+)
+
+
+class TestSizeMatchesTheSortedLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(requests)
+    def test_request(self, request):
+        assert request.size_bytes == reference_request_size(request)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(reply_items, max_size=8).map(tuple), st.booleans())
+    def test_reply(self, items, is_trailer):
+        reply = ReplyMessage(
+            client_id=0, query_id=1, items=items, is_trailer=is_trailer
+        )
+        assert reply.size_bytes == reference_reply_size(reply)
+
+    def test_empty_messages(self):
+        request = RequestMessage(
+            client_id=0,
+            query_id=1,
+            granularity=CachingGranularity.ATTRIBUTE,
+            needed={},
+        )
+        reply = ReplyMessage(client_id=0, query_id=1, items=())
+        assert request.size_bytes == HEADER_BYTES + QUERY_DESCRIPTOR_BYTES
+        assert reply.size_bytes == HEADER_BYTES
+
+
+@pytest.mark.parametrize("cls", [RequestMessage, ReplyMessage])
+def test_size_bytes_stays_a_property(cls):
+    # bench/spans.py times message sizing by wrapping the class's
+    # ``size_bytes`` property; a field or a cached_property would slip
+    # past it (or break it).
+    assert isinstance(vars(cls)["size_bytes"], property)
