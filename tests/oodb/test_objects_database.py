@@ -96,9 +96,9 @@ class TestDatabase:
     def test_oids_sorted_and_filtered(self):
         database = build_default_database(5)
         oids = database.oids("Root")
-        assert oids == sorted(oids)
+        assert list(oids) == sorted(oids)
         assert len(oids) == 5
-        assert database.oids("Missing") == []
+        assert database.oids("Missing") == ()
 
 
 class TestDefaultDatabaseBuilder:
