@@ -116,7 +116,7 @@ class WirelessChannel:
         self.injector = injector
         self.bus = bus if bus is not None else EventBus()
         self.stats = ChannelStats(name).attach(self.bus)
-        self._facility = Resource(env, capacity=1, name=name, bus=self.bus)
+        self._facility = Resource(env, name=name, bus=self.bus)
 
     def __repr__(self) -> str:
         return (

@@ -1,20 +1,9 @@
 """The simulation environment: clock, event queue and run loop.
 
-Two structures back the pending-event set:
-
-* a binary **heap** of ``(time, priority, sequence, event)`` entries for
-  events scheduled with a positive delay, and
-* per-priority FIFO **imminent buckets** for events scheduled with zero
-  delay.  A zero-delay event always fires at the *current* instant (the
-  buckets are drained before the clock can advance), so a plain deque
-  append/popleft replaces two O(log n) heap operations on the kernel's
-  hottest path — process resumes, interrupts and same-instant cascades
-  are all zero-delay.
-
-The pop rule compares the heap head against the front of the best
-bucket by the same ``(time, priority, sequence)`` key a single heap
-would use, so the total event order — and therefore every simulation
-result — is bit-identical to the one-heap kernel.
+Pending events live in one binary heap of ``(time, priority, sequence,
+event)`` entries, whatever their delay.  The shared sequence counter
+breaks ties, so events at the same instant fire in (priority,
+insertion) order and every run is deterministic.
 
 Cancellation is **lazy**: :meth:`Environment.cancel` marks a queued
 event *defused* in O(1) and the pop loop skips the dead entry when it
@@ -25,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import typing as t
-from collections import deque
 from itertools import count
 
 from repro._units import Seconds
@@ -39,9 +27,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 #: One pending heap entry: (time, priority, sequence, event).
 QueueEntry = tuple[float, int, int, Event]
 
-#: The next event to fire: (time, priority, event).
-NextEntry = tuple[float, int, Event]
-
 
 class Environment:
     """Owner of the simulated clock and the pending-event queue.
@@ -53,16 +38,9 @@ class Environment:
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        #: Heap of (time, priority, sequence, event) for delay > 0.
+        #: Heap of (time, priority, sequence, event) entries.
         self._queue: list[QueueEntry] = []
-        #: Zero-delay events, bucketed by priority; each bucket is a FIFO
-        #: of (sequence, event).  Every bucketed entry fires at `_now`.
-        self._imminent: dict[int, deque[tuple[int, Event]]] = {}
-        #: Bucket priorities in ascending order (tiny: 2-3 entries).
-        self._imminent_order: list[int] = []
-        #: Total entries across all buckets (including defused ones).
-        self._imminent_size = 0
-        #: Live (non-defused) entries across heap and buckets.
+        #: Live (non-defused) entries in the heap.
         self._live = 0
         self._seq = count()
         #: Events processed since construction — the benchmark numerator.
@@ -121,18 +99,9 @@ class Environment:
         """Queue ``event`` to be processed ``delay`` seconds from now."""
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past: {delay!r}")
-        if delay == 0:
-            bucket = self._imminent.get(priority)
-            if bucket is None:
-                bucket = self._imminent[priority] = deque()
-                self._imminent_order = sorted(self._imminent)
-            bucket.append((next(self._seq), event))
-            self._imminent_size += 1
-        else:
-            heapq.heappush(
-                self._queue,
-                (self._now + delay, priority, next(self._seq), event),
-            )
+        heapq.heappush(
+            self._queue, (self._now + delay, priority, next(self._seq), event)
+        )
         self._live += 1
 
     def cancel(self, event: Event) -> None:
@@ -157,90 +126,26 @@ class Environment:
         event.callbacks = None
         self._live -= 1
 
-    def _peek_entry(self) -> "NextEntry | None":
-        """The next live event as ``(time, priority, event)``, or ``None``.
+    def peek(self) -> Seconds:
+        """Time of the next live event, or ``inf`` when none is queued.
 
-        Purges defused entries from the heads of both structures as a
-        side effect (never changing which live event comes next).
+        Purges defused entries from the heap head as a side effect.
         """
         queue = self._queue
         while queue and queue[0][3]._defused:
             heapq.heappop(queue)
-        bucket_priority = 0
-        bucket_front: "tuple[int, Event] | None" = None
-        if self._imminent_size:
-            for priority in self._imminent_order:
-                bucket = self._imminent[priority]
-                while bucket and bucket[0][1]._defused:
-                    bucket.popleft()
-                    self._imminent_size -= 1
-                if bucket:
-                    bucket_priority = priority
-                    bucket_front = bucket[0]
-                    break
-        if bucket_front is not None:
-            if queue:
-                time, priority, seq, event = queue[0]
-                if time == self._now and (priority, seq) < (
-                    bucket_priority,
-                    bucket_front[0],
-                ):
-                    return time, priority, event
-            return self._now, bucket_priority, bucket_front[1]
-        if queue:
-            time, priority, __, event = queue[0]
-            return time, priority, event
-        return None
-
-    def _pop_entry(self) -> NextEntry:
-        """Pop the next live event, skipping defused entries."""
-        queue = self._queue
-        while True:
-            bucket: "deque[tuple[int, Event]] | None" = None
-            bucket_priority = 0
-            if self._imminent_size:
-                for priority in self._imminent_order:
-                    candidate = self._imminent[priority]
-                    if candidate:
-                        bucket = candidate
-                        bucket_priority = priority
-                        break
-            if bucket is not None:
-                if queue:
-                    time, priority, seq, event = queue[0]
-                    # The heap head outranks the bucket front only when it
-                    # fires at this very instant with a smaller
-                    # (priority, sequence) key; bucket entries always carry
-                    # time == now, so the shared sequence counter makes
-                    # this exactly the one-heap (time, priority, seq) order.
-                    if time == self._now and (priority, seq) < (
-                        bucket_priority,
-                        bucket[0][0],
-                    ):
-                        heapq.heappop(queue)
-                        if event._defused:
-                            continue
-                        return time, priority, event
-                seq, event = bucket.popleft()
-                self._imminent_size -= 1
-                if event._defused:
-                    continue
-                return self._now, bucket_priority, event
-            if not queue:
-                raise SimulationError("nothing left to simulate")
-            time, priority, __, event = heapq.heappop(queue)
-            if event._defused:
-                continue
-            return time, priority, event
-
-    def peek(self) -> Seconds:
-        """Time of the next live event, or ``inf`` when none is queued."""
-        head = self._peek_entry()
-        return head[0] if head is not None else float("inf")
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one live event (advancing the clock to it)."""
-        self._now, _, event = self._pop_entry()
+        queue = self._queue
+        while True:
+            if not queue:
+                raise SimulationError("nothing left to simulate")
+            time, __, __, event = heapq.heappop(queue)
+            if not event._defused:
+                break
+        self._now = time
         self._live -= 1
         self.events_processed += 1
         callbacks = event.callbacks

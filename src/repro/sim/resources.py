@@ -1,8 +1,7 @@
 """Shared resources: FCFS facilities and stores.
 
-:class:`Resource` models a CSIM-style *facility* — a server (or several)
-with a first-come-first-served queue.  The wireless channels, the server
-disk and client disks are all facilities with capacity one.
+:class:`Resource` models a CSIM-style *facility* — a single server with
+a first-come-first-served queue.  The wireless channels are facilities.
 
 :class:`Store` is an unbounded producer/consumer buffer used for message
 passing between client and server processes.
@@ -13,7 +12,6 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
-from repro.errors import SimulationError
 from repro.obs.events import ResourceWait
 from repro.sim.events import Event
 
@@ -32,8 +30,7 @@ class Request(Event):
             ... hold the resource ...
     """
 
-    __slots__ = ("resource", "requested_at", "granted_at", "_queued",
-                 "_cancelled")
+    __slots__ = ("resource", "requested_at", "granted_at")
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.env)
@@ -41,11 +38,6 @@ class Request(Event):
         self.requested_at = resource.env.now
         #: Set when the claim is granted; ``None`` while still queued.
         self.granted_at: float | None = None
-        #: ``True`` while the request sits in the facility's wait queue.
-        self._queued = False
-        #: Tombstone: a cancelled entry stays in the wait deque and is
-        #: skipped when it reaches the front (lazy cancellation).
-        self._cancelled = False
 
     def __enter__(self) -> "Request":
         return self
@@ -55,33 +47,23 @@ class Request(Event):
 
 
 class Resource:
-    """A facility with ``capacity`` identical servers and a FCFS queue."""
+    """A single-server facility with a FCFS queue."""
 
     def __init__(
         self,
         env: "Environment",
-        capacity: int = 1,
         name: str = "resource",
         bus: "EventBus | None" = None,
     ) -> None:
-        if capacity < 1:
-            raise SimulationError(f"capacity must be >= 1, got {capacity!r}")
         self.env = env
-        self.capacity = capacity
         self.name = name
         #: Optional bus for guarded :class:`ResourceWait` emissions on
         #: release (queueing/holding time per claim); ``None`` keeps the
         #: facility observability-free with zero overhead.
         self.bus = bus
-        #: Requests currently holding a server.  Events hash and compare
-        #: by identity, so a set gives O(1) membership on release without
-        #: any ordering cost (grant order lives in ``_waiting``, and no
-        #: code path iterates the holders).
-        self._users: set[Request] = set()
+        #: The request holding the server, or ``None`` while idle.
+        self._holder: Request | None = None
         self._waiting: deque[Request] = deque()
-        #: Tombstoned (cancelled-while-queued) entries still in
-        #: ``_waiting``; the grant loop skips them as they surface.
-        self._waiting_cancelled = 0
         # Utilisation accounting (busy integral over time).  The busy
         # fraction is normalised over the resource's own lifetime, so a
         # facility constructed at t>0 is not under-reported.
@@ -91,39 +73,35 @@ class Resource:
 
     def __repr__(self) -> str:
         return (
-            f"<Resource {self.name!r} users={len(self._users)}"
-            f"/{self.capacity} queued={self.queue_length}>"
+            f"<Resource {self.name!r} users={self.user_count}"
+            f" queued={self.queue_length}>"
         )
 
     @property
     def user_count(self) -> int:
-        """Number of requests currently holding the resource."""
-        return len(self._users)
+        """Number of requests currently holding the resource (0 or 1)."""
+        return 0 if self._holder is None else 1
 
     @property
     def queue_length(self) -> int:
-        """Number of live requests waiting for the resource."""
-        return len(self._waiting) - self._waiting_cancelled
+        """Number of requests waiting for the resource."""
+        return len(self._waiting)
 
     def request(self) -> Request:
         """Claim the resource; the returned event fires once granted."""
         self._account()
         request = Request(self)
-        if len(self._users) < self.capacity:
-            self._users.add(request)
-            request.granted_at = self.env.now
-            request.succeed()
+        if self._holder is None:
+            self._grant(request)
         else:
-            request._queued = True
             self._waiting.append(request)
         return request
 
     def release(self, request: Request) -> None:
         """Give up a granted (or cancel a still-queued) request."""
         self._account()
-        users = self._users
-        if request in users:
-            users.discard(request)
+        if request is self._holder:
+            self._holder = None
             if (
                 self.bus is not None
                 and request.granted_at is not None
@@ -139,46 +117,22 @@ class Resource:
                         hold_seconds=self.env.now - request.granted_at,
                     )
                 )
-            waiting = self._waiting
-            while waiting and len(users) < self.capacity:
-                nxt = waiting.popleft()
-                if nxt._cancelled:
-                    self._waiting_cancelled -= 1
-                    continue
-                nxt._queued = False
-                users.add(nxt)
-                nxt.granted_at = self.env.now
-                nxt.succeed()
-        elif request._queued:
+            if self._waiting:
+                self._grant(self._waiting.popleft())
+        elif request in self._waiting:
             # Cancelling a queued request is legal (e.g. an interrupted
-            # process backing out).  The entry stays in the deque as a
-            # tombstone — O(1) instead of an O(n) scan — and the grant
-            # loop drops it when it reaches the front.
-            request._queued = False
-            request._cancelled = True
-            self._waiting_cancelled += 1
-            if (
-                self._waiting_cancelled > 16
-                and self._waiting_cancelled * 2 > len(self._waiting)
-            ):
-                self._compact_waiting()
+            # process backing out of the queue).
+            self._waiting.remove(request)
         # Releasing twice is not an error, so the context-manager form
         # stays exception safe.
 
-    def _compact_waiting(self) -> None:
-        """Drop tombstones once they dominate the wait queue.
-
-        Amortised O(1) per cancellation: compaction is linear but runs
-        only after tombstones outnumber live entries, so each tombstone
-        is walked a bounded number of times before it is reclaimed.
-        """
-        self._waiting = deque(
-            request for request in self._waiting if not request._cancelled
-        )
-        self._waiting_cancelled = 0
+    def _grant(self, request: Request) -> None:
+        self._holder = request
+        request.granted_at = self.env.now
+        request.succeed()
 
     def utilization(self) -> float:
-        """Fraction of the resource's lifetime at least one server was busy.
+        """Fraction of the resource's lifetime the server was busy.
 
         Normalised by time elapsed since the resource was *created*, not
         by the absolute clock — a facility constructed at t>0 would
@@ -192,7 +146,7 @@ class Resource:
 
     def _account(self) -> None:
         now = self.env.now
-        if self._users:
+        if self._holder is not None:
             self._busy_integral += now - self._busy_since
         self._busy_since = now
 
@@ -203,17 +157,13 @@ class StoreGet(Event):
     ``requeued`` marks a get whose event fired but whose item was
     returned to the buffer because the waiting process abandoned it
     (see :meth:`Store.cancel`); it guards against double re-queueing.
-    ``cancelled`` tombstones a get withdrawn while still queued: the
-    entry stays in the getter deque and ``put`` skips it when it
-    reaches the front (lazy cancellation).
     """
 
-    __slots__ = ("requeued", "cancelled")
+    __slots__ = ("requeued",)
 
     def __init__(self, env: "Environment") -> None:
         super().__init__(env)
         self.requeued = False
-        self.cancelled = False
 
 
 class Store:
@@ -228,29 +178,22 @@ class Store:
         self.name = name
         self._items: deque[t.Any] = deque()
         self._getters: deque[StoreGet] = deque()
-        #: Tombstoned (cancelled) entries still in ``_getters``.
-        self._getters_cancelled = 0
 
     def __repr__(self) -> str:
         return (
             f"<Store {self.name!r} items={len(self._items)}"
-            f" waiting={len(self._getters) - self._getters_cancelled}>"
+            f" waiting={len(self._getters)}>"
         )
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: t.Any) -> None:
-        """Deposit ``item``, waking the oldest live waiting getter if any."""
-        getters = self._getters
-        while getters:
-            getter = getters.popleft()
-            if getter.cancelled:
-                self._getters_cancelled -= 1
-                continue
-            getter.succeed(item)
-            return
-        self._items.append(item)
+        """Deposit ``item``, waking the oldest waiting getter if any."""
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self._items.append(item)
 
     def get(self) -> StoreGet:
         """Return an event that fires with the next available item."""
@@ -264,32 +207,19 @@ class Store:
     def cancel(self, event: StoreGet) -> None:
         """Withdraw a get (used on interrupt/timeout/disconnect).
 
-        A still-queued get is simply removed.  If the get's event has
-        *already fired* — the item was popped and attached to the event
-        — but the waiting process abandoned it before resuming (it was
-        interrupted, or lost a same-instant race against a timeout),
-        dropping the event would silently lose the item.  Instead the
-        undelivered item is returned to the *head* of the buffer so the
-        next getter receives it: no message is ever dropped by an
-        interrupt.  Only call this for a get whose value was never
-        consumed.
+        A still-queued get is simply removed; cancelling it again is a
+        no-op.  If the get's event has *already fired* — the item was
+        popped and attached to the event — but the waiting process
+        abandoned it before resuming (it was interrupted, or lost a
+        same-instant race against a timeout), dropping the event would
+        silently lose the item.  Instead the undelivered item is
+        returned to the *head* of the buffer so the next getter receives
+        it: no message is ever dropped by an interrupt.  Only call this
+        for a get whose value was never consumed.
         """
         if not event.triggered:
-            # Still queued: tombstone in O(1); `put` (or compaction)
-            # reclaims the entry later.
-            if not event.cancelled:
-                event.cancelled = True
-                self._getters_cancelled += 1
-                if (
-                    self._getters_cancelled > 16
-                    and self._getters_cancelled * 2 > len(self._getters)
-                ):
-                    self._getters = deque(
-                        getter
-                        for getter in self._getters
-                        if not getter.cancelled
-                    )
-                    self._getters_cancelled = 0
+            if event in self._getters:
+                self._getters.remove(event)
             return
         if event.ok and not event.requeued:
             event.requeued = True

@@ -2,20 +2,33 @@
 
 Each fixture runs a reduced-horizon simulation (hours, not the paper's
 96 h), so assertions are deliberately about *orderings and directions*,
-not absolute values.
+not absolute values.  Several tests use equal configs (the defaults at
+``HOURS``); :func:`simulate` runs each distinct config once per test run.
 """
 
 import pytest
 
-from repro import SimulationConfig, run_simulation
+from repro import SimulationConfig, SimulationResult, run_simulation
 
 HOURS = 6.0
+
+_runs: list[tuple[SimulationConfig, SimulationResult]] = []
+
+
+def simulate(config: SimulationConfig) -> SimulationResult:
+    """``run_simulation`` memoized by config equality."""
+    for seen, result in _runs:
+        if seen == config:
+            return result
+    result = run_simulation(config)
+    _runs.append((config, result))
+    return result
 
 
 @pytest.fixture(scope="module")
 def granularity_results():
     return {
-        g: run_simulation(
+        g: simulate(
             SimulationConfig(granularity=g, horizon_hours=HOURS)
         )
         for g in ("NC", "AC", "OC", "HC")
@@ -64,7 +77,7 @@ class TestCoherenceShapes:
     @pytest.fixture(scope="class")
     def beta_sweep(self):
         return {
-            beta: run_simulation(
+            beta: simulate(
                 SimulationConfig(beta=beta, horizon_hours=HOURS)
             )
             for beta in (-1.0, 0.0, 1.0)
@@ -80,7 +93,7 @@ class TestCoherenceShapes:
 
     def test_errors_grow_with_update_probability(self):
         errors = [
-            run_simulation(
+            simulate(
                 SimulationConfig(
                     update_probability=u, horizon_hours=HOURS
                 )
@@ -95,7 +108,7 @@ class TestDisconnectionShapes:
         """Figures 8a-8c: stale-read errors among disconnected reads
         grow with the disconnection duration."""
         results = [
-            run_simulation(
+            simulate(
                 SimulationConfig(
                     disconnected_clients=5,
                     disconnection_hours=hours,
@@ -129,12 +142,12 @@ class TestDisconnectionShapes:
 
 class TestArrivalShapes:
     def test_bursty_response_exceeds_poisson(self):
-        poisson = run_simulation(
+        poisson = simulate(
             SimulationConfig(
                 query_kind="NQ", arrival="poisson", horizon_hours=12.0
             )
         )
-        bursty = run_simulation(
+        bursty = simulate(
             SimulationConfig(
                 query_kind="NQ", arrival="bursty", horizon_hours=12.0
             )
@@ -142,10 +155,10 @@ class TestArrivalShapes:
         assert bursty.response_time > poisson.response_time
 
     def test_nq_response_exceeds_aq(self):
-        aq = run_simulation(
+        aq = simulate(
             SimulationConfig(query_kind="AQ", horizon_hours=HOURS)
         )
-        nq = run_simulation(
+        nq = simulate(
             SimulationConfig(query_kind="NQ", horizon_hours=HOURS)
         )
         assert nq.response_time > 1.4 * aq.response_time

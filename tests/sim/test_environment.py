@@ -281,9 +281,8 @@ def test_events_processed_counts_only_live_events():
 
 
 def test_same_instant_cascades_preserve_seeded_order():
-    # Zero-delay events go through the imminent buckets; interleave them
-    # with heap-scheduled events at the same instant and assert the
-    # one-heap (time, priority, insertion) order is reproduced exactly.
+    # Interleave zero-delay events with ones scheduled earlier for the
+    # same instant and assert the (time, priority, insertion) order.
     env = Environment()
     order = []
 

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim import Environment, Interrupt, Resource, Store
-
-
-def test_capacity_must_be_positive():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        Resource(env, capacity=0)
 
 
 def test_single_server_serializes_holders():
@@ -54,23 +47,6 @@ def test_fcfs_order_is_arrival_order():
     assert served == ["first", "second", "third"]
 
 
-def test_multi_capacity_admits_that_many():
-    env = Environment()
-    resource = Resource(env, capacity=2)
-    concurrency = []
-
-    def worker(env):
-        with resource.request() as req:
-            yield req
-            concurrency.append(resource.user_count)
-            yield env.timeout(1.0)
-
-    for __ in range(4):
-        env.process(worker(env))
-    env.run()
-    assert max(concurrency) == 2
-
-
 def test_release_of_queued_request_cancels_it():
     env = Environment()
     resource = Resource(env)
@@ -98,6 +74,48 @@ def test_release_of_queued_request_cancels_it():
     env.process(patient(env))
     env.run()
     assert ("patient", 5.0) in served
+
+
+def test_cancel_mid_queue_keeps_the_rest_fcfs():
+    env = Environment()
+    resource = Resource(env)
+    served = []
+
+    def holder(env):
+        with resource.request() as req:
+            yield req
+            yield env.timeout(5.0)
+
+    def worker(env, tag, arrive):
+        yield env.timeout(arrive)
+        with resource.request() as req:
+            yield req
+            served.append((tag, env.now))
+            yield env.timeout(1.0)
+
+    def quitter(env):
+        yield env.timeout(1.5)
+        request = resource.request()
+        yield env.timeout(1.0)  # still queued behind the holder
+        resource.release(request)
+        resource.release(request)  # a second cancel is a no-op
+        served.append(("quitter gave up", env.now))
+
+    env.process(holder(env))
+    env.process(worker(env, "first", 1.0))
+    env.process(quitter(env))
+    env.process(worker(env, "third", 2.0))
+    env.process(worker(env, "fourth", 3.0))
+    env.run(until=4.0)
+    assert resource.queue_length == 3  # first, third, fourth
+    env.run()
+    assert served == [
+        ("quitter gave up", 2.5),
+        ("first", 5.0),
+        ("third", 6.0),
+        ("fourth", 7.0),
+    ]
+    assert resource.queue_length == 0
 
 
 def test_double_release_is_harmless():
@@ -242,6 +260,19 @@ def test_store_cancel_removes_pending_getter():
     env.process(producer(env))
     env.run()
     assert got == ["only"]
+
+
+def test_store_double_cancel_of_queued_get_is_a_noop():
+    env = Environment()
+    store = Store(env)
+    first = store.get()
+    second = store.get()
+    store.cancel(first)
+    store.cancel(first)  # already withdrawn: must not raise
+    store.put("only")
+    assert not first.triggered
+    assert second.triggered and second.value == "only"
+    assert len(store) == 0
 
 
 def test_store_cancel_requeues_fired_but_unconsumed_item():
