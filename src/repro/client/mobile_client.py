@@ -114,6 +114,9 @@ class MobileClient:
         self.workload = workload
         self.arrivals = arrivals
         self.granularity = granularity
+        #: Whether a cache key names a whole object (``(oid, None)``),
+        #: read once per access by the probe.
+        self._caches_objects = granularity.caches_objects
         #: Every observable moment is emitted here; a private bus (with
         #: just the metrics sink) keeps standalone construction working.
         self.bus = bus if bus is not None else EventBus()
@@ -565,11 +568,15 @@ class MobileClient:
         seen_needed: set[CacheKey] = set()
         seen_updates: set[tuple[OID, str]] = set()
 
+        caches_objects = self._caches_objects
+        attribute_sizes = self.database.schema.attribute_sizes
         for access in query.accesses:
-            key = self.granularity.key_for(access.oid, access.attribute)
+            oid = access.oid
+            # CachingGranularity.key_for, built inline.
+            key = (oid, None if caches_objects else access.attribute)
             entry = self.cache.lookup(key)
             valid = entry is not None and entry.is_valid(now)
-            attr_size = self._attribute_size(access.oid, access.attribute)
+            attr_size = attribute_sizes[oid.class_name, access.attribute]
 
             if (
                 entry is not None
@@ -588,7 +595,7 @@ class MobileClient:
 
             if valid:
                 result.local_read_time += self.local_storage.access(
-                    access.oid, attr_size
+                    oid, attr_size
                 )
                 self.cache.touch(key, now)
                 is_error = ErrorOracle.is_stale(
@@ -632,7 +639,7 @@ class MobileClient:
             elif entry is not None:
                 # Disconnected: use the expired entry anyway.
                 result.local_read_time += self.local_storage.access(
-                    access.oid, attr_size
+                    oid, attr_size
                 )
                 self.cache.touch(key, now)
                 is_error = ErrorOracle.is_stale(
@@ -664,7 +671,7 @@ class MobileClient:
                     )
                 )
 
-            update_id = (access.oid, access.attribute)
+            update_id = (oid, access.attribute)
             if (
                 access.is_update
                 and connected
@@ -672,11 +679,11 @@ class MobileClient:
             ):
                 seen_updates.add(update_id)
                 self._add_needed(result, seen_needed, key)
-                result.updates.setdefault(access.oid, []).append(
+                result.updates.setdefault(oid, []).append(
                     UpdateValue(
                         attribute=access.attribute,
                         value=self.workload.new_value_for(
-                            access.oid, access.attribute
+                            oid, access.attribute
                         ),
                         size_bytes=attr_size,
                     )
@@ -744,13 +751,6 @@ class MobileClient:
         else:
             result.needed.setdefault(oid, []).append(attribute)
 
-    def _attribute_size(self, oid: OID, attribute: str) -> int:
-        return (
-            self.database.schema.class_def(oid.class_name)
-            .attribute(attribute)
-            .size_bytes
-        )
-
     # ------------------------------------------------------------------
     # Absorb phase
     # ------------------------------------------------------------------
@@ -758,6 +758,7 @@ class MobileClient:
         """Admit returned items; return the local disk write time."""
         now = self.env.now
         write_bytes = 0
+        attribute_sizes = self.database.schema.attribute_sizes
         for item in reply.items:
             if item.attribute is None:
                 size = self.database.schema.class_def(
@@ -765,7 +766,7 @@ class MobileClient:
                 ).object_size_bytes
             else:
                 size = (
-                    self._attribute_size(item.oid, item.attribute)
+                    attribute_sizes[item.oid.class_name, item.attribute]
                     + self.attribute_entry_overhead
                 )
             expires_at = reply.expiry_deadline(item, now)

@@ -21,13 +21,21 @@ run in separate processes and the determinism smoke test re-runs the
 suite under a different hash seed, so the builtin ``hash()`` is off
 limits.  Keys are encoded through their (deterministic) ``repr`` and
 digested with BLAKE2b; the 128-bit digest is sliced into one 32-bit
-index seed per row.  Digests are memoized per key — the key population
-is the object universe, a few thousand entries at most.
+index seed per row.  The counters live in one flat list, row after row,
+and each key's counter slots (``row * width + index``) are memoized —
+the key population is the object universe, a few thousand entries per
+sketch.  A memo entry packs the slots into one ``bytes`` object, as
+unsigned 16-bit integers while the sketch has at most 2**16 counters
+(32-bit beyond).  Four 16-bit slots take the same allocation as the
+128-bit digest they derive from; a tuple of int objects would take four
+times that, which with one sketch per client is megabytes of peak
+memory.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 import typing as t
 
 #: Default number of counters per row (rounded up to a power of two).
@@ -45,11 +53,12 @@ class CountMinSketch:
         "_width",
         "_depth",
         "_mask",
-        "_rows",
+        "_counters",
         "_max_count",
         "_reset_interval",
         "_ops",
-        "_digests",
+        "_slot_format",
+        "_slots",
     )
 
     def __init__(
@@ -68,7 +77,8 @@ class CountMinSketch:
         self._width = _next_power_of_two(int(width))
         self._mask = self._width - 1
         self._depth = int(depth)
-        self._rows = [[0] * self._width for __ in range(self._depth)]
+        #: Row ``r``'s counter ``i`` is ``_counters[r * width + i]``.
+        self._counters = [0] * (self._depth * self._width)
         self._max_count = int(max_count)
         if reset_interval is None:
             reset_interval = 8 * self._width
@@ -78,7 +88,9 @@ class CountMinSketch:
             )
         self._reset_interval = int(reset_interval)
         self._ops = 0
-        self._digests: dict[t.Any, int] = {}
+        slot_type = "H" if len(self._counters) <= 1 << 16 else "I"
+        self._slot_format = struct.Struct(f"<{self._depth}{slot_type}")
+        self._slots: dict[t.Any, bytes] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -93,48 +105,41 @@ class CountMinSketch:
     def reset_interval(self) -> int:
         return self._reset_interval
 
-    def _indices(self, key: t.Any) -> list[int]:
-        digest = self._digests.get(key)
-        if digest is None:
+    def _slots_of(self, key: t.Any) -> tuple[int, ...]:
+        packed = self._slots.get(key)
+        if packed is None:
             # repr() of a cache key — (OID, attribute) — is a pure
             # function of its fields, unlike hash(), which varies with
             # PYTHONHASHSEED across worker processes.
             encoded = repr(key).encode("utf-8")
             raw = hashlib.blake2b(encoded, digest_size=16).digest()
             digest = int.from_bytes(raw, "little")
-            self._digests[key] = digest
-        return [
-            (digest >> (32 * row)) & self._mask
-            for row in range(self._depth)
-        ]
+            packed = self._slots[key] = self._slot_format.pack(*(
+                row * self._width + ((digest >> (32 * row)) & self._mask)
+                for row in range(self._depth)
+            ))
+        return self._slot_format.unpack(packed)
 
     def increment(self, key: t.Any) -> None:
         """Record one touch of ``key`` (conservative increment)."""
-        indices = self._indices(key)
-        estimate = min(
-            self._rows[row][index]
-            for row, index in enumerate(indices)
-        )
+        slots = self._slots_of(key)
+        counters = self._counters
+        estimate = min([counters[slot] for slot in slots])
         if estimate < self._max_count:
-            for row, index in enumerate(indices):
-                if self._rows[row][index] == estimate:
-                    self._rows[row][index] = estimate + 1
+            for slot in slots:
+                if counters[slot] == estimate:
+                    counters[slot] = estimate + 1
         self._ops += 1
         if self._ops >= self._reset_interval:
             self._halve()
 
     def estimate(self, key: t.Any) -> int:
         """Upper bound on recent touches of ``key``."""
-        return min(
-            self._rows[row][index]
-            for row, index in enumerate(self._indices(key))
-        )
+        counters = self._counters
+        return min([counters[slot] for slot in self._slots_of(key)])
 
     def _halve(self) -> None:
-        for row in self._rows:
-            for index, value in enumerate(row):
-                if value:
-                    row[index] = value >> 1
+        self._counters = [value >> 1 for value in self._counters]
         self._ops >>= 1
 
 

@@ -25,13 +25,15 @@ DEFAULT_STALENESS_BUCKET = 1800.0
 def jsonify(value: t.Any) -> t.Any:
     """Best-effort JSON representation of an event field value.
 
-    Scalars pass through; tuples/lists recurse; anything else (cache
-    keys, OIDs) falls back to ``repr``-style stringification so traces
-    stay loss-tolerant rather than raising mid-run.
+    Scalars pass through; plain tuples/lists recurse; anything else
+    falls back to ``repr``-style stringification so traces stay
+    loss-tolerant rather than raising mid-run.  The container test is
+    exact: an OID is a named tuple and must encode whole (``"Root#3"``),
+    not as its fields, without this leaf package importing its class.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, (tuple, list)):
+    if type(value) in (tuple, list):
         return [jsonify(item) for item in value]
     return str(value)
 

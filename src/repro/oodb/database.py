@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import QueryError, SchemaError
-from repro.oodb.objects import DBObject, OID, oid_sort_key
+from repro.oodb.objects import DBObject, OID
 from repro.oodb.schema import Schema, default_root_schema
 from repro.sim.rand import RandomStream
 
@@ -67,9 +67,7 @@ class Database:
                     for oid in self._objects
                     if oid.class_name == class_name
                 )
-            cached = self._oid_cache[class_name] = tuple(
-                sorted(selected, key=oid_sort_key)
-            )
+            cached = self._oid_cache[class_name] = tuple(sorted(selected))
         return cached
 
     def objects(self) -> t.Iterable[DBObject]:

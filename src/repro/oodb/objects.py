@@ -19,37 +19,22 @@ if t.TYPE_CHECKING:
     from repro.net.message import ReplyItem
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class OID:
-    """A globally unique object identifier: (class name, number)."""
+class OID(t.NamedTuple):
+    """A globally unique object identifier: (class name, number).
+
+    OIDs key every hot dict and set on the serve and probe paths, so
+    the identifier is a tuple: hashing, equality and ordering all run in
+    C.  The hash is ``hash((class_name, number))`` and the order is
+    field order, so sets, dicts and sorts behave as they would for the
+    plain pair.  An OID compares equal to the tuple ``(class_name,
+    number)``; no container mixes the two.
+    """
 
     class_name: str
     number: int
 
-    def __post_init__(self) -> None:
-        # OIDs key every hot dict and set in the serve path (millions of
-        # lookups per fleet-scale run); the generated dataclass hash
-        # rebuilds a field tuple on every call, so cache it once.  Same
-        # value as hash((class_name, number)) — set/dict behaviour is
-        # unchanged.
-        object.__setattr__(self, "_hash", hash((self.class_name, self.number)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined, no-any-return]
-
     def __repr__(self) -> str:
         return f"{self.class_name}#{self.number}"
-
-
-def oid_sort_key(oid: OID) -> tuple[str, int]:
-    """Sort key identical to :class:`OID`'s dataclass ordering.
-
-    ``sorted(oids)`` goes through the generated ``__lt__``, which builds
-    two field tuples per *comparison*; a key function builds one tuple
-    per *element*.  Same total order, an order of magnitude cheaper on
-    the fleet-scale setup path (thousands of per-client hot-set sorts).
-    """
-    return (oid.class_name, oid.number)
 
 
 @dataclasses.dataclass(slots=True)

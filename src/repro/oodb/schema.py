@@ -48,7 +48,12 @@ class AttributeDef:
 
 
 class ClassDef:
-    """A class: an ordered collection of attribute definitions."""
+    """A class: an ordered collection of attribute definitions.
+
+    A class is fixed once built: nothing adds, removes or resizes an
+    attribute afterwards.  The attribute names and the object size are
+    therefore computed here once, not on every access.
+    """
 
     def __init__(self, name: str, attributes: t.Sequence[AttributeDef]) -> None:
         if not name:
@@ -64,13 +69,16 @@ class ClassDef:
         self.attributes: dict[str, AttributeDef] = {
             attribute.name: attribute for attribute in attributes
         }
+        self.attribute_names: tuple[str, ...] = tuple(
+            attribute.name for attribute in attributes
+        )
+        #: Total stored size of one object of this class.
+        self.object_size_bytes: int = OBJECT_OVERHEAD_BYTES + sum(
+            attribute.size_bytes for attribute in attributes
+        )
 
     def __repr__(self) -> str:
         return f"<ClassDef {self.name!r} attrs={len(self.attributes)}>"
-
-    @property
-    def attribute_names(self) -> list[str]:
-        return list(self.attributes)
 
     @property
     def primitive_names(self) -> list[str]:
@@ -96,13 +104,6 @@ class ClassDef:
                 f"class {self.name!r} has no attribute {name!r}"
             ) from None
 
-    @property
-    def object_size_bytes(self) -> int:
-        """Total stored size of one object of this class."""
-        return OBJECT_OVERHEAD_BYTES + sum(
-            attribute.size_bytes for attribute in self.attributes.values()
-        )
-
 
 class Schema:
     """A set of classes forming a database schema."""
@@ -115,6 +116,14 @@ class Schema:
             seen.add(class_def.name)
         self.classes: dict[str, ClassDef] = {
             class_def.name: class_def for class_def in classes
+        }
+        #: ``(class name, attribute) -> size in bytes`` for every
+        #: attribute of every class, read once per access by every
+        #: client; one shared table, not one per client.
+        self.attribute_sizes: dict[tuple[str, str], int] = {
+            (class_def.name, name): class_def.attributes[name].size_bytes
+            for class_def in classes
+            for name in class_def.attribute_names
         }
         self._validate_relationships()
 

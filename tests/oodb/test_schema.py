@@ -1,6 +1,7 @@
 """Unit tests for schema definitions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SchemaError
 from repro.oodb.schema import (
@@ -100,3 +101,63 @@ class TestDefaultRootSchema:
     def test_default_attribute_size(self):
         root = default_root_schema().class_def("Root")
         assert root.attribute("a0").size_bytes == DEFAULT_ATTRIBUTE_SIZE
+
+
+def assert_constants_match(schema):
+    """Construction-time constants equal a fresh walk of ``attributes``."""
+    sizes = {}
+    for class_def in schema.classes.values():
+        assert class_def.attribute_names == tuple(class_def.attributes)
+        assert class_def.object_size_bytes == OBJECT_OVERHEAD_BYTES + sum(
+            attribute.size_bytes for attribute in class_def.attributes.values()
+        )
+        for name, attribute in class_def.attributes.items():
+            sizes[class_def.name, name] = attribute.size_bytes
+    assert schema.attribute_sizes == sizes
+
+
+def test_paper_schema_constants():
+    assert_constants_match(default_root_schema())
+
+
+@st.composite
+def schemas(draw):
+    """1–4 classes of 1–8 attributes; relationships target any class."""
+    class_names = draw(
+        st.lists(
+            st.text("ABCXYZ", min_size=1, max_size=3),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    classes = []
+    for class_name in class_names:
+        names = draw(
+            st.lists(
+                st.text("abcr", min_size=1, max_size=3),
+                min_size=1,
+                max_size=8,
+                unique=True,
+            )
+        )
+        attributes = []
+        for name in names:
+            size = draw(st.integers(1, 500))
+            target = draw(st.none() | st.sampled_from(class_names))
+            attributes.append(
+                AttributeDef(
+                    name,
+                    size_bytes=size,
+                    is_relationship=target is not None,
+                    target_class=target,
+                )
+            )
+        classes.append(ClassDef(class_name, attributes))
+    return Schema(classes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schema=schemas())
+def test_random_schema_constants(schema):
+    assert_constants_match(schema)

@@ -11,7 +11,7 @@ and scan cursors.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.oodb.objects import OID, oid_sort_key
+from repro.oodb.objects import OID
 from repro.sim.rand import RandomStream
 from repro.workload.heat import (
     ChangingSkewedHeat,
@@ -28,7 +28,7 @@ class _SetMembershipBuckets:
     """SkewedHeat's reselection before index masks."""
 
     def reselect_hot_set(self):
-        ordered = sorted(self._oids, key=oid_sort_key)
+        ordered = sorted(self._oids)
         hot_count = max(1, round(self.hot_fraction * len(self._oids)))
         hot = set(self._rng.sample(list(self._oids), hot_count))
         self._hot = [oid for oid in ordered if oid in hot]
@@ -47,7 +47,7 @@ class ReferenceScan(_SetMembershipBuckets, SequentialScanHeat):
     def select_objects(self, query_index, count):
         if query_index % self.scan_every != 0:
             return super().select_objects(query_index, count)
-        ordered = sorted(self._oids, key=oid_sort_key)
+        ordered = sorted(self._oids)
         picks, chosen = [], set()
         while len(picks) < count:
             candidate = ordered[self._cursor]
@@ -60,7 +60,7 @@ class ReferenceScan(_SetMembershipBuckets, SequentialScanHeat):
 
 class ReferenceHotspot(ShiftingHotspotHeat):
     def _rebuild_buckets(self):
-        ordered = sorted(self._ordered, key=oid_sort_key)
+        ordered = sorted(self._ordered)
         n = len(ordered)
         hot_indices = {
             (self._start + offset) % n for offset in range(self._hot_count)
@@ -77,10 +77,10 @@ class ReferenceHotspot(ShiftingHotspotHeat):
 
 class ReferenceCyclic(CyclicHeat):
     def __init__(self, oids, rng, hot_fraction=0.2, scan_fraction=0.3):
-        self._all = sorted(oids, key=oid_sort_key)
+        self._all = sorted(oids)
         self._rng = rng
         hot_count = max(1, round(hot_fraction * len(self._all)))
-        self._hot = sorted(rng.sample(self._all, hot_count), key=oid_sort_key)
+        self._hot = sorted(rng.sample(self._all, hot_count))
         self.scan_fraction = scan_fraction
         self._cursor = 0
 
