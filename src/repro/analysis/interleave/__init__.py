@@ -9,7 +9,7 @@ builds, once per lint run, an :class:`InterleaveModel` — one
 with yield statements marked as barrier nodes and shared-state
 accesses classified by :mod:`repro.analysis.interleave.accesses` —
 and :class:`~repro.analysis.engine.InterleaveRule` subclasses
-(REP016–REP021, REP024 in :mod:`repro.analysis.rules.interleave`)
+(REP016–REP019, REP021, REP024 in :mod:`repro.analysis.rules.interleave`)
 consume it.
 
 Scope: files under ``repro/{sim,net,core,client,oodb}`` — the packages

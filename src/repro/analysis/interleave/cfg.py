@@ -10,13 +10,14 @@ level — the process suspends there and any other process may run
 before control returns.
 
 Exception edges follow the kernel's delivery contract: a foreign
-exception (an :class:`~repro.sim.process.Interrupt`) enters a process
-ONLY at a yield, so exception edges originate from barrier nodes and
-explicit ``raise``/``assert`` statements, and land on the innermost
-enclosing handler/finally (the function exit when there is none).
-``while True`` loops get no false-exit edge — their exit stays
-reachable only via ``break`` or a barrier's exception edge, which
-models interrupt-driven termination exactly.
+exception (a failed yielded event, or ``GeneratorExit`` when a
+suspended generator is closed) enters a process ONLY at a yield, so
+exception edges originate from barrier nodes and explicit
+``raise``/``assert`` statements, and land on the innermost enclosing
+handler/finally (the function exit when there is none).  ``while True``
+loops get no false-exit edge — their exit stays reachable only via
+``break`` or a barrier's exception edge, which models termination by a
+thrown exception exactly.
 
 Known approximations, all conservative for the rules built on top:
 ``break``/``continue`` jump directly to their loop targets without

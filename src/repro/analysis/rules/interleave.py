@@ -1,4 +1,4 @@
-"""REP016–REP021 (+REP024) — yield-point interleaving safety.
+"""REP016–REP019, REP021 (+REP024) — yield-point interleaving safety.
 
 All of these run over the shared
 :class:`~repro.analysis.interleave.InterleaveModel` (one CFG build per
@@ -15,8 +15,6 @@ REP018    ``any_of``/timeout race result never checked for *which*
           event fired
 REP019    facility acquire (``request()``/raced ``get()``) not
           released/cancelled on every CFG path
-REP020    yield while holding a facility grant without Interrupt
-          protection (``try/finally`` or ``except BaseException``)
 REP021    a plain early-exit branch skips the event emission its
           sibling path performs
 REP024    ``async def`` in a process package — outside this tier's
@@ -37,8 +35,7 @@ import typing as t
 
 from repro.analysis.engine import Finding, InterleaveRule, register_rule
 from repro.analysis.interleave import InterleaveModel, ProcessFunction
-from repro.analysis.interleave.accesses import attr_chain
-from repro.analysis.interleave.cfg import CFGNode, header_yields, yields_at_own_level
+from repro.analysis.interleave.cfg import CFGNode, header_yields
 
 
 def _own_level_nodes(root: ast.AST) -> t.Iterator[ast.AST]:
@@ -271,7 +268,7 @@ class UnreleasedFacility(_ModelRule):
                     rule_id=self.rule_id,
                     message=(
                         f"request {var!r} in {pf.qualname} can reach the "
-                        "function exit (including interrupt edges) "
+                        "function exit (including exception edges) "
                         "without being released; use the context-manager "
                         "form or release in a finally"
                     ),
@@ -336,126 +333,6 @@ class UnreleasedFacility(_ModelRule):
                     f".cancel({var}) when the other event wins"
                 ),
             )
-
-
-#: Handler types that count as interrupt-aware.
-_INTERRUPT_HANDLERS = frozenset(
-    {"BaseException", "Exception", "Interrupt", "Interruption"}
-)
-
-
-@register_rule
-class UnprotectedYieldHoldingGrant(_ModelRule):
-    rule_id = "REP020"
-    title = (
-        "yield while holding a facility grant without Interrupt "
-        "protection (try/finally or except BaseException)"
-    )
-
-    def check_function(self, pf: ProcessFunction) -> t.Iterator[Finding]:
-        yield from self._scan(pf, pf.func.body, holding=None, protected=False)
-
-    def _scan(
-        self,
-        pf: ProcessFunction,
-        stmts: t.Sequence[ast.stmt],
-        holding: str | None,
-        protected: bool,
-        grants: frozenset[str] = frozenset(),
-    ) -> t.Iterator[Finding]:
-        for stmt in stmts:
-            if holding is not None:
-                for yld in header_yields(stmt):
-                    value = yld.value
-                    if (
-                        isinstance(value, ast.Name)
-                        and value.id in grants
-                    ):
-                        continue  # waiting *for* the grant, not holding it
-                    if not protected:
-                        yield Finding(
-                            path=pf.ctx.rel_path,
-                            line=stmt.lineno,
-                            col=stmt.col_offset + 1,
-                            rule_id=self.rule_id,
-                            message=(
-                                f"yield in {pf.qualname} while holding "
-                                f"{holding} has no Interrupt protection; "
-                                "an interrupt delivered here skips the "
-                                "post-yield accounting — wrap in "
-                                "try/finally or except BaseException"
-                            ),
-                        )
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                new_holding = holding
-                new_grants = grants
-                for item in stmt.items:
-                    expr = item.context_expr
-                    if (
-                        isinstance(expr, ast.Call)
-                        and _call_method(expr) == "request"
-                    ):
-                        chain = (
-                            attr_chain(expr.func)
-                            if isinstance(
-                                expr.func, (ast.Attribute, ast.Name)
-                            )
-                            else None
-                        )
-                        new_holding = chain or "a facility grant"
-                        if isinstance(item.optional_vars, ast.Name):
-                            new_grants = new_grants | {item.optional_vars.id}
-                yield from self._scan(
-                    pf, stmt.body, new_holding, protected, new_grants
-                )
-            elif isinstance(stmt, ast.Try):
-                covers = bool(stmt.finalbody) or any(
-                    self._handler_covers(handler)
-                    for handler in stmt.handlers
-                )
-                yield from self._scan(
-                    pf, stmt.body, holding, protected or covers, grants
-                )
-                for handler in stmt.handlers:
-                    yield from self._scan(
-                        pf, handler.body, holding, protected, grants
-                    )
-                for sub in (stmt.orelse, stmt.finalbody):
-                    yield from self._scan(pf, sub, holding, protected, grants)
-            elif isinstance(stmt, (ast.If,)):
-                yield from self._scan(pf, stmt.body, holding, protected, grants)
-                yield from self._scan(
-                    pf, stmt.orelse, holding, protected, grants
-                )
-            elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-                yield from self._scan(pf, stmt.body, holding, protected, grants)
-                yield from self._scan(
-                    pf, stmt.orelse, holding, protected, grants
-                )
-            elif isinstance(stmt, ast.Match):
-                for case in stmt.cases:
-                    yield from self._scan(
-                        pf, case.body, holding, protected, grants
-                    )
-
-    @staticmethod
-    def _handler_covers(handler: ast.ExceptHandler) -> bool:
-        if handler.type is None:
-            return True
-        types = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        for typ in types:
-            name = None
-            if isinstance(typ, ast.Name):
-                name = typ.id
-            elif isinstance(typ, ast.Attribute):
-                name = typ.attr
-            if name in _INTERRUPT_HANDLERS:
-                return True
-        return False
 
 
 @register_rule

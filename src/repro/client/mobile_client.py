@@ -35,6 +35,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.core.coherence import ErrorOracle
+from repro.core.entry import CacheEntry
 from repro.core.granularity import CacheKey, CachingGranularity
 from repro.core.invalidation import (
     DEFAULT_IR_INTERVAL,
@@ -238,18 +239,7 @@ class MobileClient:
         self._pending_probe = None
         if probe is None:
             return
-        for key, __ in probe.deferred:
-            self.bus.emit(
-                CacheAccess(
-                    time=probe.recorded_at,
-                    client_id=self.client_id,
-                    key=key,
-                    hit=False,
-                    error=False,
-                    answered=True,
-                    connected=True,
-                )
-            )
+        self._record_fresh_misses(probe)
 
     # ------------------------------------------------------------------
     # Query loop
@@ -331,18 +321,7 @@ class MobileClient:
             if reply is not None:
                 # The server answered: deferred miss accesses resolve to
                 # fresh values, exactly as the eager recording assumed.
-                for key, __ in probe.deferred:
-                    self.bus.emit(
-                        CacheAccess(
-                            time=probe.recorded_at,
-                            client_id=self.client_id,
-                            key=key,
-                            hit=False,
-                            error=False,
-                            answered=True,
-                            connected=True,
-                        )
-                    )
+                self._record_fresh_misses(probe)
             else:
                 yield from self._serve_degraded(probe, query.query_id)
 
@@ -505,38 +484,18 @@ class MobileClient:
         for key, attr_size in probe.deferred:
             entry = self.cache.lookup(key)
             if entry is not None:
-                oid, __ = key
-                read_time += self.local_storage.access(oid, attr_size)
-                self.cache.touch(key, self.env.now)
-                is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
-                )
-                self.bus.emit(
-                    CacheAccess(
-                        time=probe.recorded_at,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=is_error,
-                        answered=True,
-                        connected=True,
-                        stale_served=True,
-                        age_seconds=max(
-                            0.0, self.env.now - entry.fetched_at
-                        ),
-                    )
+                read_time += self._serve_local(
+                    key,
+                    entry,
+                    attr_size,
+                    time=probe.recorded_at,
+                    hit=False,
+                    connected=True,
+                    age_seconds=max(0.0, self.env.now - entry.fetched_at),
                 )
             else:
-                self.bus.emit(
-                    CacheAccess(
-                        time=probe.recorded_at,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=False,
-                        answered=False,
-                        connected=True,
-                    )
+                self._record_miss(
+                    key, probe.recorded_at, answered=False, connected=True
                 )
         self.bus.emit(
             QueryDegraded(
@@ -550,6 +509,69 @@ class MobileClient:
         )
         if read_time > 0:
             yield self.env.timeout(read_time)
+
+    # ------------------------------------------------------------------
+    # Access recording
+    # ------------------------------------------------------------------
+    def _serve_local(
+        self,
+        key: CacheKey,
+        entry: CacheEntry,
+        attr_size: float,
+        time: float,
+        hit: bool,
+        connected: bool,
+        age_seconds: float,
+    ) -> float:
+        """Serve ``key`` from its cached ``entry``; returns the read time.
+
+        A valid entry is a hit.  An expired one (disconnected, or the
+        remote round failed) is a stale serve, checked against the
+        error oracle all the same.
+        """
+        read_time = self.local_storage.access(key[0], attr_size)
+        self.cache.touch(key, self.env.now)
+        is_error = ErrorOracle.is_stale(
+            entry.version, self.server.current_version(*key)
+        )
+        self.bus.emit(
+            CacheAccess(
+                time=time,
+                client_id=self.client_id,
+                key=key,
+                hit=hit,
+                error=is_error,
+                answered=True,
+                connected=connected,
+                stale_served=not hit,
+                age_seconds=age_seconds,
+            )
+        )
+        return read_time
+
+    def _record_miss(
+        self, key: CacheKey, time: float, answered: bool, connected: bool
+    ) -> None:
+        """Record a miss: fetched fresh (``answered``) or left unanswered."""
+        self.bus.emit(
+            CacheAccess(
+                time=time,
+                client_id=self.client_id,
+                key=key,
+                hit=False,
+                error=False,
+                answered=answered,
+                connected=connected,
+            )
+        )
+
+    def _record_fresh_misses(self, probe: "_ProbeResult") -> None:
+        """Record a round's deferred misses as answered by the server,
+        stamped with the probe instant."""
+        for key, __ in probe.deferred:
+            self._record_miss(
+                key, probe.recorded_at, answered=True, connected=True
+            )
 
     # ------------------------------------------------------------------
     # Probe phase
@@ -594,24 +616,14 @@ class MobileClient:
                 )
 
             if valid:
-                result.local_read_time += self.local_storage.access(
-                    oid, attr_size
-                )
-                self.cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
-                )
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=True,
-                        error=is_error,
-                        answered=True,
-                        connected=connected,
-                        age_seconds=now - entry.fetched_at,
-                    )
+                result.local_read_time += self._serve_local(
+                    key,
+                    entry,
+                    attr_size,
+                    time=now,
+                    hit=True,
+                    connected=connected,
+                    age_seconds=now - entry.fetched_at,
                 )
                 if (
                     connected
@@ -624,52 +636,21 @@ class MobileClient:
                 if defer:
                     result.deferred.append((key, attr_size))
                 else:
-                    self.bus.emit(
-                        CacheAccess(
-                            time=now,
-                            client_id=self.client_id,
-                            key=key,
-                            hit=False,
-                            error=False,
-                            answered=True,
-                            connected=True,
-                        )
-                    )
+                    self._record_miss(key, now, answered=True, connected=True)
                 self._add_needed(result, seen_needed, key)
             elif entry is not None:
                 # Disconnected: use the expired entry anyway.
-                result.local_read_time += self.local_storage.access(
-                    oid, attr_size
-                )
-                self.cache.touch(key, now)
-                is_error = ErrorOracle.is_stale(
-                    entry.version, self.server.current_version(*key)
-                )
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=is_error,
-                        answered=True,
-                        connected=False,
-                        stale_served=True,
-                        age_seconds=now - entry.fetched_at,
-                    )
+                result.local_read_time += self._serve_local(
+                    key,
+                    entry,
+                    attr_size,
+                    time=now,
+                    hit=False,
+                    connected=False,
+                    age_seconds=now - entry.fetched_at,
                 )
             else:
-                self.bus.emit(
-                    CacheAccess(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        hit=False,
-                        error=False,
-                        answered=False,
-                        connected=False,
-                    )
-                )
+                self._record_miss(key, now, answered=False, connected=False)
 
             update_id = (oid, access.attribute)
             if (

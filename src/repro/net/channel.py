@@ -12,9 +12,8 @@ A transmission can end three ways (see :meth:`WirelessChannel.transmit`):
 * :data:`DROPPED` — full airtime spent but the attached
   :class:`~repro.net.faults.FaultInjector` corrupted it (the receiver's
   CRC check fails, so the message is lost);
-* :data:`ABORTED` — cut mid-air, either by the ``deadline`` argument
-  (the destination's disconnection window opened) or by an interrupt
-  thrown into the transmitting process.
+* :data:`ABORTED` — cut mid-air by the ``deadline`` argument (the
+  destination's disconnection window opened).
 
 Accounting happens *inside* the facility guard at the moment the
 outcome is known, so an aborted transmission contributes its partial
@@ -166,10 +165,7 @@ class WirelessChannel:
         FCFS: callers queue behind whatever is already in flight.
         Returns the transmission outcome — :data:`DELIVERED`,
         :data:`DROPPED` (fault injector corrupted it) or
-        :data:`ABORTED` (cut at ``deadline``).  An interrupt thrown
-        into the caller while the message is in flight also counts the
-        abort before propagating, so channel statistics stay consistent
-        on every exit path.
+        :data:`ABORTED` (cut at ``deadline``).
         """
         if size_bytes < 0:
             raise NetworkError(f"negative message size: {size_bytes!r}")
@@ -179,26 +175,13 @@ class WirelessChannel:
             started = self.env.now
             if deadline is not None and started + airtime > deadline:
                 # The link is scheduled to cut before this message could
-                # finish: spend the partial airtime, then abort.  An
-                # interrupt during that wait must account the same way
-                # — the bytes were on the air either way.
+                # finish: spend the partial airtime, then abort.
                 remaining = deadline - started
                 if remaining > 0:
-                    try:
-                        yield self.env.timeout(remaining)
-                    except BaseException:
-                        self._account_abort(size_bytes, airtime, started)
-                        raise
+                    yield self.env.timeout(remaining)
                 self._account_abort(size_bytes, airtime, started)
                 return ABORTED
-            try:
-                yield self.env.timeout(airtime)
-            except BaseException:
-                # Interrupted mid-flight (e.g. a disconnection notice
-                # thrown into the sender): account before propagating so
-                # the partial transmission does not vanish from stats.
-                self._account_abort(size_bytes, airtime, started)
-                raise
+            yield self.env.timeout(airtime)
             dropped = self.injector is not None and self.injector.should_drop(
                 self.env.now, size_bytes
             )

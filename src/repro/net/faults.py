@@ -202,7 +202,7 @@ class FaultInjector:
         return dropped
 
     def note_abort(self, now: float, size_bytes: float) -> None:
-        """Record a mid-transmission abort (deadline cut or interrupt)."""
+        """Record a mid-transmission abort (cut at its deadline)."""
         self.aborts += 1
         self._record(KIND_ABORT, now, size_bytes)
 

@@ -17,15 +17,13 @@ Public surface::
 
 from repro.sim.environment import Environment
 from repro.sim.events import (
-    AllOf,
     AnyOf,
     Event,
     Initialize,
-    Interruption,
     Resume,
     Timeout,
 )
-from repro.sim.process import Interrupt, Process
+from repro.sim.process import Process
 from repro.sim.rand import (
     RandomStream,
     cumulative,
@@ -35,13 +33,10 @@ from repro.sim.rand import (
 from repro.sim.resources import Request, Resource, Store, StoreGet
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Environment",
     "Event",
     "Initialize",
-    "Interrupt",
-    "Interruption",
     "Process",
     "Resume",
     "RandomStream",

@@ -18,7 +18,7 @@ from itertools import count
 
 from repro._units import Seconds
 from repro.errors import SchedulingError, SimulationError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, NORMAL, Timeout
+from repro.sim.events import AnyOf, Event, NORMAL, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -85,10 +85,6 @@ class Environment:
     def any_of(self, events: t.Iterable[Event]) -> AnyOf:
         """Event firing when any of ``events`` fires."""
         return AnyOf(self, events)
-
-    def all_of(self, events: t.Iterable[Event]) -> AllOf:
-        """Event firing when all of ``events`` have fired."""
-        return AllOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and the run loop
@@ -179,7 +175,7 @@ class Environment:
         * a number — run until the clock reaches that time.  The internal
           stopper fires at priority −1, ahead of URGENT (0) events at the
           same instant: anything scheduled for *exactly* the horizon —
-          interrupts included — is never delivered.  The horizon is
+          URGENT events included — is never delivered.  The horizon is
           therefore a half-open interval ``[start, until)``;
         * an :class:`Event` — run until that event is processed, returning
           its value (and raising its exception if it failed).

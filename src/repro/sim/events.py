@@ -145,16 +145,6 @@ class Resume(Event):
     __slots__ = ()
 
 
-class Interruption(Event):
-    """Kernel event delivering an :class:`~repro.sim.process.Interrupt`.
-
-    Scheduled URGENT so interrupts overtake ordinary events at the same
-    instant.
-    """
-
-    __slots__ = ()
-
-
 class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future."""
 
@@ -175,51 +165,25 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
-class Condition(Event):
-    """Shared machinery for composite events (:class:`AnyOf`/:class:`AllOf`).
-
-    Once the composite's outcome is decided, its ``_collect`` callback is
-    detached from every still-pending child — the losers of the race.
-    Without the detachment every retry/timeout race leaves one dead
-    callback behind per loser for the rest of the run (the ``AnyOf``
-    leak); with many clients retrying for hours those accumulate
-    unboundedly.  A losing :class:`Timeout` with no other subscribers is
-    additionally *defused* so the kernel skips its queue entry at pop
-    time (see :meth:`~repro.sim.environment.Environment.cancel`) instead
-    of walking an empty callback list at its expiry instant.
-    """
-
-    __slots__ = ("events",)
-
-    def _collect(self, event: Event) -> None:
-        raise NotImplementedError  # pragma: no cover - subclass hook
-
-    def _detach_losers(self, winner: Event | None) -> None:
-        collect = self._collect
-        for child in self.events:
-            callbacks = child.callbacks
-            if child is winner or callbacks is None:
-                continue
-            try:
-                callbacks.remove(collect)
-            except ValueError:
-                pass
-            # Only Timeouts are defused: they are anonymous fire-and-forget
-            # events, whereas a Store get or a Process may be referenced
-            # (and e.g. cancelled or re-awaited) by other code.
-            if not callbacks and type(child) is Timeout and child.triggered:
-                child.env.cancel(child)
-
-
-class AnyOf(Condition):
+class AnyOf(Event):
     """Composite event that fires when *any* of its children fires.
 
     Its value is a dict mapping each already-triggered child event to that
     child's value, in trigger order.  Failures propagate: if a child fails
     first, the composite fails with the child's exception.
+
+    Once the outcome is decided, the ``_collect`` callback is detached
+    from every still-pending child — the losers of the race.  Without
+    the detachment every retry/timeout race leaves one dead callback
+    behind per loser for the rest of the run; with many clients retrying
+    for hours those accumulate unboundedly.  A losing :class:`Timeout`
+    with no other subscribers is additionally *defused* so the kernel
+    skips its queue entry at pop time (see
+    :meth:`~repro.sim.environment.Environment.cancel`) instead of
+    walking an empty callback list at its expiry instant.
     """
 
-    __slots__ = ()
+    __slots__ = ("events",)
 
     def __init__(self, env: "Environment", events: t.Iterable[Event]) -> None:
         super().__init__(env)
@@ -257,38 +221,18 @@ class AnyOf(Condition):
             self.succeed(values)
         self._detach_losers(event)
 
-
-class AllOf(Condition):
-    """Composite event that fires once *all* of its children have fired."""
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, env: "Environment", events: t.Iterable[Event]) -> None:
-        super().__init__(env)
-        self.events = list(events)
-        self._remaining = 0
-        for event in self.events:
-            if event.env is not env:
-                raise SchedulingError("all events must share one environment")
-        for event in self.events:
-            if not event.processed:
-                self._remaining += 1
-                assert event.callbacks is not None
-                event.callbacks.append(self._collect)
-            elif not event.ok:
-                self.fail(t.cast(BaseException, event.value))
-                self._detach_losers(event)
-                return
-        if self._remaining == 0 and not self.triggered:
-            self.succeed({child: child.value for child in self.events})
-
-    def _collect(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(t.cast(BaseException, event.value))
-            self._detach_losers(event)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({child: child.value for child in self.events})
+    def _detach_losers(self, winner: Event) -> None:
+        collect = self._collect
+        for child in self.events:
+            callbacks = child.callbacks
+            if child is winner or callbacks is None:
+                continue
+            try:
+                callbacks.remove(collect)
+            except ValueError:
+                pass
+            # Only Timeouts are defused: they are anonymous fire-and-forget
+            # events, whereas a Store get or a Process may be referenced
+            # (and e.g. cancelled or re-awaited) by other code.
+            if not callbacks and type(child) is Timeout and child.triggered:
+                child.env.cancel(child)

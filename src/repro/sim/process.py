@@ -17,25 +17,13 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.errors import SchedulingError, SimulationError
-from repro.sim.events import Event, Initialize, Interruption, Resume, URGENT
+from repro.errors import SimulationError
+from repro.sim.events import Event, Initialize, Resume, URGENT
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 ProcessGenerator = t.Generator[Event, t.Any, t.Any]
-
-
-class Interrupt(Exception):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party supplies an arbitrary ``cause`` describing why
-    (e.g. a disconnection notice).
-    """
-
-    @property
-    def cause(self) -> t.Any:
-        return self.args[0]
 
 
 class Process(Event):
@@ -46,7 +34,7 @@ class Process(Event):
     if the generator failed.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -60,8 +48,6 @@ class Process(Event):
             )
         super().__init__(env)
         self._generator = generator
-        #: The event this process currently waits on (None while resuming).
-        self._target: Event | None = None
         self.name = name or getattr(generator, "__name__", "process")
         # Kick off the generator at the current simulation time via an
         # initialisation event so process start order is deterministic.
@@ -79,37 +65,12 @@ class Process(Event):
         """``True`` while the generator has not terminated."""
         return not self.triggered
 
-    def interrupt(self, cause: t.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process must be alive and must not interrupt itself.
-        """
-        if not self.is_alive:
-            raise SchedulingError(f"{self!r} has already terminated")
-        if self.env.active_process is self:
-            raise SchedulingError("a process cannot interrupt itself")
-        interrupt_event = Interruption(self.env)
-        interrupt_event._ok = False
-        interrupt_event._value = Interrupt(cause)
-        # Deliver ahead of ordinary events scheduled for the same instant.
-        interrupt_event.callbacks.append(self._resume)  # type: ignore[union-attr]
-        self.env.schedule(interrupt_event, priority=URGENT)
-
     def _resume(self, event: Event) -> None:
-        """Advance the generator with ``event``'s outcome."""
-        if self.triggered:
-            # Process already finished (e.g. interrupted after completion
-            # was scheduled); nothing to resume.
-            return
-        # Detach from the event we were waiting on: an interrupt may arrive
-        # while a different target is pending, in which case the old target
-        # must no longer resume us when it fires.
-        if self._target is not None and self._target is not event:
-            callbacks = self._target.callbacks
-            if callbacks is not None and self._resume in callbacks:
-                callbacks.remove(self._resume)
-        self._target = None
+        """Advance the generator with ``event``'s outcome.
 
+        Only the event the process yielded resumes it, once, so the
+        process is alive and waiting on exactly ``event``.
+        """
         self.env._active_process = self
         try:
             if event.ok:
@@ -150,5 +111,4 @@ class Process(Event):
                     f"process {self.name!r} yielded defused event "
                     f"{next_target!r}, which will never fire"
                 )
-            self._target = next_target
             callbacks.append(self._resume)

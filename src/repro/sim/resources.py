@@ -120,8 +120,8 @@ class Resource:
             if self._waiting:
                 self._grant(self._waiting.popleft())
         elif request in self._waiting:
-            # Cancelling a queued request is legal (e.g. an interrupted
-            # process backing out of the queue).
+            # Cancelling a queued request is legal (e.g. a process that
+            # raised while waiting for the grant leaves its ``with``).
             self._waiting.remove(request)
         # Releasing twice is not an error, so the context-manager form
         # stays exception safe.
@@ -205,17 +205,17 @@ class Store:
         return event
 
     def cancel(self, event: StoreGet) -> None:
-        """Withdraw a get (used on interrupt/timeout/disconnect).
+        """Withdraw a get whose waiter gave up (e.g. it lost a timeout race).
 
         A still-queued get is simply removed; cancelling it again is a
         no-op.  If the get's event has *already fired* — the item was
         popped and attached to the event — but the waiting process
-        abandoned it before resuming (it was interrupted, or lost a
-        same-instant race against a timeout), dropping the event would
-        silently lose the item.  Instead the undelivered item is
-        returned to the *head* of the buffer so the next getter receives
-        it: no message is ever dropped by an interrupt.  Only call this
-        for a get whose value was never consumed.
+        abandoned it before resuming (it lost a same-instant race
+        against a timeout), dropping the event would silently lose the
+        item.  Instead the undelivered item is returned to the *head* of
+        the buffer so the next getter receives it: no message is ever
+        dropped by a lost race.  Only call this for a get whose value
+        was never consumed.
         """
         if not event.triggered:
             if event in self._getters:

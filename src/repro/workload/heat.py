@@ -45,6 +45,51 @@ from repro.oodb.objects import OID
 from repro.sim.rand import RandomStream
 
 
+def _check_skew(hot_fraction: float, hot_access_probability: float) -> None:
+    if not 0.0 < hot_fraction < 1.0:
+        raise ConfigurationError(
+            f"hot fraction must lie in (0, 1), got {hot_fraction!r}"
+        )
+    if not 0.0 <= hot_access_probability <= 1.0:
+        raise ConfigurationError(
+            f"hot access probability out of range: "
+            f"{hot_access_probability!r}"
+        )
+
+
+def _draw_hot_cold(
+    rng: RandomStream,
+    population: t.Sequence[OID],
+    hot: t.Sequence[OID],
+    cold: t.Sequence[OID],
+    hot_access_probability: float,
+    count: int,
+) -> list[OID]:
+    """Pick ``count`` distinct OIDs, each from ``hot`` with probability
+    ``hot_access_probability`` and from ``cold`` otherwise."""
+    chosen: set[OID] = set()
+    picks: list[OID] = []
+    attempts = 0
+    while len(picks) < count:
+        attempts += 1
+        if attempts > 50 * count:
+            # Degenerate configurations (tiny buckets, extreme skew)
+            # could loop forever on rejections; finish deterministically
+            # with whatever objects remain.
+            remaining = [o for o in population if o not in chosen]
+            picks.extend(remaining[: count - len(picks)])
+            break
+        if rng.bernoulli(hot_access_probability):
+            bucket = hot
+        else:
+            bucket = cold
+        candidate = bucket[rng.randint(0, len(bucket) - 1)]
+        if candidate not in chosen:
+            chosen.add(candidate)
+            picks.append(candidate)
+    return picks
+
+
 class HeatDistribution(abc.ABC):
     """Selects the distinct objects a query touches."""
 
@@ -84,15 +129,7 @@ class SkewedHeat(HeatDistribution):
         hot_fraction: float = 0.2,
         hot_access_probability: float = 0.8,
     ) -> None:
-        if not 0.0 < hot_fraction < 1.0:
-            raise ConfigurationError(
-                f"hot fraction must lie in (0, 1), got {hot_fraction!r}"
-            )
-        if not 0.0 <= hot_access_probability <= 1.0:
-            raise ConfigurationError(
-                f"hot access probability out of range: "
-                f"{hot_access_probability!r}"
-            )
+        _check_skew(hot_fraction, hot_access_probability)
         self._oids = tuple(oids)
         if len(self._oids) < 2:
             raise ConfigurationError("need at least two objects")
@@ -128,27 +165,14 @@ class SkewedHeat(HeatDistribution):
             raise ConfigurationError(
                 f"cannot select {count} of {len(self._oids)} objects"
             )
-        chosen: set[OID] = set()
-        picks: list[OID] = []
-        attempts = 0
-        while len(picks) < count:
-            attempts += 1
-            if attempts > 50 * count:
-                # Degenerate configurations (tiny buckets, extreme skew)
-                # could loop forever on rejections; finish deterministically
-                # with whatever objects remain.
-                remaining = [o for o in self._oids if o not in chosen]
-                picks.extend(remaining[: count - len(picks)])
-                break
-            if self._rng.bernoulli(self.hot_access_probability):
-                bucket = self._hot
-            else:
-                bucket = self._cold
-            candidate = bucket[self._rng.randint(0, len(bucket) - 1)]
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+        return _draw_hot_cold(
+            self._rng,
+            self._oids,
+            self._hot,
+            self._cold,
+            self.hot_access_probability,
+            count,
+        )
 
     def describe(self) -> str:
         return "SH"
@@ -276,7 +300,7 @@ class ZipfHeat(HeatDistribution):
         while len(picks) < count:
             attempts += 1
             if attempts > 50 * count:
-                # Same deterministic fallback as SkewedHeat: extreme
+                # Same deterministic fallback as _draw_hot_cold: extreme
                 # skew could reject forever on the handful of unchosen
                 # head objects.
                 remaining = [o for o in self._ranked if o not in chosen]
@@ -317,15 +341,7 @@ class ShiftingHotspotHeat(HeatDistribution):
             raise ConfigurationError(
                 f"shift interval must be >= 1, got {shift_every!r}"
             )
-        if not 0.0 < hot_fraction < 1.0:
-            raise ConfigurationError(
-                f"hot fraction must lie in (0, 1), got {hot_fraction!r}"
-            )
-        if not 0.0 <= hot_access_probability <= 1.0:
-            raise ConfigurationError(
-                f"hot access probability out of range: "
-                f"{hot_access_probability!r}"
-            )
+        _check_skew(hot_fraction, hot_access_probability)
         self._ordered = tuple(oids)
         if len(self._ordered) < 2:
             raise ConfigurationError("need at least two objects")
@@ -373,24 +389,14 @@ class ShiftingHotspotHeat(HeatDistribution):
             ) % len(self._ordered)
             self._era = era
             self._rebuild_buckets()
-        chosen: set[OID] = set()
-        picks: list[OID] = []
-        attempts = 0
-        while len(picks) < count:
-            attempts += 1
-            if attempts > 50 * count:
-                remaining = [o for o in self._ordered if o not in chosen]
-                picks.extend(remaining[: count - len(picks)])
-                break
-            if self._rng.bernoulli(self.hot_access_probability):
-                bucket = self._hot
-            else:
-                bucket = self._cold
-            candidate = bucket[self._rng.randint(0, len(bucket) - 1)]
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+        return _draw_hot_cold(
+            self._rng,
+            self._ordered,
+            self._hot,
+            self._cold,
+            self.hot_access_probability,
+            count,
+        )
 
     def describe(self) -> str:
         return f"hotspot-{self.shift_every}"

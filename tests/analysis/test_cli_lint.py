@@ -38,7 +38,7 @@ MIXED = (
 )
 #: The unit-dataflow tier and the interleave tier, as ``--ignore`` lists.
 UNIT_IDS = "REP011,REP012,REP013,REP014,REP015"
-INTERLEAVE_IDS = "REP016,REP017,REP018,REP019,REP020,REP021,REP024"
+INTERLEAVE_IDS = "REP016,REP017,REP018,REP019,REP021,REP024"
 
 
 class TestExitCodes:
@@ -109,7 +109,6 @@ class TestDataflowFlags:
             "REP017",
             "REP018",
             "REP019",
-            "REP020",
             "REP021",
             "REP022",
             "REP023",

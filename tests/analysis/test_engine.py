@@ -27,7 +27,7 @@ class TestRegistry:
         expected = (
             {f"REP00{n}" for n in range(1, 10) if n not in (5, 7)}
             | {f"REP01{n}" for n in range(10)}
-            | {"REP020", "REP021", "REP022", "REP023", "REP024"}
+            | {"REP021", "REP022", "REP023", "REP024"}
         )
         assert {rule.rule_id for rule in all_rules()} == expected
 

@@ -1,4 +1,4 @@
-"""REP016–REP021 (+REP024) fixtures and CFG-walker edge cases.
+"""REP016–REP019, REP021 (+REP024) fixtures and CFG-walker edge cases.
 
 Every bad fixture must trip *exactly* its own rule id under a full
 lint run (all tiers, no select) — that pins down cross-rule
@@ -233,68 +233,6 @@ class TestRep019:
 
 
 # ----------------------------------------------------------------------
-# REP020 — unprotected yield while holding a grant
-# ----------------------------------------------------------------------
-HOLD_BAD = """\
-class Channel:
-    def run(self):
-        with self.facility.request() as grant:
-            yield grant
-            yield self.env.timeout(2.0)
-            self.finish()
-"""
-
-HOLD_GOOD = """\
-class Channel:
-    def run(self):
-        with self.facility.request() as grant:
-            yield grant
-            try:
-                yield self.env.timeout(2.0)
-            except BaseException:
-                self.abort()
-                raise
-            self.finish()
-"""
-
-
-class TestRep020:
-    def test_unprotected_hold_is_flagged(self, lint):
-        findings = lint("repro/net/mod.py", HOLD_BAD)
-        assert ids(findings) == ["REP020"]
-        (finding,) = findings
-        assert finding.line == 5
-        assert "Interrupt protection" in finding.message
-
-    def test_except_baseexception_is_silent(self, lint):
-        assert lint("repro/net/mod.py", HOLD_GOOD) == []
-
-    def test_try_finally_is_silent(self, lint):
-        source = """\
-        class Channel:
-            def run(self):
-                with self.facility.request() as grant:
-                    yield grant
-                    try:
-                        yield self.env.timeout(2.0)
-                    finally:
-                        self.finish()
-        """
-        assert lint("repro/net/mod.py", source) == []
-
-    def test_grant_yield_itself_is_exempt(self, lint):
-        # Waiting *for* the grant is not holding it.
-        source = """\
-        class Channel:
-            def run(self):
-                with self.facility.request() as grant:
-                    yield grant
-                    self.finish()
-        """
-        assert lint("repro/net/mod.py", source) == []
-
-
-# ----------------------------------------------------------------------
 # REP021 — early-exit branch skips the sibling path's emit
 # ----------------------------------------------------------------------
 EMIT_BAD = """\
@@ -410,7 +348,7 @@ class TestWalkerEdgeCases:
 
     def test_while_true_loop_with_interrupt_exit(self, lint):
         # A forever-loop process: its only exits are break and the
-        # interrupt edge at the yield; must not hang or false-positive.
+        # exception edge at the yield; must not hang or false-positive.
         source = """\
         class Pump:
             def run(self):
@@ -429,5 +367,5 @@ class TestWalkerEdgeCases:
         assert findings == []
 
     def test_ignoring_the_tier_ids_disables_it(self, lint):
-        tier = ["REP016", "REP017", "REP018", "REP019", "REP020", "REP021", "REP024"]
+        tier = ["REP016", "REP017", "REP018", "REP019", "REP021", "REP024"]
         assert lint("repro/sim/mod.py", RMW_BAD, ignore=tier) == []

@@ -1,5 +1,7 @@
 """Unit tests for wireless channels and disconnection schedules."""
 
+import gc
+
 import pytest
 
 from repro.errors import NetworkError
@@ -7,7 +9,6 @@ from repro.net.channel import WirelessChannel
 from repro.net.disconnect import DisconnectionSchedule, plan_single_windows
 from repro.net.network import Network
 from repro.sim.environment import Environment
-from repro.sim.process import Interrupt
 from repro.sim.rand import RandomStream
 
 
@@ -86,103 +87,34 @@ class TestWirelessChannel:
         env.run(until=4.0)
         assert channel.utilization() == pytest.approx(0.25)
 
-    def test_interrupted_transmit_is_accounted(self):
-        """An interrupt mid-airtime must not erase the spent airtime.
+    @pytest.mark.parametrize("deadline", [None, 0.8])
+    def test_collecting_a_finished_run_leaves_stats_final(self, deadline):
+        """Closing a sender suspended mid-airtime books nothing.
 
-        The original accounting updated the byte counters only after the
-        ``with`` block, so an interrupted transmission vanished from the
-        stats entirely even though it held the channel.
+        A run cut at its horizon leaves the sender suspended in
+        ``transmit``: in the full-airtime wait without a deadline, in
+        the partial-airtime wait before a 0.8 s deadline.  Collecting
+        the finished simulation closes that generator by throwing
+        ``GeneratorExit`` at its ``yield``.  The run's outcomes are
+        final by then, so the channel statistics must not move.
         """
-        env = Environment()
-        channel = WirelessChannel(env, bandwidth_bps=8_000)  # 1 kB/s
-        outcomes = []
 
-        def sender(env):
-            try:
-                yield from channel.transmit(1000)
-                outcomes.append("done")
-            except Interrupt:
-                outcomes.append(("interrupted", env.now))
+        def finished_run():
+            env = Environment()
+            channel = WirelessChannel(env, bandwidth_bps=8)  # 1 B/s
 
-        def breaker(env, victim):
-            yield env.timeout(0.25)
-            victim.interrupt()
+            def sender(env):
+                yield from channel.transmit(1, deadline=deadline)
 
-        victim = env.process(sender(env))
-        env.process(breaker(env, victim))
-        env.run(until=1.0)
-        assert outcomes == [("interrupted", 0.25)]
-        # 0.25 s of airtime at 1 kB/s = 250 bytes spent then lost.
-        assert channel.messages_aborted == 1
-        assert channel.bytes_aborted == pytest.approx(250.0)
-        assert channel.messages_carried == 0
-        assert channel.bytes_carried == 0
-        # The facility was held for those 0.25 s out of 1 s.
-        assert channel.utilization() == pytest.approx(0.25)
+            env.process(sender(env))
+            env.run(until=0.5)
+            return channel.stats, dict(vars(channel.stats))
 
-    def test_interrupt_during_deadline_abort_wait_is_accounted(self):
-        """Interrupting the pre-deadline partial-airtime wait must
-        account the abort exactly like an interrupt mid-airtime.
-
-        Found by REP020: the deadline-abort wait was the one yield in
-        ``transmit`` outside the ``except BaseException`` guard, so an
-        interrupt delivered there lost the partial transmission from
-        the channel statistics entirely.
-        """
-        env = Environment()
-        channel = WirelessChannel(env, bandwidth_bps=8_000)  # 1 kB/s
-        outcomes = []
-
-        def sender(env):
-            try:
-                # 1000 bytes needs 1 s of air but the link cuts at
-                # 0.5 s: transmit enters the deadline-abort wait.
-                yield from channel.transmit(1000, deadline=0.5)
-                outcomes.append("done")
-            except Interrupt:
-                outcomes.append(("interrupted", env.now))
-
-        def breaker(env, victim):
-            yield env.timeout(0.25)
-            victim.interrupt()
-
-        victim = env.process(sender(env))
-        env.process(breaker(env, victim))
-        env.run(until=1.0)
-        assert outcomes == [("interrupted", 0.25)]
-        # 0.25 s of the planned 1 s airtime = 250 bytes on the air.
-        assert channel.messages_aborted == 1
-        assert channel.bytes_aborted == pytest.approx(250.0)
-        assert channel.messages_carried == 0
-
-    def test_interrupted_transmit_releases_the_channel(self):
-        env = Environment()
-        channel = WirelessChannel(env, bandwidth_bps=8_000)
-        done = []
-
-        def victim(env):
-            try:
-                yield from channel.transmit(1000)
-            except Interrupt:
-                pass
-
-        def follower(env):
-            yield env.timeout(0.1)
-            yield from channel.transmit(500)
-            done.append(env.now)
-
-        def breaker(env, target):
-            yield env.timeout(0.5)
-            target.interrupt()
-
-        target = env.process(victim(env))
-        env.process(follower(env))
-        env.process(breaker(env, target))
-        env.run()
-        # The follower starts right at the interrupt (0.5 s) + 0.5 s air.
-        assert done == [pytest.approx(1.0)]
-        assert channel.bytes_carried == 500
-        assert channel.bytes_aborted == pytest.approx(500.0)
+        stats, final = finished_run()
+        gc.collect()
+        assert vars(stats) == final
+        assert stats.messages_aborted == 0
+        assert stats.bytes_aborted == 0.0
 
 
 class TestDisconnectionSchedule:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 from repro.sim.events import URGENT
 
 
@@ -130,7 +130,7 @@ def test_run_until_event_already_processed():
 # preempts even URGENT (priority 0) events at exactly the horizon: the
 # measured window is the half-open interval [start, until).  These pins
 # make that contract explicit — anything scheduled for *exactly* the
-# horizon instant, interrupts included, is never delivered.
+# horizon instant, URGENT events included, is never delivered.
 
 
 def test_timeout_exactly_at_horizon_does_not_fire():
@@ -161,32 +161,6 @@ def test_timeout_strictly_before_horizon_fires():
     env.process(worker(env))
     env.run(until=10.0)
     assert fired == [10.0 - 1e-9]
-
-
-def test_interrupt_at_horizon_is_not_delivered():
-    # Interrupts are URGENT (priority 0); the stopper at priority -1
-    # still wins the horizon instant, so an interrupt thrown at exactly
-    # the horizon is silently deferred past the run.
-    env = Environment()
-    caught = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            caught.append((env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(10.0)
-        victim.interrupt("at-horizon")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run(until=10.0)
-    assert caught == []
-    # The interruption is queued, not lost: resuming delivers it.
-    env.run()
-    assert caught == [(10.0, "at-horizon")]
 
 
 def test_urgent_event_at_horizon_is_not_delivered():

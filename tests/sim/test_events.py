@@ -118,41 +118,10 @@ def test_any_of_fires_on_first():
     assert results == [(1.0, ["fast"])]
 
 
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    results = []
-
-    def waiter(env):
-        first = env.timeout(1.0, value="a")
-        second = env.timeout(5.0, value="b")
-        values = yield env.all_of([first, second])
-        results.append((env.now, sorted(values.values())))
-
-    env.process(waiter(env))
-    env.run()
-    assert results == [(5.0, ["a", "b"])]
-
-
 def test_any_of_requires_events():
     env = Environment()
     with pytest.raises(SchedulingError):
         env.any_of([])
-
-
-def test_all_of_with_already_processed_events():
-    env = Environment()
-    done = []
-
-    def waiter(env):
-        t1 = env.timeout(1.0, value=1)
-        yield t1  # t1 becomes processed
-        combo = env.all_of([t1, env.timeout(1.0, value=2)])
-        values = yield combo
-        done.append(sorted(values.values()))
-
-    env.process(waiter(env))
-    env.run()
-    assert done == [[1, 2]]
 
 
 # -- composite detach (dead-callback leak regression) -------------------
@@ -199,16 +168,3 @@ def test_any_of_does_not_defuse_shared_timeout():
     # Someone else still listens to the loser: it must fire normally.
     assert seen == ["slow"]
     assert env.now == 2.0
-
-
-def test_all_of_early_failure_detaches_survivors():
-    env = Environment()
-    failing = env.event()
-    straggler = env.timeout(500.0, value="late")
-    combo = env.all_of([failing, straggler])
-    combo.callbacks.append(lambda event: None)  # observe, defuse the error
-    failing.fail(RuntimeError("boom"))
-    env.run()
-    assert combo.triggered and not combo.ok
-    assert straggler.defused  # composite already failed; don't wait
-    assert env.now == 0.0

@@ -1,9 +1,9 @@
-"""Unit tests for process semantics: start, return values, interrupts."""
+"""Unit tests for process semantics: start, return values, failures."""
 
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 
 def test_process_requires_generator():
@@ -80,102 +80,6 @@ def test_unwatched_process_failure_surfaces():
     env.process(bad(env))
     with pytest.raises(RuntimeError, match="unwatched"):
         env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt as interrupt:
-            causes.append((env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(3.0)
-        victim.interrupt("wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert causes == [(3.0, "wake up")]
-
-
-def test_interrupt_dead_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1.0)
-
-    def late(env, victim):
-        yield env.timeout(5.0)
-        with pytest.raises(SchedulingError):
-            victim.interrupt()
-
-    victim = env.process(quick(env))
-    env.process(late(env, victim))
-    env.run()
-
-
-def test_self_interrupt_is_error():
-    env = Environment()
-
-    def selfish(env):
-        proc = env.active_process
-        with pytest.raises(SchedulingError):
-            proc.interrupt()
-        yield env.timeout(0)
-
-    env.process(selfish(env))
-    env.run()
-
-
-def test_interrupted_process_can_continue_waiting():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100.0)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-        yield env.timeout(2.0)
-        log.append(("woke", env.now))
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [("interrupted", 1.0), ("woke", 3.0)]
-
-
-def test_stale_target_does_not_resume_after_interrupt():
-    """The interrupted wait's original event must not re-resume the process."""
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(5.0)
-            log.append("timeout won")
-        except Interrupt:
-            log.append("interrupted")
-        yield env.timeout(100.0)
-        log.append("second wait done")
-
-    def interrupter(env, victim):
-        yield env.timeout(1.0)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    # The 5s timeout still fires at t=5 but must not resume the process.
-    assert log == ["interrupted", "second wait done"]
 
 
 def test_yield_non_event_is_error():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 def test_single_server_serializes_holders():
@@ -316,34 +316,35 @@ def test_store_double_cancel_requeues_once():
 
 
 def test_store_interrupted_getter_does_not_lose_item():
-    """An item granted to a process interrupted before resuming survives."""
+    """An item granted to a getter whose wait a timeout cut short survives.
+
+    The client's reply wait: the put lands at the timeout's instant,
+    after the timeout has already decided the race, so the get fires
+    with nobody left to resume.  Cancelling it hands the item on.
+    """
     env = Environment()
     store = Store(env)
     got = []
-    waiters = []
 
     def waiter(env):
-        event = store.get()
-        try:
-            item = yield event
-            got.append(("waiter", item))
-        except Interrupt:
-            store.cancel(event)
+        get = store.get()
+        fired = yield env.any_of([get, env.timeout(1.0)])
+        if get in fired:
+            got.append(("waiter", fired[get]))
+        else:
+            store.cancel(get)
 
-    def producer_and_breaker(env):
+    def producer(env):
         yield env.timeout(1.0)
-        # The put fires the waiter's get; interrupt it the same instant,
-        # before its resumption runs (interrupts schedule URGENT).
         store.put("payload")
-        waiters[0].interrupt()
 
     def successor(env):
         yield env.timeout(2.0)
         item = yield store.get()
         got.append(("successor", item))
 
-    waiters.append(env.process(waiter(env)))
-    env.process(producer_and_breaker(env))
+    env.process(waiter(env))
+    env.process(producer(env))
     env.process(successor(env))
     env.run()
     assert got == [("successor", "payload")]

@@ -6,7 +6,8 @@ population.  The references below keep the older construction: sort
 the population, sample the OIDs themselves, and hash every OID against
 the sampled set.  Given the same seed, both must build the same buckets
 and then make the same picks, across CSH re-selections, hotspot shifts
-and scan cursors.
+and scan cursors.  The hotspot reference also keeps its own copy of the
+hot/cold draw, which SH and the hotspot now share.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -59,6 +60,36 @@ class ReferenceScan(_SetMembershipBuckets, SequentialScanHeat):
 
 
 class ReferenceHotspot(ShiftingHotspotHeat):
+    """The hotspot with its own bucket construction and its own copy of
+    the hot/cold rejection loop, as it was before SH and the hotspot
+    shared one draw."""
+
+    def select_objects(self, query_index, count):
+        era = query_index // self.shift_every
+        if era != self._era:
+            self._start = (
+                self._start + self._step * (era - self._era)
+            ) % len(self._ordered)
+            self._era = era
+            self._rebuild_buckets()
+        chosen, picks = set(), []
+        attempts = 0
+        while len(picks) < count:
+            attempts += 1
+            if attempts > 50 * count:
+                remaining = [o for o in self._ordered if o not in chosen]
+                picks.extend(remaining[: count - len(picks)])
+                break
+            if self._rng.bernoulli(self.hot_access_probability):
+                bucket = self._hot
+            else:
+                bucket = self._cold
+            candidate = bucket[self._rng.randint(0, len(bucket) - 1)]
+            if candidate not in chosen:
+                chosen.add(candidate)
+                picks.append(candidate)
+        return picks
+
     def _rebuild_buckets(self):
         ordered = sorted(self._ordered)
         n = len(ordered)
