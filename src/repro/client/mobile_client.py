@@ -69,7 +69,11 @@ from repro.oodb.database import Database
 from repro.oodb.objects import OID
 from repro.oodb.query import Query
 from repro.oodb.server import DatabaseServer
-from repro.oodb.storage import StorageModel
+from repro.oodb.storage import (
+    DISK_BANDWIDTH_BPS,
+    MEMORY_BANDWIDTH_BPS,
+    StorageModel,
+)
 from repro.sim.environment import Environment
 from repro.sim.rand import RandomStream
 from repro.sim.resources import Store
@@ -106,6 +110,8 @@ class MobileClient:
         recovery: RecoveryPolicy | None = None,
         recovery_rng: RandomStream | None = None,
         bus: EventBus | None = None,
+        disk_bandwidth_bps: float = DISK_BANDWIDTH_BPS,
+        memory_bandwidth_bps: float = MEMORY_BANDWIDTH_BPS,
     ) -> None:
         self.client_id = client_id
         self.env = env
@@ -172,7 +178,10 @@ class MobileClient:
         self._pending_probe: "_ProbeResult | None" = None
         #: Timing model: memory buffer in front of the local disk.
         self.local_storage = StorageModel(
-            buffer_objects, name=f"client-{client_id}"
+            buffer_objects,
+            disk_bandwidth_bps=disk_bandwidth_bps,
+            memory_bandwidth_bps=memory_bandwidth_bps,
+            name=f"client-{client_id}",
         )
         self._query_counter = 0
         server.register_client(
@@ -532,19 +541,22 @@ class MobileClient:
         read_time = self.local_storage.access(key[0], attr_size)
         self.cache.touch(key, self.env.now)
         is_error = ErrorOracle.is_stale(
-            entry.version, self.server.current_version(*key)
+            entry.version, self.server.current_version(key[0], key[1])
         )
+        # Built positionally, once per access.  Field order: time,
+        # client_id, key, hit, error, answered, connected,
+        # stale_served, age_seconds.
         self.bus.emit(
             CacheAccess(
-                time=time,
-                client_id=self.client_id,
-                key=key,
-                hit=hit,
-                error=is_error,
-                answered=True,
-                connected=connected,
-                stale_served=not hit,
-                age_seconds=age_seconds,
+                time,
+                self.client_id,
+                key,
+                hit,
+                is_error,
+                True,
+                connected,
+                not hit,
+                age_seconds,
             )
         )
         return read_time
@@ -553,15 +565,12 @@ class MobileClient:
         self, key: CacheKey, time: float, answered: bool, connected: bool
     ) -> None:
         """Record a miss: fetched fresh (``answered``) or left unanswered."""
+        # Positional, like _serve_local's: time, client_id, key, hit,
+        # error, answered, connected (stale_served and age_seconds keep
+        # their defaults).
         self.bus.emit(
             CacheAccess(
-                time=time,
-                client_id=self.client_id,
-                key=key,
-                hit=False,
-                error=False,
-                answered=answered,
-                connected=connected,
+                time, self.client_id, key, False, False, answered, connected
             )
         )
 
@@ -592,11 +601,13 @@ class MobileClient:
 
         caches_objects = self._caches_objects
         attribute_sizes = self.database.schema.attribute_sizes
+        lookup = self.cache.lookup
+        serve_local = self._serve_local
         for access in query.accesses:
             oid = access.oid
             # CachingGranularity.key_for, built inline.
             key = (oid, None if caches_objects else access.attribute)
-            entry = self.cache.lookup(key)
+            entry = lookup(key)
             valid = entry is not None and entry.is_valid(now)
             attr_size = attribute_sizes[oid.class_name, access.attribute]
 
@@ -616,7 +627,7 @@ class MobileClient:
                 )
 
             if valid:
-                result.local_read_time += self._serve_local(
+                result.local_read_time += serve_local(
                     key,
                     entry,
                     attr_size,
@@ -640,7 +651,7 @@ class MobileClient:
                 self._add_needed(result, seen_needed, key)
             elif entry is not None:
                 # Disconnected: use the expired entry anyway.
-                result.local_read_time += self._serve_local(
+                result.local_read_time += serve_local(
                     key,
                     entry,
                     attr_size,
@@ -652,12 +663,10 @@ class MobileClient:
             else:
                 self._record_miss(key, now, answered=False, connected=False)
 
-            update_id = (oid, access.attribute)
-            if (
-                access.is_update
-                and connected
-                and update_id not in seen_updates
-            ):
+            if access.is_update and connected:
+                update_id = (oid, access.attribute)
+                if update_id in seen_updates:
+                    continue
                 seen_updates.add(update_id)
                 self._add_needed(result, seen_needed, key)
                 result.updates.setdefault(oid, []).append(
@@ -707,15 +716,18 @@ class MobileClient:
                         seen_existent.add(key)
                         result.held.append(key)
             return
+        lookup = self.cache.lookup
+        held = result.held
+        schema = self.database.schema
         for oid in result.needed:
-            class_def = self.database.schema.class_def(oid.class_name)
+            class_def = schema.class_def(oid.class_name)
             for attribute in class_def.attribute_names:
                 key = (oid, attribute)
                 if key in seen_existent or key in seen_needed:
                     continue
-                entry = self.cache.lookup(key)
+                entry = lookup(key)
                 if entry is not None and entry.is_valid(now):
-                    result.held.append(key)
+                    held.append(key)
 
     def _add_needed(
         self,
@@ -739,25 +751,27 @@ class MobileClient:
         """Admit returned items; return the local disk write time."""
         now = self.env.now
         write_bytes = 0
-        attribute_sizes = self.database.schema.attribute_sizes
+        schema = self.database.schema
+        attribute_sizes = schema.attribute_sizes
+        overhead = self.attribute_entry_overhead
+        admit = self.cache.admit
+        expiry_deadline = reply.expiry_deadline
         for item in reply.items:
-            if item.attribute is None:
-                size = self.database.schema.class_def(
-                    item.oid.class_name
-                ).object_size_bytes
+            oid = item.oid
+            attribute = item.attribute
+            if attribute is None:
+                size = schema.class_def(oid.class_name).object_size_bytes
             else:
-                size = (
-                    attribute_sizes[item.oid.class_name, item.attribute]
-                    + self.attribute_entry_overhead
-                )
-            expires_at = reply.expiry_deadline(item, now)
-            self.cache.admit(
-                key=item.key,
-                value=item.value,
-                version=item.version,
-                size_bytes=size,
-                now=now,
-                expires_at=expires_at,
+                size = attribute_sizes[oid.class_name, attribute] + overhead
+            # Positional: key, value, version, size_bytes, now,
+            # expires_at.
+            admit(
+                (oid, attribute),
+                item.value,
+                item.version,
+                size,
+                now,
+                expiry_deadline(item, now),
             )
             write_bytes += size
         if not self.granularity.uses_storage_cache:

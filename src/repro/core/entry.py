@@ -14,7 +14,7 @@ from repro.core.granularity import CacheKey
 NEVER_EXPIRES: Seconds = math.inf
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class CacheEntry:
     """A cached value plus coherence bookkeeping.
 

@@ -148,6 +148,21 @@ class LazyScoreHeap:
         """Remove ``key``; its stale heap records evaporate lazily."""
         self._scores.pop(key, None)
 
+    def top(self) -> tuple[t.Any, CacheKey] | None:
+        """Current (score, key) minimum, or ``None`` when empty.
+
+        One settle answers both questions a caller would otherwise ask
+        with ``len`` and then :meth:`peek_min`: every live key has a
+        live heap record, so the heap is empty after settling exactly
+        when no key is left.
+        """
+        self._settle()
+        heap = self._heap
+        if not heap:
+            return None
+        score, __, key = heap[0]
+        return score, key
+
     def peek_min(self) -> tuple[t.Any, CacheKey]:
         """Current (score, key) minimum without removing it."""
         self._settle()

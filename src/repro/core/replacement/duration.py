@@ -289,20 +289,29 @@ class EWMAPolicy(ReplacementPolicy):
         )
 
     def on_admit(self, key: CacheKey, now: float) -> None:
-        self._require_absent(key)
-        self._state[key] = (None, now)
+        state = self._state
+        if key in state:
+            self._require_absent(key)  # raises
+        state[key] = (None, now)
         self._young[key] = now
 
     def on_access(self, key: CacheKey, now: float) -> None:
-        self._require_resident(key)
-        mean, last = self._state[key]
+        state = self._state.get(key)
+        if state is None:
+            self._require_resident(key)  # raises
+        mean, last = state
         duration = now - last
+        # The key leaves only the regime it is in: young while it has
+        # no closed gap (mean ``None``), one of the heaps otherwise.
         if mean is None:
             mean = duration
+            del self._young[key]
         else:
             mean = (1.0 - self.alpha) * duration + self.alpha * mean
+            self._frozen.discard(key)
+            self._knees.discard(key)
+            self._drift.discard(key)
         self._state[key] = (mean, now)
-        self._detach(key)
         self._frozen.set_score(key, -mean)
         self._knees.set_score(key, now + self.drift_tolerance * mean)
 
@@ -313,10 +322,11 @@ class EWMAPolicy(ReplacementPolicy):
 
     def _migrate_overdue(self, now: float) -> None:
         """Move keys whose knee has passed from frozen to drifting."""
-        while len(self._knees):
-            knee, key = self._knees.peek_min()
-            if knee > now:
+        while True:
+            top = self._knees.top()
+            if top is None or top[0] > now:
                 return
+            key = top[1]
             self._knees.discard(key)
             self._frozen.discard(key)
             mean, last = self._state[key]
@@ -335,12 +345,14 @@ class EWMAPolicy(ReplacementPolicy):
             key = next(iter(self._young))
             best_key = key
             best_rank = self.young_penalty * (now - self._young[key])
-        if len(self._frozen):
-            negated, key = self._frozen.peek_min()
+        top = self._frozen.top()
+        if top is not None:
+            negated, key = top
             if -negated > best_rank:
                 best_key, best_rank = key, -negated
-        if len(self._drift):
-            negated, key = self._drift.peek_min()
+        top = self._drift.top()
+        if top is not None:
+            negated, key = top
             rank = (
                 (1.0 - self.alpha) * now / self.drift_tolerance + -negated
             )

@@ -114,6 +114,7 @@ class ClientStorageCache:
                 f"item {key!r} ({size_bytes}B) exceeds cache capacity "
                 f"({self.capacity_bytes}B)"
             )
+        evicted: list[CacheKey] = []
         if self.used_bytes + size_bytes > self.capacity_bytes:
             if not self.policy.should_admit(key, now):
                 self.rejections += 1
@@ -128,34 +129,30 @@ class ClientStorageCache:
                         )
                     )
                 return []
-        evicted: list[CacheKey] = []
-        trace_evicts = self.bus.wants(CacheEvict)
-        while self.used_bytes + size_bytes > self.capacity_bytes:
-            victim = self.policy.evict(now)
-            victim_entry = self._entries.pop(victim)
-            self.used_bytes -= victim_entry.size_bytes
-            self.evictions += 1
-            evicted.append(victim)
-            if trace_evicts:
-                self.bus.emit(
-                    CacheEvict(
-                        time=now,
-                        client_id=self.client_id,
-                        cache=self.name,
-                        key=victim,
-                        size_bytes=victim_entry.size_bytes,
-                        score=self.policy.last_eviction_score,
+            # Asked only when something must go: most admits fit.
+            trace_evicts = self.bus.wants(CacheEvict)
+            while self.used_bytes + size_bytes > self.capacity_bytes:
+                victim = self.policy.evict(now)
+                victim_entry = self._entries.pop(victim)
+                self.used_bytes -= victim_entry.size_bytes
+                self.evictions += 1
+                evicted.append(victim)
+                if trace_evicts:
+                    self.bus.emit(
+                        CacheEvict(
+                            time=now,
+                            client_id=self.client_id,
+                            cache=self.name,
+                            key=victim,
+                            size_bytes=victim_entry.size_bytes,
+                            score=self.policy.last_eviction_score,
+                        )
                     )
-                )
-        entry = CacheEntry(
-            key=key,
-            value=value,
-            version=version,
-            size_bytes=size_bytes,
-            fetched_at=now,
-            expires_at=expires_at,
+        # Positional: key, value, version, size_bytes, fetched_at,
+        # expires_at.
+        self._entries[key] = CacheEntry(
+            key, value, version, size_bytes, now, expires_at
         )
-        self._entries[key] = entry
         self.used_bytes += size_bytes
         self.policy.on_admit(key, now)
         self.admissions += 1

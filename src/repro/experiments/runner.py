@@ -196,9 +196,9 @@ class Simulation:
             coherence_mode=config.coherence,
             ir_interval=config.ir_interval_seconds,
             ir_object_keys=granularity.caches_objects,
+            disk_bandwidth_bps=config.disk_bps,
+            memory_bandwidth_bps=config.memory_bps,
         )
-        self.server.storage.disk.bandwidth_bps = config.disk_bps
-        self.server.storage.memory.bandwidth_bps = config.memory_bps
 
         kind = (
             QueryKind.ASSOCIATIVE
@@ -245,9 +245,9 @@ class Simulation:
                     client_rng.fork("recovery") if recovery else None
                 ),
                 bus=self.bus,
+                disk_bandwidth_bps=config.disk_bps,
+                memory_bandwidth_bps=config.memory_bps,
             )
-            client.local_storage.disk.bandwidth_bps = config.disk_bps
-            client.local_storage.memory.bandwidth_bps = config.memory_bps
             self.clients.append(client)
 
     # ------------------------------------------------------------------

@@ -165,17 +165,18 @@ class MetricsSink:
 
     # -- handlers -------------------------------------------------------
     def on_access(self, event: CacheAccess) -> None:
-        metrics = self.client(event.client_id)
+        # Runs once per attribute access: one probe for the client's
+        # metrics, and a positional call.
+        metrics = self._clients.get(event.client_id)
+        if metrics is None:
+            metrics = self.client(event.client_id)
+        answered = event.answered
         metrics.record_access(
-            event.time,
-            event.hit,
-            event.error,
-            answered=event.answered,
-            connected=event.connected,
+            event.time, event.hit, event.error, answered, event.connected
         )
         if event.stale_served:
             metrics.stale_served_accesses += 1
-        if not event.answered:
+        if not answered:
             metrics.unanswered_accesses += 1
 
     def on_query_complete(self, event: QueryComplete) -> None:

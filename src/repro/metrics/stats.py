@@ -270,8 +270,16 @@ class BucketedSeries:
         if now < 0:
             raise ValueError(f"negative sample time: {now!r}")
         bucket = int(now // self.bucket_seconds)
-        self._counts[bucket] = self._counts.get(bucket, 0) + 1
-        self._sums[bucket] = self._sums.get(bucket, 0.0) + value
+        counts = self._counts
+        if bucket in counts:
+            counts[bucket] += 1
+            self._sums[bucket] += value
+        else:
+            # ``0.0 + value``, as a ``get(bucket, 0.0)`` default would
+            # add, so a bucket's sum is a float bit for bit even when
+            # the first sample is a bool or an int.
+            counts[bucket] = 1
+            self._sums[bucket] = 0.0 + value
 
     # -- whole run -----------------------------------------------------
     @property

@@ -1,7 +1,7 @@
 """The typed event taxonomy of the instrumentation spine.
 
-Every observable moment in a simulation is one frozen dataclass emitted
-on the run's :class:`~repro.obs.bus.EventBus`.  Domain code constructs
+Every observable moment in a simulation is one frozen, slotted dataclass
+emitted on the run's :class:`~repro.obs.bus.EventBus`.  Domain code constructs
 an event and emits it; it never touches a metrics object.  Sinks — the
 metric collectors, the JSONL trace writer, the staleness timeline —
 subscribe to the types they care about.
@@ -48,7 +48,7 @@ KIND_BURST_ENTER = "burst-enter"
 KIND_BURST_EXIT = "burst-exit"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SimEvent:
     """Base of every bus event: the simulated instant it happened."""
 
@@ -58,7 +58,7 @@ class SimEvent:
 # ----------------------------------------------------------------------
 # Client cache dynamics
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheAccess(SimEvent):
     """One attribute access resolved by the client (always-on).
 
@@ -81,7 +81,7 @@ class CacheAccess(SimEvent):
     age_seconds: "float | None" = None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheAdmit(SimEvent):
     """A new entry entered a storage cache (guarded).
 
@@ -103,7 +103,7 @@ class CacheAdmit(SimEvent):
     capacity_bytes: int = 0
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheRefresh(SimEvent):
     """A resident entry was overwritten with a freshly fetched value
     and a new refresh deadline (guarded).
@@ -120,7 +120,7 @@ class CacheRefresh(SimEvent):
     expires_at: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheInvalidate(SimEvent):
     """An entry was dropped without a replacement decision (guarded).
 
@@ -135,7 +135,7 @@ class CacheInvalidate(SimEvent):
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheEvict(SimEvent):
     """A replacement policy chose and removed a victim (guarded).
 
@@ -151,7 +151,7 @@ class CacheEvict(SimEvent):
     score: "float | None" = None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class CacheReject(SimEvent):
     """An admission-aware policy denied a new entry (guarded).
 
@@ -168,7 +168,7 @@ class CacheReject(SimEvent):
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RefreshExpired(SimEvent):
     """A lookup found a cached entry past its refresh deadline (guarded)."""
 
@@ -181,7 +181,7 @@ class RefreshExpired(SimEvent):
 # ----------------------------------------------------------------------
 # Client query / remote-round lifecycle
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RemoteRound(SimEvent):
     """One attempt of a remote round began (always-on).
 
@@ -194,7 +194,7 @@ class RemoteRound(SimEvent):
     attempt: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RequestSent(SimEvent):
     """A request message entered the uplink (always-on)."""
 
@@ -204,7 +204,7 @@ class RequestSent(SimEvent):
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReplyTimeout(SimEvent):
     """A reply wait expired (always-on)."""
 
@@ -213,7 +213,7 @@ class ReplyTimeout(SimEvent):
     attempt: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LateReply(SimEvent):
     """A reply for an abandoned earlier attempt arrived and was
     discarded (always-on)."""
@@ -223,7 +223,7 @@ class LateReply(SimEvent):
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReplyReceived(SimEvent):
     """A reply (or prefetch trailer) was consumed by the client
     (always-on)."""
@@ -234,7 +234,7 @@ class ReplyReceived(SimEvent):
     is_trailer: bool = False
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class QueryComplete(SimEvent):
     """A query's results were delivered to the user (always-on)."""
 
@@ -244,7 +244,7 @@ class QueryComplete(SimEvent):
     connected: bool
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class QueryDegraded(SimEvent):
     """A query fell back to cache-only answers after the retry budget
     ran out (always-on when it happens)."""
@@ -257,7 +257,7 @@ class QueryDegraded(SimEvent):
 # ----------------------------------------------------------------------
 # Network and server
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class TransmitOutcome(SimEvent):
     """One transmission left a wireless channel (always-on).
 
@@ -273,7 +273,7 @@ class TransmitOutcome(SimEvent):
     airtime_seconds: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class FaultEvent(SimEvent):
     """One injected channel fault (always-on while faults are active).
 
@@ -286,7 +286,7 @@ class FaultEvent(SimEvent):
     size_bytes: float
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class RequestServed(SimEvent):
     """The server finished processing one request (guarded)."""
 
@@ -301,7 +301,7 @@ class RequestServed(SimEvent):
 # ----------------------------------------------------------------------
 # Simulation kernel
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ResourceWait(SimEvent):
     """A facility claim was released: queueing and holding times
     (guarded)."""

@@ -48,14 +48,15 @@ class BufferPool:
         if self.capacity == 0:
             self.misses += 1
             return False
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
             self.hits += 1
             return True
         self.misses += 1
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = None
+        if len(entries) >= self.capacity:
+            entries.popitem(last=False)
+        entries[key] = None
         return False
 
     def evict(self, key: Key) -> bool:

@@ -28,12 +28,16 @@ class QueryKind(enum.Enum):
     NAVIGATIONAL = "NQ"
 
 
-@dataclasses.dataclass(frozen=True)
-class AttributeAccess:
+class AttributeAccess(t.NamedTuple):
     """One (object, attribute) touch within a query.
 
     ``is_update`` marks accesses belonging to an updated object: the query
     reads the attribute and then writes it back at the server.
+
+    A query builds dozens of these, so the access is a tuple like
+    :class:`~repro.oodb.objects.OID`: it is immutable, and its equality
+    and hash (the tuple hash of its three fields, which is what the
+    frozen dataclass it replaces computed) run in C.
     """
 
     oid: OID

@@ -31,7 +31,11 @@ from repro.net.network import Network
 from repro.obs.events import RequestServed
 from repro.oodb.database import Database
 from repro.oodb.objects import DBObject, OID
-from repro.oodb.storage import StorageModel
+from repro.oodb.storage import (
+    DISK_BANDWIDTH_BPS,
+    MEMORY_BANDWIDTH_BPS,
+    StorageModel,
+)
 from repro.sim.environment import Environment
 from repro.sim.resources import Store
 
@@ -39,6 +43,9 @@ from repro.sim.resources import Store
 DEFAULT_SERVER_BUFFER_OBJECTS = 500
 
 DeliverFn = t.Callable[[ReplyMessage], None]
+
+#: What a client holds of an object it sent no held keys for.
+_NO_ATTRIBUTES: frozenset[str] = frozenset()
 
 
 class DatabaseServer:
@@ -58,6 +65,8 @@ class DatabaseServer:
         coherence_mode: str = REFRESH_TIME,
         ir_interval: float = DEFAULT_IR_INTERVAL,
         ir_object_keys: bool = False,
+        disk_bandwidth_bps: float = DISK_BANDWIDTH_BPS,
+        memory_bandwidth_bps: float = MEMORY_BANDWIDTH_BPS,
         name: str = "server-0",
     ) -> None:
         if objects_per_page < 1:
@@ -69,7 +78,12 @@ class DatabaseServer:
         self.network = network
         self.name = name
         self.inbox: Store = Store(env, name=f"{name}-inbox")
-        self.storage = StorageModel(buffer_capacity, name=name)
+        self.storage = StorageModel(
+            buffer_capacity,
+            disk_bandwidth_bps=disk_bandwidth_bps,
+            memory_bandwidth_bps=memory_bandwidth_bps,
+            name=name,
+        )
         #: Attribute-level write statistics (AC/HC refresh times).
         self.attribute_estimator = RefreshTimeEstimator(beta)
         #: Object-level write statistics (OC/NC refresh times).
@@ -229,31 +243,46 @@ class DatabaseServer:
 
         items: list[ReplyItem] = []
         prefetched: list[ReplyItem] = []
-        client_has = _attrs_by_oid(request.existent, request.held)
-        held_objects = _object_keys(request.existent, request.held)
+        granularity = request.granularity
+        # What the client already has matters to HC's prefetcher and to
+        # PC's page-mates only, so each table is built for its own
+        # granularity.
+        client_has: dict[OID, set[str]] = {}
+        held_objects: set[OID] = set()
+        if granularity is CachingGranularity.HYBRID:
+            client_has = _attrs_by_oid(request.existent, request.held)
+        elif granularity is CachingGranularity.PAGE:
+            held_objects = _object_keys(request.existent, request.held)
         sent_objects: set[OID] = set()
+        database_get = self.database.get
+        storage_access = self.storage.access
+        attribute_item = self._attribute_item
         for oid, attributes in request.needed.items():
-            obj = self.database.get(oid)
-            service_time += self.storage.access(oid, obj.size_bytes)
-            if request.granularity is CachingGranularity.PAGE:
+            obj = database_get(oid)
+            service_time += storage_access(oid, obj.size_bytes)
+            if granularity is CachingGranularity.PAGE:
                 service_time += self._serve_page(
                     oid, held_objects, sent_objects, items
                 )
-            elif request.granularity.caches_objects:
+            elif granularity.caches_objects:
                 items.append(self._whole_object_item(obj))
             else:
                 for attribute in attributes:
-                    items.append(self._attribute_item(obj, attribute))
-                if request.granularity is CachingGranularity.HYBRID:
-                    prefetched.extend(
-                        self._prefetch_items(
-                            request.client_id,
-                            obj,
-                            set(attributes),
-                            client_has.get(oid, set()),
-                        )
+                    items.append(attribute_item(obj, attribute))
+                if granularity is CachingGranularity.HYBRID:
+                    # HC extras: hot attributes the client neither
+                    # asked for nor holds, in name order.
+                    hot = self.prefetch_tracker.prefetch_set(
+                        request.client_id, obj.class_def
                     )
+                    for attribute in sorted(
+                        hot.difference(
+                            attributes, client_has.get(oid, _NO_ATTRIBUTES)
+                        )
+                    ):
+                        prefetched.append(attribute_item(obj, attribute))
         self.items_returned += len(items)
+        self.items_prefetched += len(prefetched)
         reply_items = tuple(items)
         trailer = None
         if prefetched and self.split_delivery:
@@ -381,20 +410,6 @@ class DatabaseServer:
         )
         return item
 
-    def _prefetch_items(
-        self,
-        client_id: int,
-        obj: DBObject,
-        requested: set[str],
-        client_has: set[str],
-    ) -> list[ReplyItem]:
-        """HC extras: hot attributes the client neither asked for nor holds."""
-        hot = self.prefetch_tracker.prefetch_set(client_id, obj.class_def)
-        extras = sorted(hot - requested - client_has)
-        items = [self._attribute_item(obj, attribute) for attribute in extras]
-        self.items_prefetched += len(items)
-        return items
-
     def _refresh_time(
         self, estimator: RefreshTimeEstimator, item: t.Hashable
     ) -> float:
@@ -434,7 +449,7 @@ class DatabaseServer:
         obj = self.database.get(oid)
         if attribute is None:
             return obj.object_version
-        return obj.version_of(attribute)
+        return obj.attribute_state(attribute).version
 
 
 def _attrs_by_oid(*key_lists: tuple) -> dict[OID, set[str]]:
@@ -443,7 +458,11 @@ def _attrs_by_oid(*key_lists: tuple) -> dict[OID, set[str]]:
     for keys in key_lists:
         for oid, attribute in keys:
             if attribute is not None:
-                out.setdefault(oid, set()).add(attribute)
+                attributes = out.get(oid)
+                if attributes is None:
+                    out[oid] = {attribute}
+                else:
+                    attributes.add(attribute)
     return out
 
 

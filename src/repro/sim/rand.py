@@ -9,6 +9,7 @@ variance-reduction discipline for simulation comparisons.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import random
 import typing as t
@@ -134,21 +135,19 @@ class RandomStream:
     def weighted_index(self, cumulative_weights: t.Sequence[float]) -> int:
         """Pick an index given *cumulative* weights summing to the last entry.
 
-        Runs a binary search, so repeated draws from a fixed distribution
-        (the attribute-popularity skew, the hot/cold split) stay cheap.
+        One ``random()`` draw scaled by the total, then a binary search
+        in C for the first index whose cumulative weight exceeds it, so
+        repeated draws from a fixed distribution (the attribute-popularity
+        skew, a zipf ranking) stay cheap.  When no weight exceeds the
+        target (every weight zero) the clamp returns the last index.
         """
         if not cumulative_weights:
             raise ValueError("empty weight vector")
-        total = cumulative_weights[-1]
-        target = self._rng.random() * total
-        low, high = 0, len(cumulative_weights) - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cumulative_weights[mid] <= target:
-                low = mid + 1
-            else:
-                high = mid
-        return low
+        target = self._rng.random() * cumulative_weights[-1]
+        return min(
+            bisect.bisect_right(cumulative_weights, target),
+            len(cumulative_weights) - 1,
+        )
 
     def normal(self, mean: float, std: float) -> float:
         """Gaussian variate."""

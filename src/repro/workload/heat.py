@@ -66,9 +66,17 @@ def _draw_hot_cold(
     count: int,
 ) -> list[OID]:
     """Pick ``count`` distinct OIDs, each from ``hot`` with probability
-    ``hot_access_probability`` and from ``cold`` otherwise."""
+    ``hot_access_probability`` and from ``cold`` otherwise.
+
+    The probability was validated once, by ``_check_skew``, so each
+    coin is a bare ``random() < p``.  ``choice(bucket)`` makes the one
+    ``_randbelow(len(bucket))`` call that ``bucket[randint(0, n - 1)]``
+    makes.
+    """
     chosen: set[OID] = set()
     picks: list[OID] = []
+    random = rng.random
+    choice = rng.choice
     attempts = 0
     while len(picks) < count:
         attempts += 1
@@ -79,11 +87,11 @@ def _draw_hot_cold(
             remaining = [o for o in population if o not in chosen]
             picks.extend(remaining[: count - len(picks)])
             break
-        if rng.bernoulli(hot_access_probability):
+        if random() < hot_access_probability:
             bucket = hot
         else:
             bucket = cold
-        candidate = bucket[rng.randint(0, len(bucket) - 1)]
+        candidate = choice(bucket)
         if candidate not in chosen:
             chosen.add(candidate)
             picks.append(candidate)
@@ -296,6 +304,9 @@ class ZipfHeat(HeatDistribution):
             )
         chosen: set[OID] = set()
         picks: list[OID] = []
+        ranked = self._ranked
+        cumulative = self._cumulative
+        weighted_index = self._rng.weighted_index
         attempts = 0
         while len(picks) < count:
             attempts += 1
@@ -303,12 +314,10 @@ class ZipfHeat(HeatDistribution):
                 # Same deterministic fallback as _draw_hot_cold: extreme
                 # skew could reject forever on the handful of unchosen
                 # head objects.
-                remaining = [o for o in self._ranked if o not in chosen]
+                remaining = [o for o in ranked if o not in chosen]
                 picks.extend(remaining[: count - len(picks)])
                 break
-            candidate = self._ranked[
-                self._rng.weighted_index(self._cumulative)
-            ]
+            candidate = ranked[weighted_index(cumulative)]
             if candidate not in chosen:
                 chosen.add(candidate)
                 picks.append(candidate)

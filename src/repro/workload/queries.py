@@ -10,8 +10,6 @@ probability U, modifying all of its touched attributes).
 
 from __future__ import annotations
 
-import typing as t
-
 from repro.errors import ConfigurationError
 from repro.oodb.database import Database
 from repro.oodb.objects import OID
@@ -99,23 +97,27 @@ class QueryWorkload:
     # ------------------------------------------------------------------
     def _pick_primitives(self, count: int) -> list[str]:
         """Sample ``count`` distinct primitive attributes by popularity."""
+        ranked = self._ranked_primitives
+        cumweights = self._primitive_cumweights
+        weighted_index = self._rng.weighted_index
+        limit = 50 * count
         picks: list[str] = []
         chosen: set[int] = set()
         attempts = 0
         while len(picks) < count:
             attempts += 1
-            if attempts > 50 * count:
-                for rank in range(len(self._ranked_primitives)):
+            if attempts > limit:
+                for rank in range(len(ranked)):
                     if rank not in chosen:
                         chosen.add(rank)
-                        picks.append(self._ranked_primitives[rank])
+                        picks.append(ranked[rank])
                         if len(picks) == count:
                             break
                 break
-            rank = self._rng.weighted_index(self._primitive_cumweights)
+            rank = weighted_index(cumweights)
             if rank not in chosen:
                 chosen.add(rank)
-                picks.append(self._ranked_primitives[rank])
+                picks.append(ranked[rank])
         return picks
 
     def _pick_relationship(self) -> str:
@@ -124,27 +126,34 @@ class QueryWorkload:
 
     # ------------------------------------------------------------------
     def next_query(self, query_id: int) -> Query:
-        """Generate the client's next query."""
+        """Generate the client's next query.
+
+        Per selected object the draws come in a fixed order: its
+        primitive picks, then (NQ) the relationship pick and the
+        target's primitive picks, then the update coin flips for the
+        objects just touched.
+        """
         index = self._queries_generated
         self._queries_generated += 1
         selected = self.heat.select_objects(index, self.selectivity)
 
+        pick_primitives = self._pick_primitives
+        apply_updates = self._apply_updates
+        count = self.attrs_per_object
+        navigational = (
+            self.kind is QueryKind.NAVIGATIONAL and bool(self._relationships)
+        )
         accesses: list[AttributeAccess] = []
         for oid in selected:
-            touched: list[tuple[OID, str]] = [
-                (oid, name) for name in self._pick_primitives(
-                    self.attrs_per_object
-                )
-            ]
-            if self.kind is QueryKind.NAVIGATIONAL and self._relationships:
+            touched = [(oid, name) for name in pick_primitives(count)]
+            if navigational:
                 relationship = self._pick_relationship()
                 touched.append((oid, relationship))
                 target = self.database.get(oid).related_oid(relationship)
                 touched.extend(
-                    (target, name)
-                    for name in self._pick_primitives(self.attrs_per_object)
+                    (target, name) for name in pick_primitives(count)
                 )
-            accesses.extend(self._apply_updates(touched))
+            accesses += apply_updates(touched)
         return Query(
             query_id=query_id,
             client_id=self.client_id,
@@ -154,19 +163,24 @@ class QueryWorkload:
 
     def _apply_updates(
         self, touched: list[tuple[OID, str]]
-    ) -> t.Iterator[AttributeAccess]:
-        """Mark whole objects for update with probability U each."""
+    ) -> list[AttributeAccess]:
+        """Mark whole objects for update with probability U each.
+
+        One coin per distinct object, in first-touch order; none at all
+        when U is zero.  U was range-checked at construction, so each
+        coin is a bare ``random() < U``.
+        """
+        probability = self.update_probability
+        if probability <= 0.0:
+            return [AttributeAccess(oid, name) for oid, name in touched]
+        random = self._rng.random
         updated: dict[OID, bool] = {}
         for oid, __ in touched:
             if oid not in updated:
-                updated[oid] = (
-                    self.update_probability > 0.0
-                    and self._rng.bernoulli(self.update_probability)
-                )
-        for oid, attribute in touched:
-            yield AttributeAccess(
-                oid=oid, attribute=attribute, is_update=updated[oid]
-            )
+                updated[oid] = random() < probability
+        return [
+            AttributeAccess(oid, name, updated[oid]) for oid, name in touched
+        ]
 
     def new_value_for(self, oid: OID, attribute: str) -> int:
         """Generate the value an update writes.

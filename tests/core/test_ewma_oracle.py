@@ -1,0 +1,258 @@
+"""EWMA's single-probe fast path against a copy of the code it replaced.
+
+``EWMAPolicy`` reads a key's state with one probe and detaches an
+accessed key only from the regime it is in, and its eviction asks each
+``LazyScoreHeap`` for ``top()`` once instead of ``len`` and then
+``peek_min``.  ``ReferenceEWMA`` below is the policy before that change:
+it checks residency separately, detaches from every regime on each
+access and settles each heap twice.  Hypothesis drives both through the
+same random sequence of admits, accesses, evictions and removals at
+non-decreasing times; after every step they must agree on the victim,
+``last_eviction_score``, and every resident key's ``estimate``,
+``mean_duration`` and regime.
+"""
+
+from collections import OrderedDict
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.replacement.base import LazyScoreHeap, ReplacementPolicy
+from repro.core.replacement.duration import EWMAPolicy
+from repro.errors import ReplacementError
+
+
+class ReferenceEWMA(ReplacementPolicy):
+    """``EWMAPolicy`` as it was before the single-probe rewrite."""
+
+    DRIFT_TOLERANCE = 2.0
+
+    def __init__(self, alpha=0.5, drift_tolerance=None, young_penalty=3.0):
+        self.young_penalty = float(young_penalty)
+        self.drift_tolerance = (
+            self.DRIFT_TOLERANCE
+            if drift_tolerance is None
+            else float(drift_tolerance)
+        )
+        self.alpha = float(alpha)
+        self._state = {}
+        self._young = OrderedDict()
+        self._frozen = LazyScoreHeap()
+        self._knees = LazyScoreHeap()
+        self._drift = LazyScoreHeap()
+
+    def __contains__(self, key):
+        return key in self._state
+
+    def __len__(self):
+        return len(self._state)
+
+    def _rank(self, key, now):
+        mean, last = self._state[key]
+        elapsed = now - last
+        if mean is None:
+            return self.young_penalty * elapsed
+        overdue = max(elapsed / self.drift_tolerance, mean)
+        return self.alpha * mean + (1.0 - self.alpha) * overdue
+
+    def _detach(self, key):
+        if self._young.pop(key, None) is None:
+            self._frozen.discard(key)
+            self._knees.discard(key)
+            self._drift.discard(key)
+
+    def _drift_rank_static(self, mean, last):
+        return (
+            self.alpha * mean
+            - (1.0 - self.alpha) * last / self.drift_tolerance
+        )
+
+    def on_admit(self, key, now):
+        self._require_absent(key)
+        self._state[key] = (None, now)
+        self._young[key] = now
+
+    def on_access(self, key, now):
+        self._require_resident(key)
+        mean, last = self._state[key]
+        duration = now - last
+        if mean is None:
+            mean = duration
+        else:
+            mean = (1.0 - self.alpha) * duration + self.alpha * mean
+        self._state[key] = (mean, now)
+        self._detach(key)
+        self._frozen.set_score(key, -mean)
+        self._knees.set_score(key, now + self.drift_tolerance * mean)
+
+    def remove(self, key):
+        self._require_resident(key)
+        self._detach(key)
+        del self._state[key]
+
+    def _migrate_overdue(self, now):
+        while len(self._knees):
+            knee, key = self._knees.peek_min()
+            if knee > now:
+                return
+            self._knees.discard(key)
+            self._frozen.discard(key)
+            mean, last = self._state[key]
+            self._drift.set_score(
+                key, -self._drift_rank_static(mean, last)
+            )
+
+    def evict(self, now):
+        self._require_nonempty()
+        self._migrate_overdue(now)
+        best_key = None
+        best_rank = -1.0
+        if self._young:
+            key = next(iter(self._young))
+            best_key = key
+            best_rank = self.young_penalty * (now - self._young[key])
+        if len(self._frozen):
+            negated, key = self._frozen.peek_min()
+            if -negated > best_rank:
+                best_key, best_rank = key, -negated
+        if len(self._drift):
+            negated, key = self._drift.peek_min()
+            rank = (
+                (1.0 - self.alpha) * now / self.drift_tolerance + -negated
+            )
+            if rank > best_rank:
+                best_key, best_rank = key, rank
+        self._detach(best_key)
+        del self._state[best_key]
+        self.last_eviction_score = best_rank
+        return best_key
+
+    def mean_duration(self, key):
+        self._require_resident(key)
+        mean, __ = self._state[key]
+        return mean if mean is not None else 0.0
+
+    def estimate(self, key, now):
+        self._require_resident(key)
+        return self._rank(key, now)
+
+
+#: (operation, key choice, time step).  Small integer steps make ties
+#: between ranks, knees and the clock common.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(["admit", "access", "access", "evict", "remove"]),
+        st.integers(0, 15),
+        st.one_of(st.integers(0, 5), st.floats(0.0, 50.0)),
+    ),
+    min_size=40,
+    max_size=150,
+)
+
+
+def regimes(policy, key):
+    return (
+        key in policy._young,
+        key in policy._frozen,
+        key in policy._knees,
+        key in policy._drift,
+    )
+
+
+def check_agree(fast, slow, now):
+    assert len(fast) == len(slow)
+    assert set(fast._state) == set(slow._state)
+    for key in slow._state:
+        assert fast.estimate(key, now) == slow.estimate(key, now)
+        assert fast.mean_duration(key) == slow.mean_duration(key)
+        # A key left behind in a regime it moved out of would rank
+        # twice at a later eviction.
+        assert regimes(fast, key) == regimes(slow, key)
+
+
+def evict_both(fast, slow, now):
+    assert fast.evict(now) == slow.evict(now)
+    assert fast.last_eviction_score == slow.last_eviction_score
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    program=steps,
+    capacity=st.integers(2, 8),
+    alpha=st.sampled_from([0.25, 0.5, 0.9]),
+    tolerance=st.sampled_from([1.0, 2.0, 3.5]),
+)
+def test_ewma_matches_the_reference(program, capacity, alpha, tolerance):
+    """Drive both like a cache of ``capacity`` keys: an admit evicts
+    first when full, so evictions, and with them the drifting regime,
+    interleave with accesses."""
+    fast = EWMAPolicy(alpha=alpha, drift_tolerance=tolerance)
+    slow = ReferenceEWMA(alpha=alpha, drift_tolerance=tolerance)
+    now = 0.0
+    for operation, pick, step in program:
+        now += step
+        resident = sorted(slow._state)
+        if operation == "admit":
+            key = ("k", pick)
+            if key in slow:
+                continue
+            while len(slow) >= capacity:
+                evict_both(fast, slow, now)
+            fast.on_admit(key, now)
+            slow.on_admit(key, now)
+        elif not resident:
+            continue
+        elif operation == "access":
+            key = resident[pick % len(resident)]
+            fast.on_access(key, now)
+            slow.on_access(key, now)
+        elif operation == "remove":
+            key = resident[pick % len(resident)]
+            fast.remove(key)
+            slow.remove(key)
+        else:
+            evict_both(fast, slow, now)
+        check_agree(fast, slow, now)
+    while len(slow):
+        now += 1.0
+        evict_both(fast, slow, now)
+        check_agree(fast, slow, now)
+
+
+def test_failure_branches_still_raise():
+    policy = EWMAPolicy()
+    with pytest.raises(ReplacementError, match="not resident"):
+        policy.on_access("ghost", 1.0)
+    policy.on_admit("k", 0.0)
+    with pytest.raises(ReplacementError, match="already resident"):
+        policy.on_admit("k", 1.0)
+
+
+heap_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "set", "discard", "pop"]),
+        st.integers(0, 9),
+        st.integers(-3, 3),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=heap_steps)
+def test_heap_top_matches_peek_min(program):
+    heap = LazyScoreHeap()
+    for operation, key, score in program:
+        if operation == "set":
+            heap.set_score(key, score)
+        elif operation == "discard":
+            heap.discard(key)
+        elif len(heap):
+            heap.pop_min()
+        top = heap.top()
+        if len(heap) == 0:
+            assert top is None
+            with pytest.raises(ReplacementError):
+                heap.peek_min()
+        else:
+            assert top == heap.peek_min()

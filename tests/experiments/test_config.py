@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from repro._units import HOUR
+from repro._units import HOUR, MBPS
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import Simulation
 
 
 class TestValidation:
@@ -131,3 +132,30 @@ class TestExtensionKnobs:
         config = SimulationConfig(trailer_drop_queue_threshold=3)
         assert config.trailer_drop_queue_threshold == 3
         assert SimulationConfig().trailer_drop_queue_threshold is None
+
+
+class TestStorageRates:
+    def test_built_media_carry_the_configured_rates(self):
+        config = SimulationConfig(
+            num_clients=2, disk_bps=12e6, memory_bps=34e6
+        )
+        simulation = Simulation(config)
+        storages = [simulation.server.storage] + [
+            client.local_storage for client in simulation.clients
+        ]
+        for storage in storages:
+            assert storage.disk.bandwidth_bps == 12e6
+            assert storage.memory.bandwidth_bps == 34e6
+            with pytest.raises(AttributeError):
+                storage.disk.bandwidth_bps = 1.0
+            with pytest.raises(AttributeError):
+                storage.memory.bandwidth_bps = 1.0
+
+    def test_defaults_are_the_paper_rates(self):
+        simulation = Simulation(SimulationConfig(num_clients=1))
+        for storage in (
+            simulation.server.storage,
+            simulation.clients[0].local_storage,
+        ):
+            assert storage.disk.bandwidth_bps == 40 * MBPS
+            assert storage.memory.bandwidth_bps == 100 * MBPS

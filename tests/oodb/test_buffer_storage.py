@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro._units import transmission_time
 from repro.errors import CacheError
 from repro.oodb.buffer import BufferPool
 from repro.oodb.storage import (
@@ -92,8 +93,43 @@ class TestMedium:
         medium = Medium(DISK_BANDWIDTH_BPS)
         assert medium.access_time(1024) == pytest.approx(8192 / 40e6)
 
+    def test_bandwidth_is_read_only(self):
+        # The memoized times are exact only while the rate is fixed.
+        medium = Medium(DISK_BANDWIDTH_BPS)
+        with pytest.raises(AttributeError):
+            medium.bandwidth_bps = 1.0
+        assert medium.bandwidth_bps == DISK_BANDWIDTH_BPS
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        bandwidth=st.floats(1.0, 1e12),
+        sizes=st.lists(
+            st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6)),
+            max_size=30,
+        ),
+    )
+    def test_memoized_time_matches_the_formula(self, bandwidth, sizes):
+        medium = Medium(bandwidth)
+        for size in sizes + sizes:
+            assert medium.access_time(size) == transmission_time(
+                size, bandwidth
+            )
+
+    def test_negative_size_still_rejected(self):
+        medium = Medium(DISK_BANDWIDTH_BPS)
+        for __ in range(2):
+            with pytest.raises(ValueError):
+                medium.access_time(-1)
+
 
 class TestStorageModel:
+    def test_media_take_their_bandwidth_at_construction(self):
+        model = StorageModel(
+            2, disk_bandwidth_bps=1e6, memory_bandwidth_bps=5e6
+        )
+        assert model.disk.bandwidth_bps == 1e6
+        assert model.memory.bandwidth_bps == 5e6
+
     def test_miss_costs_disk_plus_memory(self):
         model = StorageModel(buffer_capacity=2)
         miss_time = model.access("x", 1024)
