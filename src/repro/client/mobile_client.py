@@ -717,9 +717,13 @@ class MobileClient:
                         result.held.append(key)
             return
         lookup = self.cache.lookup
+        resident_count = self.cache.resident_count
         held = result.held
         schema = self.database.schema
         for oid in result.needed:
+            if not resident_count(oid):
+                # Nothing of this object is cached: no probe can hit.
+                continue
             class_def = schema.class_def(oid.class_name)
             for attribute in class_def.attribute_names:
                 key = (oid, attribute)

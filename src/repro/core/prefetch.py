@@ -27,6 +27,7 @@ every attribute access a client performs.
 from __future__ import annotations
 
 import math
+import typing as t
 
 from repro.oodb.schema import ClassDef
 
@@ -42,19 +43,34 @@ class AttributeAccessTracker:
         #: Floor the threshold at the uniform share 1/n (see module docs).
         self.floor_at_uniform = floor_at_uniform
         self._counts: dict[tuple[int, str], dict[str, int]] = {}
-        #: Bumped per recorded access; keys the prefetch-set memo below.
+        #: Bumped per :meth:`record_access` call; keys the prefetch-set
+        #: memo below.
         self._versions: dict[tuple[int, str], int] = {}
         self._prefetch_cache: dict[
             tuple[int, str], tuple[int, frozenset[str]]
         ] = {}
 
     def record_access(
-        self, client_id: int, class_name: str, attribute: str
+        self,
+        client_id: int,
+        class_name: str,
+        attributes: t.Sequence[str],
     ) -> None:
-        """Count one access by ``client_id`` to ``class_name.attribute``."""
+        """Count one access by ``client_id`` to each of ``attributes``
+        of one ``class_name`` object.
+
+        One call per object, as the server sees it in a request: a
+        name listed twice counts twice.  A bare ``str`` is refused,
+        because iterating it would count its characters.
+        """
+        if isinstance(attributes, str):
+            raise TypeError(
+                f"attributes must be a sequence of names, got {attributes!r}"
+            )
         key = (client_id, class_name)
         counts = self._counts.setdefault(key, {})
-        counts[attribute] = counts.get(attribute, 0) + 1
+        for attribute in attributes:
+            counts[attribute] = counts.get(attribute, 0) + 1
         self._versions[key] = self._versions.get(key, 0) + 1
 
     def access_probabilities(

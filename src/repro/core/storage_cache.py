@@ -4,6 +4,11 @@ This is the cache the paper's replacement policies manage.  Capacity is
 in *bytes* so attribute-grained and object-grained schemes share one
 implementation: 400 objects of 1024 bytes hold 400 cached objects under
 OC, or several thousand attribute values under AC/HC.
+
+Beside the entries the cache counts its resident keys per object (the
+paper's §3.1.1 cache table keeps one surrogate per remote object), so a
+caller can skip an object with nothing resident without probing each of
+its attributes.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from repro.obs.events import (
     CacheRefresh,
     CacheReject,
 )
+from repro.oodb.objects import OID
 
 
 class ClientStorageCache:
@@ -45,6 +51,9 @@ class ClientStorageCache:
         self.bus = bus if bus is not None else EventBus()
         self.client_id = client_id
         self._entries: dict[CacheKey, CacheEntry] = {}
+        #: OID -> number of its keys in ``_entries``; objects with none
+        #: have no row.
+        self._resident: dict[OID, int] = {}
         self.used_bytes = 0
         self.admissions = 0
         self.evictions = 0
@@ -62,6 +71,10 @@ class ClientStorageCache:
 
     def __contains__(self, key: CacheKey) -> bool:
         return key in self._entries
+
+    def resident_count(self, oid: OID) -> int:
+        """How many keys of object ``oid`` are resident, valid or not."""
+        return self._resident.get(oid, 0)
 
     def lookup(self, key: CacheKey) -> CacheEntry | None:
         """Return the entry for ``key`` without touching policy state."""
@@ -134,6 +147,7 @@ class ClientStorageCache:
             while self.used_bytes + size_bytes > self.capacity_bytes:
                 victim = self.policy.evict(now)
                 victim_entry = self._entries.pop(victim)
+                self._drop_resident(victim[0])
                 self.used_bytes -= victim_entry.size_bytes
                 self.evictions += 1
                 evicted.append(victim)
@@ -153,6 +167,8 @@ class ClientStorageCache:
         self._entries[key] = CacheEntry(
             key, value, version, size_bytes, now, expires_at
         )
+        oid = key[0]
+        self._resident[oid] = self._resident.get(oid, 0) + 1
         self.used_bytes += size_bytes
         self.policy.on_admit(key, now)
         self.admissions += 1
@@ -183,6 +199,7 @@ class ClientStorageCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return False
+        self._drop_resident(key[0])
         self.used_bytes -= entry.size_bytes
         self.policy.remove(key)
         if self.bus.wants(CacheInvalidate):
@@ -196,6 +213,13 @@ class ClientStorageCache:
                 )
             )
         return True
+
+    def _drop_resident(self, oid: OID) -> None:
+        count = self._resident[oid] - 1
+        if count:
+            self._resident[oid] = count
+        else:
+            del self._resident[oid]
 
     def clear(self, now: float) -> None:
         """Drop everything (used when a client's cache is reset)."""
@@ -231,3 +255,11 @@ class ClientStorageCache:
         for key in self._entries:
             if key not in self.policy:
                 raise CacheError(f"{key!r} missing from policy")
+        per_oid: dict[OID, int] = {}
+        for oid, __ in self._entries:
+            per_oid[oid] = per_oid.get(oid, 0) + 1
+        if per_oid != self._resident:
+            raise CacheError(
+                f"per-object resident counts drifted: {self._resident} "
+                f"!= {per_oid}"
+            )

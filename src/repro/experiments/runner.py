@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import gc
 
 from repro.analysis.invariants import (
     InvariantEngine,
@@ -327,6 +328,7 @@ class Simulation:
             self.server.start()
             for client in self.clients:
                 client.start()
+            _pause_collector(stack)
             self.env.run(until=self.config.horizon_seconds)
             for client in self.clients:
                 client.finalize_metrics()
@@ -377,6 +379,36 @@ class Simulation:
             ),
             invariants=invariant_report,
         )
+
+
+#: Whether a simulation has run in this process.  A finished simulation
+#: is one large cyclic graph, so once its owner drops it only the cyclic
+#: collector can free it.
+_ran_in_this_process = False
+
+
+def _pause_collector(stack: contextlib.ExitStack) -> None:
+    """Switch the cyclic garbage collector off until ``stack`` closes,
+    if it is on.
+
+    Its passes start when allocations outrun deallocations, that is,
+    while a run's live state grows, and on a run they find nothing: a
+    running simulation drops no reference cycles, so reference counting
+    frees whatever it lets go
+    (``tests/integration/test_no_reference_cycles.py`` checks this).
+    Earlier simulations in the same process are another matter: paused
+    runs leave the collector too few passes to free them, so they would
+    pile up across a sweep.  A full collection before every run after
+    the first frees them where the paused passes would have.
+    """
+    global _ran_in_this_process
+    if not gc.isenabled():
+        return
+    if _ran_in_this_process:
+        gc.collect()
+    _ran_in_this_process = True
+    gc.disable()
+    stack.callback(gc.enable)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

@@ -44,8 +44,16 @@ DEFAULT_SERVER_BUFFER_OBJECTS = 500
 
 DeliverFn = t.Callable[[ReplyMessage], None]
 
+#: A refresh-time source: an item's key to its validity duration.
+RefreshTimeFn = t.Callable[[t.Hashable], float]
+
 #: What a client holds of an object it sent no held keys for.
 _NO_ATTRIBUTES: frozenset[str] = frozenset()
+
+
+def _never_expires(item: t.Hashable) -> float:
+    """Refresh time under invalidation reports: valid until invalidated."""
+    return float("inf")
 
 
 class DatabaseServer:
@@ -257,6 +265,9 @@ class DatabaseServer:
         database_get = self.database.get
         storage_access = self.storage.access
         attribute_item = self._attribute_item
+        # The coherence mode is fixed for the request: pick the refresh
+        # time source once, not once per item.
+        refresh_time_of = self._refresh_time_of(self.attribute_estimator)
         for oid, attributes in request.needed.items():
             obj = database_get(oid)
             service_time += storage_access(oid, obj.size_bytes)
@@ -268,7 +279,9 @@ class DatabaseServer:
                 items.append(self._whole_object_item(obj))
             else:
                 for attribute in attributes:
-                    items.append(attribute_item(obj, attribute))
+                    items.append(
+                        attribute_item(obj, attribute, refresh_time_of)
+                    )
                 if granularity is CachingGranularity.HYBRID:
                     # HC extras: hot attributes the client neither
                     # asked for nor holds, in name order.
@@ -280,7 +293,9 @@ class DatabaseServer:
                             attributes, client_has.get(oid, _NO_ATTRIBUTES)
                         )
                     ):
-                        prefetched.append(attribute_item(obj, attribute))
+                        prefetched.append(
+                            attribute_item(obj, attribute, refresh_time_of)
+                        )
         self.items_returned += len(items)
         self.items_prefetched += len(prefetched)
         reply_items = tuple(items)
@@ -373,20 +388,26 @@ class DatabaseServer:
             attribute=None,
             value=values,
             version=obj.object_version,
-            refresh_time=self._refresh_time(
-                self.object_estimator, obj.oid
+            refresh_time=self._refresh_time_of(self.object_estimator)(
+                obj.oid
             ),
             payload_bytes=payload,
         )
 
-    def _attribute_item(self, obj: DBObject, attribute: str) -> ReplyItem:
+    def _attribute_item(
+        self,
+        obj: DBObject,
+        attribute: str,
+        refresh_time_of: RefreshTimeFn,
+    ) -> ReplyItem:
+        """The reply item for ``obj.attribute``, stamped with
+        ``refresh_time_of((oid, attribute))``, the source
+        :meth:`_refresh_time_of` picked for the attribute estimator."""
         # One state lookup instead of separate read()/version_of() trips:
         # this runs per attribute shipped, the hottest spot of the whole
         # serve path at fleet scale.
         state = obj.attribute_state(attribute)
-        refresh_time = self._refresh_time(
-            self.attribute_estimator, (obj.oid, attribute)
-        )
+        refresh_time = refresh_time_of((obj.oid, attribute))
         # Reuse the last item built for this attribute while it is still
         # exact.  Its OID, attribute and payload size are fixed; value and
         # version move together on a write; the refresh time is compared
@@ -410,17 +431,18 @@ class DatabaseServer:
         )
         return item
 
-    def _refresh_time(
-        self, estimator: RefreshTimeEstimator, item: t.Hashable
-    ) -> float:
-        """Validity duration for an item under the active coherence mode.
+    def _refresh_time_of(
+        self, estimator: RefreshTimeEstimator
+    ) -> RefreshTimeFn:
+        """The validity duration of an item under the active coherence
+        mode, as a function of the item's key.
 
         Under invalidation reports entries stay valid until invalidated,
         so the shipped refresh time is infinite.
         """
         if self.coherence_mode == INVALIDATION_REPORT:
-            return float("inf")
-        return estimator.refresh_time(item)
+            return _never_expires
+        return estimator.refresh_time
 
     def _record_access_statistics(self, request: RequestMessage) -> None:
         """Feed the prefetch tracker with everything the client accessed.
@@ -430,16 +452,12 @@ class DatabaseServer:
         access picture for attribute-grained granularities.
         """
         client_id = request.client_id
-        for oid, attributes in request.needed.items():
-            for attribute in attributes:
-                self.prefetch_tracker.record_access(
-                    client_id, oid.class_name, attribute
-                )
-        for oid, attribute in request.existent:
-            if attribute is not None:
-                self.prefetch_tracker.record_access(
-                    client_id, oid.class_name, attribute
-                )
+        record_access = self.prefetch_tracker.record_access
+        # One call per object: the tracker counts the whole batch of
+        # names at once.  Object keys (OC/NC/PC) carry no attribute and
+        # record nothing.
+        for oid, attributes in _accessed_attributes(request).items():
+            record_access(client_id, oid.class_name, attributes)
 
     # ------------------------------------------------------------------
     # Oracle access for the error metric
@@ -450,6 +468,24 @@ class DatabaseServer:
         if attribute is None:
             return obj.object_version
         return obj.attribute_state(attribute).version
+
+
+def _accessed_attributes(request: RequestMessage) -> dict[OID, list[str]]:
+    """Every attribute ``request`` names as accessed, per object: the
+    needed ones, then the existent ones.  A name on both lists appears
+    twice; object keys (no attribute) are left out."""
+    out: dict[OID, list[str]] = {}
+    for oid, attributes in request.needed.items():
+        if attributes:
+            out[oid] = list(attributes)
+    for oid, attribute in request.existent:
+        if attribute is not None:
+            attributes = out.get(oid)
+            if attributes is None:
+                out[oid] = [attribute]
+            else:
+                attributes.append(attribute)
+    return out
 
 
 def _attrs_by_oid(*key_lists: tuple) -> dict[OID, set[str]]:

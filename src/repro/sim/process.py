@@ -15,6 +15,7 @@ value when the generator finishes, so processes can wait on each other::
 
 from __future__ import annotations
 
+import types
 import typing as t
 
 from repro.errors import SimulationError
@@ -42,7 +43,14 @@ class Process(Event):
         generator: ProcessGenerator,
         name: str | None = None,
     ) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if (
+            not hasattr(generator, "send")
+            or not hasattr(generator, "throw")
+            # An ``async def`` body has both, but the events it would
+            # await are not awaitable: refuse it here, not at its first
+            # ``await``.
+            or isinstance(generator, types.CoroutineType)
+        ):
             raise SimulationError(
                 f"process body must be a generator, got {generator!r}"
             )

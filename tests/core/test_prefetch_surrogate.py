@@ -23,15 +23,15 @@ class TestAttributeAccessTracker:
         tracker = AttributeAccessTracker()
         for attribute, count in (("a0", 3), ("a1", 1)):
             for __ in range(count):
-                tracker.record_access(0, "Root", attribute)
+                tracker.record_access(0, "Root", (attribute,))
         probabilities = tracker.access_probabilities(0, "Root")
         assert sum(probabilities.values()) == pytest.approx(1.0)
         assert probabilities["a0"] == pytest.approx(0.75)
 
     def test_clients_tracked_separately(self):
         tracker = AttributeAccessTracker()
-        tracker.record_access(0, "Root", "a0")
-        tracker.record_access(1, "Root", "a5")
+        tracker.record_access(0, "Root", ("a0",))
+        tracker.record_access(1, "Root", ("a5",))
         assert "a5" not in tracker.access_probabilities(0, "Root")
         assert tracker.observed_classes() == [(0, "Root"), (1, "Root")]
 
@@ -40,7 +40,7 @@ class TestAttributeAccessTracker:
         root = default_root_schema().class_def("Root")
         for attribute, count in (("a0", 60), ("a1", 30), ("a2", 10)):
             for __ in range(count):
-                tracker.record_access(0, "Root", attribute)
+                tracker.record_access(0, "Root", (attribute,))
         hot = tracker.prefetch_set(0, root)
         assert "a0" in hot
         assert "a2" not in hot
@@ -50,7 +50,7 @@ class TestAttributeAccessTracker:
         root = default_root_schema().class_def("Root")
         for attribute, count in (("a0", 60), ("a1", 40)):
             for __ in range(count):
-                tracker.record_access(0, "Root", attribute)
+                tracker.record_access(0, "Root", (attribute,))
         # Two observed attributes -> floor 0.5; only a0 clears it.
         assert tracker.threshold(0, root) == pytest.approx(0.5)
         assert tracker.prefetch_set(0, root) == {"a0"}
@@ -62,7 +62,7 @@ class TestAttributeAccessTracker:
         root = default_root_schema().class_def("Root")
         for attribute, count in (("a0", 60), ("a1", 30), ("a2", 10)):
             for __ in range(count):
-                tracker.record_access(0, "Root", attribute)
+                tracker.record_access(0, "Root", (attribute,))
         assert tracker.threshold(0, root) < 0
         assert tracker.prefetch_set(0, root) == {"a0", "a1", "a2"}
 
@@ -73,7 +73,7 @@ class TestAttributeAccessTracker:
         def record_all(order):
             tracker = AttributeAccessTracker()
             for name in order:
-                tracker.record_access(0, "Root", name)
+                tracker.record_access(0, "Root", (name,))
             return tracker.access_probabilities(0, "Root")
 
         forward = record_all(["a0", "a1", "a2"])

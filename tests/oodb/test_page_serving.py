@@ -114,7 +114,7 @@ class TestTrailerDropHeuristic:
         # Teach the prefetcher so HC requests produce trailers.
         for attribute, count in (("a0", 55), ("a1", 35), ("a2", 10)):
             for __ in range(count):
-                server.prefetch_tracker.record_access(0, "Root", attribute)
+                server.prefetch_tracker.record_access(0, "Root", (attribute,))
         # Three HC requests in a burst: their replies + trailers queue on
         # the downlink, pushing its queue past the threshold.
         for query_id, number in enumerate((1, 2, 3)):

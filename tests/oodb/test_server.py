@@ -139,7 +139,7 @@ class TestHybridPrefetching:
         # share of the three observed attributes, a2 clearly below.
         for attribute, count in (("a0", 55), ("a1", 35), ("a2", 10)):
             for __ in range(count):
-                server.prefetch_tracker.record_access(0, "Root", attribute)
+                server.prefetch_tracker.record_access(0, "Root", (attribute,))
         request = make_request(CachingGranularity.HYBRID, {hot_oid: ("a0",)})
         reply, trailer, __ = server.serve(request)
         assert [i.attribute for i in reply.items] == ["a0"]
@@ -152,7 +152,7 @@ class TestHybridPrefetching:
         oid = OID("Root", 10)
         for attribute, count in (("a0", 55), ("a1", 35), ("a2", 10)):
             for __ in range(count):
-                server.prefetch_tracker.record_access(0, "Root", attribute)
+                server.prefetch_tracker.record_access(0, "Root", (attribute,))
         request = make_request(
             CachingGranularity.HYBRID,
             {oid: ("a0",)},

@@ -12,6 +12,23 @@ def test_process_requires_generator():
         env.process(lambda: None)  # type: ignore[arg-type]
 
 
+def test_process_refuses_a_coroutine():
+    """A coroutine has ``send`` and ``throw`` too, but the kernel's
+    events cannot be awaited, so an ``async def`` body is refused."""
+    env = Environment()
+
+    async def worker():
+        await env.timeout(1.0)  # type: ignore[misc]
+
+    body = worker()
+    try:
+        with pytest.raises(SimulationError, match="must be a generator"):
+            env.process(body)  # type: ignore[arg-type]
+    finally:
+        body.close()  # never started: no "never awaited" warning
+    assert env.peek() == float("inf")  # nothing was scheduled
+
+
 def test_process_return_value_becomes_event_value():
     env = Environment()
 
