@@ -16,6 +16,12 @@ pauses the collector on the grounds that a running simulation drops no
 reference cycles, and this checks that at longer horizons than the
 tier-1 test, with the trace sink attached.
 
+After each run the retained state must follow the resident cache:
+every client policy's score heaps hold at most two records per live
+key plus ``COMPACTION_SLACK``, and the server's write log, which only
+the invalidation-report broadcaster reads, is empty under the
+refresh-time coherence these runs use.
+
 On failure the offending trace files stay in ``--outdir`` (default
 ``invariant-traces/``) so CI can upload them as artifacts; on success
 the directory is removed.
@@ -52,8 +58,23 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis.invariants import check_trace
+    from repro.core.replacement.base import COMPACTION_SLACK, LazyScoreHeap
     from repro.experiments.config import SimulationConfig
     from repro.experiments.runner import Simulation
+
+    def unbounded_heaps(sim: Simulation) -> int:
+        """Client policy heaps holding more records than their bound."""
+        heaps = [
+            value
+            for client in sim.clients
+            for value in vars(client.cache.policy).values()
+            if isinstance(value, LazyScoreHeap)
+        ]
+        return sum(
+            1
+            for heap in heaps
+            if len(heap._heap) > 2 * len(heap) + COMPACTION_SLACK
+        )
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -84,12 +105,22 @@ def main(argv: "list[str] | None" = None) -> int:
             live = result.invariants
             assert live is not None
             replay = check_trace(str(trace_path))
-            ok = live.ok and replay.ok and unreachable == 0
+            unbounded = unbounded_heaps(sim)
+            logged = len(sim.server.write_log)
+            ok = (
+                live.ok
+                and replay.ok
+                and unreachable == 0
+                and unbounded == 0
+                and logged == 0
+            )
             status = "ok" if ok else "FAIL"
             print(
                 f"[{status}] {label:<12} live: {live.summary()} | "
                 f"replay: {replay.summary()} | "
-                f"unreachable after run: {unreachable}"
+                f"unreachable after run: {unreachable} | "
+                f"unbounded heaps: {unbounded} | "
+                f"logged writes: {logged}"
             )
             if not ok:
                 failures += 1
@@ -101,16 +132,16 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if failures:
         print(
-            f"{failures} configuration(s) violated protocol invariants "
-            f"or dropped reference cycles; "
-            f"traces left in {outdir}/",
+            f"{failures} configuration(s) violated protocol invariants, "
+            f"dropped reference cycles or kept state beyond the live "
+            f"cache; traces left in {outdir}/",
             file=sys.stderr,
         )
         return 1
     shutil.rmtree(outdir, ignore_errors=True)
     print(
-        "all smoke configurations satisfy every invariant and drop no "
-        "reference cycles"
+        "all smoke configurations satisfy every invariant, drop no "
+        "reference cycles and keep no state beyond the live cache"
     )
     return 0
 

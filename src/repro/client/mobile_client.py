@@ -539,7 +539,8 @@ class MobileClient:
         error oracle all the same.
         """
         read_time = self.local_storage.access(key[0], attr_size)
-        self.cache.touch(key, self.env.now)
+        # The entry's key is the one the policy already holds.
+        self.cache.touch(entry.key, self.env.now)
         is_error = ErrorOracle.is_stale(
             entry.version, self.server.current_version(key[0], key[1])
         )

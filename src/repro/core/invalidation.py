@@ -50,8 +50,11 @@ class InvalidationReport:
 class WriteLog:
     """Server-side log of recent writes, windowed for IR construction.
 
-    Entries older than the retention window are pruned on collection, so
-    memory stays bounded over arbitrarily long simulations.
+    Entries older than the retention window are pruned on collection,
+    so memory stays bounded over arbitrarily long simulations as long as
+    a broadcaster collects.  The server therefore records writes only
+    under invalidation-report coherence, the one mode that runs a
+    broadcaster; under refresh-time coherence the log stays empty.
     """
 
     def __init__(self) -> None:

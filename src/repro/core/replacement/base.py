@@ -111,6 +111,11 @@ class ReplacementPolicy(abc.ABC):
             raise ReplacementError("cannot evict from an empty policy")
 
 
+#: Stale records a :class:`LazyScoreHeap` may hold beyond one per live
+#: key before it rebuilds; keeps rebuilds of tiny heaps rare.
+COMPACTION_SLACK = 16
+
+
 class LazyScoreHeap:
     """Min-heap over (score, key) with lazy invalidation.
 
@@ -118,6 +123,17 @@ class LazyScoreHeap:
     skipped at pop time by comparing against the current score table.
     Gives O(log n) victim selection even for policies whose scores change
     on every access (LRU-k, LRD, and the duration schemes).
+
+    A stale record surfaces only when it reaches the top, and one below
+    a key that stays on top (EWMA's largest mean) never does.  So the
+    heap is rebuilt from the live records whenever it holds more than
+    ``2 * len(self) + COMPACTION_SLACK`` records: its size follows the
+    resident set, not the number of accesses so far.  A rebuild drops at
+    least as many stale records as it keeps live ones, so its cost is
+    amortised O(1) per push.  It cannot change a result: ``seq`` is
+    unique, so records are totally ordered by ``(score, seq)`` (scores
+    are never NaN) and the top live record is the same whatever shape
+    the heap has.
     """
 
     __slots__ = ("_heap", "_scores", "_seq")
@@ -126,7 +142,9 @@ class LazyScoreHeap:
         #: Heap records are (score, seq, key); seq both breaks score ties
         #: deterministically and keeps keys out of comparisons entirely.
         self._heap: list[tuple[t.Any, int, CacheKey]] = []
-        self._scores: dict[CacheKey, tuple[t.Any, int]] = {}
+        #: key -> its live heap record (the same tuple object), so a
+        #: record is live exactly when the table holds it.
+        self._scores: dict[CacheKey, tuple[t.Any, int, CacheKey]] = {}
         self._seq = 0
 
     def __contains__(self, key: CacheKey) -> bool:
@@ -138,15 +156,25 @@ class LazyScoreHeap:
     def set_score(self, key: CacheKey, score: t.Any) -> None:
         """Insert or update ``key``'s score."""
         self._seq += 1
-        self._scores[key] = (score, self._seq)
-        heapq.heappush(self._heap, (score, self._seq, key))
+        record = (score, self._seq, key)
+        scores = self._scores
+        scores[key] = record
+        heap = self._heap
+        heapq.heappush(heap, record)
+        if len(heap) > 2 * len(scores) + COMPACTION_SLACK:
+            self._compact()
 
     def score_of(self, key: CacheKey) -> t.Any:
         return self._scores[key][0]
 
     def discard(self, key: CacheKey) -> None:
         """Remove ``key``; its stale heap records evaporate lazily."""
-        self._scores.pop(key, None)
+        scores = self._scores
+        if (
+            scores.pop(key, None) is not None
+            and len(self._heap) > 2 * len(scores) + COMPACTION_SLACK
+        ):
+            self._compact()
 
     def top(self) -> tuple[t.Any, CacheKey] | None:
         """Current (score, key) minimum, or ``None`` when empty.
@@ -174,10 +202,14 @@ class LazyScoreHeap:
     def pop_min(self) -> CacheKey:
         """Remove and return the key with the minimal current score."""
         self._settle()
-        if not self._heap:
+        heap = self._heap
+        if not heap:
             raise ReplacementError("heap is empty")
-        __, __, key = heapq.heappop(self._heap)
-        del self._scores[key]
+        __, __, key = heapq.heappop(heap)
+        scores = self._scores
+        del scores[key]
+        if len(heap) > 2 * len(scores) + COMPACTION_SLACK:
+            self._compact()
         return key
 
     def _settle(self) -> None:
@@ -185,12 +217,20 @@ class LazyScoreHeap:
         heap = self._heap
         scores = self._scores
         while heap:
-            __, seq, key = heap[0]
-            live = scores.get(key)
-            if live is None or live[1] != seq:
-                heapq.heappop(heap)
-            else:
+            record = heap[0]
+            if scores.get(record[2]) is record:
                 return
+            heapq.heappop(heap)
+
+    def _compact(self) -> None:
+        """Rebuild the heap from its live records alone."""
+        scores = self._scores
+        heap = [
+            record for record in self._heap if scores.get(record[2]) is record
+        ]
+        heapq.heapify(heap)
+        self._heap = heap
+
 
 # ----------------------------------------------------------------------
 # Registry

@@ -110,7 +110,9 @@ class ClientStorageCache:
         existing = self._entries.get(key)
         if existing is not None:
             existing.refresh(value, version, now, expires_at)
-            self.policy.on_access(key, now)
+            # The stored key, not the caller's equal tuple: a policy
+            # record made now must not pin a second copy of the key.
+            self.policy.on_access(existing.key, now)
             if self.bus.wants(CacheRefresh):
                 self.bus.emit(
                     CacheRefresh(

@@ -234,6 +234,9 @@ class DatabaseServer:
         self.requests_served += 1
         self._record_access_statistics(request)
 
+        # The write log's only reader is the IR broadcaster; under
+        # refresh-time coherence nothing would ever prune it.
+        logged = self.coherence_mode == INVALIDATION_REPORT
         for oid, changes in request.updates.items():
             obj = self.database.get(oid)
             service_time += self.storage.write(oid, obj.size_bytes)
@@ -242,11 +245,11 @@ class DatabaseServer:
                 self.attribute_estimator.record_write(
                     (oid, change.attribute), now
                 )
-                if not self.ir_object_keys:
+                if logged and not self.ir_object_keys:
                     self.write_log.record((oid, change.attribute), now)
                 self.updates_applied += 1
             self.object_estimator.record_write(oid, now)
-            if self.ir_object_keys:
+            if logged and self.ir_object_keys:
                 self.write_log.record((oid, None), now)
 
         items: list[ReplyItem] = []

@@ -5,11 +5,14 @@ accessed key only from the regime it is in, and its eviction asks each
 ``LazyScoreHeap`` for ``top()`` once instead of ``len`` and then
 ``peek_min``.  ``ReferenceEWMA`` below is the policy before that change:
 it checks residency separately, detaches from every regime on each
-access and settles each heap twice.  Hypothesis drives both through the
-same random sequence of admits, accesses, evictions and removals at
-non-decreasing times; after every step they must agree on the victim,
+access and settles each heap twice.  It also runs on the heap as it was
+before heaps compacted (``ReferenceLazyHeap``), so the comparison covers
+the rebuilds too.  Hypothesis drives both through the same random
+sequence of admits, accesses, evictions and removals at non-decreasing
+times; after every step they must agree on the victim,
 ``last_eviction_score``, and every resident key's ``estimate``,
-``mean_duration`` and regime.
+``mean_duration`` and regime.  Traces of same-instant accesses give
+keys equal means, so the heaps' tie order is compared as well.
 """
 
 from collections import OrderedDict
@@ -17,13 +20,19 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.replacement.base import LazyScoreHeap, ReplacementPolicy
+from repro.core.replacement.base import (
+    COMPACTION_SLACK,
+    LazyScoreHeap,
+    ReplacementPolicy,
+)
 from repro.core.replacement.duration import EWMAPolicy
 from repro.errors import ReplacementError
+from tests.core.reference_heap import ReferenceLazyHeap
 
 
 class ReferenceEWMA(ReplacementPolicy):
-    """``EWMAPolicy`` as it was before the single-probe rewrite."""
+    """``EWMAPolicy`` as it was before the single-probe rewrite, on
+    heaps that never compact."""
 
     DRIFT_TOLERANCE = 2.0
 
@@ -37,9 +46,9 @@ class ReferenceEWMA(ReplacementPolicy):
         self.alpha = float(alpha)
         self._state = {}
         self._young = OrderedDict()
-        self._frozen = LazyScoreHeap()
-        self._knees = LazyScoreHeap()
-        self._drift = LazyScoreHeap()
+        self._frozen = ReferenceLazyHeap()
+        self._knees = ReferenceLazyHeap()
+        self._drift = ReferenceLazyHeap()
 
     def __contains__(self, key):
         return key in self._state
@@ -217,6 +226,96 @@ def test_ewma_matches_the_reference(program, capacity, alpha, tolerance):
         now += 1.0
         evict_both(fast, slow, now)
         check_agree(fast, slow, now)
+
+
+#: Rounds of accesses that share one instant: (time step, key picks).
+#: Keys accessed together in two rounds close equal gaps, so their
+#: means tie and the heaps order them by sequence alone.
+tie_rounds = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.lists(st.integers(0, 11), min_size=1, max_size=8),
+    ),
+    min_size=5,
+    max_size=60,
+)
+
+
+def play(policy, rounds, capacity):
+    """Drive ``policy`` like a cache; return its victims in order."""
+    victims = []
+    now = 0.0
+    for step, picks in rounds:
+        now += step
+        for pick in picks:
+            key = ("k", pick)
+            if key in policy:
+                policy.on_access(key, now)
+                continue
+            while len(policy) >= capacity:
+                victims.append((policy.evict(now), policy.last_eviction_score))
+            policy.on_admit(key, now)
+    return victims
+
+
+def drain(policy, now):
+    victims = []
+    while len(policy):
+        now += 1.0
+        victims.append((policy.evict(now), policy.last_eviction_score))
+    return victims
+
+
+def heap_records(policy):
+    return [
+        len(heap._heap)
+        for heap in (policy._frozen, policy._knees, policy._drift)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rounds=tie_rounds,
+    capacity=st.integers(2, 8),
+    tolerance=st.sampled_from([1.0, 2.0]),
+)
+def test_same_instant_ties_evict_alike(rounds, capacity, tolerance):
+    fast = EWMAPolicy(drift_tolerance=tolerance)
+    slow = ReferenceEWMA(drift_tolerance=tolerance)
+    assert play(fast, rounds, capacity) == play(slow, rounds, capacity)
+    end = sum(step for step, __ in rounds)
+    assert drain(fast, end) == drain(slow, end)
+
+
+def test_long_tie_trace_compacts_and_evicts_alike():
+    """Thousands of same-instant rounds on a few keys.
+
+    Six hot keys share every instant, so their means tie.  A warm key,
+    seen in two rounds of every 20, holds the frozen heap's top (the
+    largest mean), so the hot keys' stale records never surface there:
+    the reference's frozen heap grows with the trace, while the fast
+    policy's heaps rebuild and stay within their bound.  A new key
+    every 10 rounds forces an eviction, and the final drain evicts the
+    tied hot keys.  The eviction sequences are identical all the same.
+    """
+    rounds = []
+    for n in range(3000):
+        picks = [0, 1, 2, 3, 4, 5]
+        if n % 20 in (0, 1):
+            picks.append(6)
+        if n % 10 == 5:
+            picks.append(100 + n)
+        rounds.append((1 + n % 2, picks))
+    fast = EWMAPolicy()
+    slow = ReferenceEWMA()
+    victims = play(fast, rounds, 8)
+    assert victims == play(slow, rounds, 8)
+    assert len(victims) > 250
+    for heap in (fast._frozen, fast._knees, fast._drift):
+        assert len(heap._heap) <= 2 * len(heap) + COMPACTION_SLACK
+    assert sum(heap_records(slow)) > 10 * sum(heap_records(fast))
+    end = sum(step for step, __ in rounds)
+    assert drain(fast, end) == drain(slow, end)
 
 
 def test_failure_branches_still_raise():

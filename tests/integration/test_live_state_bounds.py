@@ -1,0 +1,127 @@
+"""A run's retained state follows its resident cache, not its length.
+
+Three stores used to grow with every access or write:
+
+* a policy's ``LazyScoreHeap`` kept stale records below a key that
+  stayed on top; it now rebuilds past two records per live key plus
+  ``COMPACTION_SLACK``;
+* each policy record for a resident key pinned its own copy of an
+  equal ``(oid, attribute)`` tuple; the cache now hands the policy the
+  key object it stores;
+* the server logged every write for invalidation reports, also under
+  refresh-time coherence, where no broadcaster ever prunes the log.
+
+The report digests below were computed before the write log became
+IR-only, so they pin that IR runs broadcast exactly what they did.
+"""
+
+import hashlib
+
+import pytest
+
+from repro import SimulationConfig
+from repro.core.replacement.base import COMPACTION_SLACK, LazyScoreHeap
+from repro.experiments.runner import Simulation
+
+GRANULARITIES = ("AC", "OC", "HC", "PC", "NC")
+
+#: Every policy built on ``LazyScoreHeap``.
+HEAP_POLICIES = ("ewma-0.5", "mean", "window-10", "lrd", "lru-3", "lrfu-0.001")
+
+
+def score_heaps(policy):
+    return [
+        value
+        for value in vars(policy).values()
+        if isinstance(value, LazyScoreHeap)
+    ]
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+def test_refresh_time_runs_log_no_writes(granularity):
+    sim = Simulation(
+        SimulationConfig(
+            granularity=granularity,
+            update_probability=0.3,
+            horizon_hours=0.5,
+        )
+    )
+    sim.run()
+    assert sim.server.updates_applied > 0
+    assert len(sim.server.write_log) == 0
+
+
+def broadcast_digest(granularity):
+    sim = Simulation(
+        SimulationConfig(
+            granularity=granularity,
+            coherence="invalidation-report",
+            ir_interval_seconds=500.0,
+            update_probability=0.3,
+            horizon_hours=1.0,
+        )
+    )
+    reports = []
+    deliver = sim.server._broadcast_report
+
+    def capture(report):
+        reports.append(report)
+        deliver(report)
+
+    sim.server._broadcast_report = capture
+    sim.run()
+    listed = repr([(r.sequence, r.broadcast_at, r.keys) for r in reports])
+    return (
+        len(reports),
+        sum(len(r.keys) for r in reports),
+        hashlib.sha256(listed.encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize(
+    "granularity, expected",
+    [
+        (
+            "OC",  # object keys
+            (
+                7,
+                1959,
+                "ae411c9781a2e984846e7a59f3c3f790"
+                "e89ce5202dcaed45cec7f3f22e1fd6d1",
+            ),
+        ),
+        (
+            "HC",  # attribute keys
+            (
+                7,
+                6295,
+                "7e2a5229028789655149cfe35b2aafc2"
+                "db8926a52048654ed7be328921475924",
+            ),
+        ),
+    ],
+)
+def test_invalidation_reports_are_unchanged(granularity, expected):
+    assert broadcast_digest(granularity) == expected
+
+
+@pytest.mark.parametrize("policy", HEAP_POLICIES)
+def test_policy_heaps_are_bounded_and_share_cached_keys(policy):
+    sim = Simulation(
+        SimulationConfig(replacement=policy, horizon_hours=0.5)
+    )
+    sim.run()
+    checked = 0
+    for client in sim.clients:
+        cache = client.cache
+        stored = {key: key for key in cache.keys()}
+        heaps = score_heaps(cache.policy)
+        assert heaps
+        for heap in heaps:
+            assert len(heap._heap) <= 2 * len(heap) + COMPACTION_SLACK
+            for key, record in heap._scores.items():
+                # The very object the cache stores, not an equal tuple
+                # built for the access that scored it.
+                assert record[2] is stored[key]
+                checked += 1
+    assert checked > 1000
