@@ -5,10 +5,10 @@ System (ATIS) browsed from a tourist's wireless portable.
 This example exercises the *programming API* of the library rather than
 the experiment harness: it defines the ATIS schema from Section 3.1
 (Places to Stay / Places to Eat style classes), builds the client-side
-cache table (the Remote/Cache surrogate hierarchy), and walks through
-the paper's protocol by hand — probe the local cache, build an existent
-list, fetch the rest from the server, cache the reply, and keep
-answering queries from the local database after a disconnection.
+storage cache, and walks through the paper's protocol by hand — probe
+the local cache, build an existent list, fetch the rest from the
+server, cache the reply, and keep answering queries from the local
+cache after a disconnection.
 
 Run:  python examples/atis_tourist.py
 """
@@ -16,7 +16,6 @@ Run:  python examples/atis_tourist.py
 from repro.core.granularity import CachingGranularity
 from repro.core.replacement import create_policy
 from repro.core.storage_cache import ClientStorageCache
-from repro.core.surrogate import LocalDatabase
 from repro.net.message import RequestMessage
 from repro.net.network import Network
 from repro.oodb.database import Database
@@ -92,6 +91,19 @@ def build_atis_database(schema: Schema) -> Database:
     return database
 
 
+def read_attribute(cache, granularity, oid, attribute, now):
+    """The paper's attribute *method*: the fresh cached value or ``None``.
+
+    It answers the same way connected or disconnected, leaving the
+    caller to choose between a remote round and degraded operation.
+    """
+    entry = cache.lookup(granularity.key_for(oid, attribute))
+    if entry is None or not entry.is_valid(now):
+        return None
+    cache.touch(entry.key, now)
+    return entry.value
+
+
 def main() -> None:
     env = Environment()
     schema = build_atis_schema()
@@ -99,13 +111,11 @@ def main() -> None:
     network = Network(env)
     server = DatabaseServer(env, database, network, buffer_capacity=4)
 
-    # The tourist's portable: a small attribute-grained storage cache
-    # fronted by the paper's Remote/Cache surrogate hierarchy.
+    # The tourist's portable: a small attribute-grained storage cache.
     granularity = CachingGranularity.ATTRIBUTE
     cache = ClientStorageCache(
         capacity_bytes=2_048, policy=create_policy("ewma-0.5")
     )
-    local = LocalDatabase(schema, cache, granularity)
 
     # --- Query 1 (connected): which hotels have vacancies? -------------
     # "select x.name, x.city from x in PlacesToStay where x.vacancy > 0"
@@ -121,7 +131,7 @@ def main() -> None:
     needed = {
         oid: tuple(
             a for a in wanted
-            if local.read_attribute(oid, a, env.now) is None
+            if read_attribute(cache, granularity, oid, a, env.now) is None
         )
         for oid in qualifying
     }
@@ -135,11 +145,9 @@ def main() -> None:
     print(f"  request {request.size_bytes} B -> reply {reply.size_bytes} B"
           f" (server time {service_time * 1e3:.3f} ms)")
     for item in reply.items:
-        local.ensure_surrogate(item.oid)
         cache.admit(item.key, item.value, item.version, 64, env.now,
                     reply.expiry_deadline(item, env.now))
-    print(f"  cached {len(cache)} attribute values, "
-          f"{len(local)} surrogates in the cache table")
+    print(f"  cached {len(cache)} attribute values in the cache table")
 
     # --- Query 2 (connected): repeat -> existent list covers it all ----
     print("Q2: same query again (fully satisfied from the cache table)")
@@ -147,7 +155,7 @@ def main() -> None:
         (oid, a)
         for oid in qualifying
         for a in wanted
-        if local.read_attribute(oid, a, env.now) is not None
+        if read_attribute(cache, granularity, oid, a, env.now) is not None
     ]
     print(f"  {len(hits)} locally answered attribute reads, "
           "no wireless traffic at all")
@@ -158,12 +166,12 @@ def main() -> None:
         1
         for oid in qualifying
         for a in wanted
-        if local.read_attribute(oid, a, env.now) is not None
+        if read_attribute(cache, granularity, oid, a, env.now) is not None
     )
     missing = sum(
         1
         for oid in database.oids("PlacesToStay")
-        if local.surrogate_for(oid) is None
+        if cache.resident_count(oid) == 0
     )
     print(f"  {answered} reads served from local storage; "
           f"{missing} hotels were never cached and stay unavailable")

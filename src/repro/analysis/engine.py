@@ -148,25 +148,6 @@ class DataflowRule(Rule):
         raise NotImplementedError
 
 
-class InterleaveRule(Rule):
-    """A rule over the yield-point interleaving model.
-
-    Third project-wide tier, sibling to :class:`DataflowRule`: receives
-    an :class:`~repro.analysis.interleave.InterleaveModel` — per-function
-    control-flow graphs for generator functions that drive sim
-    processes, with yield expressions as *barrier* nodes and shared
-    (``self.*``) accesses classified (see
-    :mod:`repro.analysis.interleave`).  Built lazily once per run,
-    and only when an interleave rule is selected.
-    """
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
-        return iter(())
-
-    def check_interleave(self, model: t.Any) -> t.Iterator[Finding]:
-        raise NotImplementedError
-
-
 class SuppressionRule(Rule):
     """A rule about the ``# repro: noqa`` comments themselves.
 
@@ -329,11 +310,10 @@ def lint_paths(
             raise ValueError(f"unknown rule ids ignored: {sorted(unknown)}")
         rules = [rule for rule in rules if rule.rule_id not in dropped]
 
-    special = (ProjectRule, DataflowRule, InterleaveRule, SuppressionRule)
+    special = (ProjectRule, DataflowRule, SuppressionRule)
     file_rules = [r for r in rules if not isinstance(r, special)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     dataflow_rules = [r for r in rules if isinstance(r, DataflowRule)]
-    interleave_rules = [r for r in rules if isinstance(r, InterleaveRule)]
     suppression_rules = [r for r in rules if isinstance(r, SuppressionRule)]
 
     findings: list[Finding] = []
@@ -386,12 +366,6 @@ def lint_paths(
         model = build_model(parsed)
         for rule in dataflow_rules:
             run_tier(rule.check_dataflow(model))
-    if interleave_rules:
-        from repro.analysis.interleave import build_model as build_interleave
-
-        imodel = build_interleave(parsed)
-        for rule in interleave_rules:
-            run_tier(rule.check_interleave(imodel))
 
     if suppression_rules:
         # A noqa naming only rule ids that did not run this pass cannot

@@ -8,7 +8,6 @@ a rule by deleting its module, never by reusing its id.
 from repro.analysis.rules import (  # noqa: F401
     events,
     floats,
-    interleave,
     ordering,
     randomness,
     suppressions,
@@ -20,7 +19,6 @@ from repro.analysis.rules import (  # noqa: F401
 __all__ = [
     "events",
     "floats",
-    "interleave",
     "ordering",
     "randomness",
     "suppressions",

@@ -282,9 +282,7 @@ class MobileClient:
         # purpose: the paper's client commits to a local or remote plan
         # up front, and _remote_round re-probes before every
         # transmission attempt anyway.
-        connected = self.network.is_connected(  # repro: noqa REP017 -- see comment
-            self.client_id
-        )
+        connected = self.network.is_connected(self.client_id)
         if (
             self.invalidation is not None
             and connected
@@ -392,7 +390,7 @@ class MobileClient:
                     # backing off: no further attempt can succeed.  The
                     # caller observes the None reply and emits
                     # QueryDegraded, so this exit is not silent.
-                    break  # repro: noqa REP021 -- caller emits QueryDegraded
+                    break
             self.bus.emit(
                 RequestSent(
                     time=self.env.now,

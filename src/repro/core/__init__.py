@@ -1,8 +1,8 @@
 """The paper's primary contribution: mobile cache management.
 
 Granularities (NC/AC/OC/HC), the lazy pull-based coherence scheme with
-refresh-time estimation, the replacement-policy family, the byte-budgeted
-client storage cache and the surrogate-based cache table.
+refresh-time estimation, the replacement-policy family and the
+byte-budgeted client storage cache.
 """
 
 from repro.core.coherence import (
@@ -27,7 +27,6 @@ from repro.core.replacement import (
     create_policy,
 )
 from repro.core.storage_cache import ClientStorageCache
-from repro.core.surrogate import LocalDatabase, Surrogate
 
 __all__ = [
     "AttributeAccessTracker",
@@ -40,12 +39,10 @@ __all__ = [
     "INVALIDATION_REPORT",
     "InvalidationListener",
     "InvalidationReport",
-    "LocalDatabase",
     "NEVER_EXPIRES",
     "REFRESH_TIME",
     "RefreshTimeEstimator",
     "ReplacementPolicy",
-    "Surrogate",
     "WriteIntervalStats",
     "WriteLog",
     "available_policies",

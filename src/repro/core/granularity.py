@@ -57,11 +57,6 @@ class CachingGranularity(enum.Enum):
                         CachingGranularity.PAGE)
 
     @property
-    def caches_attributes(self) -> bool:
-        """Whether the cached unit is a single attribute value."""
-        return not self.caches_objects
-
-    @property
     def uses_storage_cache(self) -> bool:
         """NC disables the client's storage (disk) cache."""
         return self is not CachingGranularity.NO_CACHING

@@ -65,12 +65,14 @@ class LRUKPolicy(ReplacementPolicy):
 
     def on_admit(self, key: CacheKey, now: float) -> None:
         self._require_absent(key)
-        history = self._history.get(key)
+        history = self._history.pop(key, None)
         if history is None:
             history = deque([now], maxlen=self.k)
-            self._history[key] = history
         else:
             history.append(now)
+        # Re-keyed by the admitted key object, so a returning ghost does
+        # not keep its evicted (equal) key alive beside the cache's.
+        self._history[key] = history
         self._resident.add(key)
         self._heap.set_score(key, self._score(history))
         self._trim_ghosts()

@@ -302,14 +302,6 @@ class MetricsSummary:
         return sum(client.degraded_queries for client in self.clients)
 
     @property
-    def total_late_replies(self) -> int:
-        return sum(client.late_replies for client in self.clients)
-
-    @property
-    def total_lost_updates(self) -> int:
-        return sum(client.lost_updates for client in self.clients)
-
-    @property
     def total_goodput_bytes(self) -> Bytes:
         return sum(client.goodput_bytes for client in self.clients)
 

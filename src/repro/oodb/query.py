@@ -90,8 +90,3 @@ class Query:
     @property
     def has_updates(self) -> bool:
         return any(access.is_update for access in self.accesses)
-
-    def read_accesses(self) -> t.Iterator[AttributeAccess]:
-        """Accesses whose value the query consumes (all of them: updates
-        read before writing)."""
-        return iter(self.accesses)

@@ -45,7 +45,6 @@ class Environment:
         self._seq = count()
         #: Events processed since construction — the benchmark numerator.
         self.events_processed = 0
-        self._active_process: Process | None = None
         #: Optional wall-clock profiler; ``None`` (the default) costs a
         #: single attribute check per step.  When set, every callback
         #: execution is timed and charged to its process's subsystem
@@ -59,11 +58,6 @@ class Environment:
     def now(self) -> Seconds:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event factories

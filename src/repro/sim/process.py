@@ -79,7 +79,6 @@ class Process(Event):
         Only the event the process yielded resumes it, once, so the
         process is alive and waiting on exactly ``event``.
         """
-        self.env._active_process = self
         try:
             if event.ok:
                 next_target = self._generator.send(event.value)
@@ -87,16 +86,13 @@ class Process(Event):
                 exc = t.cast(BaseException, event.value)
                 next_target = self._generator.throw(exc)
         except StopIteration as stop:
-            self.env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
             return
-        self.env._active_process = None
 
         if not isinstance(next_target, Event):
             raise SimulationError(

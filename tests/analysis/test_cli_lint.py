@@ -36,9 +36,8 @@ MIXED = (
     "def total(a_seconds: float, b_bytes: float) -> float:\n"
     "    return a_seconds + b_bytes\n"
 )
-#: The unit-dataflow tier and the interleave tier, as ``--ignore`` lists.
+#: The unit-dataflow tier, as an ``--ignore`` list.
 UNIT_IDS = "REP011,REP012,REP013,REP014,REP015"
-INTERLEAVE_IDS = "REP016,REP017,REP018,REP019,REP021,REP024"
 
 
 class TestExitCodes:
@@ -101,39 +100,8 @@ class TestDataflowFlags:
         for rule_id in ("REP011", "REP012", "REP013", "REP014", "REP015"):
             assert rule_id in out
 
-    def test_list_rules_documents_the_interleave_tier(self, capsys):
+    def test_list_rules_documents_suppression_hygiene(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "REP016",
-            "REP017",
-            "REP018",
-            "REP019",
-            "REP021",
-            "REP022",
-            "REP023",
-            "REP024",
-        ):
+        for rule_id in ("REP022", "REP023"):
             assert rule_id in out
-
-
-#: Trips REP016 (read-modify-write across a yield) and nothing else.
-INTERLEAVE_BAD = (
-    "class Counter:\n"
-    "    def run(self):\n"
-    "        total = self.bytes_sent\n"
-    "        yield self.env.timeout(1.0)\n"
-    "        self.bytes_sent = total + 1\n"
-)
-
-
-class TestInterleaveFlags:
-    def test_interleave_findings_exit_one(self, tree, capsys):
-        root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        assert main(["lint", root]) == 1
-        assert "REP016" in capsys.readouterr().out
-
-    def test_ignoring_the_interleave_ids_skips_the_tier(self, tree, capsys):
-        root = tree({"repro/sim/mod.py": INTERLEAVE_BAD})
-        assert main(["lint", "--ignore", INTERLEAVE_IDS, root]) == 0
-        assert "no findings" in capsys.readouterr().out

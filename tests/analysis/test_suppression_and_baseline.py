@@ -41,8 +41,8 @@ class TestSuppressionHygiene:
 
     def test_disabled_tier_makes_the_run_partial(self, lint):
         source = "x = 1  # repro: noqa -- belt and braces\n"
-        interleave_ids = [f"REP0{n}" for n in (16, 17, 18, 19, 21, 24)]
-        findings = lint("repro/sim/mod.py", source, ignore=interleave_ids)
+        unit_ids = [f"REP01{n}" for n in range(1, 6)]
+        findings = lint("repro/sim/mod.py", source, ignore=unit_ids)
         assert findings == []
 
     def test_bare_waiver_stale_on_full_run(self, lint):

@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.analysis.invariants import InvariantEngine
+from repro.analysis.invariants.conservation import QueryConservationChecker
 from repro.client.mobile_client import MobileClient
 from repro.core.granularity import CachingGranularity
 from repro.net.disconnect import DisconnectionSchedule
+from repro.net.faults import FaultConfig, RecoveryPolicy
 from repro.net.network import Network
+from repro.obs.events import (
+    QueryComplete,
+    QueryDegraded,
+    RemoteRound,
+    RequestSent,
+)
 from repro.oodb.database import build_default_database
 from repro.oodb.objects import OID
 from repro.oodb.query import AttributeAccess, Query, QueryKind
@@ -20,10 +29,16 @@ class Harness:
     """One server + one client wired over a real simulated network."""
 
     def __init__(self, granularity="AC", schedule=None, num_objects=60,
-                 replacement="lru", cache_objects=40):
+                 replacement="lru", cache_objects=40, faults=None,
+                 recovery=None):
         self.env = Environment()
         self.database = build_default_database(num_objects)
-        self.network = Network(self.env, schedule=schedule)
+        self.network = Network(
+            self.env,
+            schedule=schedule,
+            faults=faults,
+            fault_rng=RandomStream(3, "faults") if faults else None,
+        )
         self.server = DatabaseServer(
             self.env, self.database, self.network, buffer_capacity=10
         )
@@ -46,6 +61,8 @@ class Harness:
             granularity=CachingGranularity.parse(granularity),
             replacement_spec=replacement,
             cache_objects=cache_objects,
+            recovery=recovery,
+            recovery_rng=RandomStream(4, "backoff") if recovery else None,
         )
         self.server.start()
 
@@ -168,6 +185,67 @@ class TestDisconnection:
         harness.run_query(reads((1, "a0")))
         assert harness.client.metrics.hit.sum == 1
         assert harness.client.metrics.disconnected_queries == 1
+
+
+class TestDisconnectionMidQuery:
+    """A disconnection window that opens while a query is in flight.
+
+    Every request is lost, each wait times out after 1 s and each
+    back-off lasts exactly 1 s, so attempt ``n`` is sent at about
+    ``2n`` s and the back-off before it spans ``(2n - 1, 2n)``.
+    """
+
+    LOSSY = FaultConfig(loss_rate=1.0)
+    RETRIES = RecoveryPolicy(
+        timeout_seconds=1.0, retry_budget=3, backoff_jitter=0.0
+    )
+
+    def run(self, window_start, faults=None, recovery=None):
+        schedule = DisconnectionSchedule({0: [(window_start, 1e9)]})
+        harness = Harness(
+            "AC", schedule=schedule, faults=faults, recovery=recovery
+        )
+        events = []
+        for event_type in (QueryComplete, QueryDegraded, RemoteRound,
+                           RequestSent):
+            harness.client.bus.subscribe(event_type, events.append)
+        engine = InvariantEngine([QueryConservationChecker()]).attach(
+            harness.client.bus
+        )
+        harness.run_query(reads((1, "a0")))
+        return harness, events, engine.report()
+
+    def test_query_keeps_the_connectivity_read_at_issue(self):
+        # The window opens while the request is still on the uplink.
+        harness, events, __ = self.run(window_start=0.001)
+        assert not harness.network.is_connected(0)
+        (complete,) = [e for e in events if isinstance(e, QueryComplete)]
+        assert complete.connected
+        assert harness.client.metrics.remote_rounds == 1
+        assert harness.client.cache.lookup((OID("Root", 1), "a0"))
+
+    def test_remote_round_reprobes_before_every_retry(self):
+        # Connected for the back-off before attempt 1, disconnected by
+        # the end of the one before attempt 2: no later attempt is sent.
+        __, events, __ = self.run(
+            window_start=3.5, faults=self.LOSSY, recovery=self.RETRIES
+        )
+        rounds = [e.attempt for e in events if isinstance(e, RemoteRound)]
+        sent = [e.attempt for e in events if isinstance(e, RequestSent)]
+        assert rounds == [0, 1, 2]
+        assert sent == [0, 1]
+
+    def test_backoff_into_a_window_degrades_the_query_once(self):
+        __, events, report = self.run(
+            window_start=1.5, faults=self.LOSSY, recovery=self.RETRIES
+        )
+        outcome = [
+            type(e) for e in events
+            if isinstance(e, (QueryComplete, QueryDegraded))
+        ]
+        assert outcome == [QueryDegraded, QueryComplete]
+        assert [e.attempt for e in events if isinstance(e, RequestSent)] == [0]
+        assert report.ok, report.summary()
 
 
 class TestErrorOracle:

@@ -1,14 +1,8 @@
-"""Unit tests for the prefetch tracker and the surrogate cache table."""
+"""Unit tests for the prefetch tracker."""
 
 import pytest
 
-from repro.core.granularity import CachingGranularity
 from repro.core.prefetch import AttributeAccessTracker
-from repro.core.replacement import LRUPolicy
-from repro.core.storage_cache import ClientStorageCache
-from repro.core.surrogate import LocalDatabase
-from repro.errors import CacheError
-from repro.oodb.objects import OID
 from repro.oodb.schema import default_root_schema
 
 
@@ -80,82 +74,3 @@ class TestAttributeAccessTracker:
         backward = record_all(["a2", "a1", "a0"])
         assert list(forward) == list(backward) == ["a0", "a1", "a2"]
         assert forward == backward
-
-
-class TestLocalDatabase:
-    def build(self, granularity=CachingGranularity.ATTRIBUTE):
-        schema = default_root_schema()
-        cache = ClientStorageCache(10_000, LRUPolicy())
-        return LocalDatabase(schema, cache, granularity), cache
-
-    def test_surrogate_creation_and_reuse(self):
-        local, __ = self.build()
-        oid = OID("Root", 1)
-        first = local.ensure_surrogate(oid)
-        second = local.ensure_surrogate(oid)
-        assert first is second
-        assert first.r_oid == oid
-        assert first.r_host == "server-0"
-        assert len(local) == 1
-
-    def test_unknown_class_rejected(self):
-        local, __ = self.build()
-        with pytest.raises(CacheError):
-            local.ensure_surrogate(OID("Nope", 1))
-
-    def test_surrogates_listed_in_oid_order(self):
-        local, __ = self.build()
-        for n in (3, 1, 2):
-            local.ensure_surrogate(OID("Root", n))
-        numbers = [s.r_oid.number for s in local.surrogates("Root")]
-        assert numbers == [1, 2, 3]
-
-    def test_read_attribute_roundtrip(self):
-        local, cache = self.build()
-        oid = OID("Root", 1)
-        cache.admit((oid, "a0"), 42, 0, 80, now=0.0, expires_at=100.0)
-        assert local.read_attribute(oid, "a0", now=5.0) == 42
-
-    def test_expired_attribute_reads_none(self):
-        local, cache = self.build()
-        oid = OID("Root", 1)
-        cache.admit((oid, "a0"), 42, 0, 80, now=0.0, expires_at=10.0)
-        assert local.read_attribute(oid, "a0", now=50.0) is None
-
-    def test_uncached_attribute_reads_none(self):
-        local, __ = self.build()
-        assert local.read_attribute(OID("Root", 1), "a0", now=0.0) is None
-
-    def test_object_granularity_projection(self):
-        local, cache = self.build(CachingGranularity.OBJECT)
-        oid = OID("Root", 1)
-        cache.admit(
-            (oid, None),
-            {"a0": 7, "a1": 8},
-            0,
-            1024,
-            now=0.0,
-            expires_at=100.0,
-        )
-        assert local.read_attribute(oid, "a0", now=1.0) == 7
-        assert local.read_attribute(oid, "a1", now=1.0) == 8
-
-    def test_is_cached(self):
-        local, cache = self.build()
-        oid = OID("Root", 1)
-        assert not local.is_cached(oid, "a0")
-        cache.admit((oid, "a0"), 1, 0, 80, now=0.0, expires_at=10.0)
-        assert local.is_cached(oid, "a0")
-
-    def test_forget_drops_surrogate_and_entries(self):
-        local, cache = self.build()
-        oid = OID("Root", 1)
-        other = OID("Root", 2)
-        local.ensure_surrogate(oid)
-        cache.admit((oid, "a0"), 1, 0, 80, now=0.0, expires_at=10.0)
-        cache.admit((oid, "a1"), 1, 0, 80, now=0.0, expires_at=10.0)
-        cache.admit((other, "a0"), 1, 0, 80, now=0.0, expires_at=10.0)
-        dropped = local.forget(oid, now=1.0)
-        assert dropped == 2
-        assert local.surrogate_for(oid) is None
-        assert cache.lookup((other, "a0")) is not None

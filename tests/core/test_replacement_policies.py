@@ -149,6 +149,16 @@ class TestLRUK:
         policy.on_access(key(1), 10.0)
         assert policy.evict(11.0) == key(1)
 
+    def test_readmitted_ghost_is_keyed_by_the_admitted_key(self):
+        policy = LRUKPolicy(2)
+        policy.on_admit(key(1), 0.0)
+        assert policy.evict(1.0) == key(1)
+        admitted = key(1)
+        policy.on_admit(admitted, 2.0)
+        (history_key,) = policy._history
+        assert history_key is admitted
+        assert list(policy._history[admitted]) == [0.0, 2.0]
+
     def test_scan_resistance(self):
         """A one-touch scan never displaces twice-touched hot keys."""
         policy = LRUKPolicy(2)
