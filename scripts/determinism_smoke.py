@@ -13,6 +13,11 @@ fixed seed this pins the repo's core determinism claim: a run is a
 pure function of its seed, independent of Python's string-hash
 randomisation.
 
+The first run's trace is then replayed through the protocol-invariant
+checkers (``repro check-trace``), which exercises both trace codecs:
+the check fails on any record that does not decode (malformed or of
+an unknown type) and on any invariant violation.
+
 Usage::
 
     PYTHONPATH=src python scripts/determinism_smoke.py [--hours H]
@@ -72,8 +77,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     with tempfile.TemporaryDirectory() as scratch:
-        digest, events = run_once(args.hours, os.path.join(scratch, "a.jsonl"))
+        first_trace = os.path.join(scratch, "a.jsonl")
+        digest, events = run_once(args.hours, first_trace)
         print(f"run 1: events={events} sha256={digest}")
+        from repro.analysis.invariants import check_trace
+
+        replay = check_trace(first_trace)
         env = dict(os.environ, PYTHONHASHSEED=args.hash_seed)
         second = subprocess.run(
             [
@@ -104,7 +113,19 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    print("OK: identical traces and event counts")
+    print(
+        f"replay: {replay.summary()}, "
+        f"{replay.malformed_lines} malformed, "
+        f"{replay.unknown_records} unknown"
+    )
+    if not replay.ok or replay.malformed_lines or replay.unknown_records:
+        print(
+            "FAIL: the trace does not replay cleanly through the "
+            "invariant checkers",
+            file=sys.stderr,
+        )
+        return 1
+    print("OK: identical traces and event counts; the trace replays clean")
     return 0
 
 

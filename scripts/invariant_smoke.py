@@ -5,7 +5,8 @@ Runs short simulations over the AC/OC/HC granularities — each with
 faults off (experiment-1 conditions) and with loss + retry recovery on
 (experiment-7 conditions) — with the in-process invariant checkers
 attached *and* a JSONL trace exported, then replays every trace through
-``check_trace``.  Both passes must report zero violations: the
+``check_trace``.  Both passes must report zero violations, and the
+replay must decode every trace line (none malformed or unknown): the
 in-process pass additionally reconciles event-derived totals against
 the live metrics/channel/cache objects, and the replay pass proves the
 persisted trace alone carries enough evidence to verify the protocol.
@@ -110,6 +111,8 @@ def main(argv: "list[str] | None" = None) -> int:
             ok = (
                 live.ok
                 and replay.ok
+                and not replay.malformed_lines
+                and not replay.unknown_records
                 and unreachable == 0
                 and unbounded == 0
                 and logged == 0
@@ -117,7 +120,8 @@ def main(argv: "list[str] | None" = None) -> int:
             status = "ok" if ok else "FAIL"
             print(
                 f"[{status}] {label:<12} live: {live.summary()} | "
-                f"replay: {replay.summary()} | "
+                f"replay: {replay.summary()}, "
+                f"{replay.unknown_records} unknown record(s) | "
                 f"unreachable after run: {unreachable} | "
                 f"unbounded heaps: {unbounded} | "
                 f"logged writes: {logged}"
@@ -133,8 +137,8 @@ def main(argv: "list[str] | None" = None) -> int:
     if failures:
         print(
             f"{failures} configuration(s) violated protocol invariants, "
-            f"dropped reference cycles or kept state beyond the live "
-            f"cache; traces left in {outdir}/",
+            f"left trace lines undecoded, dropped reference cycles or "
+            f"kept state beyond the live cache; traces left in {outdir}/",
             file=sys.stderr,
         )
         return 1

@@ -26,6 +26,7 @@ cache objects — the cross-layer half of the conservation laws.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as t
 
 from repro.obs.bus import EventBus
@@ -133,7 +134,8 @@ class InvariantReport:
     checkers: tuple[str, ...]
     #: Violations beyond the recording cap (counted, not kept).
     dropped_violations: int = 0
-    #: Trace lines that failed to decode as JSON (trace mode only).
+    #: Trace lines that failed to decode as JSON, or as the known
+    #: event type they name (trace mode only).
     malformed_lines: int = 0
     #: Decoded records whose ``type`` names no known event class.
     unknown_records: int = 0
@@ -260,25 +262,74 @@ class InvariantEngine:
 # ----------------------------------------------------------------------
 # Trace replay
 # ----------------------------------------------------------------------
+#: Declared scalar type -> the JSON value types that decode to it.
+_TRACE_SCALARS: dict[t.Any, tuple[type, ...]] = {
+    float: (float, int),
+    int: (int,),
+    bool: (bool,),
+    str: (str,),
+    type(None): (type(None),),
+}
+
+
+@functools.cache
+def _field_types(
+    cls: type[SimEvent],
+) -> tuple[tuple[str, frozenset[type] | None], ...]:
+    """Each field of ``cls`` in order, with the value types a trace
+    record may carry for it (``None``: any hashable value, e.g. a cache
+    key).
+
+    The declared types are resolved once per class.  Values are matched
+    by exact type, so ``True`` is no ``int``; an ``int`` passes for a
+    ``float``.
+    """
+    fields: list[tuple[str, frozenset[type] | None]] = []
+    for name, hint in t.get_type_hints(cls).items():
+        if hint is t.Any:
+            fields.append((name, None))
+            continue
+        accepted: set[type] = set()
+        for member in t.get_args(hint) or (hint,):
+            if member not in _TRACE_SCALARS:
+                raise TypeError(
+                    f"{cls.__name__}.{name}: no trace form for {member!r}"
+                )
+            accepted.update(_TRACE_SCALARS[member])
+        fields.append((name, frozenset(accepted)))
+    return tuple(fields)
+
+
 def decode_record(record: dict[str, t.Any]) -> SimEvent | None:
-    """Rehydrate one trace record into its event dataclass.
+    """Rehydrate one trace record into its event.
 
     Cache keys stay in their stringified trace form — checkers treat
     them as opaque hashable identifiers, so the string is as good as
     the tuple.  Returns ``None`` for records naming no known event
-    type (forward compatibility with traces from newer taxonomies).
+    type (forward compatibility with traces from newer taxonomies) and
+    for records that do not fit the type they name: a required field
+    missing, a value of another type than the field declares, or an
+    unhashable cache key.
     """
     cls = EVENT_TYPES_BY_NAME.get(str(record.get("type", "")))
     if cls is None:
         return None
     kwargs: dict[str, t.Any] = {}
-    for field in dataclasses.fields(cls):
-        if field.name not in record:
+    for name, accepted in _field_types(cls):
+        if name not in record:
             continue
-        value = record[field.name]
+        value = record[name]
         if isinstance(value, list):
             value = tuple(value)
-        kwargs[field.name] = value
+        if accepted is None:
+            # Checkers key their state by these values (cache keys).
+            try:
+                hash(value)
+            except TypeError:
+                return None
+        elif type(value) not in accepted:
+            return None
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except TypeError:
@@ -293,8 +344,9 @@ def check_trace(
 ) -> InvariantReport:
     """Replay a JSONL trace through the invariant checkers.
 
-    Malformed lines (a partial final write of a crashed run) are
-    skipped and counted in the report rather than aborting the check.
+    Malformed lines (a partial final write of a crashed run, or a
+    record that does not fit the event type it names) are skipped and
+    counted in the report rather than aborting the check.
     """
     from repro.obs.sinks import read_trace
 
@@ -305,9 +357,12 @@ def check_trace(
 
     for record in read_trace(path, on_malformed=on_malformed):
         event = decode_record(record)
-        if event is None:
+        if event is not None:
+            engine.feed(event)
+        elif str(record.get("type", "")) in EVENT_TYPES_BY_NAME:
+            # A known type whose fields do not fit: mistyped or cut.
+            engine.malformed_lines += 1
+        else:
             engine.unknown_records += 1
-            continue
-        engine.feed(event)
     engine.finalize()
     return engine.report()

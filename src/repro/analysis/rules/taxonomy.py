@@ -6,13 +6,14 @@ domain code bypasses the event bus — the trace and the counters drift
 apart, and the invariant checkers (which reconcile events against
 counters) can no longer prove anything.
 
-REP009: every event type declared in ``repro/obs/events.py`` must be
-both *emitted* (constructed somewhere in the domain) and *consumed*
-(referenced by a sink subscription, a checker's ``event_types``, an
-``isinstance`` dispatch...).  A never-emitted type is a phantom the
-taxonomy promises but no run delivers; a never-consumed type is dead
-weight every run pays to emit.  ``bus.wants(T)`` guards an *emit* site,
-so it counts as neither.
+REP009: every event type declared in ``repro/obs/events.py`` (each
+top-level ``NamedTuple`` class there) must be both *emitted*
+(constructed somewhere in the domain) and *consumed* (referenced by a
+sink subscription, a checker's ``event_types``, an ``isinstance``
+dispatch...).  A never-emitted type is a phantom the taxonomy promises
+but no run delivers; a never-consumed type is dead weight every run
+pays to emit.  ``bus.wants(T)`` guards an *emit* site, so it counts as
+neither.
 
 REP010: every :class:`SimulationConfig` field must be read somewhere
 outside its own module (reads inside ``validate``/``__post_init__``
@@ -112,6 +113,21 @@ def _repro_sources(
     ]
 
 
+def declared_events(events_tree: ast.Module) -> dict[str, ast.ClassDef]:
+    """The event types an events module declares: its top-level
+    ``NamedTuple`` classes (``class E(t.NamedTuple)`` or
+    ``class E(NamedTuple)``), by name."""
+    return {
+        node.name: node
+        for node in events_tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(
+            _attribute_chain(base)[-1:] == ["NamedTuple"]
+            for base in node.bases
+        )
+    }
+
+
 @register_rule
 class EventTaxonomyReachability(ProjectRule):
     rule_id = "REP009"
@@ -127,17 +143,7 @@ class EventTaxonomyReachability(ProjectRule):
         if declaration is None:
             return
         events_tree, events_ctx = declaration
-        declared: dict[str, ast.ClassDef] = {}
-        for node in events_tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            bases = {
-                base.id
-                for base in node.bases
-                if isinstance(base, ast.Name)
-            }
-            if "SimEvent" in bases:
-                declared[node.name] = node
+        declared = declared_events(events_tree)
 
         emitted: set[str] = set()
         consumed: set[str] = set()

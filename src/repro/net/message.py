@@ -28,8 +28,7 @@ REFRESH_TIME_BYTES = 4
 QUERY_DESCRIPTOR_BYTES = 8
 
 
-@dataclasses.dataclass(frozen=True)
-class UpdateValue:
+class UpdateValue(t.NamedTuple):
     """One attribute write carried upstream inside a request."""
 
     attribute: str
@@ -104,8 +103,7 @@ class RequestMessage:
         return not self.needed and bool(self.updates)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReplyItem:
+class ReplyItem(t.NamedTuple):
     """One returned item: an attribute value or a whole object.
 
     ``attribute`` is ``None`` for whole objects, in which case ``value``

@@ -1,10 +1,14 @@
 """The typed event taxonomy of the instrumentation spine.
 
-Every observable moment in a simulation is one frozen, slotted dataclass
-emitted on the run's :class:`~repro.obs.bus.EventBus`.  Domain code constructs
-an event and emits it; it never touches a metrics object.  Sinks — the
-metric collectors, the JSONL trace writer, the staleness timeline —
-subscribe to the types they care about.
+Every observable moment in a simulation is one :class:`typing.NamedTuple`
+emitted on the run's :class:`~repro.obs.bus.EventBus`, with ``time`` as its
+first field.  Domain code constructs an event and emits it; it never
+touches a metrics object.  Sinks — the metric collectors, the JSONL trace
+writer, the staleness timeline — subscribe to the types they care about.
+A named tuple is immutable, so every sink sees the event as it was
+emitted, and it is cheap to build: an always-on event is built once per
+attribute read.  :class:`SimEvent` is the structural type of "any
+event"; no event class inherits from it.
 
 Two emission disciplines keep the bus cheap:
 
@@ -27,7 +31,6 @@ trace export.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing as t
 
@@ -48,18 +51,20 @@ KIND_BURST_ENTER = "burst-enter"
 KIND_BURST_EXIT = "burst-exit"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class SimEvent:
-    """Base of every bus event: the simulated instant it happened."""
+class SimEvent(t.Protocol):
+    """Any bus event: a named tuple whose first field is ``time``, the
+    simulated instant it happened."""
 
-    time: float
+    @property
+    def time(self) -> float: ...
+
+    def _asdict(self) -> dict[str, t.Any]: ...
 
 
 # ----------------------------------------------------------------------
 # Client cache dynamics
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheAccess(SimEvent):
+class CacheAccess(t.NamedTuple):
     """One attribute access resolved by the client (always-on).
 
     ``answered`` is ``False`` for reads that returned no value at all
@@ -71,6 +76,7 @@ class CacheAccess(SimEvent):
     the staleness-timeline sink aggregates.
     """
 
+    time: float
     client_id: int
     key: KeyLike
     hit: bool
@@ -81,8 +87,7 @@ class CacheAccess(SimEvent):
     age_seconds: "float | None" = None
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheAdmit(SimEvent):
+class CacheAdmit(t.NamedTuple):
     """A new entry entered a storage cache (guarded).
 
     ``expires_at`` is the entry's refresh deadline (the paper's RT
@@ -92,6 +97,7 @@ class CacheAdmit(SimEvent):
     coherence and occupancy invariants without the live cache object.
     """
 
+    time: float
     client_id: int
     cache: str
     key: KeyLike
@@ -103,8 +109,7 @@ class CacheAdmit(SimEvent):
     capacity_bytes: int = 0
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheRefresh(SimEvent):
+class CacheRefresh(t.NamedTuple):
     """A resident entry was overwritten with a freshly fetched value
     and a new refresh deadline (guarded).
 
@@ -114,14 +119,14 @@ class CacheRefresh(SimEvent):
     tell a legal post-refresh hit from a hit on an expired entry.
     """
 
+    time: float
     client_id: int
     cache: str
     key: KeyLike
     expires_at: float
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheInvalidate(SimEvent):
+class CacheInvalidate(t.NamedTuple):
     """An entry was dropped without a replacement decision (guarded).
 
     Covers invalidation-report hits and the amnesia rule's full purge;
@@ -129,14 +134,14 @@ class CacheInvalidate(SimEvent):
     invalidations equal to the cache's occupancy.
     """
 
+    time: float
     client_id: int
     cache: str
     key: KeyLike
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheEvict(SimEvent):
+class CacheEvict(t.NamedTuple):
     """A replacement policy chose and removed a victim (guarded).
 
     ``score`` is the policy's eviction score for the victim when the
@@ -144,6 +149,7 @@ class CacheEvict(SimEvent):
     for recency/frequency policies without a numeric rank.
     """
 
+    time: float
     client_id: int
     cache: str
     key: KeyLike
@@ -151,8 +157,7 @@ class CacheEvict(SimEvent):
     score: "float | None" = None
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class CacheReject(SimEvent):
+class CacheReject(t.NamedTuple):
     """An admission-aware policy denied a new entry (guarded).
 
     Emitted when :meth:`ReplacementPolicy.should_admit` returns
@@ -162,16 +167,17 @@ class CacheReject(SimEvent):
     rejected entry would have occupied.
     """
 
+    time: float
     client_id: int
     cache: str
     key: KeyLike
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RefreshExpired(SimEvent):
+class RefreshExpired(t.NamedTuple):
     """A lookup found a cached entry past its refresh deadline (guarded)."""
 
+    time: float
     client_id: int
     key: KeyLike
     age_seconds: float
@@ -181,74 +187,74 @@ class RefreshExpired(SimEvent):
 # ----------------------------------------------------------------------
 # Client query / remote-round lifecycle
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
-class RemoteRound(SimEvent):
+class RemoteRound(t.NamedTuple):
     """One attempt of a remote round began (always-on).
 
     ``attempt`` is zero-based: attempt 0 opens the round, every later
     attempt is a retry after a reply timeout.
     """
 
+    time: float
     client_id: int
     query_id: int
     attempt: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RequestSent(SimEvent):
+class RequestSent(t.NamedTuple):
     """A request message entered the uplink (always-on)."""
 
+    time: float
     client_id: int
     query_id: int
     attempt: int
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReplyTimeout(SimEvent):
+class ReplyTimeout(t.NamedTuple):
     """A reply wait expired (always-on)."""
 
+    time: float
     client_id: int
     query_id: int
     attempt: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class LateReply(SimEvent):
+class LateReply(t.NamedTuple):
     """A reply for an abandoned earlier attempt arrived and was
     discarded (always-on)."""
 
+    time: float
     client_id: int
     query_id: int
     size_bytes: int
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReplyReceived(SimEvent):
+class ReplyReceived(t.NamedTuple):
     """A reply (or prefetch trailer) was consumed by the client
     (always-on)."""
 
+    time: float
     client_id: int
     query_id: int
     size_bytes: int
     is_trailer: bool = False
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueryComplete(SimEvent):
+class QueryComplete(t.NamedTuple):
     """A query's results were delivered to the user (always-on)."""
 
+    time: float
     client_id: int
     query_id: int
     response_seconds: float
     connected: bool
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class QueryDegraded(SimEvent):
+class QueryDegraded(t.NamedTuple):
     """A query fell back to cache-only answers after the retry budget
     ran out (always-on when it happens)."""
 
+    time: float
     client_id: int
     query_id: int
     lost_updates: int
@@ -257,8 +263,7 @@ class QueryDegraded(SimEvent):
 # ----------------------------------------------------------------------
 # Network and server
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
-class TransmitOutcome(SimEvent):
+class TransmitOutcome(t.NamedTuple):
     """One transmission left a wireless channel (always-on).
 
     ``bytes_on_air`` equals ``size_bytes`` for completed transmissions
@@ -266,6 +271,7 @@ class TransmitOutcome(SimEvent):
     for aborts cut mid-flight.
     """
 
+    time: float
     channel: str
     outcome: str
     size_bytes: float
@@ -273,23 +279,23 @@ class TransmitOutcome(SimEvent):
     airtime_seconds: float
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class FaultEvent(SimEvent):
+class FaultEvent(t.NamedTuple):
     """One injected channel fault (always-on while faults are active).
 
     Field order matches the PR-2 fault-trace records this type
     replaces, so persisted traces keep their shape.
     """
 
+    time: float
     channel: str
     kind: str
     size_bytes: float
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class RequestServed(SimEvent):
+class RequestServed(t.NamedTuple):
     """The server finished processing one request (guarded)."""
 
+    time: float
     client_id: int
     query_id: int
     items: int
@@ -301,11 +307,11 @@ class RequestServed(SimEvent):
 # ----------------------------------------------------------------------
 # Simulation kernel
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True, slots=True)
-class ResourceWait(SimEvent):
+class ResourceWait(t.NamedTuple):
     """A facility claim was released: queueing and holding times
     (guarded)."""
 
+    time: float
     resource: str
     wait_seconds: float
     hold_seconds: float

@@ -39,10 +39,11 @@ def jsonify(value: t.Any) -> t.Any:
 
 
 def encode_event(event: SimEvent) -> dict[str, t.Any]:
-    """One event as a flat JSON-ready dict (``type`` plus its fields)."""
+    """One event as a flat JSON-ready dict: ``type``, then its fields
+    in declaration order (the named tuple's ``_fields``)."""
     record: dict[str, t.Any] = {"type": type(event).__name__}
-    for field in dataclasses.fields(event):
-        record[field.name] = jsonify(getattr(event, field.name))
+    for name, value in event._asdict().items():
+        record[name] = jsonify(value)
     return record
 
 

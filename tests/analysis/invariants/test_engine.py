@@ -2,6 +2,11 @@
 
 import dataclasses
 import json
+import tempfile
+import typing as t
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.invariants import (
     CacheConservationChecker,
@@ -16,12 +21,14 @@ from repro.analysis.invariants import (
 )
 from repro.obs.bus import EventBus
 from repro.obs.events import (
+    ALL_EVENT_TYPES,
     CacheAccess,
     CacheAdmit,
     CacheEvict,
     CacheReject,
     QueryComplete,
 )
+from repro.obs.sinks import encode_event
 
 
 def access(time, **overrides):
@@ -174,7 +181,136 @@ class TestDecodeRecord:
         assert decoded.capacity_bytes == 0
 
 
+#: The line from a hand-edited trace that used to crash the cache
+#: conservation checker: it parses, but ``size_bytes`` is a string.
+MISTYPED_ADMIT = (
+    '{"type": "CacheAdmit", "time": 2.0, "client_id": 0, "cache": "c", '
+    '"key": "k", "size_bytes": "big", "evictions": 0}'
+)
+
+
+class TestDecodeRefusesMistypedRecords:
+    def record(self, **overrides):
+        record = json.loads(MISTYPED_ADMIT)
+        record["size_bytes"] = 10
+        record.update(overrides)
+        return record
+
+    def test_well_typed_record_decodes(self):
+        assert isinstance(decode_record(self.record()), CacheAdmit)
+
+    def test_string_for_an_int_is_refused(self):
+        assert decode_record(json.loads(MISTYPED_ADMIT)) is None
+
+    def test_string_time_is_refused(self):
+        record = encode_event(access(1.0))
+        record["time"] = "1.0"
+        assert decode_record(record) is None
+
+    def test_bool_is_not_an_int(self):
+        assert decode_record(self.record(client_id=True)) is None
+
+    def test_int_is_a_float(self):
+        decoded = decode_record(self.record(time=2, expires_at=10))
+        assert decoded.time == 2 and decoded.expires_at == 10
+
+    def test_none_only_where_declared(self):
+        assert decode_record(self.record(evictions=None)) is None
+        record = encode_event(access(1.0))
+        assert record["age_seconds"] is None
+        assert decode_record(record) is not None
+
+    def test_unhashable_key_is_refused(self):
+        assert decode_record(self.record(key={"oid": 1})) is None
+        assert decode_record(self.record(key=[["Root#1"], "a0"])) is None
+
+
+def _well_typed(hint):
+    """Values of the declared field type ``hint``, as the domain emits
+    them (cache keys as strings or ``(oid, attribute)`` pairs)."""
+    if hint is t.Any:
+        return st.one_of(
+            st.text(max_size=8),
+            st.tuples(st.text(max_size=8), st.none() | st.text(max_size=4)),
+        )
+    scalars = {
+        float: st.floats(allow_nan=False),
+        int: st.integers(),
+        bool: st.booleans(),
+        str: st.text(max_size=8),
+        type(None): st.none(),
+    }
+    return st.one_of(*(scalars[m] for m in t.get_args(hint) or (hint,)))
+
+
+events = st.sampled_from(ALL_EVENT_TYPES).flatmap(
+    lambda cls: st.builds(
+        cls, *map(_well_typed, t.get_type_hints(cls).values())
+    )
+)
+
+#: JSON values of every shape, to plant in a field that cannot take
+#: them: wrong scalars for typed fields, unhashable ones for keys.
+WRONG_VALUES = ("text", 7, 7.5, True, None, [1, 2], {"a": 1}, [[1]])
+
+
+def _fits(value, hint):
+    if hint is t.Any:
+        return not isinstance(value, dict) and value != [[1]]
+    allowed = {float: (float, int), int: (int,), bool: (bool,),
+               str: (str,), type(None): (type(None),)}
+    members = t.get_args(hint) or (hint,)
+    return any(type(value) in allowed[m] for m in members)
+
+
+class TestTraceCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(event=events)
+    def test_records_round_trip(self, event):
+        record = encode_event(event)
+        assert list(record) == ["type", *type(event)._fields]
+        decoded = decode_record(json.loads(json.dumps(record)))
+        assert type(decoded) is type(event)
+        assert encode_event(decoded) == record
+
+    @settings(max_examples=150, deadline=None)
+    @given(event=events, data=st.data())
+    def test_a_mistyped_field_is_counted_never_raised(self, event, data):
+        hints = t.get_type_hints(type(event))
+        name = data.draw(st.sampled_from(type(event)._fields))
+        wrong = data.draw(
+            st.sampled_from(
+                [v for v in WRONG_VALUES if not _fits(v, hints[name])]
+            )
+        )
+        record = encode_event(event)
+        record[name] = wrong
+        assert decode_record(record) is None
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            path.write_text(json.dumps(record) + "\n")
+            report = check_trace(str(path))
+        assert report.malformed_lines == 1
+        assert report.unknown_records == 0
+        assert report.events_checked == 0
+
+
 class TestCheckTrace:
+    def test_mistyped_record_is_counted_as_malformed(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(MISTYPED_ADMIT + "\n")
+        report = check_trace(str(path))
+        assert report.malformed_lines == 1
+        assert report.unknown_records == 0
+        assert report.events_checked == 0
+        assert report.ok
+
+    def test_record_missing_a_field_is_malformed(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"type": "CacheAccess", "time": 1.0}\n')
+        report = check_trace(str(path))
+        assert (report.malformed_lines, report.unknown_records) == (1, 0)
+
     def test_malformed_lines_are_skipped_and_counted(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         lines = [

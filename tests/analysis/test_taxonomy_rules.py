@@ -1,32 +1,38 @@
 """REP008-REP010: metrics mutation, event reachability, dead knobs."""
 
+import ast
+from pathlib import Path
+
 
 def ids(findings):
     return sorted({f.rule_id for f in findings})
 
 
-#: A minimal fake event taxonomy for the REP009 project rule.
+#: A minimal fake event taxonomy for the REP009 project rule, declared
+#: the way ``repro/obs/events.py`` declares events.  ``SimEvent`` is
+#: the structural "any event" type, not an event itself.
 EVENTS_MODULE = """\
-import dataclasses
+import typing as t
+from typing import NamedTuple
 
 
-@dataclasses.dataclass(frozen=True)
-class SimEvent:
+class SimEvent(t.Protocol):
+    @property
+    def time(self) -> float: ...
+
+
+class GoodEvent(t.NamedTuple):
     time: float
-
-
-@dataclasses.dataclass(frozen=True)
-class GoodEvent(SimEvent):
     client_id: int
 
 
-@dataclasses.dataclass(frozen=True)
-class PhantomEvent(SimEvent):
+class PhantomEvent(NamedTuple):
+    time: float
     client_id: int
 
 
-@dataclasses.dataclass(frozen=True)
-class DeadEvent(SimEvent):
+class DeadEvent(t.NamedTuple):
+    time: float
     client_id: int
 """
 
@@ -169,12 +175,12 @@ class TestREP009EventReachability:
 
     def test_suppression_comment_applies(self, lint_project):
         flagged = EVENTS_MODULE.replace(
-            "class PhantomEvent(SimEvent):",
-            "class PhantomEvent(SimEvent):"
+            "class PhantomEvent(NamedTuple):",
+            "class PhantomEvent(NamedTuple):"
             "  # repro: noqa REP009 -- declared for forward compat",
         ).replace(
-            "class DeadEvent(SimEvent):",
-            "class DeadEvent(SimEvent):"
+            "class DeadEvent(t.NamedTuple):",
+            "class DeadEvent(t.NamedTuple):"
             "  # repro: noqa REP009 -- audit-only",
         )
         findings = lint_project(
@@ -186,6 +192,18 @@ class TestREP009EventReachability:
             select=["REP009"],
         )
         assert findings == []
+
+    def test_the_real_taxonomy_is_fully_declared(self):
+        # The rule finds declarations by their form; if that form
+        # drifts from events.py the rule goes blind and reports
+        # nothing, so pin what it sees on the real module.
+        from repro.analysis.rules.taxonomy import declared_events
+        from repro.obs import events
+
+        tree = ast.parse(Path(events.__file__).read_text())
+        assert set(declared_events(tree)) == {
+            cls.__name__ for cls in events.ALL_EVENT_TYPES
+        }
 
     def test_without_events_module_the_rule_is_silent(self, lint_project):
         findings = lint_project(

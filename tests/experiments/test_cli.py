@@ -72,6 +72,20 @@ def test_run_with_trace_and_summarize(capsys, tmp_path):
     assert f"trace         : {total} events" in out
 
 
+def test_check_trace_reports_a_mistyped_record(capsys, tmp_path):
+    # Parses as JSON but carries a string where an int belongs: the
+    # check ends with its report, not a traceback from a checker.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"type": "CacheAdmit", "time": 2.0, "client_id": 0, '
+        '"cache": "c", "key": "k", "size_bytes": "big", '
+        '"evictions": 0}\n'
+    )
+    assert main(["check-trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "0 events" in out and "1 malformed line(s) skipped" in out
+
+
 def test_trace_summarize_missing_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "absent.jsonl")
     assert main(["trace", "summarize", missing]) == 2

@@ -9,6 +9,8 @@ If a change to the model is intentional, update the pins — the diff then
 documents the behavioural impact of the change.
 """
 
+import hashlib
+
 import pytest
 
 from repro import SimulationConfig, run_simulation
@@ -43,4 +45,21 @@ def test_oc_lru_configuration_pinned():
     )
     assert result.error_rate == pytest.approx(
         0.07601902173913043, abs=1e-12
+    )
+
+
+def test_default_trace_bytes_pinned(tmp_path):
+    # The JSONL trace holds every bus event in emission order, field by
+    # field, so its digest pins the event taxonomy's encoding and the
+    # whole event sequence across commits (the hash-seed check in
+    # scripts/determinism_smoke.py only compares two runs of one commit).
+    path = tmp_path / "trace.jsonl"
+    result = run_simulation(
+        SimulationConfig(horizon_hours=0.5, trace_path=str(path))
+    )
+    trace = path.read_bytes()
+    assert result.events_processed == 2822
+    assert trace.count(b"\n") == 31098
+    assert hashlib.sha256(trace).hexdigest() == (
+        "3565a48ab1249b1792c246513d60ef710cb961491eca5d6210c44b23f7e734af"
     )

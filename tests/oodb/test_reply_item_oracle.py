@@ -9,7 +9,6 @@ writes to the objects and estimators, and requires every shipped item
 to equal the reference field by field.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -51,10 +50,12 @@ def assert_exact(server, items):
     for item in items:
         obj = server.database.get(item.oid)
         expected = reference_attribute_item(server, obj, item.attribute)
-        for field in dataclasses.fields(ReplyItem):
-            assert getattr(item, field.name) == getattr(
-                expected, field.name
-            ), (field.name, item, expected)
+        for name in ReplyItem._fields:
+            assert getattr(item, name) == getattr(expected, name), (
+                name,
+                item,
+                expected,
+            )
 
 
 def request(granularity, needed=None, updates=None, client_id=0):
