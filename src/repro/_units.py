@@ -1,4 +1,4 @@
-"""Unit helpers, physical constants and the typed unit-alias layer.
+"""Unit helpers, physical constants and the unit aliases.
 
 All simulated time is in **seconds**, all sizes in **bytes** and all
 bandwidths in **bits per second**, matching the units in Section 4 of the
@@ -9,59 +9,43 @@ Two layers live here:
 * **Constants and converters** (``KBPS``, ``HOUR``,
   :func:`transmission_time`, ...) — the only place bandwidth/size/horizon
   magic numbers may be spelled out (rule REP013 enforces this).
-* **Typed unit aliases** (:data:`Seconds`, :data:`Bytes`, :data:`Bps`,
-  ...) — ``typing.Annotated`` wrappers that are invisible at runtime
-  (a ``Seconds`` is a plain ``float``) but give the dataflow lint tier
-  (:mod:`repro.analysis.dataflow`, rules REP011–REP015) anchors to
-  propagate unit tags through assignments, call arguments and
-  dataclass fields.  Annotate a signature with an alias and every
-  caller mixing bytes into it gets flagged at lint time.
+* **Unit aliases** (:data:`Seconds`, :data:`Bytes`, :data:`Bps`, ...) —
+  plain ``float``/``int`` aliases that name a value's unit in a
+  signature or a dataclass field.  They check nothing: a ``Seconds`` is
+  a ``float``.
 
 The sim-time vs wall-time split matters: :data:`Seconds` means
 *simulated* seconds (the ``Environment`` clock), :data:`WallSeconds`
 means host wall-clock seconds (``time.perf_counter`` and friends).
-Feeding one into the other is exactly the bug class REP012 exists for.
+Only the profiler and the executor's run metadata hold the latter
+(rule REP001 keeps wall-clock reads out of everything else).
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing as t
-
-
-@dataclasses.dataclass(frozen=True)
-class Unit:
-    """The annotation marker carried inside a typed unit alias.
-
-    ``symbol`` is the tag the dataflow analyzer propagates; the catalog
-    of symbols lives in :mod:`repro.analysis.dataflow.lattice`.
-    """
-
-    symbol: str
-
 
 #: Simulated seconds — the ``Environment`` clock's unit.
-Seconds = t.Annotated[float, Unit("s")]
+Seconds = float
 #: Host wall-clock seconds (``time.perf_counter`` readings); never mix
-#: with simulated time (REP012).
-WallSeconds = t.Annotated[float, Unit("wall_s")]
+#: with simulated time.
+WallSeconds = float
 #: Horizon-style durations expressed in hours; multiply by :data:`HOUR`
 #: to obtain simulated seconds.
-Hours = t.Annotated[float, Unit("h")]
+Hours = float
 #: Payload / cache-capacity sizes in bytes.
-Bytes = t.Annotated[float, Unit("B")]
+Bytes = float
 #: Sizes already converted to bits (``bytes * BITS_PER_BYTE``).
-Bits = t.Annotated[float, Unit("bit")]
+Bits = float
 #: Bandwidths in bits per second.
-Bps = t.Annotated[float, Unit("bps")]
+Bps = float
 #: Event rates in events per (simulated) second.
-PerSecond = t.Annotated[float, Unit("per_s")]
+PerSecond = float
 #: Dimensionless fractions: probabilities, utilizations, hit ratios.
-Ratio = t.Annotated[float, Unit("ratio")]
+Ratio = float
 #: Dimensionless cardinalities: clients, objects, retries.
-Count = t.Annotated[int, Unit("count")]
+Count = int
 #: The bits-per-byte conversion factor's own dimension.
-BitsPerByte = t.Annotated[int, Unit("bit/B")]
+BitsPerByte = int
 
 #: Bits per byte; pulled into a constant so size/bandwidth conversions read
 #: as intent rather than magic numbers.

@@ -2,8 +2,8 @@
 
 * :mod:`repro.analysis.engine` + :mod:`repro.analysis.rules` — a small
   AST lint framework with simulation-domain rules (REP001+) that turn
-  wall-clock reads, unseeded randomness, hash-order iteration, unit
-  mix-ups and interleaving hazards into CI failures.  Run it with
+  wall-clock reads, unseeded randomness, hash-order iteration and bare
+  unit literals into CI failures.  Run it with
   ``repro-mobicache lint src tests``.
 * :mod:`repro.analysis.invariants` — streaming protocol-invariant
   checkers over a run's obs events (``repro run --invariants``,

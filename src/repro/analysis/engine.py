@@ -130,29 +130,11 @@ class ProjectRule(Rule):
         raise NotImplementedError
 
 
-class DataflowRule(Rule):
-    """A rule over the symbol-resolved unit-dataflow model.
-
-    Sibling to :class:`ProjectRule`, one level deeper: instead of raw
-    parsed files it receives a :class:`~repro.analysis.dataflow.DataflowModel`
-    — per-module symbol tables with imports resolved project-wide and
-    unit tags propagated through assignments, calls and returns (see
-    :mod:`repro.analysis.dataflow`).  The model is built once per lint
-    run, and only when a dataflow rule is selected.
-    """
-
-    def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
-        return iter(())
-
-    def check_dataflow(self, model: t.Any) -> t.Iterator[Finding]:
-        raise NotImplementedError
-
-
 class SuppressionRule(Rule):
     """A rule about the ``# repro: noqa`` comments themselves.
 
     These do not inspect the AST — the engine runs them after every
-    other tier, over the suppression comments it collected and the
+    other rule, over the suppression comments it collected and the
     record of which ones actually matched a finding.  ``kind`` selects
     the check: ``"stale"`` (comment suppressed nothing this run) or
     ``"reason"`` (comment lacks a ``-- reason`` trailer).  Their own
@@ -290,11 +272,11 @@ def lint_paths(
     """Run every (selected) rule over every Python file under ``paths``.
 
     ``select`` restricts the run to the given rule ids; ``ignore`` drops
-    ids from whatever is selected.  A project-wide tier whose rules are
-    all dropped builds no model.  Unparseable files surface as
-    :data:`PARSE_ERROR_ID` findings rather than crashing the run.  After all tiers, the
-    suppression-hygiene pass (:class:`SuppressionRule`) reports noqa
-    comments that suppressed nothing or lack a reason.
+    ids from whatever is selected.  Unparseable files surface as
+    :data:`PARSE_ERROR_ID` findings rather than crashing the run.  After
+    the per-file and project rules, the suppression-hygiene pass
+    (:class:`SuppressionRule`) reports noqa comments that suppressed
+    nothing or lack a reason.
     """
     rules = all_rules()
     if select:
@@ -310,10 +292,9 @@ def lint_paths(
             raise ValueError(f"unknown rule ids ignored: {sorted(unknown)}")
         rules = [rule for rule in rules if rule.rule_id not in dropped]
 
-    special = (ProjectRule, DataflowRule, SuppressionRule)
+    special = (ProjectRule, SuppressionRule)
     file_rules = [r for r in rules if not isinstance(r, special)]
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    dataflow_rules = [r for r in rules if isinstance(r, DataflowRule)]
     suppression_rules = [r for r in rules if isinstance(r, SuppressionRule)]
 
     findings: list[Finding] = []
@@ -350,22 +331,11 @@ def lint_paths(
                 if not supp.suppresses(finding):
                     findings.append(finding)
 
-    def run_tier(produced: t.Iterator[Finding]) -> None:
-        for finding in produced:
+    for rule in project_rules:
+        for finding in rule.check_project(parsed):
             supp = suppressions.get(finding.path)
             if supp is None or not supp.suppresses(finding):
                 findings.append(finding)
-
-    for rule in project_rules:
-        run_tier(rule.check_project(parsed))
-    if dataflow_rules:
-        # Imported lazily: the dataflow package depends on this
-        # module, and per-file-only runs should not pay for it.
-        from repro.analysis.dataflow import build_model
-
-        model = build_model(parsed)
-        for rule in dataflow_rules:
-            run_tier(rule.check_dataflow(model))
 
     if suppression_rules:
         # A noqa naming only rule ids that did not run this pass cannot

@@ -157,10 +157,12 @@ class InvariantReport:
         return counts
 
     def summary(self) -> str:
+        tail = ""
+        if self.malformed_lines:
+            tail += f", {self.malformed_lines} malformed line(s) skipped"
+        if self.unknown_records:
+            tail += f", {self.unknown_records} unknown record(s) skipped"
         if self.ok:
-            tail = ""
-            if self.malformed_lines:
-                tail = f", {self.malformed_lines} malformed line(s) skipped"
             return (
                 f"ok: {self.events_checked} events, "
                 f"{len(self.checkers)} checkers, 0 violations{tail}"
@@ -171,7 +173,7 @@ class InvariantReport:
         )
         return (
             f"FAIL: {self.total_violations} violation(s) over "
-            f"{self.events_checked} events ({breakdown})"
+            f"{self.events_checked} events ({breakdown}){tail}"
         )
 
 

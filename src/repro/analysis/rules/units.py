@@ -1,97 +1,56 @@
-"""REP011–REP015 — the unit/dimension dataflow rule set.
+"""REP013 — bandwidth, size and horizon literals are spelled in units.
 
-All five run over the shared :class:`~repro.analysis.dataflow.DataflowModel`
-(one symbol-resolution + inference pass per lint run) and differ only in
-which diagnostic kind they surface:
-
-========  =======================================================
-REP011    arithmetic mixing incompatible units (``bytes + seconds``,
-          ``bytes * bps`` without ``transmission_time``)
-REP012    wall-clock seconds flowing into a sim-time parameter
-REP013    magic bandwidth/size/horizon literals outside ``_units.py``
-REP014    quantity declared with one unit, consumed as another (call
-          arguments, annotated assignments, returns — config knobs
-          crossing modules are the motivating case)
-REP015    ordering/equality comparison of differently-tagged values
-========  =======================================================
-
-Tags come from the ``repro._units`` aliases, inline
-``Annotated[..., Unit(...)]`` forms and the ``*_seconds``/``*_bytes``/
-``*_bps``/``*_rate`` name heuristic; anything untagged never produces
-a finding, so unannotated code is silent, not noisy.
+The paper's quantities are a handful of constants: 19.2 Kbps wireless
+channels, 40 Mbps disk, 100 Mbps memory and horizons in hours.  Spelled
+as bare numbers (``horizon_hours * 3600.0``) they hide the conversion a
+reader has to check; spelled ``hours * HOUR`` they state it.  Only
+``repro/_units.py`` defines them.  The rule's table is built from those
+same constants, so this module spells none of them either.
 """
 
 from __future__ import annotations
 
+import ast
 import typing as t
 
-from repro.analysis.dataflow import DataflowModel
-from repro.analysis.dataflow.infer import (
-    KIND_ARITHMETIC,
-    KIND_COMPARISON,
-    KIND_DECLARED_MISMATCH,
-    KIND_MAGIC_LITERAL,
-    KIND_WALL_INTO_SIM,
-)
-from repro.analysis.engine import DataflowRule, Finding, register_rule
+from repro._units import DAY, HOUR, KBPS, MBPS
+from repro.analysis.engine import FileContext, Finding, Rule, register_rule
 
-
-class _DiagnosticRule(DataflowRule):
-    """Shared shape: surface one diagnostic kind as findings."""
-
-    kind: str = ""
-
-    def check_dataflow(self, model: t.Any) -> t.Iterator[Finding]:
-        assert isinstance(model, DataflowModel)
-        for diag in model.of_kind(self.kind):
-            yield Finding(
-                path=diag.path,
-                line=diag.line,
-                col=diag.col,
-                rule_id=self.rule_id,
-                message=diag.message,
-            )
+#: Literal value -> the ``repro._units`` spelling to use instead.
+_MAGIC_LITERALS: dict[float, str] = {
+    19.2 * KBPS: "19.2 * KBPS",
+    HOUR: "HOUR",
+    DAY: "DAY",
+    40 * MBPS: "40 * MBPS",
+    100 * MBPS: "100 * MBPS",
+}
 
 
 @register_rule
-class IncompatibleUnitArithmetic(_DiagnosticRule):
-    rule_id = "REP011"
-    title = (
-        "arithmetic mixes incompatible units (bytes + seconds, "
-        "bytes * bps without transmission_time)"
-    )
-    kind = KIND_ARITHMETIC
-
-
-@register_rule
-class WallClockIntoSimTime(_DiagnosticRule):
-    rule_id = "REP012"
-    title = "wall-clock reading flows into a sim-time parameter"
-    kind = KIND_WALL_INTO_SIM
-
-
-@register_rule
-class MagicUnitLiteral(_DiagnosticRule):
+class MagicUnitLiteral(Rule):
     rule_id = "REP013"
     title = (
         "magic bandwidth/size/horizon literal; use the repro._units "
         "constants"
     )
-    kind = KIND_MAGIC_LITERAL
 
+    def applies_to(self, ctx: FileContext) -> bool:
+        return "repro" in ctx.rel_path.split("/")[:-1] and not ctx.is_module(
+            "repro/_units.py"
+        )
 
-@register_rule
-class DeclaredUnitMismatch(_DiagnosticRule):
-    rule_id = "REP014"
-    title = (
-        "quantity declared with one unit but consumed as another "
-        "(config knobs crossing modules included)"
-    )
-    kind = KIND_DECLARED_MISMATCH
-
-
-@register_rule
-class IncompatibleUnitComparison(_DiagnosticRule):
-    rule_id = "REP015"
-    title = "comparison of quantities carrying different unit tags"
-    kind = KIND_COMPARISON
+    def check(self, tree: ast.Module, ctx: FileContext) -> t.Iterator[Finding]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Constant):
+                continue
+            value = node.value
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                continue
+            suggestion = _MAGIC_LITERALS.get(value)
+            if suggestion is not None:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"magic bandwidth/size/horizon literal {value:g}; "
+                    f"spell it {suggestion} from repro._units",
+                )

@@ -186,8 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lint_parser = sub.add_parser(
         "lint",
-        help="run the determinism + unit-dataflow lint "
-             "(REP rules) over Python sources",
+        help="run the determinism lint (REP rules) over Python sources",
         description="Exit codes: 0 = clean, 1 = violations found, "
                     "2 = parse/config error (unreadable or "
                     "syntactically broken file [REP000], unknown rule "

@@ -31,7 +31,6 @@ import dataclasses
 import json
 import typing as t
 
-from repro._units import HOUR
 from repro.errors import StatisticsError
 from repro.experiments.parallel import (
     ParallelExecutor,
@@ -303,10 +302,13 @@ def run_scenario(
         seed=seed,
         extra_base=base or None,
     )
-    # Fail fast on a window that cannot hold any samples.
-    warmup_window(plan.horizon_hours * HOUR, warmup)
+    descriptors = plan.descriptors()
+    # Fail fast on a window that cannot hold any samples, at the same
+    # horizon replication_metrics will truncate each run at.
+    for descriptor in descriptors:
+        warmup_window(descriptor.config.horizon_seconds, warmup)
     executor = ParallelExecutor(jobs=jobs, progress=progress)
-    outcomes = executor.run(scenario.name, plan.descriptors())
+    outcomes = executor.run(scenario.name, descriptors)
     return collect_outcomes(
         plan,
         outcomes,

@@ -329,6 +329,15 @@ def load_toml(path: str) -> dict[str, Scenario]:
             data = tomllib.load(handle)
     except tomllib.TOMLDecodeError as exc:
         raise ScenarioError(f"invalid TOML in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"cannot read scenario spec {path}: not UTF-8 "
+            f"({exc.reason} at byte {exc.start})"
+        ) from exc
+    except OSError as exc:
+        raise ScenarioError(
+            f"cannot read scenario spec {path}: {exc.strerror or exc}"
+        ) from exc
     scenarios = {}
     for name, spec in data.items():
         if not isinstance(spec, dict):

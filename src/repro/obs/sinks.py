@@ -120,17 +120,18 @@ def read_trace(
 ) -> t.Iterator[dict[str, t.Any]]:
     """Yield the decoded records of a JSONL trace file.
 
-    With ``on_malformed`` set, lines that fail to parse as a JSON
-    object (the partial final write of a crashed run) are reported to
-    the callback and skipped instead of raising — the stream keeps
-    going, so a truncated trace is still checkable up to the cut.
+    With ``on_malformed`` set, lines that fail to decode as UTF-8 or
+    to parse as a JSON object (the partial final write of a crashed
+    run) are reported to the callback and skipped instead of raising —
+    the stream keeps going, so a truncated or corrupted trace is still
+    checkable around the bad lines.
     """
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise ValueError(
@@ -140,7 +141,8 @@ def read_trace(
             except ValueError as error:
                 if on_malformed is None:
                     raise
-                on_malformed(line_number, line, error)
+                text = raw.decode("utf-8", "backslashreplace").strip()
+                on_malformed(line_number, text, error)
                 continue
             yield t.cast("dict[str, t.Any]", record)
 

@@ -122,7 +122,7 @@ class BurstyArrival(ArrivalProcess):
         day_start = (now // DAY) * DAY
         hour_of_day = (now - day_start) / HOUR
         for period in self.profile:
-            if hour_of_day < period.end_hour:  # repro: noqa REP015 -- hours conversion
+            if hour_of_day < period.end_hour:
                 return day_start + period.end_hour * HOUR
         return day_start + DAY
 

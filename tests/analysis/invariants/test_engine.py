@@ -328,6 +328,19 @@ class TestCheckTrace:
         # The complete-without-access law still fires on what decoded.
         assert {v.checker_id for v in report.violations} == {"CAU002"}
 
+    def test_undecodable_line_is_malformed_and_its_neighbours_checked(
+        self, tmp_path
+    ):
+        path = tmp_path / "trace.jsonl"
+        good = [
+            json.dumps(encode_event(access(t))).encode() + b"\n"
+            for t in (1.0, 2.0)
+        ]
+        path.write_bytes(good[0] + b"\xff\xfe\x00garbage\n" + good[1])
+        report = check_trace(str(path))
+        assert (report.malformed_lines, report.unknown_records) == (1, 0)
+        assert report.events_checked == 2
+
     def test_unknown_records_are_counted(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"type": "FutureEvent", "time": 1.0}\n')

@@ -1,4 +1,4 @@
-"""The ``repro lint`` exit-code contract and the project-wide tiers.
+"""The ``repro lint`` exit-code contract, its flags and its reports.
 
 The contract CI relies on: 0 = clean, 1 = rule violations, 2 = the lint
 itself could not do its job (unparseable input, unknown rule ids, a
@@ -32,12 +32,11 @@ CLEAN = (
     "def total(a_seconds: float, b_seconds: float) -> float:\n"
     "    return a_seconds + b_seconds\n"
 )
-MIXED = (
-    "def total(a_seconds: float, b_bytes: float) -> float:\n"
-    "    return a_seconds + b_bytes\n"
+#: A bare seconds-per-hour literal: one REP013 finding on line 2.
+BARE_HOUR = (
+    "def horizon(hours: float) -> float:\n"
+    "    return hours * 3600.0\n"
 )
-#: The unit-dataflow tier, as an ``--ignore`` list.
-UNIT_IDS = "REP011,REP012,REP013,REP014,REP015"
 
 
 class TestExitCodes:
@@ -47,9 +46,9 @@ class TestExitCodes:
         assert "no findings" in capsys.readouterr().out
 
     def test_violations_exit_one(self, tree, capsys):
-        root = tree({"repro/core/mod.py": MIXED})
+        root = tree({"repro/core/mod.py": BARE_HOUR})
         assert main(["lint", root]) == 1
-        assert "REP011" in capsys.readouterr().out
+        assert "REP013" in capsys.readouterr().out
 
     def test_unparseable_input_exits_two(self, tree, capsys):
         root = tree({"repro/core/mod.py": "def broken(:\n"})
@@ -61,7 +60,7 @@ class TestExitCodes:
         # incomplete report: the config-error code must win.
         root = tree(
             {
-                "repro/core/bad.py": MIXED,
+                "repro/core/bad.py": BARE_HOUR,
                 "repro/core/broken.py": "def broken(:\n",
             }
         )
@@ -69,8 +68,11 @@ class TestExitCodes:
 
     def test_unknown_rule_id_exits_two(self, tree, capsys):
         root = tree({"repro/core/mod.py": CLEAN})
-        assert main(["lint", "--select", "REP999", root]) == 2
-        assert "unknown rule ids" in capsys.readouterr().err
+        # REP011 is retired: a retired id is never reused, so it is
+        # as unknown as one never registered.
+        for rule_id in ("REP999", "REP011"):
+            assert main(["lint", "--select", rule_id, root]) == 2
+            assert "unknown rule ids" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         # A typo must not pass as a clean lint of nothing.
@@ -79,26 +81,27 @@ class TestExitCodes:
         assert "no such file or directory" in capsys.readouterr().err
 
 
-class TestDataflowFlags:
-    def test_ignoring_the_unit_ids_skips_the_tier(self, tree, capsys):
-        root = tree({"repro/core/mod.py": MIXED})
-        assert main(["lint", "--ignore", UNIT_IDS, root]) == 0
+class TestFlagsAndReports:
+    def test_ignoring_a_rule_drops_its_findings(self, tree, capsys):
+        root = tree({"repro/core/mod.py": BARE_HOUR})
+        assert main(["lint", "--ignore", "REP013", root]) == 0
         assert "no findings" in capsys.readouterr().out
 
-    def test_json_report_carries_dataflow_findings(self, tree, capsys):
-        root = tree({"repro/core/mod.py": MIXED})
+    def test_json_report_carries_the_findings(self, tree, capsys):
+        root = tree({"repro/core/mod.py": BARE_HOUR})
         assert main(["lint", "--format", "json", root]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["REP011"] == 1
+        assert payload["counts"]["REP013"] == 1
         (finding,) = payload["findings"]
-        assert finding["rule_id"] == "REP011"
+        assert finding["rule_id"] == "REP013"
         assert finding["line"] == 2
 
-    def test_list_rules_documents_the_unit_tier(self, capsys):
+    def test_list_rules_documents_rep013_and_no_retired_id(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP011", "REP012", "REP013", "REP014", "REP015"):
-            assert rule_id in out
+        assert "REP013" in out
+        for rule_id in ("REP011", "REP012", "REP014", "REP015"):
+            assert rule_id not in out
 
     def test_list_rules_documents_suppression_hygiene(self, capsys):
         assert main(["lint", "--list-rules"]) == 0

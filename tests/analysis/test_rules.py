@@ -185,3 +185,63 @@ class TestREP006YieldEventsOnly:
             "def proc(env):\n    yield env.timeout(1.0)\n",
         )
         assert findings == []
+
+
+class TestREP013MagicLiterals:
+    def test_bare_3600_trips_only_rep013(self, lint):
+        findings = lint(
+            "repro/experiments/mod.py",
+            """\
+            def horizon(hours: float) -> float:
+                return hours * 3600.0
+            """,
+        )
+        assert ids(findings) == ["REP013"]
+        assert "HOUR" in findings[0].message
+
+    def test_the_unit_constant_spelling_is_clean(self, lint):
+        findings = lint(
+            "repro/experiments/mod.py",
+            """\
+            from repro._units import HOUR
+
+            def horizon(hours: float) -> float:
+                return hours * HOUR
+            """,
+        )
+        assert findings == []
+
+    def test_wireless_bandwidth_literal_is_flagged(self, lint):
+        findings = lint("repro/net/mod.py", "BANDWIDTH = 19_200\n")
+        assert ids(findings) == ["REP013"]
+        assert "19.2 * KBPS" in findings[0].message
+
+    def test_non_repro_paths_are_exempt(self, lint):
+        assert lint("scripts/mod.py", "BANDWIDTH = 19_200\n") == []
+
+    def test_the_units_module_is_exempt(self, lint):
+        findings = lint(
+            "repro/_units.py",
+            """\
+            KBPS = 1_000
+            HOUR = 3_600.0
+            DAY = 86_400.0
+            """,
+        )
+        assert findings == []
+
+    def test_hours_passed_as_seconds_to_the_warmup_window(self, lint):
+        # The hours-for-seconds bug once shipped in the scenario
+        # runner's fail-fast: the literal is what gives it away.
+        findings = lint(
+            "repro/experiments/scenarios/run.py",
+            """\
+            from repro.metrics.stats import warmup_window
+
+            def fail_fast(plan, w):
+                warmup_window(plan.horizon_hours * 3600.0, w)
+            """,
+        )
+        assert ids(findings) == ["REP013"]
+        assert findings[0].line == 4
+        assert "spell it HOUR" in findings[0].message

@@ -86,6 +86,41 @@ def test_check_trace_reports_a_mistyped_record(capsys, tmp_path):
     assert "0 events" in out and "1 malformed line(s) skipped" in out
 
 
+def test_check_trace_reports_unknown_records(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text('{"type": "FutureEvent", "time": 1.0}\n')
+    assert main(["check-trace", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "ok: 0 events" in out
+    assert "1 unknown record(s) skipped" in out
+
+
+def test_check_trace_failure_still_reports_skipped_lines(capsys, tmp_path):
+    # A completion with no access fails CAU002; the truncated and the
+    # unknown line must not vanish from the FAIL summary.
+    path = tmp_path / "trace.jsonl"
+    path.write_text(
+        '{"type": "QueryComplete", "time": 1.0, "client_id": 0, '
+        '"query_id": 1, "response_seconds": 1.0, "connected": true}\n'
+        '{"type": "CacheAccess", "time": 2.0, "cli\n'
+        '{"type": "FutureEvent", "time": 3.0}\n'
+    )
+    assert main(["check-trace", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: 1 violation(s) over 1 events (CAU002 x1)" in out
+    assert "1 malformed line(s) skipped" in out
+    assert "1 unknown record(s) skipped" in out
+
+
+def test_check_trace_counts_an_undecodable_line(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"\xff\xfe\x00garbage\n")
+    assert main(["check-trace", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "1 malformed line(s) skipped" in captured.out
+    assert captured.err == ""
+
+
 def test_trace_summarize_missing_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "absent.jsonl")
     assert main(["trace", "summarize", missing]) == 2

@@ -442,6 +442,21 @@ values = ["HC"]
         assert main(["scenario", "run", "exp99-nope", "--quiet"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_scenario_run_unreadable_spec(self, capsys, tmp_path, kind):
+        path = tmp_path / "spec.toml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"[tiny]\ntitle = '\xff\xfe'\n")
+        code = main([
+            "scenario", "run", "tiny", "--spec", str(path), "--quiet",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
     def test_scenario_run_bad_warmup(self, capsys):
         code = main([
             "scenario", "run", "exp4-cyclic",

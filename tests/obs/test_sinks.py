@@ -234,6 +234,27 @@ class TestReadTraceMalformed:
         # their 1-based line numbers.
         assert [n for n, _ in seen] == [2, 3]
 
+    def test_undecodable_bytes_are_a_malformed_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"type": "A", "time": 1.0}\n'
+            b"\xff\xfe\x00garbage\n"
+            b'{"type": "B", "time": 2.0}\n'
+        )
+        with pytest.raises(UnicodeDecodeError):
+            list(read_trace(str(path)))
+        seen = []
+        records = list(
+            read_trace(
+                str(path),
+                on_malformed=lambda n, line, exc: seen.append((n, exc)),
+            )
+        )
+        assert [r["type"] for r in records] == ["A", "B"]
+        ((line_number, error),) = seen
+        assert line_number == 2
+        assert isinstance(error, UnicodeDecodeError)
+
 
 class TestSummarizeFilterAndTop:
     def _write(self, tmp_path):
