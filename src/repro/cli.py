@@ -392,6 +392,19 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         print(render_scenarios())
         return 0
     if args.scenario_command == "run":
+        if args.out:
+            # Probe the envelope path before the sweep, not after it;
+            # append mode creates a missing file without truncating one.
+            try:
+                with open(args.out, "a", encoding="utf-8"):
+                    pass
+            except OSError as exc:
+                print(
+                    f"error: cannot write {args.out}: "
+                    f"{exc.strerror or exc}",
+                    file=sys.stderr,
+                )
+                return 2
         try:
             if args.spec:
                 register_toml(args.spec)

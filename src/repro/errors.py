@@ -59,6 +59,10 @@ class ScenarioError(ConfigurationError):
     """A scenario specification is invalid or references unknown names."""
 
 
+class TraceError(ReproError):
+    """A trace file cannot be opened for writing."""
+
+
 class StatisticsError(ReproError):
     """A statistic was requested from degenerate data (no samples after
     warm-up, a single batch, zero completed replications, ...) where the

@@ -126,14 +126,10 @@ class SimulationConfig:
     # -- observability (all off by default: strict no-op) -----------------
     #: Write every bus event as one JSON line to this path (None = off).
     trace_path: "str | None" = None
-    #: Encoded events buffered in memory before a trace-file flush.
-    trace_buffer_events: int = 1000
     #: Attach the wall-clock profiler to the kernel's step loop.
     profile: bool = False
     #: Collect the per-bucket age-at-read series (exp5/exp6 dynamics).
     staleness_timeline: bool = False
-    #: Bucket width of the staleness timeline (simulated seconds).
-    staleness_bucket_seconds: Seconds = 0.5 * HOUR
     #: Run the protocol-invariant checkers in-process and attach their
     #: report to the result (see :mod:`repro.analysis.invariants`).
     invariants: bool = False
@@ -291,16 +287,6 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"backoff jitter must lie in [0, 1], got "
                 f"{self.backoff_jitter!r}"
-            )
-        if self.trace_buffer_events < 1:
-            raise ConfigurationError(
-                f"trace buffer must be >= 1 events, got "
-                f"{self.trace_buffer_events!r}"
-            )
-        if self.staleness_bucket_seconds <= 0:
-            raise ConfigurationError(
-                f"staleness bucket width must be positive, got "
-                f"{self.staleness_bucket_seconds!r}"
             )
 
     # ------------------------------------------------------------------

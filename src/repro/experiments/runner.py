@@ -131,14 +131,10 @@ class Simulation:
         MetricsSink.install(self.bus)
         self.trace_sink: TraceSink | None = None
         if config.trace_path is not None:
-            self.trace_sink = TraceSink(
-                config.trace_path, config.trace_buffer_events
-            ).attach(self.bus)
+            self.trace_sink = TraceSink(config.trace_path).attach(self.bus)
         self.staleness_sink: StalenessTimeline | None = None
         if config.staleness_timeline:
-            self.staleness_sink = StalenessTimeline(
-                config.staleness_bucket_seconds
-            ).attach(self.bus)
+            self.staleness_sink = StalenessTimeline().attach(self.bus)
         self.invariant_engine: InvariantEngine | None = None
         if config.invariants:
             # Attached after the metrics sink so every checker observes

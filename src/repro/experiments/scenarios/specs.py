@@ -1,19 +1,15 @@
 """The paper's experiments as declarative scenario specs.
 
-Each spec reproduces — bit for bit — the run list one of the classic
-experiment drivers builds by hand: the sweep entries mirror the
-drivers' loop nesting (outermost first), ``dims_order`` mirrors their
-reported-dimension dict order, and the bases carry the fixed workload
-settings.  The drivers in :mod:`repro.experiments` now delegate here,
-so the golden-pinned single-replication tables and the replicated
-scenario runs share one source of truth.
+Each spec is one experiment's run grid: the sweep entries give the loop
+nesting (outermost first), ``dims_order`` the reported-dimension order,
+and the bases carry the fixed workload settings.  The golden-pinned
+single-replication tables and the replicated scenario runs share these
+specs as their one source of truth.
 
-Replication defaults follow the experiments' statistical character:
-the single-client read-only sweep (#2) is cheap and noisy-free, the
-multi-client sweeps default to a handful of replications; every
-scenario discards the first 10% of the horizon as warm-up (the caches
-start cold, so early buckets depress hit ratios and inflate response
-times).
+Every scenario defaults to five replications.  The paper's experiments
+discard the first 10% of the horizon as warm-up (the caches start
+cold, so early buckets depress hit ratios and inflate response times);
+the tournament discards 40%, its whole cold-fill phase.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import typing as t
 
+from repro.errors import TraceError
 from repro.obs.bus import EventBus
 from repro.obs.events import CacheAccess, SimEvent
 
@@ -71,7 +72,12 @@ class TraceSink:
         self.buffer_events = int(buffer_events)
         self.events_written = 0
         self._buffer: list[str] = []
-        self._file: t.TextIO | None = open(path, "w", encoding="utf-8")
+        try:
+            self._file: t.TextIO | None = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise TraceError(
+                f"cannot write trace {path}: {exc.strerror or exc}"
+            ) from exc
 
     def __repr__(self) -> str:
         return f"<TraceSink {self.path!r} written={self.events_written}>"

@@ -167,6 +167,31 @@ class TestAdmissionControl:
         assert cache.rejections == 0
         assert cache.evictions == 17
 
+    def test_sketch_gate_denies_under_churn(self):
+        """A one-shot stream past capacity under the sketch-gated policy
+        is denied admission, one ``CacheReject`` per denial, while a
+        re-touched key survives."""
+        rejects = []
+        bus = EventBus()
+        bus.subscribe(CacheReject, rejects.append)
+        cache = ClientStorageCache(
+            1_000, create_policy("cmslru"), bus=bus, client_id=0
+        )
+        hot = key(0)
+        clock = 0.0
+        cache.admit(hot, 0, 0, 100, now=clock, expires_at=float("inf"))
+        for n in range(1, 200):
+            clock += 1.0
+            cache.admit(
+                key(n), n, 0, 100, now=clock, expires_at=float("inf")
+            )
+            if hot in cache:
+                cache.touch(hot, clock + 0.5)
+            cache.check_invariants()
+        assert cache.rejections > 0
+        assert len(rejects) == cache.rejections
+        assert hot in cache
+
     def test_base_policy_admits_by_default(self):
         policy = LRUPolicy()
         assert policy.should_admit(key(1), 0.0) is True

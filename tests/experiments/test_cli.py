@@ -1,5 +1,7 @@
 """Smoke tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -121,6 +123,26 @@ def test_check_trace_counts_an_undecodable_line(capsys, tmp_path):
     assert captured.err == ""
 
 
+def test_run_trace_into_missing_directory_exits_2(
+    capsys, monkeypatch, tmp_path
+):
+    from repro.experiments.runner import Simulation
+
+    def no_run(self):
+        raise AssertionError("the simulation started")
+
+    monkeypatch.setattr(Simulation, "run", no_run)
+    trace = str(tmp_path / "absent" / "x.jsonl")
+    code = main([
+        "run", "--hours", "0.05", "--clients", "1", "--trace", trace,
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert trace in captured.err
+
+
 def test_trace_summarize_missing_file_exits_2(capsys, tmp_path):
     missing = str(tmp_path / "absent.jsonl")
     assert main(["trace", "summarize", missing]) == 2
@@ -173,11 +195,19 @@ def paper_experiment(name, *extra):
                  "--warmup", "0", "--hours", "0.2", "--quiet", *extra])
 
 
-def test_experiment_four_smoke(capsys):
+@pytest.fixture(scope="module")
+def change_rates_table():
+    """The serial Figure 5 table, shared by the tests that read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert paper_experiment("exp4-change-rates", "--jobs", "1") == 0
+    return out.getvalue()
+
+
+def test_experiment_four_smoke(capsys, change_rates_table):
     """Experiment #4 (Figures 5 and 6) at a tiny horizon."""
-    assert paper_experiment("exp4-change-rates") == 0
     assert paper_experiment("exp4-cyclic") == 0
-    out = capsys.readouterr().out
+    out = change_rates_table + capsys.readouterr().out
     assert "Figure 5" in out
     assert "Figure 6" in out
     assert "ewma-0.5" in out
@@ -196,11 +226,9 @@ def test_experiment_six_smoke(capsys, tmp_path):
             assert 0.0 <= record["disconnected_error_rate"] <= 1.0
 
 
-def test_experiment_jobs_flag_matches_serial(capsys):
+def test_experiment_jobs_flag_matches_serial(capsys, change_rates_table):
     """--jobs N must be invisible in the rendered output."""
     assert paper_experiment("exp4-change-rates", "--jobs", "2") == 0
     parallel_out = capsys.readouterr().out
-    assert paper_experiment("exp4-change-rates", "--jobs", "1") == 0
-    serial_out = capsys.readouterr().out
-    assert parallel_out == serial_out
+    assert parallel_out == change_rates_table
     assert "Figure 5" in parallel_out

@@ -72,13 +72,10 @@ class TestGoldenEquivalence:
         assert len(serial.cells) == 32
         assert not serial.failures and not parallel.failures
 
-    def test_exp5_parallel_matches_serial(self):
-        plan = ReplicationPlan(
-            get_scenario("exp5-coherence"),
-            replications=1,
-            horizon_hours=EQUIVALENCE_HORIZON_HOURS,
+    def test_exp5_parallel_matches_serial(self, single_replication):
+        plan, serial = single_replication(
+            "exp5-coherence", EQUIVALENCE_HORIZON_HOURS
         )
-        serial = ParallelExecutor(jobs=1).run("exp5", plan.descriptors())
         parallel = ParallelExecutor(jobs=4).run("exp5", plan.descriptors())
         assert envelope_bytes(
             collect_outcomes(plan, serial, warmup_fraction=0.0)

@@ -68,6 +68,12 @@ class TestSpecValidation:
         assert "exp7-bursts" in names
         assert "tournament" in names
         assert len(names) == 11
+        tournament = get_scenario("tournament").cells()
+        assert len({cell.dims_dict()["policy"] for cell in tournament}) == 10
+        assert {cell.dims_dict()["heat"] for cell in tournament} == {
+            "cyclic", "scan", "zipf", "hotspot",
+        }
+        assert len(tournament) == 40
 
     def test_unknown_scenario(self):
         with pytest.raises(ScenarioError, match="unknown scenario"):
@@ -457,6 +463,27 @@ values = ["HC"]
         assert err.startswith("error: ")
         assert str(path) in err
 
+    def test_scenario_run_out_into_missing_directory(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_runs(self, experiment_id, descriptors):
+            raise AssertionError("a run executed before the --out check")
+
+        monkeypatch.setattr(ParallelExecutor, "run", no_runs)
+        out_path = tmp_path / "absent" / "envelope.json"
+        code = main([
+            "scenario", "run", "exp4-cyclic",
+            "--replications", "1",
+            "--hours", str(TINY_HORIZON_HOURS),
+            "--quiet",
+            "--out", str(out_path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(out_path) in captured.err
+
     def test_scenario_run_bad_warmup(self, capsys):
         code = main([
             "scenario", "run", "exp4-cyclic",
@@ -526,16 +553,14 @@ class TestSingleReplicationOracle:
         "name, hours",
         [("exp5-coherence", TINY_HORIZON_HOURS), ("exp7-bursts", 0.3)],
     )
-    def test_records_match_run_simulation(self, name, hours):
+    def test_records_match_run_simulation(
+        self, name, hours, single_replication
+    ):
         scenario = get_scenario(name)
-        result = run_scenario(
-            scenario,
-            replications=1,
-            horizon_hours=hours,
-            warmup_fraction=0.0,
-            seed=42,
-        )
-        records = result.envelope()["records"]
+        plan, outcomes = single_replication(name, hours)
+        records = collect_outcomes(
+            plan, outcomes, warmup_fraction=0.0
+        ).envelope()["records"]
         assert len(records) == len(scenario.cells())
         for cell, record in zip(scenario.cells(), records, strict=True):
             direct = run_simulation(

@@ -43,6 +43,7 @@ class TestErrorHierarchy:
             "ReplacementError",
             "NetworkError",
             "ConfigurationError",
+            "TraceError",
         ):
             error_class = getattr(errors, name)
             assert issubclass(error_class, errors.ReproError)
