@@ -21,21 +21,24 @@ run in separate processes and the determinism smoke test re-runs the
 suite under a different hash seed, so the builtin ``hash()`` is off
 limits.  Keys are encoded through their (deterministic) ``repr`` and
 digested with BLAKE2b; the 128-bit digest is sliced into one 32-bit
-index seed per row.  The counters live in one flat list, row after row,
-and each key's counter slots (``row * width + index``) are memoized —
-the key population is the object universe, a few thousand entries per
-sketch.  A memo entry packs the slots into one ``bytes`` object, as
-unsigned 16-bit integers while the sketch has at most 2**16 counters
-(32-bit beyond).  Four 16-bit slots take the same allocation as the
-128-bit digest they derive from; a tuple of int objects would take four
-times that, which with one sketch per client is megabytes of peak
-memory.
+index seed per row.  The counters live in one flat list, row after row.
+
+A key's counter slots (``row * width + index``) are a pure function of
+its ``repr``, the width and the depth, so they are memoized once per
+``(width, depth)`` shape and the memo is shared by every sketch of that
+shape in the process: ten clients' sketches hash each key once, not
+once each.  A memo entry is a tuple of slot ints taken from one shared
+list of the shape's ``depth * width`` slot values, so the tuple holds
+references to interned ints and allocates none of its own.  The memo
+grows with the distinct keys a process touches per shape (the object
+universe times its attributes, a few tens of thousands at most) and is
+never cleared.  It relies on equal keys having equal ``repr``; cache
+keys of one granularity do.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 import typing as t
 
 #: Default number of counters per row (rounded up to a power of two).
@@ -44,6 +47,10 @@ DEFAULT_WIDTH = 4096
 DEFAULT_DEPTH = 4
 #: Saturation value of each counter (4-bit counters, as in TinyLFU).
 DEFAULT_MAX_COUNT = 15
+
+#: ``(width, depth)`` -> that shape's slot memo (key -> slot tuple) and
+#: its ``depth * width`` slot ints, shared by every sketch of the shape.
+_SHAPES: dict[tuple[int, int], tuple[dict[t.Any, tuple[int, ...]], list[int]]] = {}
 
 
 class CountMinSketch:
@@ -57,8 +64,8 @@ class CountMinSketch:
         "_max_count",
         "_reset_interval",
         "_ops",
-        "_slot_format",
         "_slots",
+        "_slot_ints",
     )
 
     def __init__(
@@ -88,9 +95,10 @@ class CountMinSketch:
             )
         self._reset_interval = int(reset_interval)
         self._ops = 0
-        slot_type = "H" if len(self._counters) <= 1 << 16 else "I"
-        self._slot_format = struct.Struct(f"<{self._depth}{slot_type}")
-        self._slots: dict[t.Any, bytes] = {}
+        shape = (self._width, self._depth)
+        if shape not in _SHAPES:
+            _SHAPES[shape] = ({}, list(range(len(self._counters))))
+        self._slots, self._slot_ints = _SHAPES[shape]
 
     # ------------------------------------------------------------------
     @property
@@ -105,26 +113,27 @@ class CountMinSketch:
     def reset_interval(self) -> int:
         return self._reset_interval
 
-    def _slots_of(self, key: t.Any) -> tuple[int, ...]:
-        packed = self._slots.get(key)
-        if packed is None:
-            # repr() of a cache key — (OID, attribute) — is a pure
-            # function of its fields, unlike hash(), which varies with
-            # PYTHONHASHSEED across worker processes.
-            encoded = repr(key).encode("utf-8")
-            raw = hashlib.blake2b(encoded, digest_size=16).digest()
-            digest = int.from_bytes(raw, "little")
-            packed = self._slots[key] = self._slot_format.pack(*(
-                row * self._width + ((digest >> (32 * row)) & self._mask)
-                for row in range(self._depth)
-            ))
-        return self._slot_format.unpack(packed)
+    def _memoize(self, key: t.Any) -> tuple[int, ...]:
+        # repr() of a cache key — (OID, attribute) — is a pure function
+        # of its fields, unlike hash(), which varies with PYTHONHASHSEED
+        # across worker processes.
+        encoded = repr(key).encode("utf-8")
+        raw = hashlib.blake2b(encoded, digest_size=16).digest()
+        digest = int.from_bytes(raw, "little")
+        slot_ints, width, mask = self._slot_ints, self._width, self._mask
+        slots = self._slots[key] = tuple([
+            slot_ints[row * width + ((digest >> (32 * row)) & mask)]
+            for row in range(self._depth)
+        ])
+        return slots
 
     def increment(self, key: t.Any) -> None:
         """Record one touch of ``key`` (conservative increment)."""
-        slots = self._slots_of(key)
+        slots = self._slots.get(key)
+        if slots is None:
+            slots = self._memoize(key)
         counters = self._counters
-        estimate = min([counters[slot] for slot in slots])
+        estimate = min(map(counters.__getitem__, slots))
         if estimate < self._max_count:
             for slot in slots:
                 if counters[slot] == estimate:
@@ -135,8 +144,10 @@ class CountMinSketch:
 
     def estimate(self, key: t.Any) -> int:
         """Upper bound on recent touches of ``key``."""
-        counters = self._counters
-        return min([counters[slot] for slot in self._slots_of(key)])
+        slots = self._slots.get(key)
+        if slots is None:
+            slots = self._memoize(key)
+        return min(map(self._counters.__getitem__, slots))
 
     def _halve(self) -> None:
         self._counters = [value >> 1 for value in self._counters]

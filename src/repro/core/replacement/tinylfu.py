@@ -33,6 +33,7 @@ from collections import OrderedDict
 from repro.core.granularity import CacheKey
 from repro.core.replacement.base import ReplacementPolicy, register_policy
 from repro.core.replacement.sketch import CountMinSketch
+from repro.errors import ReplacementError
 
 #: Segment labels reported by :meth:`WTinyLFUPolicy.segment_of`.
 SEG_WINDOW = "window"
@@ -99,96 +100,109 @@ class WTinyLFUPolicy(ReplacementPolicy):
         return self._sketch.estimate(key)
 
     # ------------------------------------------------------------------
+    # The hot paths probe ``_segments`` once and compare segment labels
+    # by identity: the table only ever holds the three module constants.
     def on_admit(self, key: CacheKey, now: float) -> None:
-        self._require_absent(key)
+        segments = self._segments
+        if key in segments:
+            raise ReplacementError(f"{key!r} is already resident")
         self._sketch.increment(key)
         self._window[key] = None
-        self._segments[key] = SEG_WINDOW
-        self._observe(hit=False)
+        segments[key] = SEG_WINDOW
+        if self.adaptive:
+            self._observe(hit=False)
         self._spill_window()
 
     def on_access(self, key: CacheKey, now: float) -> None:
-        self._require_resident(key)
+        segment = self._segments.get(key)
+        if segment is None:
+            raise ReplacementError(f"{key!r} is not resident")
         self._sketch.increment(key)
-        segment = self._segments[key]
-        if segment == SEG_WINDOW:
+        if segment is SEG_WINDOW:
             self._window.move_to_end(key)
-        elif segment == SEG_PROTECTED:
+        elif segment is SEG_PROTECTED:
             self._protected.move_to_end(key)
         else:
             # Probation re-hit: promote, demoting on protected overflow.
-            del self._probation[key]
-            self._protected[key] = None
+            probation, protected = self._probation, self._protected
+            del probation[key]
+            protected[key] = None
             self._segments[key] = SEG_PROTECTED
-            main_count = len(self._probation) + len(self._protected)
             protected_target = max(
-                1, int(PROTECTED_FRACTION * main_count)
+                1, int(PROTECTED_FRACTION * (len(probation) + len(protected)))
             )
-            while len(self._protected) > protected_target:
-                demoted, __ = self._protected.popitem(last=False)
-                self._probation[demoted] = None
+            while len(protected) > protected_target:
+                demoted, __ = protected.popitem(last=False)
+                probation[demoted] = None
                 self._segments[demoted] = SEG_PROBATION
-        self._observe(hit=True)
+        if self.adaptive:
+            self._observe(hit=True)
 
     def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        segment = self._segments.pop(key)
-        del self._segment_dict(segment)[key]
+        segment = self._segments.pop(key, None)
+        if segment is None:
+            raise ReplacementError(f"{key!r} is not resident")
+        if segment is SEG_WINDOW:
+            del self._window[key]
+        elif segment is SEG_PROBATION:
+            del self._probation[key]
+        else:
+            del self._protected[key]
 
     def evict(self, now: float) -> CacheKey:
-        self._require_nonempty()
-        victim = self._pick_victim()
-        self.last_eviction_score = float(self._sketch.estimate(victim))
-        self.remove(victim)
+        """Settle the window/probation duel and remove the victim.
+
+        Without a window, probation's LRU head leaves (protected's when
+        probation is empty too).  With nothing on probation to compare
+        against, the window victim leaves: protected keys are never
+        displaced by a first-touch candidate.  Otherwise the sketch
+        decides between the window's oldest key and probation's LRU
+        head, and the victim's score is the estimate the duel read.
+        """
+        window, probation = self._window, self._probation
+        estimate = self._sketch.estimate
+        if window and probation:
+            candidate = next(iter(window))
+            incumbent = next(iter(probation))
+            candidate_score = estimate(candidate)
+            incumbent_score = estimate(incumbent)
+            del window[candidate]
+            if candidate_score > incumbent_score:
+                # The candidate is provably hotter: transfer it into the
+                # main region and evict probation's own victim instead.
+                del probation[incumbent]
+                probation[candidate] = None
+                self._segments[candidate] = SEG_PROBATION
+                victim, score = incumbent, incumbent_score
+            else:
+                victim, score = candidate, candidate_score
+        else:
+            segment = window or probation or self._protected
+            if not segment:
+                raise ReplacementError("cannot evict from an empty policy")
+            victim, __ = segment.popitem(last=False)
+            score = estimate(victim)
+        del self._segments[victim]
+        self.last_eviction_score = float(score)
         return victim
 
     # ------------------------------------------------------------------
-    def _segment_dict(self, segment: str) -> OrderedDict[CacheKey, None]:
-        if segment == SEG_WINDOW:
-            return self._window
-        if segment == SEG_PROBATION:
-            return self._probation
-        return self._protected
-
-    def _window_target(self) -> int:
-        return max(1, math.ceil(self.window_fraction * len(self)))
-
     def _spill_window(self) -> None:
         # Window overflow drains into probation.  Spilled keys stay
         # resident — no bytes are freed — they merely lose their
         # recency shelter and must now survive the frequency duel.
-        while len(self._window) > self._window_target():
-            spilled, __ = self._window.popitem(last=False)
+        window = self._window
+        target = max(
+            1, math.ceil(self.window_fraction * len(self._segments))
+        )
+        while len(window) > target:
+            spilled, __ = window.popitem(last=False)
             self._probation[spilled] = None
             self._segments[spilled] = SEG_PROBATION
 
-    def _pick_victim(self) -> CacheKey:
-        if not self._window:
-            if self._probation:
-                return next(iter(self._probation))
-            return next(iter(self._protected))
-        candidate = next(iter(self._window))
-        if not self._probation:
-            # Nothing on probation to compare against: the window
-            # victim leaves (protected keys are never displaced by a
-            # first-touch candidate).
-            return candidate
-        incumbent = next(iter(self._probation))
-        if self._sketch.estimate(candidate) > self._sketch.estimate(
-            incumbent
-        ):
-            # The candidate is provably hotter: transfer it into the
-            # main region and evict probation's own victim instead.
-            del self._window[candidate]
-            self._probation[candidate] = None
-            self._segments[candidate] = SEG_PROBATION
-            return incumbent
-        return candidate
-
     # ------------------------------------------------------------------
     def _observe(self, hit: bool) -> None:
-        if not self.adaptive:
-            return
+        # Called only by the adaptive variant.
         alpha = ADAPTIVE_EWMA_ALPHA
         self._hit_ewma += alpha * ((1.0 if hit else 0.0) - self._hit_ewma)
         self._events_since_adapt += 1

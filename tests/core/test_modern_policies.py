@@ -17,6 +17,9 @@ from repro.core.replacement import (
     create_policy,
 )
 from repro.core.replacement.tinylfu import (
+    ADAPTIVE_MAX_FRACTION,
+    ADAPTIVE_MIN_FRACTION,
+    ADAPT_EVERY,
     SEG_PROBATION,
     SEG_PROTECTED,
     SEG_WINDOW,
@@ -192,6 +195,34 @@ class TestWTinyLFU:
             for n in range(5):
                 policy.on_access(key(n), 1_000.0 + 5 * round_ + n)
         assert policy.window_fraction > shrunk
+
+    def test_adaptive_shrink_and_regrow_factors(self):
+        """Each ``ADAPT_EVERY`` misses halve the window down to the
+        floor; each ``ADAPT_EVERY`` hits then regrow it to at least the
+        default, by half again each time, up to the cap."""
+        policy = WTinyLFUPolicy(adaptive=True)
+        default = policy.default_window_fraction
+        fractions = []
+        for block in range(3):  # a scan: admissions only
+            for n in range(ADAPT_EVERY):
+                policy.on_admit(key(block * ADAPT_EVERY + n), 0.0)
+            fractions.append(policy.window_fraction)
+        for __ in range(5):  # locality: hits only
+            for __ in range(ADAPT_EVERY):
+                policy.on_access(key(0), 1.0)
+            fractions.append(policy.window_fraction)
+        assert fractions == [
+            default * 0.5,
+            default * 0.5 * 0.5,
+            ADAPTIVE_MIN_FRACTION,
+            default,
+            default * 1.5,
+            default * 1.5 * 1.5,
+            ADAPTIVE_MAX_FRACTION,
+            ADAPTIVE_MAX_FRACTION,
+        ]
+        assert ADAPTIVE_MIN_FRACTION > default * 0.5 ** 3
+        assert default * 1.5 ** 3 > ADAPTIVE_MAX_FRACTION
 
     def test_fixed_variant_never_adapts(self):
         policy = WTinyLFUPolicy(window_fraction=0.10)

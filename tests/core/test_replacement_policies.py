@@ -159,6 +159,32 @@ class TestLRUK:
         assert history_key is admitted
         assert list(policy._history[admitted]) == [0.0, 2.0]
 
+    def test_trim_drops_oldest_ghosts_and_keeps_residents(self):
+        """Past ``MAX_GHOSTS`` histories, the older half of the ghosts
+        by (last access, key) goes; resident keys keep theirs."""
+        policy = LRUKPolicy(2)
+        policy.MAX_GHOSTS = 6
+        for n, now in ((0, 0.0), (3, 1.0), (1, 2.0), (2, 2.0), (4, 3.0)):
+            policy.on_admit(key(n), now)
+        policy.on_admit(key(5), 4.0)
+        policy.on_access(key(0), 10.0)
+        policy.on_access(key(4), 11.0)
+        for n in range(4):
+            policy.remove(key(n))
+        # Ghosts by (last access, key): 3@1, 1@2, 2@2, 0@10.
+        assert len(policy._history) == policy.MAX_GHOSTS
+        policy.on_admit(key(6), 20.0)
+        assert {
+            history_key[0].number: list(history)
+            for history_key, history in policy._history.items()
+        } == {
+            0: [0.0, 10.0],
+            2: [2.0],
+            4: [3.0, 11.0],
+            5: [4.0],
+            6: [20.0],
+        }
+
     def test_scan_resistance(self):
         """A one-touch scan never displaces twice-touched hot keys."""
         policy = LRUKPolicy(2)

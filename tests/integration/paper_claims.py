@@ -237,6 +237,9 @@ def csh_trails_sh(run: ClaimRuns, slack: float) -> None:
     for granularity in run.values("granularity"):
         sh = run(granularity=granularity, heat="SH").hit_ratio
         csh = run(granularity=granularity, heat="CSH").hit_ratio
+        # Until a client's hot set first moves, CSH issues SH's queries
+        # and the comparison below would hold vacuously.
+        assert csh != sh, f"{granularity}: CSH's hot set never moved"
         assert csh <= sh + slack
 
 
@@ -373,7 +376,9 @@ CLAIMS: dict[str, Claim] = {claim.name: claim for claim in (
     Claim(
         "csh-trails-sh",
         "Figure 2: the changing hot set (CSH) costs the storage caches "
-        "at most a few points of hit ratio against SH.",
+        "at most a few points of hit ratio against SH.  A client's hot "
+        "set first moves after its 500th query (``csh_change_every``), "
+        "about 13.9 h in at 0.01 queries/s, so the bench runs 16 h.",
         EXP1,
         {
             "query_kind": ("AQ",),
@@ -381,7 +386,7 @@ CLAIMS: dict[str, Claim] = {claim.name: claim for claim in (
             "granularity": CACHED,
         },
         csh_trails_sh,
-        {BENCH: Tier(3.0), FULL: Tier(96.0)},
+        {BENCH: Tier(16.0), FULL: Tier(96.0)},
         threshold=0.05,
     ),
     Claim(
