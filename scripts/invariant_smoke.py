@@ -18,10 +18,13 @@ reference cycles, and this checks that at longer horizons than the
 tier-1 test, with the trace sink attached.
 
 After each run the retained state must follow the resident cache:
-every client policy's score heaps hold at most two records per live
-key plus ``COMPACTION_SLACK``, and the server's write log, which only
-the invalidation-report broadcaster reads, is empty under the
-refresh-time coherence these runs use.
+every lazily pruned store a client policy declares (``lazy_stores()``)
+holds at most two records per live one plus ``COMPACTION_SLACK``, and
+the server's write log, which only the invalidation-report broadcaster
+reads, is empty under the refresh-time coherence these runs use.  The
+runs use the default EWMA policy, which declares four stores per
+client; a run whose policies declare none fails, so the bound cannot
+pass by finding nothing to check.
 
 On failure the offending trace files stay in ``--outdir`` (default
 ``invariant-traces/``) so CI can upload them as artifacts; on success
@@ -59,23 +62,23 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.analysis.invariants import check_trace
-    from repro.core.replacement.base import COMPACTION_SLACK, LazyScoreHeap
+    from repro.core.replacement.base import COMPACTION_SLACK
     from repro.experiments.config import SimulationConfig
     from repro.experiments.runner import Simulation
 
-    def unbounded_heaps(sim: Simulation) -> int:
-        """Client policy heaps holding more records than their bound."""
-        heaps = [
-            value
+    def store_bounds(sim: Simulation) -> tuple[int, int]:
+        """(declared client policy stores, those beyond their bound)."""
+        stores = [
+            sizes
             for client in sim.clients
-            for value in vars(client.cache.policy).values()
-            if isinstance(value, LazyScoreHeap)
+            for sizes in client.cache.policy.lazy_stores().values()
         ]
-        return sum(
+        unbounded = sum(
             1
-            for heap in heaps
-            if len(heap._heap) > 2 * len(heap) + COMPACTION_SLACK
+            for records, live in stores
+            if records > 2 * live + COMPACTION_SLACK
         )
+        return len(stores), unbounded
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -106,7 +109,7 @@ def main(argv: "list[str] | None" = None) -> int:
             live = result.invariants
             assert live is not None
             replay = check_trace(str(trace_path))
-            unbounded = unbounded_heaps(sim)
+            stores, unbounded = store_bounds(sim)
             logged = len(sim.server.write_log)
             ok = (
                 live.ok
@@ -114,6 +117,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 and not replay.malformed_lines
                 and not replay.unknown_records
                 and unreachable == 0
+                and stores > 0
                 and unbounded == 0
                 and logged == 0
             )
@@ -123,7 +127,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"replay: {replay.summary()}, "
                 f"{replay.unknown_records} unknown record(s) | "
                 f"unreachable after run: {unreachable} | "
-                f"unbounded heaps: {unbounded} | "
+                f"unbounded stores: {unbounded} of {stores} | "
                 f"logged writes: {logged}"
             )
             if not ok:

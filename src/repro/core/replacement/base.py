@@ -98,6 +98,17 @@ class ReplacementPolicy(abc.ABC):
         """Human-readable label used in reports."""
         return self.name
 
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        """``(records held, live records)`` of each lazily pruned store.
+
+        A store that lets records go stale in place (a
+        :class:`LazyScoreHeap`, EWMA's stamped heaps) promises to hold
+        at most ``2 * live + COMPACTION_SLACK`` records; the live-state
+        checks read this declaration to hold it to that.  Policies
+        without such a store declare none (the default).
+        """
+        return {}
+
     def _require_absent(self, key: CacheKey) -> None:
         if key in self:
             raise ReplacementError(f"{key!r} is already resident")
@@ -163,6 +174,11 @@ class LazyScoreHeap:
         heapq.heappush(heap, record)
         if len(heap) > 2 * len(scores) + COMPACTION_SLACK:
             self._compact()
+
+    def sizes(self) -> tuple[int, int]:
+        """``(heap records, live keys)``, for a policy's
+        :meth:`ReplacementPolicy.lazy_stores`."""
+        return len(self._heap), len(self._scores)
 
     def score_of(self, key: CacheKey) -> t.Any:
         return self._scores[key][0]

@@ -20,10 +20,14 @@ penalty.
 from __future__ import annotations
 
 import abc
+import itertools
+import typing as t
 from collections import OrderedDict, deque
+from heapq import heapify, heappop, heappush
 
 from repro.core.granularity import CacheKey
 from repro.core.replacement.base import (
+    COMPACTION_SLACK,
     LazyScoreHeap,
     ReplacementPolicy,
     register_policy,
@@ -70,6 +74,9 @@ class DurationScoredPolicy(ReplacementPolicy):
 
     def __len__(self) -> int:
         return len(self._last_access)
+
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {"scored": self._scored.sizes()}
 
     def on_admit(self, key: CacheKey, now: float) -> None:
         self._require_absent(key)
@@ -180,6 +187,28 @@ class WindowPolicy(DurationScoredPolicy):
         del self._times[key]
 
 
+#: A store entry: (score, stamp when pushed, the key's record).
+_Entry = tuple[float, int, list[t.Any]]
+
+
+def _live(store: t.Iterable[_Entry]) -> list[_Entry]:
+    """The entries of ``store`` whose stamp is still their record's."""
+    return [entry for entry in store if entry[2][2] == entry[1]]
+
+
+def _rebuilt(heap: list[_Entry]) -> list[_Entry]:
+    live = _live(heap)
+    heapify(live)
+    return live
+
+
+def _settled(heap: list[_Entry]) -> list[_Entry]:
+    """Pop dead entries off the top of ``heap``; return it."""
+    while heap and heap[0][2][2] != heap[0][1]:
+        heappop(heap)
+    return heap
+
+
 class EWMAPolicy(ReplacementPolicy):
     """Exponentially weighted moving average of inter-arrival durations.
 
@@ -208,7 +237,7 @@ class EWMAPolicy(ReplacementPolicy):
     exact O(log n) ordering:
 
     * **young** — no closed gap; rank = open gap, so the oldest young
-      key ranks highest (an ordered dict in access order suffices);
+      key ranks highest (a FIFO in admission order suffices);
     * **frozen** — idle for less than ``drift_tolerance * M``; rank = M,
       static until the key reaches its *knee* (last access +
       drift_tolerance * M), tracked in a knee-time heap.  The tolerance
@@ -222,6 +251,21 @@ class EWMAPolicy(ReplacementPolicy):
 
     Eviction migrates keys whose knee has passed into the drifting heap,
     then takes the maximum rank across the three regimes.
+
+    **One record per key; entries live by stamp.**  A resident key has
+    one record ``[M, last access, stamp, key, drifting]`` (M is ``None``
+    while the key is young).  The young FIFO and the frozen, knee and
+    drift heaps hold ``(score, stamp, record)`` entries (a young entry's
+    score is its admission time).  An entry is live while its stamp is
+    the record's: an access or a migration gives the record a fresh
+    stamp and a leaving key none, which kills every older entry of the
+    key where it lies.  Dead entries are dropped when they reach the
+    front, and a store is rebuilt from its live entries once it holds
+    more than ``2 * live + COMPACTION_SLACK`` of them (``live`` being
+    its regime's population), so no store grows with the number of
+    accesses.  Stamps come from one counter, so within a store they
+    order entries by push time, and heap ties break on (score, push
+    order) exactly as a :class:`LazyScoreHeap`'s sequence breaks them.
     """
 
     #: How many estimated gaps a key may sit idle before it starts
@@ -254,33 +298,32 @@ class EWMAPolicy(ReplacementPolicy):
         self.drift_tolerance = tolerance
         self.alpha = float(alpha)
         self.name = f"ewma-{alpha:g}"
-        #: key -> (M or None before the first gap closes, last access).
-        self._state: dict[CacheKey, tuple[float | None, float]] = {}
-        self._young: OrderedDict[CacheKey, float] = OrderedDict()
-        self._frozen = LazyScoreHeap()  # score = -M (max M on top)
-        self._knees = LazyScoreHeap()  # score = knee time (min on top)
-        self._drift = LazyScoreHeap()  # score = -S (max S on top)
+        #: key -> [M or None, last access, stamp or None once gone, key,
+        #: drifting].
+        self._records: dict[CacheKey, list[t.Any]] = {}
+        self._stamps = itertools.count(1)
+        self._young: deque[_Entry] = deque()  # admission order
+        self._frozen: list[_Entry] = []  # score = -M (max M on top)
+        self._knees: list[_Entry] = []  # score = knee time (min on top)
+        self._drift: list[_Entry] = []  # score = -S (max S on top)
+        #: Each regime's population: the live entries of its stores.
+        self._young_live = 0
+        self._frozen_live = 0
+        self._drift_live = 0
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._state
+        return key in self._records
 
     def __len__(self) -> int:
-        return len(self._state)
+        return len(self._records)
 
-    def _rank(self, key: CacheKey, now: float) -> float:
-        mean, last = self._state[key]
+    def _rank(self, record: list[t.Any], now: float) -> float:
+        mean, last = record[0], record[1]
         elapsed = now - last
         if mean is None:
             return self.young_penalty * elapsed
         overdue = max(elapsed / self.drift_tolerance, mean)
         return self.alpha * mean + (1.0 - self.alpha) * overdue
-
-    def _detach(self, key: CacheKey) -> None:
-        """Remove ``key`` from whichever regime structure holds it."""
-        if self._young.pop(key, None) is None:
-            self._frozen.discard(key)
-            self._knees.discard(key)
-            self._drift.discard(key)
 
     def _drift_rank_static(self, mean: float, last: float) -> float:
         return (
@@ -289,91 +332,177 @@ class EWMAPolicy(ReplacementPolicy):
         )
 
     def on_admit(self, key: CacheKey, now: float) -> None:
-        state = self._state
-        if key in state:
+        records = self._records
+        if key in records:
             self._require_absent(key)  # raises
-        state[key] = (None, now)
-        self._young[key] = now
+        stamp = next(self._stamps)
+        record = [None, now, stamp, key, False]
+        records[key] = record
+        # One more entry and one more live key: the bound still holds.
+        self._young.append((now, stamp, record))
+        self._young_live += 1
 
     def on_access(self, key: CacheKey, now: float) -> None:
-        state = self._state.get(key)
-        if state is None:
+        record = self._records.get(key)
+        if record is None:
             self._require_resident(key)  # raises
-        mean, last = state
-        duration = now - last
-        # The key leaves only the regime it is in: young while it has
-        # no closed gap (mean ``None``), one of the heaps otherwise.
+        mean = record[0]
+        duration = now - record[1]
+        # The key's old entries die with the new stamp; it only leaves
+        # its regime's population, unless it was frozen already.
         if mean is None:
             mean = duration
-            del self._young[key]
+            self._young_live -= 1
+            self._frozen_live += 1
+            self._bound_young()
         else:
             mean = (1.0 - self.alpha) * duration + self.alpha * mean
-            self._frozen.discard(key)
-            self._knees.discard(key)
-            self._drift.discard(key)
-        self._state[key] = (mean, now)
-        self._frozen.set_score(key, -mean)
-        self._knees.set_score(key, now + self.drift_tolerance * mean)
+            if record[4]:
+                record[4] = False
+                self._drift_live -= 1
+                self._frozen_live += 1
+                self._bound_drift()
+        stamp = next(self._stamps)
+        record[0] = mean
+        record[1] = now
+        record[2] = stamp
+        heappush(self._frozen, (-mean, stamp, record))
+        heappush(
+            self._knees, (now + self.drift_tolerance * mean, stamp, record)
+        )
+        self._bound_frozen()
 
     def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        self._detach(key)
-        del self._state[key]
+        record = self._records.get(key)
+        if record is None:
+            self._require_resident(key)  # raises
+        self._forget(record)
+
+    def _forget(self, record: list[t.Any]) -> None:
+        """Drop a leaving key's record; its entries die with the stamp."""
+        del self._records[record[3]]
+        record[2] = None
+        if record[0] is None:
+            self._young_live -= 1
+            self._bound_young()
+        elif record[4]:
+            self._drift_live -= 1
+            self._bound_drift()
+        else:
+            self._frozen_live -= 1
+            self._bound_frozen()
+
+    # Each store is rebuilt from its live entries once it holds more
+    # than ``2 * live + COMPACTION_SLACK``; a regime's stores are
+    # checked whenever they grow without it or it shrinks.  A rebuild
+    # keeps the FIFO's order and cannot change a heap's top, since
+    # (score, stamp) orders a heap's entries totally.
+    def _bound_young(self) -> None:
+        if len(self._young) > 2 * self._young_live + COMPACTION_SLACK:
+            self._young = deque(_live(self._young))
+
+    def _bound_frozen(self) -> None:
+        bound = 2 * self._frozen_live + COMPACTION_SLACK
+        if len(self._frozen) > bound:
+            self._frozen = _rebuilt(self._frozen)
+        if len(self._knees) > bound:
+            self._knees = _rebuilt(self._knees)
+
+    def _bound_drift(self) -> None:
+        if len(self._drift) > 2 * self._drift_live + COMPACTION_SLACK:
+            self._drift = _rebuilt(self._drift)
 
     def _migrate_overdue(self, now: float) -> None:
         """Move keys whose knee has passed from frozen to drifting."""
-        while True:
-            top = self._knees.top()
-            if top is None or top[0] > now:
-                return
-            key = top[1]
-            self._knees.discard(key)
-            self._frozen.discard(key)
-            mean, last = self._state[key]
-            assert mean is not None
-            self._drift.set_score(
-                key, -self._drift_rank_static(mean, last)
+        knees = self._knees
+        migrated = False
+        while knees:
+            knee, stamp, record = knees[0]
+            if record[2] == stamp and knee > now:
+                break
+            heappop(knees)
+            if record[2] != stamp:
+                continue
+            stamp = next(self._stamps)
+            record[2] = stamp
+            record[4] = True
+            self._frozen_live -= 1
+            self._drift_live += 1
+            heappush(
+                self._drift,
+                (
+                    -self._drift_rank_static(record[0], record[1]),
+                    stamp,
+                    record,
+                ),
             )
+            migrated = True
+        if migrated:
+            self._bound_frozen()
 
     def evict(self, now: float) -> CacheKey:
         """Remove and return the key with the maximal anticipated rank."""
-        self._require_nonempty()
+        if not self._records:
+            self._require_nonempty()  # raises
         self._migrate_overdue(now)
-        best_key: CacheKey | None = None
+        young = self._young
+        while young and young[0][2][2] != young[0][1]:
+            young.popleft()
+        frozen = _settled(self._frozen)
+        drift = _settled(self._drift)
+        best: list[t.Any] | None = None
         best_rank = -1.0
-        if self._young:
-            key = next(iter(self._young))
-            best_key = key
-            best_rank = self.young_penalty * (now - self._young[key])
-        top = self._frozen.top()
-        if top is not None:
-            negated, key = top
+        if young:
+            best = young[0][2]
+            best_rank = self.young_penalty * (now - best[1])
+        if frozen:
+            negated, __, record = frozen[0]
             if -negated > best_rank:
-                best_key, best_rank = key, -negated
-        top = self._drift.top()
-        if top is not None:
-            negated, key = top
+                best, best_rank = record, -negated
+        if drift:
+            negated, __, record = drift[0]
             rank = (
                 (1.0 - self.alpha) * now / self.drift_tolerance + -negated
             )
             if rank > best_rank:
-                best_key, best_rank = key, rank
-        assert best_key is not None
-        self._detach(best_key)
-        del self._state[best_key]
+                best, best_rank = record, rank
+        assert best is not None
+        self._forget(best)
         self.last_eviction_score = best_rank
-        return best_key
+        return best[3]
 
     def mean_duration(self, key: CacheKey) -> float:
         """The raw EWMA estimate M (0.0 before the first gap closes)."""
         self._require_resident(key)
-        mean, __ = self._state[key]
+        mean = self._records[key][0]
         return mean if mean is not None else 0.0
 
     def estimate(self, key: CacheKey, now: float) -> float:
         """Anticipated estimate used for eviction ranking."""
         self._require_resident(key)
-        return self._rank(key, now)
+        return self._rank(self._records[key], now)
+
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {
+            "young": (len(self._young), self._young_live),
+            "frozen": (len(self._frozen), self._frozen_live),
+            "knees": (len(self._knees), self._frozen_live),
+            "drift": (len(self._drift), self._drift_live),
+        }
+
+    def regime_entries(self, key: CacheKey) -> tuple[int, ...]:
+        """Live entries of ``key`` in the young FIFO and the frozen,
+        knee and drift heaps.
+
+        A resident key has ``(1, 0, 0, 0)`` while young, ``(0, 1, 1,
+        0)`` while frozen and ``(0, 0, 0, 1)`` while drifting; anything
+        else would rank it twice or never.  Scans every store: for
+        tests, not for the access path.
+        """
+        return tuple(
+            sum(1 for entry in _live(store) if entry[2][3] == key)
+            for store in (self._young, self._frozen, self._knees, self._drift)
+        )
 
 
 register_policy("mean")(MeanPolicy)

@@ -53,6 +53,9 @@ class LRDPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._counts)
 
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {"heap": self._heap.sizes()}
+
     def _epoch(self, now: float) -> int:
         return int(now // self.halving_interval)
 

@@ -62,6 +62,9 @@ class LRFUPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._heap)
 
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {"heap": self._heap.sizes()}
+
     # ------------------------------------------------------------------
     def crf_log2(self, key: CacheKey, now: float) -> float:
         """log2 of the key's decayed CRF value at ``now``."""

@@ -53,6 +53,9 @@ class LRUKPolicy(ReplacementPolicy):
     def __len__(self) -> int:
         return len(self._resident)
 
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {"heap": self._heap.sizes()}
+
     def _score(self, history: deque[float]) -> tuple[float, float]:
         """(k-th most recent access, most recent access); -inf when absent.
 

@@ -104,6 +104,15 @@ class RandomStream:
         """Uniform real on ``[0, 1)``."""
         return self._rng.random()
 
+    @property
+    def raw_random(self) -> t.Callable[[], float]:
+        """The generator's own ``random``, bound.
+
+        Calling it draws exactly what :meth:`random` draws, without the
+        Python frame in between; a hot loop binds it once per call.
+        """
+        return self._rng.random
+
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given *mean* (not rate)."""
         if mean <= 0:

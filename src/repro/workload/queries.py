@@ -10,6 +10,8 @@ probability U, modifying all of its touched attributes).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.errors import ConfigurationError
 from repro.oodb.database import Database
 from repro.oodb.objects import OID
@@ -86,101 +88,103 @@ class QueryWorkload:
         self._primitive_cumweights = cumulative(
             skewed_weights(len(self._primitives), attribute_skew)
         )
-        self._ranked_relationships = list(self._relationships)
-        rng.shuffle(self._ranked_relationships)
+        ranked_relationships = list(self._relationships)
+        rng.shuffle(ranked_relationships)
         if self._relationships:
             self._relationship_cumweights = cumulative(
                 skewed_weights(len(self._relationships), attribute_skew)
             )
+        # A draw indexes these by its ``bisect_right`` position, which is
+        # one past the last rank when the scaled draw reaches the total:
+        # the repeated last entry is the clamp.
+        self._primitive_by_draw = (
+            self._ranked_primitives + self._ranked_primitives[-1:]
+        )
+        self._relationship_by_draw = (
+            ranked_relationships + ranked_relationships[-1:]
+        )
+        self._navigational = kind is QueryKind.NAVIGATIONAL and bool(
+            self._relationships
+        )
         self._queries_generated = 0
 
     # ------------------------------------------------------------------
-    def _pick_primitives(self, count: int) -> list[str]:
-        """Sample ``count`` distinct primitive attributes by popularity."""
-        ranked = self._ranked_primitives
-        cumweights = self._primitive_cumweights
-        weighted_index = self._rng.weighted_index
-        limit = 50 * count
-        picks: list[str] = []
-        chosen: set[int] = set()
-        attempts = 0
-        while len(picks) < count:
-            attempts += 1
-            if attempts > limit:
-                for rank in range(len(ranked)):
-                    if rank not in chosen:
-                        chosen.add(rank)
-                        picks.append(ranked[rank])
-                        if len(picks) == count:
-                            break
-                break
-            rank = weighted_index(cumweights)
-            if rank not in chosen:
-                chosen.add(rank)
-                picks.append(ranked[rank])
-        return picks
-
-    def _pick_relationship(self) -> str:
-        rank = self._rng.weighted_index(self._relationship_cumweights)
-        return self._ranked_relationships[rank]
-
-    # ------------------------------------------------------------------
     def next_query(self, query_id: int) -> Query:
-        """Generate the client's next query.
+        """Generate the client's next query in one loop over its objects.
 
         Per selected object the draws come in a fixed order: its
         primitive picks, then (NQ) the relationship pick and the
-        target's primitive picks, then the update coin flips for the
-        objects just touched.
+        target's primitive picks, then one update coin per distinct
+        object just touched, in first-touch order (none when U is
+        zero; U was range-checked at construction, so a coin is a bare
+        ``random() < U``).
+
+        A pick is :meth:`~repro.sim.rand.RandomStream.weighted_index`
+        written out: one ``random()`` scaled by the total weight and a
+        ``bisect_right`` into the cumulative weights, whose clamp to
+        the last rank is the padding entry of the ``_by_draw`` lists.
+        A rank the object already has is drawn again; after ``50 *
+        attrs_per_object`` draws the object takes its remaining picks
+        from the untaken ranks in popularity order, so a degenerate
+        skew cannot loop forever.
         """
         index = self._queries_generated
         self._queries_generated += 1
         selected = self.heat.select_objects(index, self.selectivity)
 
-        pick_primitives = self._pick_primitives
-        apply_updates = self._apply_updates
+        random = self._rng.raw_random
+        ranked = self._ranked_primitives
+        by_draw = self._primitive_by_draw
+        cumweights = self._primitive_cumweights
+        total = cumweights[-1]
         count = self.attrs_per_object
-        navigational = (
-            self.kind is QueryKind.NAVIGATIONAL and bool(self._relationships)
-        )
+        limit = 50 * count
+        probability = self.update_probability
+        navigational = self._navigational
+        make = tuple.__new__
         accesses: list[AttributeAccess] = []
+        append = accesses.append
         for oid in selected:
-            touched = [(oid, name) for name in pick_primitives(count)]
-            if navigational:
-                relationship = self._pick_relationship()
-                touched.append((oid, relationship))
-                target = self.database.get(oid).related_oid(relationship)
-                touched.extend(
-                    (target, name) for name in pick_primitives(count)
-                )
-            accesses += apply_updates(touched)
+            # (object, attributes) in touch order: the selected object,
+            # then under NQ the relationship's target.
+            legs: list[tuple[OID, list[str]]] = []
+            subject = oid
+            while True:
+                names: list[str] = []
+                attempts = 0
+                while len(names) < count:
+                    attempts += 1
+                    if attempts > limit:
+                        names += [n for n in ranked if n not in names][
+                            : count - len(names)
+                        ]
+                        break
+                    name = by_draw[bisect_right(cumweights, random() * total)]
+                    if name not in names:
+                        names.append(name)
+                legs.append((subject, names))
+                if not navigational or len(legs) == 2:
+                    break
+                relationship = self._relationship_by_draw[
+                    bisect_right(
+                        self._relationship_cumweights,
+                        random() * self._relationship_cumweights[-1],
+                    )
+                ]
+                names.append(relationship)
+                subject = self.database.get(oid).related_oid(relationship)
+            update = False
+            for leg, (subject, names) in enumerate(legs):
+                if probability > 0.0 and (leg == 0 or subject != oid):
+                    update = random() < probability
+                for name in names:
+                    append(make(AttributeAccess, (subject, name, update)))
         return Query(
             query_id=query_id,
             client_id=self.client_id,
             kind=self.kind,
             accesses=accesses,
         )
-
-    def _apply_updates(
-        self, touched: list[tuple[OID, str]]
-    ) -> list[AttributeAccess]:
-        """Mark whole objects for update with probability U each.
-
-        One coin per distinct object, in first-touch order; none at all
-        when U is zero.  U was range-checked at construction, so each
-        coin is a bare ``random() < U``.
-        """
-        probability = self.update_probability
-        if probability <= 0.0:
-            return [AttributeAccess(oid, name) for oid, name in touched]
-        random = self._rng.random
-        updated: dict[OID, bool] = {}
-        for oid, __ in touched:
-            if oid not in updated:
-                updated[oid] = random() < probability
-        return [
-            AttributeAccess(oid, name, updated[oid]) for oid, name in touched
-        ]
 
     def new_value_for(self, oid: OID, attribute: str) -> int:
         """Generate the value an update writes.

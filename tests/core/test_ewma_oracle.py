@@ -1,18 +1,22 @@
-"""EWMA's single-probe fast path against a copy of the code it replaced.
+"""EWMA's stamped-record fast path against a copy of an older version.
 
-``EWMAPolicy`` reads a key's state with one probe and detaches an
-accessed key only from the regime it is in, and its eviction asks each
-``LazyScoreHeap`` for ``top()`` once instead of ``len`` and then
-``peek_min``.  ``ReferenceEWMA`` below is the policy before that change:
-it checks residency separately, detaches from every regime on each
-access and settles each heap twice.  It also runs on the heap as it was
-before heaps compacted (``ReferenceLazyHeap``), so the comparison covers
-the rebuilds too.  Hypothesis drives both through the same random
+``EWMAPolicy`` keeps one record per resident key and lets the young
+FIFO and its three plain heaps hold entries that live only while their
+stamp is the record's: an access or a migration restamps the record
+instead of discarding the key from each structure.  ``ReferenceEWMA``
+below is the policy as it was two rewrites earlier: an ordered dict of
+young keys and three ``LazyScoreHeap`` score tables, with residency
+checked separately, every regime detached on each access and each heap
+settled twice.  It also runs on the heap as it was before heaps
+compacted (``ReferenceLazyHeap``), so the comparison covers the fast
+policy's rebuilds too.  Hypothesis drives both through the same random
 sequence of admits, accesses, evictions and removals at non-decreasing
 times; after every step they must agree on the victim,
 ``last_eviction_score``, and every resident key's ``estimate``,
-``mean_duration`` and regime.  Traces of same-instant accesses give
-keys equal means, so the heaps' tie order is compared as well.
+``mean_duration`` and regime, and every store of the fast policy must
+hold within its bound exactly the live entries it declares.  Traces of
+same-instant accesses give keys equal means, so the heaps' tie order is
+compared as well.
 """
 
 from collections import OrderedDict
@@ -32,7 +36,7 @@ from tests.core.reference_heap import ReferenceLazyHeap
 
 class ReferenceEWMA(ReplacementPolicy):
     """``EWMAPolicy`` as it was before the single-probe rewrite, on
-    heaps that never compact."""
+    heaps that never compact: the twin of the stamped records."""
 
     DRIFT_TOLERANCE = 2.0
 
@@ -160,6 +164,7 @@ steps = st.lists(
 
 
 def regimes(policy, key):
+    """The reference's regime membership: (young, frozen, knees, drift)."""
     return (
         key in policy._young,
         key in policy._frozen,
@@ -170,13 +175,26 @@ def regimes(policy, key):
 
 def check_agree(fast, slow, now):
     assert len(fast) == len(slow)
-    assert set(fast._state) == set(slow._state)
     for key in slow._state:
+        assert key in fast
         assert fast.estimate(key, now) == slow.estimate(key, now)
         assert fast.mean_duration(key) == slow.mean_duration(key)
-        # A key left behind in a regime it moved out of would rank
-        # twice at a later eviction.
-        assert regimes(fast, key) == regimes(slow, key)
+        # A key left live in a regime it moved out of would rank twice
+        # at a later eviction, and one live nowhere would never rank.
+        assert fast.regime_entries(key) == tuple(
+            int(member) for member in regimes(slow, key)
+        )
+    check_stores(fast, slow._state)
+
+
+def check_stores(fast, keys):
+    """Each store declares its true live count over the resident
+    ``keys`` and keeps its bound."""
+    stores = fast.lazy_stores()
+    assert list(stores) == ["young", "frozen", "knees", "drift"]
+    for position, (records, live) in enumerate(stores.values()):
+        assert live == sum(fast.regime_entries(k)[position] for k in keys)
+        assert records <= 2 * live + COMPACTION_SLACK
 
 
 def evict_both(fast, slow, now):
@@ -267,10 +285,16 @@ def drain(policy, now):
 
 
 def heap_records(policy):
-    return [
+    """Records the reference's three heaps hold."""
+    return sum(
         len(heap._heap)
         for heap in (policy._frozen, policy._knees, policy._drift)
-    ]
+    )
+
+
+def store_records(policy):
+    """Entries every store of the fast policy holds, its FIFO too."""
+    return sum(records for records, __ in policy.lazy_stores().values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,7 +318,7 @@ def test_long_tie_trace_compacts_and_evicts_alike():
     seen in two rounds of every 20, holds the frozen heap's top (the
     largest mean), so the hot keys' stale records never surface there:
     the reference's frozen heap grows with the trace, while the fast
-    policy's heaps rebuild and stay within their bound.  A new key
+    policy's stores rebuild and stay within their bounds.  A new key
     every 10 rounds forces an eviction, and the final drain evicts the
     tied hot keys.  The eviction sequences are identical all the same.
     """
@@ -311,11 +335,79 @@ def test_long_tie_trace_compacts_and_evicts_alike():
     victims = play(fast, rounds, 8)
     assert victims == play(slow, rounds, 8)
     assert len(victims) > 250
-    for heap in (fast._frozen, fast._knees, fast._drift):
-        assert len(heap._heap) <= 2 * len(heap) + COMPACTION_SLACK
-    assert sum(heap_records(slow)) > 10 * sum(heap_records(fast))
+    check_stores(fast, slow._state)
+    assert heap_records(slow) > 10 * store_records(fast)
     end = sum(step for step, __ in rounds)
     assert drain(fast, end) == drain(slow, end)
+
+
+def test_every_regime_move_keeps_its_stores_bounded():
+    """Forty keys at a time take each regime move until the regime they
+    leave is empty: admitted young, then removed or accessed into
+    frozen; re-accessed in place; migrated into drifting by an
+    eviction; accessed back into frozen or removed.  Each move leaves
+    more dead entries in one store than the slack allows unless the
+    store is checked right there, and both policies must agree after
+    every step."""
+    fast = EWMAPolicy()
+    slow = ReferenceEWMA()
+    now = 0.0
+
+    def step(method, *args):
+        assert getattr(fast, method)(*args) == getattr(slow, method)(*args)
+        assert fast.last_eviction_score == slow.last_eviction_score
+        check_agree(fast, slow, now)
+
+    def admit_and_access(group):
+        """Admit ``group`` and access it three times: frozen, with
+        every key's young entry and two frozen entries dead."""
+        nonlocal now
+        for key in group:
+            step("on_admit", key, now)
+        for __ in range(3):
+            now += 1.0
+            for key in group:
+                step("on_access", key, now)
+
+    def migrate_all():
+        """One eviction once every knee has passed: the rest drift."""
+        nonlocal now
+        now += 100.0
+        step("evict", now)
+
+    for key in [("young", n) for n in range(40)]:
+        step("on_admit", key, now)
+    for key in [("young", n) for n in range(40)]:
+        step("remove", key)  # young -> gone
+    back = [("back", n) for n in range(40)]
+    admit_and_access(back)  # young -> frozen -> frozen
+    migrate_all()  # frozen -> drifting
+    now += 1.0
+    for key in back:
+        if key in slow:
+            step("on_access", key, now)  # drifting -> frozen
+    for key in back:
+        if key in slow:
+            step("remove", key)  # frozen -> gone
+    gone = [("gone", n) for n in range(40)]
+    admit_and_access(gone)
+    migrate_all()
+    for key in gone:
+        if key in slow:
+            step("remove", key)  # drifting -> gone
+    assert len(slow) == 0
+    # Most of frozen migrates under a key that stays frozen on top (the
+    # largest mean, its knee far off), so settling the frozen heap at
+    # eviction drops none of the migrated keys' entries; an old young
+    # key is the victim.
+    step("on_admit", "old", now)
+    step("on_admit", "slow", now)
+    now += 50.0
+    step("on_access", "slow", now)
+    admit_and_access([("fast", n) for n in range(40)])
+    now += 10.0
+    step("evict", now)
+    assert "old" not in slow and "slow" in slow
 
 
 def test_failure_branches_still_raise():

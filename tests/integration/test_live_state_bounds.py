@@ -4,7 +4,9 @@ Three stores used to grow with every access or write:
 
 * a policy's ``LazyScoreHeap`` kept stale records below a key that
   stayed on top; it now rebuilds past two records per live key plus
-  ``COMPACTION_SLACK``;
+  ``COMPACTION_SLACK``, and so does every store EWMA lets go stale in
+  place.  Each policy declares these stores through ``lazy_stores()``,
+  and a policy that declares none cannot pass the bound by default;
 * each policy record for a resident key pinned its own copy of an
   equal ``(oid, attribute)`` tuple; the cache now hands the policy the
   key object it stores;
@@ -20,12 +22,13 @@ import hashlib
 import pytest
 
 from repro import SimulationConfig
+from repro.core.replacement import available_policies, create_policy
 from repro.core.replacement.base import COMPACTION_SLACK, LazyScoreHeap
 from repro.experiments.runner import Simulation
 
 GRANULARITIES = ("AC", "OC", "HC", "PC", "NC")
 
-#: Every policy built on ``LazyScoreHeap``.
+#: Every policy with a lazily pruned store.
 HEAP_POLICIES = ("ewma-0.5", "mean", "window-10", "lrd", "lru-3", "lrfu-0.001")
 
 
@@ -35,6 +38,24 @@ def score_heaps(policy):
         for value in vars(policy).values()
         if isinstance(value, LazyScoreHeap)
     ]
+
+
+@pytest.mark.parametrize("policy", HEAP_POLICIES)
+def test_heap_policies_declare_their_stores(policy):
+    assert create_policy(policy).lazy_stores()
+
+
+@pytest.mark.parametrize("name", available_policies())
+def test_every_score_heap_is_declared(name):
+    """A policy that gains a score heap must declare it, and be run by
+    the bound test below."""
+    policy = create_policy(name)
+    heaps = score_heaps(policy)
+    assert len(policy.lazy_stores()) >= len(heaps)
+    if heaps:
+        assert type(policy) in {
+            type(create_policy(spec)) for spec in HEAP_POLICIES
+        }
 
 
 @pytest.mark.parametrize("granularity", GRANULARITIES)
@@ -115,13 +136,22 @@ def test_policy_heaps_are_bounded_and_share_cached_keys(policy):
     for client in sim.clients:
         cache = client.cache
         stored = {key: key for key in cache.keys()}
-        heaps = score_heaps(cache.policy)
-        assert heaps
-        for heap in heaps:
-            assert len(heap._heap) <= 2 * len(heap) + COMPACTION_SLACK
-            for key, record in heap._scores.items():
-                # The very object the cache stores, not an equal tuple
-                # built for the access that scored it.
-                assert record[2] is stored[key]
-                checked += 1
+        stores = cache.policy.lazy_stores()
+        assert stores
+        for records, live in stores.values():
+            assert records <= 2 * live + COMPACTION_SLACK
+        # The very object the cache stores, not an equal tuple built for
+        # the access that scored it.
+        for key, held in held_keys(cache.policy):
+            assert held is stored[key]
+            checked += 1
     assert checked > 1000
+
+
+def held_keys(policy):
+    """(key, the object a policy holds for it) for each live record."""
+    for heap in score_heaps(policy):
+        for key, record in heap._scores.items():
+            yield key, record[2]
+    for key, record in getattr(policy, "_records", {}).items():
+        yield key, record[3]
