@@ -12,7 +12,6 @@ Importing this package registers every built-in policy.
 """
 
 from repro.core.replacement.base import (
-    LazyScoreHeap,
     ReplacementPolicy,
     available_policies,
     create_policy,
@@ -45,7 +44,6 @@ __all__ = [
     "LRFUPolicy",
     "LRUKPolicy",
     "LRUPolicy",
-    "LazyScoreHeap",
     "MeanPolicy",
     "RandomPolicy",
     "ReplacementPolicy",

@@ -9,7 +9,9 @@ victims.  The storage cache drives it through four notifications::
     evict(now) -> key     choose a victim AND remove it from the policy
 
 ``evict`` both selects and forgets the victim so policies can use lazy
-heaps internally without dangling bookkeeping.
+heaps internally without dangling bookkeeping.  The scored policies
+(LRU-k, LRD, LRFU, Mean, Window, EWMA) share one such heap,
+:class:`ScoredPolicy`.
 
 Admission-aware policies additionally implement ``should_admit(key,
 now)``: the cache consults it *only* for inserts that would force at
@@ -29,9 +31,10 @@ CLI refer to them.
 from __future__ import annotations
 
 import abc
-import heapq
+import itertools
 import math
 import typing as t
+from heapq import heapify, heappop, heappush
 
 from repro.core.granularity import CacheKey
 from repro.errors import ReplacementError
@@ -101,11 +104,11 @@ class ReplacementPolicy(abc.ABC):
     def lazy_stores(self) -> dict[str, tuple[int, int]]:
         """``(records held, live records)`` of each lazily pruned store.
 
-        A store that lets records go stale in place (a
-        :class:`LazyScoreHeap`, EWMA's stamped heaps) promises to hold
-        at most ``2 * live + COMPACTION_SLACK`` records; the live-state
-        checks read this declaration to hold it to that.  Policies
-        without such a store declare none (the default).
+        A store that lets records go stale in place (the heaps and the
+        young FIFO of a :class:`ScoredPolicy`) promises to hold at most
+        ``2 * live + COMPACTION_SLACK`` records; the live-state checks
+        read this declaration to hold it to that.  Policies without such
+        a store declare none (the default).
         """
         return {}
 
@@ -122,130 +125,109 @@ class ReplacementPolicy(abc.ABC):
             raise ReplacementError("cannot evict from an empty policy")
 
 
-#: Stale records a :class:`LazyScoreHeap` may hold beyond one per live
-#: key before it rebuilds; keeps rebuilds of tiny heaps rare.
+#: Dead entries a lazily pruned store may hold beyond one per live
+#: record before it is rebuilt; keeps rebuilds of tiny stores rare.
 COMPACTION_SLACK = 16
 
+#: A store entry: (score, the record's stamp when pushed, the record).
+#: A record is a list whose first two items are its stamp (``None``
+#: once its key has left) and its key.
+Entry = tuple[t.Any, int, list[t.Any]]
 
-class LazyScoreHeap:
-    """Min-heap over (score, key) with lazy invalidation.
 
-    Scores may be re-pushed on every access; outdated heap records are
-    skipped at pop time by comparing against the current score table.
-    Gives O(log n) victim selection even for policies whose scores change
-    on every access (LRU-k, LRD, and the duration schemes).
+def live_entries(store: t.Iterable[Entry]) -> list[Entry]:
+    """The entries of ``store`` whose stamp is still their record's."""
+    return [entry for entry in store if entry[2][0] == entry[1]]
 
-    A stale record surfaces only when it reaches the top, and one below
-    a key that stays on top (EWMA's largest mean) never does.  So the
-    heap is rebuilt from the live records whenever it holds more than
-    ``2 * len(self) + COMPACTION_SLACK`` records: its size follows the
-    resident set, not the number of accesses so far.  A rebuild drops at
-    least as many stale records as it keeps live ones, so its cost is
-    amortised O(1) per push.  It cannot change a result: ``seq`` is
-    unique, so records are totally ordered by ``(score, seq)`` (scores
-    are never NaN) and the top live record is the same whatever shape
-    the heap has.
+
+def rebuilt(heap: list[Entry]) -> list[Entry]:
+    """A heap of the live entries of ``heap`` alone.
+
+    A store is rebuilt once it holds more than ``2 * live +
+    COMPACTION_SLACK`` entries, ``live`` being the records it ranks.  A
+    rebuild then drops at least as many dead entries as it keeps live
+    ones, so its cost is amortised O(1) per push.  It cannot change a
+    result: stamps are unique, so ``(score, stamp)`` orders a heap's
+    entries totally (scores are never NaN) and the top live entry is
+    the same whatever shape the heap has.
+    """
+    live = live_entries(heap)
+    heapify(live)
+    return live
+
+
+def settled(heap: list[Entry]) -> list[Entry]:
+    """Pop dead entries off the top of ``heap``; return it."""
+    while heap and heap[0][2][0] != heap[0][1]:
+        heappop(heap)
+    return heap
+
+
+class ScoredPolicy(ReplacementPolicy):
+    """Evict the resident key with the smallest score.
+
+    **One record per key; entries live by stamp.**  Each resident key
+    has one record ``[stamp, key, ...]`` in ``_records``; the policy's
+    fields follow the first two items.  The heap holds ``(score, stamp,
+    record)`` entries, and an entry is live while its stamp is the
+    record's: re-scoring a key gives its record a fresh stamp and a
+    leaving key none, which kills every older entry of the key where it
+    lies.  Dead entries are popped when they reach the top, and the
+    heap is rebuilt (:func:`rebuilt`) once it holds more than two
+    entries per live one plus ``COMPACTION_SLACK``, so it grows with the
+    resident set, not with the number of accesses.  Stamps come from one
+    counter, so equal scores leave in push order.
     """
 
-    __slots__ = ("_heap", "_scores", "_seq")
-
     def __init__(self) -> None:
-        #: Heap records are (score, seq, key); seq both breaks score ties
-        #: deterministically and keeps keys out of comparisons entirely.
-        self._heap: list[tuple[t.Any, int, CacheKey]] = []
-        #: key -> its live heap record (the same tuple object), so a
-        #: record is live exactly when the table holds it.
-        self._scores: dict[CacheKey, tuple[t.Any, int, CacheKey]] = {}
-        self._seq = 0
+        self._records: dict[CacheKey, list[t.Any]] = {}
+        self._stamps = itertools.count(1)
+        self._heap: list[Entry] = []
 
     def __contains__(self, key: CacheKey) -> bool:
-        return key in self._scores
+        return key in self._records
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self._records)
 
-    def set_score(self, key: CacheKey, score: t.Any) -> None:
-        """Insert or update ``key``'s score."""
-        self._seq += 1
-        record = (score, self._seq, key)
-        scores = self._scores
-        scores[key] = record
-        heap = self._heap
-        heapq.heappush(heap, record)
-        if len(heap) > 2 * len(scores) + COMPACTION_SLACK:
-            self._compact()
+    def lazy_stores(self) -> dict[str, tuple[int, int]]:
+        return {"heap": (len(self._heap), len(self._records))}
 
-    def sizes(self) -> tuple[int, int]:
-        """``(heap records, live keys)``, for a policy's
-        :meth:`ReplacementPolicy.lazy_stores`."""
-        return len(self._heap), len(self._scores)
+    def _push(self, record: list[t.Any], score: t.Any) -> None:
+        """(Re-)score a resident key's record."""
+        stamp = next(self._stamps)
+        record[0] = stamp
+        heappush(self._heap, (score, stamp, record))
+        self._bound_heap()
 
-    def score_of(self, key: CacheKey) -> t.Any:
-        return self._scores[key][0]
+    def _bound_heap(self) -> None:
+        """Rebuild the heap once it holds more than twice the records it
+        ranks plus the slack; checked whenever it grows or they shrink."""
+        if len(self._heap) > 2 * len(self._records) + COMPACTION_SLACK:
+            self._heap = rebuilt(self._heap)
 
-    def discard(self, key: CacheKey) -> None:
-        """Remove ``key``; its stale heap records evaporate lazily."""
-        scores = self._scores
-        if (
-            scores.pop(key, None) is not None
-            and len(self._heap) > 2 * len(scores) + COMPACTION_SLACK
-        ):
-            self._compact()
+    def _forget(self, record: list[t.Any]) -> None:
+        """Drop a leaving key's record; its entries die with the stamp."""
+        del self._records[record[1]]
+        record[0] = None
+        self._bound_heap()
 
-    def top(self) -> tuple[t.Any, CacheKey] | None:
-        """Current (score, key) minimum, or ``None`` when empty.
+    def remove(self, key: CacheKey) -> None:
+        record = self._records.get(key)
+        if record is None:
+            self._require_resident(key)  # raises
+        self._forget(record)
 
-        One settle answers both questions a caller would otherwise ask
-        with ``len`` and then :meth:`peek_min`: every live key has a
-        live heap record, so the heap is empty after settling exactly
-        when no key is left.
-        """
-        self._settle()
-        heap = self._heap
-        if not heap:
-            return None
-        score, __, key = heap[0]
-        return score, key
+    def _pop_min(self) -> Entry:
+        """Forget the key with the smallest score; return its entry."""
+        if not self._records:
+            self._require_nonempty()  # raises
+        entry = heappop(settled(self._heap))
+        self._forget(entry[2])
+        return entry
 
-    def peek_min(self) -> tuple[t.Any, CacheKey]:
-        """Current (score, key) minimum without removing it."""
-        self._settle()
-        if not self._heap:
-            raise ReplacementError("heap is empty")
-        score, __, key = self._heap[0]
-        return score, key
-
-    def pop_min(self) -> CacheKey:
-        """Remove and return the key with the minimal current score."""
-        self._settle()
-        heap = self._heap
-        if not heap:
-            raise ReplacementError("heap is empty")
-        __, __, key = heapq.heappop(heap)
-        scores = self._scores
-        del scores[key]
-        if len(heap) > 2 * len(scores) + COMPACTION_SLACK:
-            self._compact()
-        return key
-
-    def _settle(self) -> None:
-        """Drop stale heap records until the top one is live."""
-        heap = self._heap
-        scores = self._scores
-        while heap:
-            record = heap[0]
-            if scores.get(record[2]) is record:
-                return
-            heapq.heappop(heap)
-
-    def _compact(self) -> None:
-        """Rebuild the heap from its live records alone."""
-        scores = self._scores
-        heap = [
-            record for record in self._heap if scores.get(record[2]) is record
-        ]
-        heapq.heapify(heap)
-        self._heap = heap
+    def evict(self, now: float) -> CacheKey:
+        return self._pop_min()[2][1]
 
 
 # ----------------------------------------------------------------------

@@ -19,18 +19,19 @@ penalty.
 
 from __future__ import annotations
 
-import abc
-import itertools
 import typing as t
-from collections import OrderedDict, deque
-from heapq import heapify, heappop, heappush
+from collections import deque
+from heapq import heappop, heappush
 
 from repro.core.granularity import CacheKey
 from repro.core.replacement.base import (
     COMPACTION_SLACK,
-    LazyScoreHeap,
-    ReplacementPolicy,
+    Entry,
+    ScoredPolicy,
+    live_entries,
+    rebuilt,
     register_policy,
+    settled,
 )
 
 
@@ -39,96 +40,123 @@ from repro.core.replacement.base import (
 DEFAULT_YOUNG_PENALTY = 3.0
 
 
-class DurationScoredPolicy(ReplacementPolicy):
-    """Evict the key with the largest estimated mean inter-access gap."""
+class DurationScoredPolicy(ScoredPolicy):
+    """Evict the key with the largest estimated mean inter-access gap.
+
+    A resident key's record is ``[stamp, key, estimate M, last access,
+    field]``: M is ``None`` while the key is young, and the field is the
+    scheme's own (``None`` at admission).  Young keys wait in a FIFO of
+    ``(admission time, stamp, record)`` entries, so the oldest one ranks
+    highest; keys with a closed gap sit on the scored heap under ``-M``,
+    so its top has the largest estimate.  Both stores keep their entries
+    live by stamp (see :class:`ScoredPolicy`), each rebuilt past twice
+    its own regime's population plus ``COMPACTION_SLACK``.  A victim is
+    the larger of the two tops; a young key wins a tie.
+    """
 
     def __init__(self, young_penalty: float = DEFAULT_YOUNG_PENALTY) -> None:
         if young_penalty <= 0:
             raise ValueError(
                 f"young penalty must be positive, got {young_penalty!r}"
             )
+        super().__init__()
         self.young_penalty = float(young_penalty)
-        self._last_access: dict[CacheKey, float] = {}
-        #: Single-access keys, oldest first (insertion order == access order).
-        self._young: OrderedDict[CacheKey, float] = OrderedDict()
-        #: Multi-access keys; stores *negated* estimates so the heap's
-        #: minimum is the largest mean duration.
-        self._scored = LazyScoreHeap()
+        self._young: deque[Entry] = deque()  # admission order
+        #: Each regime's population: the live entries of its stores.
+        self._young_live = 0
+        self._scored_live = 0
 
-    # -- subclass hooks -------------------------------------------------
-    @abc.abstractmethod
-    def _init_state(self, key: CacheKey, now: float) -> None:
-        """Create per-key estimator state on admission."""
+    def _fold(self, record: list[t.Any], now: float) -> float:
+        """Fold the gap closing at ``now`` into the estimate; return it.
 
-    @abc.abstractmethod
-    def _fold(self, key: CacheKey, now: float, duration: float) -> float:
-        """Fold one new duration into the estimate; return the new score."""
-
-    @abc.abstractmethod
-    def _drop_state(self, key: CacheKey) -> None:
-        """Discard per-key estimator state."""
-
-    # -- ReplacementPolicy interface ------------------------------------
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._last_access
-
-    def __len__(self) -> int:
-        return len(self._last_access)
+        Mean and Window fold here; EWMA folds in its own ``on_access``.
+        """
+        raise NotImplementedError
 
     def lazy_stores(self) -> dict[str, tuple[int, int]]:
-        return {"scored": self._scored.sizes()}
+        return {
+            "young": (len(self._young), self._young_live),
+            "scored": (len(self._heap), self._scored_live),
+        }
 
     def on_admit(self, key: CacheKey, now: float) -> None:
-        self._require_absent(key)
-        self._last_access[key] = now
-        self._young[key] = now
-        self._init_state(key, now)
+        records = self._records
+        if key in records:
+            self._require_absent(key)  # raises
+        stamp = next(self._stamps)
+        record = [stamp, key, None, now, None]
+        records[key] = record
+        # One more entry and one more live key: the bound still holds.
+        self._young.append((now, stamp, record))
+        self._young_live += 1
 
     def on_access(self, key: CacheKey, now: float) -> None:
-        self._require_resident(key)
-        duration = now - self._last_access[key]
-        self._last_access[key] = now
-        score = self._fold(key, now, duration)
-        self._young.pop(key, None)
-        self._scored.set_score(key, -score)
+        record = self._records.get(key)
+        if record is None:
+            self._require_resident(key)  # raises
+        if record[2] is None:
+            self._young_live -= 1
+            self._scored_live += 1
+            self._bound_young()
+        mean = record[2] = self._fold(record, now)
+        record[3] = now
+        self._push(record, -mean)
 
-    def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        del self._last_access[key]
-        self._young.pop(key, None)
-        self._scored.discard(key)
-        self._drop_state(key)
+    def _forget(self, record: list[t.Any]) -> None:
+        del self._records[record[1]]
+        record[0] = None
+        if record[2] is None:
+            self._young_live -= 1
+            self._bound_young()
+        else:
+            self._scored_live -= 1
+            self._bound_heap()
+
+    # Each store is rebuilt from its live entries once it holds more
+    # than ``2 * live + COMPACTION_SLACK``, ``live`` being its regime's
+    # population; a regime's stores are checked whenever they grow
+    # without it or it shrinks.  A rebuild keeps the FIFO's order.
+    def _bound_young(self) -> None:
+        if len(self._young) > 2 * self._young_live + COMPACTION_SLACK:
+            self._young = deque(live_entries(self._young))
+
+    def _bound_heap(self) -> None:
+        if len(self._heap) > 2 * self._scored_live + COMPACTION_SLACK:
+            self._heap = rebuilt(self._heap)
+
+    def _best(self, now: float) -> tuple[list[t.Any] | None, float]:
+        """The record with the largest rank at ``now``, and that rank."""
+        young = self._young
+        while young and young[0][2][0] != young[0][1]:
+            young.popleft()
+        scored = settled(self._heap)
+        best: list[t.Any] | None = None
+        best_rank = -1.0
+        if young:
+            best = young[0][2]
+            best_rank = self.young_penalty * (now - best[3])
+        if scored:
+            negated, __, record = scored[0]
+            if -negated > best_rank:
+                best, best_rank = record, -negated
+        return best, best_rank
 
     def evict(self, now: float) -> CacheKey:
-        self._require_nonempty()
-        young_key: CacheKey | None = None
-        young_score = -1.0
-        if self._young:
-            young_key = next(iter(self._young))
-            young_score = self.young_penalty * (
-                now - self._young[young_key]
-            )
-        if len(self._scored):
-            negated, scored_key = self._scored.peek_min()
-            if young_key is None or -negated > young_score:
-                key = self._scored.pop_min()
-                del self._last_access[key]
-                self._drop_state(key)
-                self.last_eviction_score = -negated
-                return key
-        assert young_key is not None
-        del self._young[young_key]
-        del self._last_access[young_key]
-        self._drop_state(young_key)
-        self.last_eviction_score = young_score
-        return young_key
+        if not self._records:
+            self._require_nonempty()  # raises
+        best, best_rank = self._best(now)
+        assert best is not None
+        self._forget(best)
+        self.last_eviction_score = best_rank
+        return best[1]
 
     def estimate(self, key: CacheKey, now: float) -> float:
         """Current score of ``key`` (penalised elapsed for young keys)."""
         self._require_resident(key)
-        if key in self._young:
-            return self.young_penalty * (now - self._young[key])
-        return -self._scored.score_of(key)
+        __, __, mean, last, __ = self._records[key]
+        if mean is None:
+            return self.young_penalty * (now - last)
+        return mean
 
 
 class MeanPolicy(DurationScoredPolicy):
@@ -136,32 +164,27 @@ class MeanPolicy(DurationScoredPolicy):
 
     Adapts poorly to changing access patterns — every duration since the
     beginning of time keeps full weight — which is exactly the weakness
-    the paper demonstrates on the CSH workload.
+    the paper demonstrates on the CSH workload.  The record's field is
+    the number of gaps folded in.
     """
 
     name = "mean"
 
-    def __init__(
-        self, young_penalty: float = DEFAULT_YOUNG_PENALTY
-    ) -> None:
-        super().__init__(young_penalty)
-        self._state: dict[CacheKey, tuple[int, float]] = {}
-
-    def _init_state(self, key: CacheKey, now: float) -> None:
-        self._state[key] = (0, 0.0)
-
-    def _fold(self, key: CacheKey, now: float, duration: float) -> float:
-        count, mean = self._state[key]
-        mean = (count * mean + duration) / (count + 1)
-        self._state[key] = (count + 1, mean)
-        return mean
-
-    def _drop_state(self, key: CacheKey) -> None:
-        del self._state[key]
+    def _fold(self, record: list[t.Any], now: float) -> float:
+        duration = now - record[3]
+        count = record[4]
+        if count is None:  # the first gap
+            record[4] = 1
+            return duration
+        record[4] = count + 1
+        return (count * record[2] + duration) / (count + 1)
 
 
 class WindowPolicy(DurationScoredPolicy):
-    """Mean inter-arrival duration over the W most recent accesses."""
+    """Mean inter-arrival duration over the W most recent accesses.
+
+    The record's field holds those access times once a gap has closed.
+    """
 
     def __init__(
         self, window: int = 10,
@@ -173,43 +196,16 @@ class WindowPolicy(DurationScoredPolicy):
         super().__init__(young_penalty)
         self.window = window
         self.name = f"window-{window}"
-        self._times: dict[CacheKey, deque[float]] = {}
 
-    def _init_state(self, key: CacheKey, now: float) -> None:
-        self._times[key] = deque([now], maxlen=self.window)
-
-    def _fold(self, key: CacheKey, now: float, duration: float) -> float:
-        times = self._times[key]
+    def _fold(self, record: list[t.Any], now: float) -> float:
+        times = record[4]
+        if times is None:  # the first gap opened at admission
+            times = record[4] = deque([record[3]], maxlen=self.window)
         times.append(now)
         return (times[-1] - times[0]) / (len(times) - 1)
 
-    def _drop_state(self, key: CacheKey) -> None:
-        del self._times[key]
 
-
-#: A store entry: (score, stamp when pushed, the key's record).
-_Entry = tuple[float, int, list[t.Any]]
-
-
-def _live(store: t.Iterable[_Entry]) -> list[_Entry]:
-    """The entries of ``store`` whose stamp is still their record's."""
-    return [entry for entry in store if entry[2][2] == entry[1]]
-
-
-def _rebuilt(heap: list[_Entry]) -> list[_Entry]:
-    live = _live(heap)
-    heapify(live)
-    return live
-
-
-def _settled(heap: list[_Entry]) -> list[_Entry]:
-    """Pop dead entries off the top of ``heap``; return it."""
-    while heap and heap[0][2][2] != heap[0][1]:
-        heappop(heap)
-    return heap
-
-
-class EWMAPolicy(ReplacementPolicy):
+class EWMAPolicy(DurationScoredPolicy):
     """Exponentially weighted moving average of inter-arrival durations.
 
     The recurrence ``M = (1 - alpha) * d + alpha * M_prev`` gives relative
@@ -237,10 +233,11 @@ class EWMAPolicy(ReplacementPolicy):
     exact O(log n) ordering:
 
     * **young** — no closed gap; rank = open gap, so the oldest young
-      key ranks highest (a FIFO in admission order suffices);
+      key ranks highest (the shared young FIFO);
     * **frozen** — idle for less than ``drift_tolerance * M``; rank = M,
       static until the key reaches its *knee* (last access +
-      drift_tolerance * M), tracked in a knee-time heap.  The tolerance
+      drift_tolerance * M), tracked in a knee-time heap.  Frozen keys
+      sit on the shared scored heap.  The tolerance
       (default 2) keeps ordinary heavy-tailed gaps from looking like
       cooling: an exponential gap exceeds its mean 37% of the time but
       exceeds twice its mean only 13% of the time;
@@ -250,22 +247,9 @@ class EWMAPolicy(ReplacementPolicy):
       advances (the rank is continuous at the knee).
 
     Eviction migrates keys whose knee has passed into the drifting heap,
-    then takes the maximum rank across the three regimes.
-
-    **One record per key; entries live by stamp.**  A resident key has
-    one record ``[M, last access, stamp, key, drifting]`` (M is ``None``
-    while the key is young).  The young FIFO and the frozen, knee and
-    drift heaps hold ``(score, stamp, record)`` entries (a young entry's
-    score is its admission time).  An entry is live while its stamp is
-    the record's: an access or a migration gives the record a fresh
-    stamp and a leaving key none, which kills every older entry of the
-    key where it lies.  Dead entries are dropped when they reach the
-    front, and a store is rebuilt from its live entries once it holds
-    more than ``2 * live + COMPACTION_SLACK`` of them (``live`` being
-    its regime's population), so no store grows with the number of
-    accesses.  Stamps come from one counter, so within a store they
-    order entries by push time, and heap ties break on (score, push
-    order) exactly as a :class:`LazyScoreHeap`'s sequence breaks them.
+    then takes the maximum rank across the three regimes.  The record's
+    field says whether the key is drifting; a migration restamps the
+    record, which kills its frozen and knee entries.
     """
 
     #: How many estimated gaps a key may sit idle before it starts
@@ -282,11 +266,7 @@ class EWMAPolicy(ReplacementPolicy):
             raise ValueError(
                 f"alpha must lie strictly between 0 and 1, got {alpha!r}"
             )
-        if young_penalty <= 0:
-            raise ValueError(
-                f"young penalty must be positive, got {young_penalty!r}"
-            )
-        self.young_penalty = float(young_penalty)
+        super().__init__(young_penalty)
         tolerance = (
             self.DRIFT_TOLERANCE if drift_tolerance is None
             else float(drift_tolerance)
@@ -298,32 +278,9 @@ class EWMAPolicy(ReplacementPolicy):
         self.drift_tolerance = tolerance
         self.alpha = float(alpha)
         self.name = f"ewma-{alpha:g}"
-        #: key -> [M or None, last access, stamp or None once gone, key,
-        #: drifting].
-        self._records: dict[CacheKey, list[t.Any]] = {}
-        self._stamps = itertools.count(1)
-        self._young: deque[_Entry] = deque()  # admission order
-        self._frozen: list[_Entry] = []  # score = -M (max M on top)
-        self._knees: list[_Entry] = []  # score = knee time (min on top)
-        self._drift: list[_Entry] = []  # score = -S (max S on top)
-        #: Each regime's population: the live entries of its stores.
-        self._young_live = 0
-        self._frozen_live = 0
+        self._knees: list[Entry] = []  # score = knee time (min on top)
+        self._drift: list[Entry] = []  # score = -S (max S on top)
         self._drift_live = 0
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._records
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def _rank(self, record: list[t.Any], now: float) -> float:
-        mean, last = record[0], record[1]
-        elapsed = now - last
-        if mean is None:
-            return self.young_penalty * elapsed
-        overdue = max(elapsed / self.drift_tolerance, mean)
-        return self.alpha * mean + (1.0 - self.alpha) * overdue
 
     def _drift_rank_static(self, mean: float, last: float) -> float:
         return (
@@ -331,86 +288,55 @@ class EWMAPolicy(ReplacementPolicy):
             - (1.0 - self.alpha) * last / self.drift_tolerance
         )
 
-    def on_admit(self, key: CacheKey, now: float) -> None:
-        records = self._records
-        if key in records:
-            self._require_absent(key)  # raises
-        stamp = next(self._stamps)
-        record = [None, now, stamp, key, False]
-        records[key] = record
-        # One more entry and one more live key: the bound still holds.
-        self._young.append((now, stamp, record))
-        self._young_live += 1
-
     def on_access(self, key: CacheKey, now: float) -> None:
         record = self._records.get(key)
         if record is None:
             self._require_resident(key)  # raises
-        mean = record[0]
-        duration = now - record[1]
+        mean = record[2]
+        duration = now - record[3]
         # The key's old entries die with the new stamp; it only leaves
         # its regime's population, unless it was frozen already.
         if mean is None:
             mean = duration
             self._young_live -= 1
-            self._frozen_live += 1
+            self._scored_live += 1
             self._bound_young()
         else:
             mean = (1.0 - self.alpha) * duration + self.alpha * mean
             if record[4]:
                 record[4] = False
                 self._drift_live -= 1
-                self._frozen_live += 1
+                self._scored_live += 1
                 self._bound_drift()
         stamp = next(self._stamps)
-        record[0] = mean
-        record[1] = now
-        record[2] = stamp
-        heappush(self._frozen, (-mean, stamp, record))
+        record[0] = stamp
+        record[2] = mean
+        record[3] = now
+        heappush(self._heap, (-mean, stamp, record))
         heappush(
             self._knees, (now + self.drift_tolerance * mean, stamp, record)
         )
-        self._bound_frozen()
-
-    def remove(self, key: CacheKey) -> None:
-        record = self._records.get(key)
-        if record is None:
-            self._require_resident(key)  # raises
-        self._forget(record)
+        self._bound_heap()
 
     def _forget(self, record: list[t.Any]) -> None:
-        """Drop a leaving key's record; its entries die with the stamp."""
-        del self._records[record[3]]
-        record[2] = None
-        if record[0] is None:
-            self._young_live -= 1
-            self._bound_young()
-        elif record[4]:
-            self._drift_live -= 1
-            self._bound_drift()
-        else:
-            self._frozen_live -= 1
-            self._bound_frozen()
+        if not record[4]:
+            super()._forget(record)
+            return
+        del self._records[record[1]]
+        record[0] = None
+        self._drift_live -= 1
+        self._bound_drift()
 
-    # Each store is rebuilt from its live entries once it holds more
-    # than ``2 * live + COMPACTION_SLACK``; a regime's stores are
-    # checked whenever they grow without it or it shrinks.  A rebuild
-    # keeps the FIFO's order and cannot change a heap's top, since
-    # (score, stamp) orders a heap's entries totally.
-    def _bound_young(self) -> None:
-        if len(self._young) > 2 * self._young_live + COMPACTION_SLACK:
-            self._young = deque(_live(self._young))
-
-    def _bound_frozen(self) -> None:
-        bound = 2 * self._frozen_live + COMPACTION_SLACK
-        if len(self._frozen) > bound:
-            self._frozen = _rebuilt(self._frozen)
+    def _bound_heap(self) -> None:
+        bound = 2 * self._scored_live + COMPACTION_SLACK
+        if len(self._heap) > bound:
+            self._heap = rebuilt(self._heap)
         if len(self._knees) > bound:
-            self._knees = _rebuilt(self._knees)
+            self._knees = rebuilt(self._knees)
 
     def _bound_drift(self) -> None:
         if len(self._drift) > 2 * self._drift_live + COMPACTION_SLACK:
-            self._drift = _rebuilt(self._drift)
+            self._drift = rebuilt(self._drift)
 
     def _migrate_overdue(self, now: float) -> None:
         """Move keys whose knee has passed from frozen to drifting."""
@@ -418,47 +344,32 @@ class EWMAPolicy(ReplacementPolicy):
         migrated = False
         while knees:
             knee, stamp, record = knees[0]
-            if record[2] == stamp and knee > now:
+            if record[0] == stamp and knee > now:
                 break
             heappop(knees)
-            if record[2] != stamp:
+            if record[0] != stamp:
                 continue
             stamp = next(self._stamps)
-            record[2] = stamp
+            record[0] = stamp
             record[4] = True
-            self._frozen_live -= 1
+            self._scored_live -= 1
             self._drift_live += 1
             heappush(
                 self._drift,
                 (
-                    -self._drift_rank_static(record[0], record[1]),
+                    -self._drift_rank_static(record[2], record[3]),
                     stamp,
                     record,
                 ),
             )
             migrated = True
         if migrated:
-            self._bound_frozen()
+            self._bound_heap()
 
-    def evict(self, now: float) -> CacheKey:
-        """Remove and return the key with the maximal anticipated rank."""
-        if not self._records:
-            self._require_nonempty()  # raises
+    def _best(self, now: float) -> tuple[list[t.Any] | None, float]:
         self._migrate_overdue(now)
-        young = self._young
-        while young and young[0][2][2] != young[0][1]:
-            young.popleft()
-        frozen = _settled(self._frozen)
-        drift = _settled(self._drift)
-        best: list[t.Any] | None = None
-        best_rank = -1.0
-        if young:
-            best = young[0][2]
-            best_rank = self.young_penalty * (now - best[1])
-        if frozen:
-            negated, __, record = frozen[0]
-            if -negated > best_rank:
-                best, best_rank = record, -negated
+        best, best_rank = super()._best(now)
+        drift = settled(self._drift)
         if drift:
             negated, __, record = drift[0]
             rank = (
@@ -466,33 +377,33 @@ class EWMAPolicy(ReplacementPolicy):
             )
             if rank > best_rank:
                 best, best_rank = record, rank
-        assert best is not None
-        self._forget(best)
-        self.last_eviction_score = best_rank
-        return best[3]
+        return best, best_rank
 
     def mean_duration(self, key: CacheKey) -> float:
         """The raw EWMA estimate M (0.0 before the first gap closes)."""
         self._require_resident(key)
-        mean = self._records[key][0]
+        mean = self._records[key][2]
         return mean if mean is not None else 0.0
 
     def estimate(self, key: CacheKey, now: float) -> float:
         """Anticipated estimate used for eviction ranking."""
-        self._require_resident(key)
-        return self._rank(self._records[key], now)
+        young_or_mean = super().estimate(key, now)
+        __, __, mean, last, __ = self._records[key]
+        if mean is None:
+            return young_or_mean
+        overdue = max((now - last) / self.drift_tolerance, mean)
+        return self.alpha * mean + (1.0 - self.alpha) * overdue
 
     def lazy_stores(self) -> dict[str, tuple[int, int]]:
         return {
-            "young": (len(self._young), self._young_live),
-            "frozen": (len(self._frozen), self._frozen_live),
-            "knees": (len(self._knees), self._frozen_live),
+            **super().lazy_stores(),
+            "knees": (len(self._knees), self._scored_live),
             "drift": (len(self._drift), self._drift_live),
         }
 
     def regime_entries(self, key: CacheKey) -> tuple[int, ...]:
-        """Live entries of ``key`` in the young FIFO and the frozen,
-        knee and drift heaps.
+        """Live entries of ``key`` in the young FIFO and the scored
+        (frozen), knee and drift heaps.
 
         A resident key has ``(1, 0, 0, 0)`` while young, ``(0, 1, 1,
         0)`` while frozen and ``(0, 0, 0, 1)`` while drifting; anything
@@ -500,8 +411,8 @@ class EWMAPolicy(ReplacementPolicy):
         tests, not for the access path.
         """
         return tuple(
-            sum(1 for entry in _live(store) if entry[2][3] == key)
-            for store in (self._young, self._frozen, self._knees, self._drift)
+            sum(1 for entry in live_entries(store) if entry[2][1] == key)
+            for store in (self._young, self._heap, self._knees, self._drift)
         )
 
 

@@ -15,19 +15,16 @@ decayed count and immune to float underflow over long horizons.
 from __future__ import annotations
 
 import math
+import typing as t
 
 from repro.core.granularity import CacheKey
-from repro.core.replacement.base import (
-    LazyScoreHeap,
-    ReplacementPolicy,
-    register_policy,
-)
+from repro.core.replacement.base import ScoredPolicy, register_policy
 
 #: The paper divides reference counts by two every 1000 seconds.
 DEFAULT_HALVING_INTERVAL = 1000.0
 
 
-class LRDPolicy(ReplacementPolicy):
+class LRDPolicy(ScoredPolicy):
     """Evict the key with the smallest aged reference count."""
 
     name = "lrd"
@@ -37,61 +34,41 @@ class LRDPolicy(ReplacementPolicy):
             raise ValueError(
                 f"halving interval must be positive, got {halving_interval!r}"
             )
+        super().__init__()
         self.halving_interval = float(halving_interval)
         self.name = (
             "lrd"
             if halving_interval == DEFAULT_HALVING_INTERVAL
             else f"lrd-{halving_interval:g}"
         )
-        #: key -> (decayed count at epoch, epoch index)
-        self._counts: dict[CacheKey, tuple[float, int]] = {}
-        self._heap = LazyScoreHeap()
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._counts
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def lazy_stores(self) -> dict[str, tuple[int, int]]:
-        return {"heap": self._heap.sizes()}
+        # A record is [stamp, key, decayed count at epoch, epoch index].
 
     def _epoch(self, now: float) -> int:
         return int(now // self.halving_interval)
 
-    def _bump(self, key: CacheKey, now: float) -> None:
+    def _bump(self, record: list[t.Any], now: float) -> None:
         epoch = self._epoch(now)
-        count, last_epoch = self._counts.get(key, (0.0, epoch))
-        count *= 0.5 ** (epoch - last_epoch)
-        count += 1.0
-        self._counts[key] = (count, epoch)
+        count = record[2] * 0.5 ** (epoch - record[3]) + 1.0
+        record[2] = count
+        record[3] = epoch
         # Normalised score: log2 of the count the key *would* have if no
         # halvings had ever happened; order-equivalent to decayed counts.
-        self._heap.set_score(key, math.log2(count) + epoch)
+        self._push(record, math.log2(count) + epoch)
 
     def reference_density(self, key: CacheKey, now: float) -> float:
         """Decayed reference count of ``key`` as of ``now`` (for tests)."""
-        count, last_epoch = self._counts[key]
+        __, __, count, last_epoch = self._records[key]
         return count * 0.5 ** (self._epoch(now) - last_epoch)
 
     def on_admit(self, key: CacheKey, now: float) -> None:
         self._require_absent(key)
-        self._bump(key, now)
+        record = [None, key, 0.0, self._epoch(now)]
+        self._records[key] = record
+        self._bump(record, now)
 
     def on_access(self, key: CacheKey, now: float) -> None:
         self._require_resident(key)
-        self._bump(key, now)
-
-    def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        del self._counts[key]
-        self._heap.discard(key)
-
-    def evict(self, now: float) -> CacheKey:
-        self._require_nonempty()
-        key = self._heap.pop_min()
-        del self._counts[key]
-        return key
+        self._bump(self._records[key], now)
 
 
 register_policy("lrd")(LRDPolicy)

@@ -16,8 +16,8 @@ the normalized log-score
 which is time-invariant between touches — exactly the LRD trick that
 keeps the score finite over arbitrarily long horizons (raw ``C`` would
 need ``2^(lambda * t)`` style terms that overflow floats within hours
-of simulated time).  Victims are the minimum ``W`` on a
-:class:`~repro.core.replacement.base.LazyScoreHeap`.
+of simulated time).  Victims are the minimum ``W`` on the lazily
+pruned heap of :class:`~repro.core.replacement.base.ScoredPolicy`.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from __future__ import annotations
 import math
 
 from repro.core.granularity import CacheKey
-from repro.core.replacement.base import (
-    LazyScoreHeap,
-    ReplacementPolicy,
-    register_policy,
-)
+from repro.core.replacement.base import ScoredPolicy, register_policy
 
 #: Default decay: half-life of 1000 simulated seconds, matching LRD's
 #: default halving interval so the two decayed-score schemes are
@@ -40,7 +36,7 @@ DEFAULT_LAMBDA = 1e-3
 _EXP_CLAMP = 60.0
 
 
-class LRFUPolicy(ReplacementPolicy):
+class LRFUPolicy(ScoredPolicy):
     """Decayed combined recency-frequency scoring (CRF) eviction."""
 
     name = "lrfu"
@@ -51,55 +47,43 @@ class LRFUPolicy(ReplacementPolicy):
             raise ValueError(
                 f"decay rate lambda must be positive, got {decay!r}"
             )
+        super().__init__()
         self.decay = decay
         if decay != DEFAULT_LAMBDA:
             self.name = f"lrfu-{decay:g}"
-        self._heap = LazyScoreHeap()
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._heap
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def lazy_stores(self) -> dict[str, tuple[int, int]]:
-        return {"heap": self._heap.sizes()}
+        # A record is [stamp, key, W].
 
     # ------------------------------------------------------------------
     def crf_log2(self, key: CacheKey, now: float) -> float:
         """log2 of the key's decayed CRF value at ``now``."""
-        return float(self._heap.score_of(key)) - self.decay * now
+        return self._records[key][2] - self.decay * now
 
     def on_admit(self, key: CacheKey, now: float) -> None:
         self._require_absent(key)
         # C = 1 at the first touch: W = log2(1) + lambda * now.
-        self._heap.set_score(key, self.decay * now)
+        record = self._records[key] = [None, key, self.decay * now]
+        self._push(record, record[2])
 
     def on_access(self, key: CacheKey, now: float) -> None:
         self._require_resident(key)
-        previous = float(self._heap.score_of(key))
+        record = self._records[key]
         # x = log2 of the old CRF decayed to `now`; C_new = 1 + 2^x.
-        x = previous - self.decay * now
+        x = record[2] - self.decay * now
         if x < -_EXP_CLAMP:
             log_c = 0.0  # old contribution fully decayed away
         elif x > _EXP_CLAMP:
             log_c = x  # the +1 is below float resolution
         else:
             log_c = math.log2(1.0 + 2.0**x)
-        self._heap.set_score(key, log_c + self.decay * now)
-
-    def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        self._heap.discard(key)
+        record[2] = log_c + self.decay * now
+        self._push(record, record[2])
 
     def evict(self, now: float) -> CacheKey:
-        self._require_nonempty()
-        score, key = self._heap.peek_min()
+        score, __, record = self._pop_min()
         # Report the victim's log2-CRF at eviction time: comparable
         # across evictions, unlike the raw normalized W.
-        self.last_eviction_score = float(score) - self.decay * now
-        self._heap.discard(key)
-        return key
+        self.last_eviction_score = score - self.decay * now
+        return record[1]
 
 
 register_policy("lrfu")(LRFUPolicy)

@@ -11,17 +11,14 @@ pattern of the paper's Figure 6.
 from __future__ import annotations
 
 import math
+import typing as t
 from collections import deque
 
 from repro.core.granularity import CacheKey
-from repro.core.replacement.base import (
-    LazyScoreHeap,
-    ReplacementPolicy,
-    register_policy,
-)
+from repro.core.replacement.base import ScoredPolicy, register_policy
 
 
-class LRUKPolicy(ReplacementPolicy):
+class LRUKPolicy(ScoredPolicy):
     """Evict by oldest k-th most recent access time.
 
     Access history is *retained* after eviction (the algorithm's retained
@@ -41,20 +38,12 @@ class LRUKPolicy(ReplacementPolicy):
         k = int(k)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k!r}")
+        super().__init__()
         self.k = k
         self.name = f"lru-{k}"
-        self._resident: set[CacheKey] = set()
-        self._history: dict[CacheKey, deque[float]] = {}
-        self._heap = LazyScoreHeap()
-
-    def __contains__(self, key: CacheKey) -> bool:
-        return key in self._resident
-
-    def __len__(self) -> int:
-        return len(self._resident)
-
-    def lazy_stores(self) -> dict[str, tuple[int, int]]:
-        return {"heap": self._heap.sizes()}
+        # A record is [stamp, key, access history]; a key that leaves
+        # keeps its history here.
+        self._ghosts: dict[CacheKey, deque[float]] = {}
 
     def _score(self, history: deque[float]) -> tuple[float, float]:
         """(k-th most recent access, most recent access); -inf when absent.
@@ -68,50 +57,42 @@ class LRUKPolicy(ReplacementPolicy):
 
     def on_admit(self, key: CacheKey, now: float) -> None:
         self._require_absent(key)
-        history = self._history.pop(key, None)
+        history = self._ghosts.pop(key, None)
         if history is None:
             history = deque([now], maxlen=self.k)
         else:
             history.append(now)
-        # Re-keyed by the admitted key object, so a returning ghost does
+        # Keyed by the admitted key object, so a returning ghost does
         # not keep its evicted (equal) key alive beside the cache's.
-        self._history[key] = history
-        self._resident.add(key)
-        self._heap.set_score(key, self._score(history))
+        record = self._records[key] = [None, key, history]
+        self._push(record, self._score(history))
         self._trim_ghosts()
 
     def on_access(self, key: CacheKey, now: float) -> None:
         self._require_resident(key)
-        history = self._history[key]
+        record = self._records[key]
+        history = record[2]
         history.append(now)
-        self._heap.set_score(key, self._score(history))
+        self._push(record, self._score(history))
 
-    def remove(self, key: CacheKey) -> None:
-        self._require_resident(key)
-        self._resident.discard(key)
-        self._heap.discard(key)
-
-    def evict(self, now: float) -> CacheKey:
-        self._require_nonempty()
-        key = self._heap.pop_min()
-        self._resident.discard(key)
-        return key
+    def _forget(self, record: list[t.Any]) -> None:
+        self._ghosts[record[1]] = record[2]
+        super()._forget(record)
 
     def _trim_ghosts(self) -> None:
-        if len(self._history) <= self.MAX_GHOSTS:
+        if len(self._records) + len(self._ghosts) <= self.MAX_GHOSTS:
             return
         ghosts = [
             (history[-1], key)
             for key, history in (
-                self._history.items()  # repro: noqa REP003 -- sorted below
+                self._ghosts.items()  # repro: noqa REP003 -- sorted below
             )
-            if key not in self._resident
         ]
         # The explicit sort below canonicalises the order, so the build
         # order of the comprehension above is immaterial.
         ghosts.sort()
         for __, key in ghosts[: len(ghosts) // 2]:
-            del self._history[key]
+            del self._ghosts[key]
 
 
 register_policy("lruk")(LRUKPolicy)

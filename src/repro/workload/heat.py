@@ -465,7 +465,16 @@ class CyclicHeat(HeatDistribution):
             if candidate not in chosen:
                 chosen.add(candidate)
                 picks.append(candidate)
+        attempts = 0
         while len(picks) < count:
+            attempts += 1
+            if attempts > 50 * count:
+                # Same deterministic fallback as _draw_hot_cold: a hot
+                # set smaller than the query's hot picks would redraw
+                # forever.
+                remaining = [o for o in self._all if o not in chosen]
+                picks.extend(remaining[: count - len(picks)])
+                break
             candidate = self._hot[
                 self._rng.randint(0, len(self._hot) - 1)
             ]

@@ -1,10 +1,11 @@
-"""``LazyScoreHeap`` as it was before it compacted: a slow twin.
+"""The key -> score heap as it was before it compacted: a slow twin.
 
-A verbatim copy of the class before stale records were dropped by a
-rebuild.  Its heap keeps every record it was ever pushed until the
-record reaches the top, so it is the reference the compacting heap is
-compared with (``test_lazy_heap.py``) and the heap the EWMA reference
-policy runs on (``test_ewma_oracle.py``).
+A verbatim copy of ``LazyScoreHeap`` before stale records were dropped
+by a rebuild (the class itself has since given way to the stamped
+records of ``ScoredPolicy``).  Its heap keeps every record it was ever
+pushed until the record reaches the top, so it is the reference the
+stamped heap is compared with (``test_lazy_heap.py``) and the heap the
+EWMA reference policy runs on (``test_ewma_oracle.py``).
 """
 
 import heapq

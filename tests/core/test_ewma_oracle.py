@@ -1,15 +1,15 @@
 """EWMA's stamped-record fast path against a copy of an older version.
 
 ``EWMAPolicy`` keeps one record per resident key and lets the young
-FIFO and its three plain heaps hold entries that live only while their
-stamp is the record's: an access or a migration restamps the record
-instead of discarding the key from each structure.  ``ReferenceEWMA``
-below is the policy as it was two rewrites earlier: an ordered dict of
-young keys and three ``LazyScoreHeap`` score tables, with residency
-checked separately, every regime detached on each access and each heap
-settled twice.  It also runs on the heap as it was before heaps
-compacted (``ReferenceLazyHeap``), so the comparison covers the fast
-policy's rebuilds too.  Hypothesis drives both through the same random
+FIFO and its three plain heaps (scored, knees, drift) hold entries that
+live only while their stamp is the record's: an access or a migration
+restamps the record instead of discarding the key from each structure.
+``ReferenceEWMA`` below is the policy as it was before stamped records:
+an ordered dict of young keys and three key -> score tables, with
+residency checked separately, every regime detached on each access and
+each heap settled twice.  The tables are ``ReferenceLazyHeap``, the
+score heap as it was before heaps compacted, so the comparison covers
+the fast policy's rebuilds too.  Hypothesis drives both through the same random
 sequence of admits, accesses, evictions and removals at non-decreasing
 times; after every step they must agree on the victim,
 ``last_eviction_score``, and every resident key's ``estimate``,
@@ -24,11 +24,7 @@ from collections import OrderedDict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.replacement.base import (
-    COMPACTION_SLACK,
-    LazyScoreHeap,
-    ReplacementPolicy,
-)
+from repro.core.replacement.base import COMPACTION_SLACK, ReplacementPolicy
 from repro.core.replacement.duration import EWMAPolicy
 from repro.errors import ReplacementError
 from tests.core.reference_heap import ReferenceLazyHeap
@@ -191,7 +187,7 @@ def check_stores(fast, keys):
     """Each store declares its true live count over the resident
     ``keys`` and keeps its bound."""
     stores = fast.lazy_stores()
-    assert list(stores) == ["young", "frozen", "knees", "drift"]
+    assert list(stores) == ["young", "scored", "knees", "drift"]
     for position, (records, live) in enumerate(stores.values()):
         assert live == sum(fast.regime_entries(k)[position] for k in keys)
         assert records <= 2 * live + COMPACTION_SLACK
@@ -417,33 +413,3 @@ def test_failure_branches_still_raise():
     policy.on_admit("k", 0.0)
     with pytest.raises(ReplacementError, match="already resident"):
         policy.on_admit("k", 1.0)
-
-
-heap_steps = st.lists(
-    st.tuples(
-        st.sampled_from(["set", "set", "discard", "pop"]),
-        st.integers(0, 9),
-        st.integers(-3, 3),
-    ),
-    max_size=80,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(program=heap_steps)
-def test_heap_top_matches_peek_min(program):
-    heap = LazyScoreHeap()
-    for operation, key, score in program:
-        if operation == "set":
-            heap.set_score(key, score)
-        elif operation == "discard":
-            heap.discard(key)
-        elif len(heap):
-            heap.pop_min()
-        top = heap.top()
-        if len(heap) == 0:
-            assert top is None
-            with pytest.raises(ReplacementError):
-                heap.peek_min()
-        else:
-            assert top == heap.peek_min()

@@ -26,6 +26,16 @@ def key(n, attr=None):
     return (OID("Root", n), attr)
 
 
+def histories(policy):
+    """Every access history an LRU-k policy retains, residents' and
+    ghosts', as key -> list of access times."""
+    retained = {key: list(record[2]) for key, record in policy._records.items()}
+    retained.update(
+        (ghost, list(history)) for ghost, history in policy._ghosts.items()
+    )
+    return retained
+
+
 ALL_POLICY_FACTORIES = [
     LRUPolicy,
     lambda: LRUKPolicy(2),
@@ -155,9 +165,11 @@ class TestLRUK:
         assert policy.evict(1.0) == key(1)
         admitted = key(1)
         policy.on_admit(admitted, 2.0)
-        (history_key,) = policy._history
+        assert not policy._ghosts
+        (history_key,) = policy._records
         assert history_key is admitted
-        assert list(policy._history[admitted]) == [0.0, 2.0]
+        assert policy._records[admitted][1] is admitted
+        assert histories(policy) == {admitted: [0.0, 2.0]}
 
     def test_trim_drops_oldest_ghosts_and_keeps_residents(self):
         """Past ``MAX_GHOSTS`` histories, the older half of the ghosts
@@ -172,11 +184,11 @@ class TestLRUK:
         for n in range(4):
             policy.remove(key(n))
         # Ghosts by (last access, key): 3@1, 1@2, 2@2, 0@10.
-        assert len(policy._history) == policy.MAX_GHOSTS
+        assert len(histories(policy)) == policy.MAX_GHOSTS
         policy.on_admit(key(6), 20.0)
         assert {
-            history_key[0].number: list(history)
-            for history_key, history in policy._history.items()
+            history_key[0].number: history
+            for history_key, history in histories(policy).items()
         } == {
             0: [0.0, 10.0],
             2: [2.0],

@@ -2,11 +2,12 @@
 
 Three stores used to grow with every access or write:
 
-* a policy's ``LazyScoreHeap`` kept stale records below a key that
-  stayed on top; it now rebuilds past two records per live key plus
-  ``COMPACTION_SLACK``, and so does every store EWMA lets go stale in
-  place.  Each policy declares these stores through ``lazy_stores()``,
-  and a policy that declares none cannot pass the bound by default;
+* a policy's score heap kept stale records below a key that stayed on
+  top; every store of stamped entries (the heaps and the young FIFO of
+  the scored policies) now rebuilds past two entries per live record
+  plus ``COMPACTION_SLACK``.  Each policy declares these stores through
+  ``lazy_stores()``, and a policy that declares none cannot pass the
+  bound by default;
 * each policy record for a resident key pinned its own copy of an
   equal ``(oid, attribute)`` tuple; the cache now hands the policy the
   key object it stores;
@@ -18,13 +19,15 @@ IR-only, so they pin that IR runs broadcast exactly what they did.
 """
 
 import hashlib
+from collections import deque
 
 import pytest
 
 from repro import SimulationConfig
 from repro.core.replacement import available_policies, create_policy
-from repro.core.replacement.base import COMPACTION_SLACK, LazyScoreHeap
+from repro.core.replacement.base import COMPACTION_SLACK
 from repro.experiments.runner import Simulation
+from repro.oodb.objects import OID
 
 GRANULARITIES = ("AC", "OC", "HC", "PC", "NC")
 
@@ -32,11 +35,38 @@ GRANULARITIES = ("AC", "OC", "HC", "PC", "NC")
 HEAP_POLICIES = ("ewma-0.5", "mean", "window-10", "lrd", "lru-3", "lrfu-0.001")
 
 
+def is_entry(value):
+    """A stamped store entry: (score, stamp, record)."""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 3
+        and isinstance(value[1], int)
+        and isinstance(value[2], list)
+    )
+
+
 def score_heaps(policy):
+    """Every store of stamped entries the policy keeps.
+
+    Drives the policy so that each store the scored policies keep holds
+    an entry: two keys accessed once (EWMA's knee heap), an eviction
+    after the first one's knee (EWMA's drift heap) and a new young key
+    (the young FIFO).  Then any list or deque attribute holding only
+    stamped entries is a store.
+    """
+    first, second, third = ((OID("Root", n), None) for n in range(3))
+    policy.on_admit(first, 0.0)
+    policy.on_admit(second, 0.0)
+    policy.on_access(first, 1.0)
+    policy.on_access(second, 10.0)
+    policy.evict(5.0)
+    policy.on_admit(third, 5.0)
     return [
         value
         for value in vars(policy).values()
-        if isinstance(value, LazyScoreHeap)
+        if isinstance(value, (list, deque))
+        and value
+        and all(is_entry(entry) for entry in value)
     ]
 
 
@@ -48,10 +78,13 @@ def test_heap_policies_declare_their_stores(policy):
 @pytest.mark.parametrize("name", available_policies())
 def test_every_score_heap_is_declared(name):
     """A policy that gains a score heap must declare it, and be run by
-    the bound test below."""
+    the bound test below: the declared record counts are the sizes of
+    the stores found."""
     policy = create_policy(name)
     heaps = score_heaps(policy)
-    assert len(policy.lazy_stores()) >= len(heaps)
+    assert sorted(len(heap) for heap in heaps) == sorted(
+        records for records, __ in policy.lazy_stores().values()
+    )
     if heaps:
         assert type(policy) in {
             type(create_policy(spec)) for spec in HEAP_POLICIES
@@ -149,9 +182,8 @@ def test_policy_heaps_are_bounded_and_share_cached_keys(policy):
 
 
 def held_keys(policy):
-    """(key, the object a policy holds for it) for each live record."""
-    for heap in score_heaps(policy):
-        for key, record in heap._scores.items():
-            yield key, record[2]
+    """(key, an object a policy holds for it): each resident key's
+    record is filed under a key object and names one."""
     for key, record in getattr(policy, "_records", {}).items():
-        yield key, record[3]
+        yield key, key
+        yield key, record[1]

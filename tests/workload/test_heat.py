@@ -1,5 +1,8 @@
 """Unit tests for heat distributions."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -18,6 +21,22 @@ from repro.workload.heat import (
 
 def oids(n=100):
     return [OID("Root", i) for i in range(n)]
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail, instead of hanging, when the block outlasts ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestUniformHeat:
@@ -147,6 +166,22 @@ class TestCyclicHeat:
     def test_scan_fraction_validation(self):
         with pytest.raises(ConfigurationError):
             CyclicHeat(oids(), RandomStream(1, "h"), scan_fraction=1.5)
+
+    def test_more_hot_picks_than_hot_objects_fall_back(self):
+        """60 objects hold 12 hot ones, but a 20-object query makes 14
+        non-scan picks: after 50 draws per pick the query finishes with
+        the unchosen objects in OID order instead of redrawing forever."""
+        population = oids(60)
+        heat = CyclicHeat(population, RandomStream(1, "h"))
+        with deadline(10):
+            picks = heat.select_objects(0, 20)
+        assert len(set(picks)) == 20
+        assert picks[:6] == population[:6]  # the scan's share
+        drawn = picks[: 6 + len(heat.hot_set - set(population[:6]))]
+        assert heat.hot_set <= set(drawn)
+        assert picks[len(drawn):] == [
+            oid for oid in population if oid not in drawn
+        ][: 20 - len(drawn)]
 
 
 class TestSequentialScanHeat:
