@@ -18,7 +18,6 @@ whose server-side version advanced after the value was fetched; the
 
 from __future__ import annotations
 
-import math
 import typing as t
 
 from repro._units import Seconds
@@ -29,18 +28,11 @@ from repro.metrics.stats import Tally
 class WriteIntervalStats:
     """Welford-online mean/std of one item's write inter-arrival times."""
 
-    __slots__ = ("_last_write", "_tally", "_cached", "_cached_beta")
+    __slots__ = ("_last_write", "_tally")
 
     def __init__(self) -> None:
         self._last_write: float | None = None
         self._tally = Tally("write-intervals")
-        #: Memoized ``refresh_time`` answer: the estimate only moves
-        #: when a write lands, but the server asks for it on every
-        #: reply item — hundreds of times between writes at fleet
-        #: scale.  ``_cached_beta`` guards against a caller varying
-        #: beta (the estimators never do, but the API allows it).
-        self._cached: float | None = None
-        self._cached_beta = 0.0
 
     @property
     def interval_count(self) -> int:
@@ -51,7 +43,6 @@ class WriteIntervalStats:
         if self._last_write is not None:
             self._tally.record(max(0.0, now - self._last_write))
         self._last_write = now
-        self._cached = None
 
     def refresh_time(self, beta: float) -> Seconds:
         """``mean + beta * std`` of the write gaps, clamped at zero.
@@ -61,46 +52,48 @@ class WriteIntervalStats:
         scheme simply has nothing to invalidate it with until writes
         arrive).
         """
-        if self._cached is not None and beta == self._cached_beta:
-            return self._cached
         if self._tally.count == 0:
-            estimate = NEVER_EXPIRES
-        else:
-            estimate = max(0.0, self._tally.mean + beta * self._tally.std)
-        self._cached = estimate
-        self._cached_beta = beta
-        return estimate
+            return NEVER_EXPIRES
+        return max(0.0, self._tally.mean + beta * self._tally.std)
 
 
 class RefreshTimeEstimator:
-    """Per-item write statistics and refresh-time estimation."""
+    """Per-item write statistics and refresh-time estimation.
+
+    An item's estimate only moves when a write to it lands, but the
+    server ships it with every reply item, hundreds of times between
+    writes at fleet scale.  So each write stores the item's new
+    estimate in :attr:`times`, and a read is one dict probe: the server
+    reads the table directly while it builds a reply.  An item never
+    written has no row and never expires.
+    """
 
     def __init__(self, beta: float = 0.0) -> None:
-        self.beta = beta
+        self._beta = beta
         self._stats: dict[t.Hashable, WriteIntervalStats] = {}
+        #: Item key to its current refresh time, rewritten by every
+        #: write to the item.  Read-only to everything but this class.
+        self.times: dict[t.Hashable, float] = {}
 
     def __repr__(self) -> str:
-        return f"<RefreshTimeEstimator beta={self.beta} items={len(self._stats)}>"
+        return f"<RefreshTimeEstimator beta={self._beta} items={len(self._stats)}>"
+
+    @property
+    def beta(self) -> float:
+        """The weight of the gaps' std, fixed at construction: every
+        stored estimate was computed with it."""
+        return self._beta
 
     def record_write(self, item: t.Hashable, now: Seconds) -> None:
         stats = self._stats.get(item)
         if stats is None:
             stats = self._stats[item] = WriteIntervalStats()
         stats.record_write(now)
+        self.times[item] = stats.refresh_time(self._beta)
 
     def refresh_time(self, item: t.Hashable) -> Seconds:
         """Validity duration for ``item`` under the configured beta."""
-        stats = self._stats.get(item)
-        if stats is None:
-            return NEVER_EXPIRES
-        return stats.refresh_time(self.beta)
-
-    def expiry_deadline(self, item: t.Hashable, now: Seconds) -> Seconds:
-        """Absolute expiry time for a value of ``item`` fetched at ``now``."""
-        refresh = self.refresh_time(item)
-        if math.isinf(refresh):
-            return NEVER_EXPIRES
-        return now + refresh
+        return self.times.get(item, NEVER_EXPIRES)
 
 
 class ErrorOracle:

@@ -43,12 +43,6 @@ class AttributeAccessTracker:
         #: Floor the threshold at the uniform share 1/n (see module docs).
         self.floor_at_uniform = floor_at_uniform
         self._counts: dict[tuple[int, str], dict[str, int]] = {}
-        #: Bumped per :meth:`record_access` call; keys the prefetch-set
-        #: memo below.
-        self._versions: dict[tuple[int, str], int] = {}
-        self._prefetch_cache: dict[
-            tuple[int, str], tuple[int, frozenset[str]]
-        ] = {}
 
     def record_access(
         self,
@@ -57,9 +51,11 @@ class AttributeAccessTracker:
         attributes: t.Sequence[str],
     ) -> None:
         """Count one access by ``client_id`` to each of ``attributes``
-        of one ``class_name`` object.
+        of ``class_name`` objects.
 
-        One call per object, as the server sees it in a request: a
+        Counts are kept per (client, class), so one call with a
+        request's names for a class counts what one call per object
+        would: the server makes one call per class of a request.  A
         name listed twice counts twice.  A bare ``str`` is refused,
         because iterating it would count its characters.
         """
@@ -71,7 +67,6 @@ class AttributeAccessTracker:
         counts = self._counts.setdefault(key, {})
         for attribute in attributes:
             counts[attribute] = counts.get(attribute, 0) + 1
-        self._versions[key] = self._versions.get(key, 0) + 1
 
     def access_probabilities(
         self, client_id: int, class_name: str
@@ -120,30 +115,20 @@ class AttributeAccessTracker:
         threshold.  With no observations yet the set is empty — HC
         degrades to AC until statistics accumulate.
 
-        The result is memoized per (client, class) and recomputed only
-        after new accesses are recorded: the server asks once per
-        qualified object while serving a request, but the statistics can
-        only change between requests, so all but the first ask per
-        request hit the cache.  Frozen so the shared answer cannot be
-        mutated by one caller under another.
+        Computed on every call, with no memo: the server asks once per
+        class of a request, right after that request's accesses were
+        recorded, so a memo would never hit.  Frozen so the server can
+        share one answer across a request's objects.
         """
-        key = (client_id, class_def.name)
-        version = self._versions.get(key, 0)
-        cached = self._prefetch_cache.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
         probabilities = self.access_probabilities(client_id, class_def.name)
         if not probabilities:
-            result: frozenset[str] = frozenset()
-        else:
-            cutoff = self._cutoff(probabilities, class_def)
-            result = frozenset(
-                name
-                for name, probability in probabilities.items()
-                if probability > cutoff
-            )
-        self._prefetch_cache[key] = (version, result)
-        return result
+            return frozenset()
+        cutoff = self._cutoff(probabilities, class_def)
+        return frozenset(
+            name
+            for name, probability in probabilities.items()
+            if probability > cutoff
+        )
 
     def observed_classes(self) -> list[tuple[int, str]]:
         """(client, class) pairs with recorded statistics."""

@@ -41,9 +41,9 @@ class OID(t.NamedTuple):
 class AttributeState:
     """Server-side state of one attribute of one object.
 
-    ``last_reply`` belongs to ``DatabaseServer._attribute_item``, the
-    only code that may read or write it: the last reply item built for
-    this attribute, which that method reuses while it is still exact.
+    ``last_reply`` belongs to ``DatabaseServer.serve``, the only code
+    that may read or write it: the last reply item built for this
+    attribute, which ``serve`` reuses while it is still exact.
     One slot here, rather than an entry in a server-side dict, keeps the
     memo's memory to the item itself.  Servers sharing one database
     overwrite each other's item; that costs reuse, never exactness.
@@ -103,6 +103,13 @@ class DBObject:
             raise SchemaError(
                 f"object {self.oid} has no attribute {name!r}"
             ) from None
+
+    @property
+    def attribute_states(self) -> t.Mapping[str, AttributeState]:
+        """Every attribute's state by name, for a caller that reads
+        many in a row; :meth:`attribute_state` names the error for an
+        unknown one."""
+        return self._attributes
 
     def read(self, name: str) -> int:
         """Current value of attribute ``name``."""

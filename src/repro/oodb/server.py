@@ -11,9 +11,11 @@ channel during bursty period").
 
 from __future__ import annotations
 
+import types
 import typing as t
 
 from repro.core.coherence import RefreshTimeEstimator
+from repro.core.entry import NEVER_EXPIRES
 from repro.core.granularity import CachingGranularity
 from repro.core.invalidation import (
     DEFAULT_IR_INTERVAL,
@@ -44,16 +46,20 @@ DEFAULT_SERVER_BUFFER_OBJECTS = 500
 
 DeliverFn = t.Callable[[ReplyMessage], None]
 
-#: A refresh-time source: an item's key to its validity duration.
-RefreshTimeFn = t.Callable[[t.Hashable], float]
+#: A refresh-time table: an item's key to its validity duration; a key
+#: with no row never expires.
+RefreshTimes = t.Mapping[t.Hashable, float]
 
 #: What a client holds of an object it sent no held keys for.
 _NO_ATTRIBUTES: frozenset[str] = frozenset()
 
+#: The table under invalidation reports: no rows, so every item is
+#: valid until invalidated.
+_NO_REFRESH_TIMES: RefreshTimes = types.MappingProxyType({})
 
-def _never_expires(item: t.Hashable) -> float:
-    """Refresh time under invalidation reports: valid until invalidated."""
-    return float("inf")
+#: ``ReplyItem``'s C-level constructor: the class's own ``__new__`` is a
+#: Python function, one call per item built.
+_new_tuple = tuple.__new__
 
 
 class DatabaseServer:
@@ -232,7 +238,12 @@ class DatabaseServer:
         now = self.env.now
         service_time = 0.0
         self.requests_served += 1
-        self._record_access_statistics(request)
+        client_id = request.client_id
+        # The tracker counts per (client, class): one call per class
+        # counts what one call per object would.
+        record_access = self.prefetch_tracker.record_access
+        for class_name, names in _accessed_names(request).items():
+            record_access(client_id, class_name, names)
 
         # The write log's only reader is the IR broadcaster; under
         # refresh-time coherence nothing would ever prune it.
@@ -255,50 +266,91 @@ class DatabaseServer:
         items: list[ReplyItem] = []
         prefetched: list[ReplyItem] = []
         granularity = request.granularity
-        # What the client already has matters to HC's prefetcher and to
-        # PC's page-mates only, so each table is built for its own
-        # granularity.
-        client_has: dict[OID, set[str]] = {}
-        held_objects: set[OID] = set()
-        if granularity is CachingGranularity.HYBRID:
-            client_has = _attrs_by_oid(request.existent, request.held)
-        elif granularity is CachingGranularity.PAGE:
-            held_objects = _object_keys(request.existent, request.held)
-        sent_objects: set[OID] = set()
         database_get = self.database.get
         storage_access = self.storage.access
-        attribute_item = self._attribute_item
-        # The coherence mode is fixed for the request: pick the refresh
-        # time source once, not once per item.
-        refresh_time_of = self._refresh_time_of(self.attribute_estimator)
-        for oid, attributes in request.needed.items():
-            obj = database_get(oid)
-            service_time += storage_access(oid, obj.size_bytes)
-            if granularity is CachingGranularity.PAGE:
-                service_time += self._serve_page(
-                    oid, held_objects, sent_objects, items
-                )
-            elif granularity.caches_objects:
-                items.append(self._whole_object_item(obj))
-            else:
-                for attribute in attributes:
-                    items.append(
-                        attribute_item(obj, attribute, refresh_time_of)
+        if granularity.caches_objects:
+            object_times = self._refresh_times(self.object_estimator)
+            page = granularity is CachingGranularity.PAGE
+            if page:
+                # Page-mates the client holds are not re-sent.
+                held_objects = _object_keys(request.existent, request.held)
+                sent_objects: set[OID] = set()
+            for oid in request.needed:
+                obj = database_get(oid)
+                service_time += storage_access(oid, obj.size_bytes)
+                if page:
+                    service_time += self._serve_page(
+                        oid, held_objects, sent_objects, items, object_times
                     )
-                if granularity is CachingGranularity.HYBRID:
+                else:
+                    items.append(self._whole_object_item(obj, object_times))
+        else:
+            refresh_time_of = self._refresh_times(
+                self.attribute_estimator
+            ).get
+            hybrid = granularity is CachingGranularity.HYBRID
+            if hybrid:
+                # What the client already has stops HC re-shipping it.
+                client_has = _attrs_by_oid(request.existent, request.held)
+                prefetch_set = self.prefetch_tracker.prefetch_set
+                hot_by_class: dict[str, frozenset[str]] = {}
+            extras: t.Sequence[str] = ()
+            for oid, attributes in request.needed.items():
+                obj = database_get(oid)
+                service_time += storage_access(oid, obj.size_bytes)
+                obj_oid = obj.oid
+                class_def = obj.class_def
+                if hybrid:
                     # HC extras: hot attributes the client neither
-                    # asked for nor holds, in name order.
-                    hot = self.prefetch_tracker.prefetch_set(
-                        request.client_id, obj.class_def
-                    )
-                    for attribute in sorted(
+                    # asked for nor holds, in name order.  The
+                    # statistics only change between requests, so one
+                    # prefetch set per class serves the whole request.
+                    hot = hot_by_class.get(class_def.name)
+                    if hot is None:
+                        hot = hot_by_class[class_def.name] = prefetch_set(
+                            client_id, class_def
+                        )
+                    extras = sorted(
                         hot.difference(
-                            attributes, client_has.get(oid, _NO_ATTRIBUTES)
+                            attributes, client_has.get(obj_oid, _NO_ATTRIBUTES)
                         )
-                    ):
-                        prefetched.append(
-                            attribute_item(obj, attribute, refresh_time_of)
+                    )
+                states = obj.attribute_states
+                for names, out in ((attributes, items), (extras, prefetched)):
+                    for attribute in names:
+                        try:
+                            state = states[attribute]
+                        except KeyError:
+                            # Raises the schema's error for the name.
+                            state = obj.attribute_state(attribute)
+                        refresh_time = refresh_time_of(
+                            (obj_oid, attribute), NEVER_EXPIRES
                         )
+                        # Reuse the last item built for this attribute
+                        # while it is exact.  OID, attribute and payload
+                        # size are fixed; value and version move together
+                        # on a write; the refresh time is compared as is,
+                        # so an item another server sharing this
+                        # database built (another beta or coherence
+                        # mode) is reused only when it is identical.
+                        item = state.last_reply
+                        if (
+                            item is None
+                            or item.version != state.version
+                            or item.refresh_time != refresh_time
+                        ):
+                            item = state.last_reply = _new_tuple(
+                                ReplyItem,
+                                (
+                                    obj_oid,
+                                    attribute,
+                                    state.value,
+                                    state.version,
+                                    refresh_time,
+                                    class_def.attributes[attribute].size_bytes,
+                                ),
+                            )
+                        out.append(item)
         self.items_returned += len(items)
         self.items_prefetched += len(prefetched)
         reply_items = tuple(items)
@@ -355,6 +407,7 @@ class DatabaseServer:
         held_objects: set[OID],
         sent_objects: set[OID],
         items: list[ReplyItem],
+        object_times: RefreshTimes,
     ) -> float:
         """Append the whole page containing ``oid``; return extra service
         time for page-mates (the requested object's read is already
@@ -372,13 +425,15 @@ class DatabaseServer:
                 service_time += self.storage.access(
                     member, member_obj.size_bytes
                 )
-            items.append(self._whole_object_item(member_obj))
+            items.append(self._whole_object_item(member_obj, object_times))
         return service_time
 
     # ------------------------------------------------------------------
     # Item construction
     # ------------------------------------------------------------------
-    def _whole_object_item(self, obj: DBObject) -> ReplyItem:
+    def _whole_object_item(
+        self, obj: DBObject, object_times: RefreshTimes
+    ) -> ReplyItem:
         values = {
             name: obj.read(name) for name in obj.class_def.attribute_names
         }
@@ -391,76 +446,17 @@ class DatabaseServer:
             attribute=None,
             value=values,
             version=obj.object_version,
-            refresh_time=self._refresh_time_of(self.object_estimator)(
-                obj.oid
-            ),
+            refresh_time=object_times.get(obj.oid, NEVER_EXPIRES),
             payload_bytes=payload,
         )
 
-    def _attribute_item(
-        self,
-        obj: DBObject,
-        attribute: str,
-        refresh_time_of: RefreshTimeFn,
-    ) -> ReplyItem:
-        """The reply item for ``obj.attribute``, stamped with
-        ``refresh_time_of((oid, attribute))``, the source
-        :meth:`_refresh_time_of` picked for the attribute estimator."""
-        # One state lookup instead of separate read()/version_of() trips:
-        # this runs per attribute shipped, the hottest spot of the whole
-        # serve path at fleet scale.
-        state = obj.attribute_state(attribute)
-        refresh_time = refresh_time_of((obj.oid, attribute))
-        # Reuse the last item built for this attribute while it is still
-        # exact.  Its OID, attribute and payload size are fixed; value and
-        # version move together on a write; the refresh time is compared
-        # as is, so an item built by another server sharing this
-        # database (another beta or coherence mode) is reused only when
-        # it is identical.
-        item = state.last_reply
-        if (
-            item is not None
-            and item.version == state.version
-            and item.refresh_time == refresh_time
-        ):
-            return item
-        item = state.last_reply = ReplyItem(
-            oid=obj.oid,
-            attribute=attribute,
-            value=state.value,
-            version=state.version,
-            refresh_time=refresh_time,
-            payload_bytes=obj.class_def.attribute(attribute).size_bytes,
-        )
-        return item
-
-    def _refresh_time_of(
-        self, estimator: RefreshTimeEstimator
-    ) -> RefreshTimeFn:
-        """The validity duration of an item under the active coherence
-        mode, as a function of the item's key.
-
-        Under invalidation reports entries stay valid until invalidated,
-        so the shipped refresh time is infinite.
-        """
+    def _refresh_times(self, estimator: RefreshTimeEstimator) -> RefreshTimes:
+        """The table items are stamped from under the active coherence
+        mode: the estimator's, or, under invalidation reports, where
+        entries stay valid until invalidated, one with no rows."""
         if self.coherence_mode == INVALIDATION_REPORT:
-            return _never_expires
-        return estimator.refresh_time
-
-    def _record_access_statistics(self, request: RequestMessage) -> None:
-        """Feed the prefetch tracker with everything the client accessed.
-
-        The request names both the attributes it needs and (existent
-        list) the ones it satisfied locally, giving the server the full
-        access picture for attribute-grained granularities.
-        """
-        client_id = request.client_id
-        record_access = self.prefetch_tracker.record_access
-        # One call per object: the tracker counts the whole batch of
-        # names at once.  Object keys (OC/NC/PC) carry no attribute and
-        # record nothing.
-        for oid, attributes in _accessed_attributes(request).items():
-            record_access(client_id, oid.class_name, attributes)
+            return _NO_REFRESH_TIMES
+        return estimator.times
 
     # ------------------------------------------------------------------
     # Oracle access for the error metric
@@ -473,21 +469,25 @@ class DatabaseServer:
         return obj.attribute_state(attribute).version
 
 
-def _accessed_attributes(request: RequestMessage) -> dict[OID, list[str]]:
-    """Every attribute ``request`` names as accessed, per object: the
-    needed ones, then the existent ones.  A name on both lists appears
+def _accessed_names(request: RequestMessage) -> dict[str, list[str]]:
+    """Every attribute name ``request`` lists as accessed, per class: the
+    needed ones, then the existent ones.  A name listed twice counts
     twice; object keys (no attribute) are left out."""
-    out: dict[OID, list[str]] = {}
+    out: dict[str, list[str]] = {}
     for oid, attributes in request.needed.items():
         if attributes:
-            out[oid] = list(attributes)
+            names = out.get(oid.class_name)
+            if names is None:
+                out[oid.class_name] = list(attributes)
+            else:
+                names.extend(attributes)
     for oid, attribute in request.existent:
         if attribute is not None:
-            attributes = out.get(oid)
-            if attributes is None:
-                out[oid] = [attribute]
+            names = out.get(oid.class_name)
+            if names is None:
+                out[oid.class_name] = [attribute]
             else:
-                attributes.append(attribute)
+                names.append(attribute)
     return out
 
 

@@ -12,6 +12,8 @@ from repro.core.coherence import (
     WriteIntervalStats,
 )
 from repro.core.entry import NEVER_EXPIRES
+from repro.net.message import ReplyItem, ReplyMessage
+from repro.oodb.objects import OID
 
 
 class TestWriteIntervalStats:
@@ -48,19 +50,33 @@ class TestWriteIntervalStats:
         assert stats.refresh_time(0.0) == 0.0
 
 
+def deadline(estimator: RefreshTimeEstimator, key, now: float) -> float:
+    """The client-side expiry of an item stamped with ``key``'s refresh
+    time and received at ``now``."""
+    item = ReplyItem(
+        oid=OID("Root", 0),
+        attribute="a0",
+        value=0,
+        version=0,
+        refresh_time=estimator.refresh_time(key),
+        payload_bytes=8,
+    )
+    return ReplyMessage(client_id=0, query_id=0, items=(item,)).expiry_deadline(
+        item, now
+    )
+
+
 class TestRefreshTimeEstimator:
     def test_unknown_item_never_expires(self):
         estimator = RefreshTimeEstimator(beta=0.0)
         assert estimator.refresh_time("item") == NEVER_EXPIRES
-        assert estimator.expiry_deadline("item", now=5.0) == NEVER_EXPIRES
+        assert deadline(estimator, "item", now=5.0) == NEVER_EXPIRES
 
     def test_deadline_adds_refresh_to_now(self):
         estimator = RefreshTimeEstimator(beta=0.0)
         for t in (0.0, 50.0, 100.0):
             estimator.record_write("x", t)
-        assert estimator.expiry_deadline("x", now=200.0) == pytest.approx(
-            250.0
-        )
+        assert deadline(estimator, "x", now=200.0) == pytest.approx(250.0)
 
     def test_items_tracked_independently(self):
         estimator = RefreshTimeEstimator(beta=0.0)
@@ -106,6 +122,63 @@ def test_refresh_matches_statistics_module(gaps, beta):
     assert stats.refresh_time(beta) == pytest.approx(
         expected, rel=1e-6, abs=1e-6
     )
+
+
+def fold_refresh_time(gaps: list[float], beta: float) -> float:
+    """From scratch: ``max(0, mean + beta * std)`` of the gaps, folded
+    in order with Welford's recurrence (the sample std), or infinity
+    before the first gap."""
+    if not gaps:
+        return math.inf
+    mean = m2 = 0.0
+    for count, gap in enumerate(gaps, start=1):
+        delta = gap - mean
+        mean += delta / count
+        m2 += delta * (gap - mean)
+    std = math.sqrt(m2 / (len(gaps) - 1)) if len(gaps) > 1 else 0.0
+    return max(0.0, mean + beta * std)
+
+
+# Instants repeat on purpose: equal write times make zero gaps.
+write_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["k0", "k1", "k2"]),
+        st.one_of(st.just(0.0), st.floats(0.0, 500.0)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(beta=st.sampled_from([-1.0, 0.0, 1.5]), steps=write_steps)
+def test_table_matches_a_fold_of_the_gaps(beta, steps):
+    """After every write each key's refresh time equals a fold of its
+    gaps bit for bit, and the two-pass ``statistics`` answer closely; a
+    key never written reads infinity."""
+    estimator = RefreshTimeEstimator(beta=beta)
+    writes: dict[str, list[float]] = {}
+    clock = 0.0
+    for key, step in steps:
+        clock += step
+        estimator.record_write(key, clock)
+        writes.setdefault(key, []).append(clock)
+        for other in ("k0", "k1", "k2", "never"):
+            times = writes.get(other, [])
+            gaps = [b - a for a, b in zip(times, times[1:], strict=False)]
+            expected = fold_refresh_time(gaps, beta)
+            assert estimator.refresh_time(other) == expected
+            if len(gaps) > 1:
+                assert expected == pytest.approx(
+                    max(
+                        0.0,
+                        statistics.fmean(gaps)
+                        + beta * statistics.stdev(gaps),
+                    ),
+                    rel=1e-9,
+                    abs=1e-9,
+                )
+    assert estimator.refresh_time("never") == NEVER_EXPIRES
+    assert "never" not in estimator.times
 
 
 class TestErrorOracle:

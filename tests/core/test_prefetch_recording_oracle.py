@@ -21,7 +21,7 @@ from repro.net.message import RequestMessage
 from repro.net.network import Network
 from repro.oodb.database import build_default_database
 from repro.oodb.objects import OID
-from repro.oodb.schema import ClassDef, default_root_schema
+from repro.oodb.schema import AttributeDef, ClassDef, default_root_schema
 from repro.oodb.server import DatabaseServer
 from repro.sim.environment import Environment
 
@@ -161,6 +161,72 @@ def test_serve_records_what_the_requests_name(variant, stream):
             if name is not None:
                 reference.record(client_id, oid.class_name, name)
         assert_same(server.prefetch_tracker, reference)
+
+
+LEAF = ClassDef("Leaf", [AttributeDef(name) for name in ("a0", "a1", "b0")])
+CLASSES = (ROOT, LEAF)
+class_oids = st.sampled_from(CLASSES).flatmap(
+    lambda class_def: st.integers(0, OBJECTS - 1).map(
+        lambda number: OID(class_def.name, number)
+    )
+)
+
+
+def names_of(oid: OID) -> st.SearchStrategy[str]:
+    class_def = ROOT if oid.class_name == "Root" else LEAF
+    return st.sampled_from(class_def.attribute_names)
+
+
+@st.composite
+def accesses(draw):
+    """One request's access picture: per needed object its names, and
+    existent keys over the same objects, some object keys with no
+    attribute, names free to repeat across both lists."""
+    needed = {
+        oid: tuple(draw(st.lists(names_of(oid), max_size=4)))
+        for oid in draw(st.lists(class_oids, max_size=4))
+    }
+    existent = []
+    for oid in draw(st.lists(class_oids, max_size=6)):
+        existent.append(
+            (oid, draw(st.one_of(st.none(), names_of(oid))))
+        )
+    return draw(st.sampled_from(CLIENTS)), needed, tuple(existent)
+
+
+@settings(max_examples=80, deadline=None)
+@given(variant=settings_variants, stream=st.lists(accesses(), max_size=20))
+def test_per_class_calls_match_per_object_calls(variant, stream):
+    """One ``record_access`` per class of a request leaves the same
+    probabilities, thresholds and prefetch sets as one per object."""
+    k_sigma, floor = variant
+    per_object = AttributeAccessTracker(k_sigma=k_sigma, floor_at_uniform=floor)
+    per_class = AttributeAccessTracker(k_sigma=k_sigma, floor_at_uniform=floor)
+    for client_id, needed, existent in stream:
+        by_object: dict[OID, list[str]] = {
+            oid: list(names) for oid, names in needed.items() if names
+        }
+        for oid, name in existent:
+            if name is not None:
+                by_object.setdefault(oid, []).append(name)
+        by_class: dict[str, list[str]] = {}
+        for oid, names in by_object.items():
+            per_object.record_access(client_id, oid.class_name, names)
+            by_class.setdefault(oid.class_name, []).extend(names)
+        for class_name, names in by_class.items():
+            per_class.record_access(client_id, class_name, names)
+        assert per_class.observed_classes() == per_object.observed_classes()
+        for each_client in CLIENTS:
+            for class_def in CLASSES:
+                assert per_class.access_probabilities(
+                    each_client, class_def.name
+                ) == per_object.access_probabilities(each_client, class_def.name)
+                assert per_class.threshold(
+                    each_client, class_def
+                ) == per_object.threshold(each_client, class_def)
+                assert per_class.prefetch_set(
+                    each_client, class_def
+                ) == per_object.prefetch_set(each_client, class_def)
 
 
 def test_bare_string_is_refused():

@@ -1,9 +1,11 @@
 """The server's reply-item reuse against an unmemoized reference.
 
-``DatabaseServer._attribute_item`` hands back the last item built for
-an (object, attribute) pair while that item is still exact.
+``DatabaseServer.serve`` hands back the last item built for an
+(object, attribute) pair while that item is still exact.
 :func:`reference_attribute_item` builds every item from scratch, the
-way the server did before it reused any; the property test drives
+way the server did before it reused any, with the refresh time
+computed from the key's write-gap tally rather than read from the
+estimator's table; the property test drives
 random interleavings of reads, updates through ``serve`` and direct
 writes to the objects and estimators, and requires every shipped item
 to equal the reference field by field.
@@ -22,6 +24,7 @@ from repro.oodb.database import build_default_database
 from repro.oodb.objects import DBObject, OID
 from repro.oodb.server import DatabaseServer
 from repro.sim.environment import Environment
+from tests.oodb.reference_server import tally_refresh_time
 
 OBJECTS = 6
 ATTRIBUTES = ("a0", "a1", "a2", "r0")
@@ -31,11 +34,12 @@ def reference_attribute_item(
     server: DatabaseServer, obj: DBObject, attribute: str
 ) -> ReplyItem:
     """A fresh item for ``attribute`` of ``obj``, nothing reused."""
-    key = (obj.oid, attribute)
     if server.coherence_mode == INVALIDATION_REPORT:
         refresh_time = math.inf
     else:
-        refresh_time = server.attribute_estimator.refresh_time(key)
+        refresh_time = tally_refresh_time(
+            server.attribute_estimator, (obj.oid, attribute)
+        )
     return ReplyItem(
         oid=obj.oid,
         attribute=attribute,
