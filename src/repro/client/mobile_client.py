@@ -780,7 +780,7 @@ class MobileClient:
         if not self.granularity.uses_storage_cache:
             # NC caches in memory only; no disk write cost.
             return 0.0
-        return self.local_storage.disk.access_time(write_bytes)
+        return self.local_storage.disk_time(write_bytes)
 
 
 class _ProbeResult:

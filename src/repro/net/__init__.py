@@ -13,7 +13,6 @@ from repro.net.faults import (
     FaultEvent,
     FaultInjector,
     RecoveryPolicy,
-    merged_trace,
 )
 from repro.net.message import (
     ATTR_ID_BYTES,
@@ -49,6 +48,5 @@ __all__ = [
     "UpdateValue",
     "WIRELESS_BANDWIDTH_BPS",
     "WirelessChannel",
-    "merged_trace",
     "plan_single_windows",
 ]

@@ -13,11 +13,13 @@ adds the missing failure modes as a strict opt-in layer:
   (loss ``burst_loss_rate``), producing the correlated loss runs real
   wireless links show;
 * **mid-transmission aborts** — a transmission cut by the disconnection
-  schedule (see ``WirelessChannel.transmit``'s ``deadline``); the
-  injector records these in the same trace;
-* **deterministic fault traces** — every fault event is recorded with
-  its simulated time, channel and message size, so a run's fault
-  history is inspectable and reproducible.
+  schedule (see ``WirelessChannel.transmit``'s ``deadline``), reported
+  through the same injector;
+* **deterministic fault traces** — every fault is emitted on the event
+  bus as a :class:`~repro.obs.events.FaultEvent` with its simulated
+  time, channel and message size, so a run's fault history is
+  inspectable and reproducible through any bus subscriber (the JSONL
+  trace sink, the invariant checkers).
 
 Determinism: each injector consumes its own :class:`RandomStream`
 (forked per channel from a dedicated ``faults`` stream), so enabling or
@@ -35,7 +37,6 @@ plus seeded jitter, and graceful degradation to cache-only answers
 from __future__ import annotations
 
 import dataclasses
-import typing as t
 
 from repro.errors import NetworkError
 from repro.obs.bus import EventBus
@@ -57,7 +58,6 @@ BAD = "bad"
 #: just another bus event stream.
 __all__ = [
     "BAD",
-    "DEFAULT_TRACE_LIMIT",
     "FaultConfig",
     "FaultEvent",
     "FaultInjector",
@@ -67,11 +67,7 @@ __all__ = [
     "KIND_BURST_EXIT",
     "KIND_DROP",
     "RecoveryPolicy",
-    "merged_trace",
 ]
-
-#: Default cap on the recorded trace (counters keep counting past it).
-DEFAULT_TRACE_LIMIT = 100_000
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -121,7 +117,7 @@ class FaultConfig:
 
 
 class FaultInjector:
-    """Per-channel fault source: burst chain, drop decisions, trace.
+    """Per-channel fault source: burst chain, drop decisions, events.
 
     One injector per channel, each with its own forked stream, so the
     draw sequence on one channel never depends on traffic interleaving
@@ -135,31 +131,18 @@ class FaultInjector:
         config: FaultConfig,
         rng: RandomStream,
         channel: str = "channel",
-        trace_limit: int = DEFAULT_TRACE_LIMIT,
         bus: EventBus | None = None,
     ) -> None:
         self.config = config
         self.rng = rng
         self.channel = channel
-        self.trace_limit = int(trace_limit)
-        #: Fault events are published here (for the JSONL trace sink and
-        #: anything else listening) *and* kept in the bounded local
-        #: ``trace`` list the PR-2 API exposed.
+        #: Every fault event is published here; the channel's own
+        #: statistics count the drops and aborts.
         self.bus = bus if bus is not None else EventBus()
         self.state = GOOD
-        self.trace: list[FaultEvent] = []
-        # Counters (kept past the trace cap).
-        self.messages_seen = 0
-        self.drops = 0
-        self.burst_drops = 0
-        self.aborts = 0
-        self.bursts_entered = 0
 
     def __repr__(self) -> str:
-        return (
-            f"<FaultInjector {self.channel!r} state={self.state} "
-            f"drops={self.drops}/{self.messages_seen}>"
-        )
+        return f"<FaultInjector {self.channel!r} state={self.state}>"
 
     def _record(self, kind: str, now: float, size_bytes: float) -> None:
         event = FaultEvent(
@@ -169,14 +152,11 @@ class FaultInjector:
             size_bytes=size_bytes,
         )
         self.bus.emit(event)
-        if len(self.trace) < self.trace_limit:
-            self.trace.append(event)
 
     def _advance_chain(self, now: float) -> None:
         if self.state == GOOD:
             if self.rng.random() < self.config.burst_on_probability:
                 self.state = BAD
-                self.bursts_entered += 1
                 self._record(KIND_BURST_ENTER, now, 0.0)
         else:
             if self.rng.random() < self.config.burst_off_probability:
@@ -185,7 +165,6 @@ class FaultInjector:
 
     def should_drop(self, now: float, size_bytes: float) -> bool:
         """Decide one message's fate (called at transmission completion)."""
-        self.messages_seen += 1
         if self.config.uses_burst_model:
             self._advance_chain(now)
         rate = (
@@ -195,15 +174,11 @@ class FaultInjector:
         )
         dropped = self.rng.random() < rate
         if dropped:
-            self.drops += 1
-            if self.state == BAD:
-                self.burst_drops += 1
             self._record(KIND_DROP, now, size_bytes)
         return dropped
 
     def note_abort(self, now: float, size_bytes: float) -> None:
         """Record a mid-transmission abort (cut at its deadline)."""
-        self.aborts += 1
         self._record(KIND_ABORT, now, size_bytes)
 
 
@@ -257,14 +232,3 @@ class RecoveryPolicy:
         if self.backoff_jitter > 0:
             delay *= 1.0 + self.backoff_jitter * rng.random()
         return delay
-
-
-def merged_trace(
-    injectors: t.Iterable[FaultInjector],
-) -> list[FaultEvent]:
-    """All injectors' fault events merged into one time-ordered trace."""
-    events: list[FaultEvent] = []
-    for injector in injectors:
-        events.extend(injector.trace)
-    events.sort(key=lambda e: (e.time, e.channel, e.kind))
-    return events

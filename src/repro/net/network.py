@@ -10,17 +10,10 @@ network behaves bit-identically to the fault-free original.
 
 from __future__ import annotations
 
-import typing as t
-
 from repro.errors import NetworkError
 from repro.net.channel import WIRELESS_BANDWIDTH_BPS, WirelessChannel
 from repro.net.disconnect import DisconnectionSchedule
-from repro.net.faults import (
-    FaultConfig,
-    FaultEvent,
-    FaultInjector,
-    merged_trace,
-)
+from repro.net.faults import FaultConfig, FaultInjector
 from repro.obs.bus import EventBus
 from repro.sim.environment import Environment
 from repro.sim.rand import RandomStream
@@ -155,12 +148,3 @@ class Network:
     @property
     def messages_aborted(self) -> int:
         return sum(channel.messages_aborted for channel in self.channels())
-
-    def fault_trace(self) -> list[FaultEvent]:
-        """Time-ordered fault events across every channel."""
-        injectors = [
-            t.cast(FaultInjector, channel.injector)
-            for channel in self.channels()
-            if channel.injector is not None
-        ]
-        return merged_trace(injectors)

@@ -1,11 +1,10 @@
 """Object-oriented database substrate.
 
-Schema/object model, the database container, LRU buffer pools, the
+Schema/object model, the database container, the LRU-buffered
 disk/memory timing model, the query model and the database server
 process (imported from :mod:`repro.oodb.server`).
 """
 
-from repro.oodb.buffer import BufferPool
 from repro.oodb.database import (
     DEFAULT_OBJECT_COUNT,
     Database,
@@ -24,7 +23,6 @@ from repro.oodb.schema import (
 from repro.oodb.storage import (
     DISK_BANDWIDTH_BPS,
     MEMORY_BANDWIDTH_BPS,
-    Medium,
     StorageModel,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "AttributeAccess",
     "AttributeDef",
     "AttributeState",
-    "BufferPool",
     "ClassDef",
     "Database",
     "DBObject",
@@ -40,7 +37,6 @@ __all__ = [
     "DEFAULT_OBJECT_COUNT",
     "DISK_BANDWIDTH_BPS",
     "MEMORY_BANDWIDTH_BPS",
-    "Medium",
     "OBJECT_OVERHEAD_BYTES",
     "OID",
     "Query",

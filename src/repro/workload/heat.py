@@ -32,66 +32,65 @@ Every distribution takes its population **in OID order**, the order
 it, and the hot and cold buckets keep it.  A tuple is held as is, so a
 fleet whose clients all pass the database's shared listing holds one
 sequence, sorted once, instead of one sorted copy per client.
+
+All seven share one skeleton: :class:`HeatDistribution` holds the
+population, the random stream, the scan cursor and the hot set, and
+every randomized pick goes through :func:`_pick_distinct`, fed by one
+of three draws (the hot/cold coin, the Zipf rank, Cyclic's hot pick).
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import typing as t
 
 from repro.errors import ConfigurationError
 from repro.oodb.objects import OID
-from repro.sim.rand import RandomStream
+from repro.sim.rand import RandomStream, cumulative
+
+_T = t.TypeVar("_T")
 
 
-def _check_skew(hot_fraction: float, hot_access_probability: float) -> None:
-    if not 0.0 < hot_fraction < 1.0:
-        raise ConfigurationError(
-            f"hot fraction must lie in (0, 1), got {hot_fraction!r}"
-        )
-    if not 0.0 <= hot_access_probability <= 1.0:
-        raise ConfigurationError(
-            f"hot access probability out of range: "
-            f"{hot_access_probability!r}"
-        )
+def _hot_count(hot_fraction: float, n: int) -> int:
+    """Size of a ``hot_fraction`` hot set among ``n`` objects.
 
-
-def _draw_hot_cold(
-    rng: RandomStream,
-    population: t.Sequence[OID],
-    hot: t.Sequence[OID],
-    cold: t.Sequence[OID],
-    hot_access_probability: float,
-    count: int,
-) -> list[OID]:
-    """Pick ``count`` distinct OIDs, each from ``hot`` with probability
-    ``hot_access_probability`` and from ``cold`` otherwise.
-
-    The probability was validated once, by ``_check_skew``, so each
-    coin is a bare ``random() < p``.  ``choice(bucket)`` makes the one
-    ``_randbelow(len(bucket))`` call that ``bucket[randint(0, n - 1)]``
-    makes.
+    At least one object is hot and at least one stays cold: a cold draw
+    from an empty bucket has nothing to pick.
     """
-    chosen: set[OID] = set()
-    picks: list[OID] = []
-    random = rng.random
-    choice = rng.choice
+    if 0.0 < hot_fraction < 1.0:
+        hot_count = max(1, round(hot_fraction * n))
+        if hot_count < n:
+            return hot_count
+    raise ConfigurationError(
+        f"hot_fraction must lie in (0, 1) and leave a cold object among "
+        f"{n}, got {hot_fraction!r}"
+    )
+
+
+def _pick_distinct(
+    draw: t.Callable[[], _T],
+    population: t.Iterable[_T],
+    count: int,
+    picks: list[_T],
+    chosen: set[_T],
+) -> list[_T]:
+    """Extend ``picks`` with ``draw()`` results until it holds ``count``
+    distinct values; ``chosen`` is the set of what ``picks`` holds.
+
+    After ``50 * count`` draws, degenerate configurations (tiny
+    buckets, extreme skew) finish deterministically with the unchosen
+    objects in ``population`` order instead of redrawing forever.
+    """
     attempts = 0
     while len(picks) < count:
         attempts += 1
         if attempts > 50 * count:
-            # Degenerate configurations (tiny buckets, extreme skew)
-            # could loop forever on rejections; finish deterministically
-            # with whatever objects remain.
             remaining = [o for o in population if o not in chosen]
             picks.extend(remaining[: count - len(picks)])
             break
-        if random() < hot_access_probability:
-            bucket = hot
-        else:
-            bucket = cold
-        candidate = choice(bucket)
+        candidate = draw()
         if candidate not in chosen:
             chosen.add(candidate)
             picks.append(candidate)
@@ -101,29 +100,67 @@ def _draw_hot_cold(
 class HeatDistribution(abc.ABC):
     """Selects the distinct objects a query touches."""
 
-    @abc.abstractmethod
+    def __init__(self, oids: t.Sequence[OID], rng: RandomStream) -> None:
+        self._oids = tuple(oids)
+        if len(self._oids) < 2:
+            raise ConfigurationError("need at least two objects")
+        self._rng = rng
+        self._cursor = 0
+        self._hot: t.Sequence[OID] = ()
+        self._cold: t.Sequence[OID] = ()
+
+    @property
+    def hot_set(self) -> frozenset[OID]:
+        return frozenset(self._hot)
+
     def select_objects(self, query_index: int, count: int) -> list[OID]:
         """Pick ``count`` distinct OIDs for the client's ``query_index``-th
         query."""
+        if count > len(self._oids):
+            raise ConfigurationError(
+                f"cannot select {count} of {len(self._oids)} objects"
+            )
+        return self._select(query_index, count)
+
+    @abc.abstractmethod
+    def _select(self, query_index: int, count: int) -> list[OID]:
+        """:meth:`select_objects` once ``count`` is known to fit."""
 
     def describe(self) -> str:
         return type(self).__name__
+
+    def _sample_hot_set(self, hot_fraction: float) -> None:
+        """Draw a random hot set; both buckets keep OID order.
+
+        ``random.sample`` reads only ``len()`` of its population, so
+        sampling positions draws exactly the objects sampling the OIDs
+        would.  Masks over those positions split the population with no
+        per-OID hashing.
+        """
+        n = len(self._oids)
+        hot_mask = bytearray(n)
+        cold_mask = bytearray(b"\x01") * n
+        for index in self._rng.sample(range(n), _hot_count(hot_fraction, n)):
+            hot_mask[index] = 1
+            cold_mask[index] = 0
+        self._hot = list(itertools.compress(self._oids, hot_mask))
+        self._cold = list(itertools.compress(self._oids, cold_mask))
+
+    def _scan(self, quota: int) -> list[OID]:
+        """The next ``quota`` (at most all) objects in OID order from the
+        cursor, wrapping around."""
+        oids = self._oids
+        start = self._cursor
+        end = start + quota
+        wrapped = max(0, end - len(oids))
+        self._cursor = end % len(oids)
+        return list(oids[start:end] + oids[:wrapped])
 
 
 class UniformHeat(HeatDistribution):
     """Every object equally likely."""
 
-    def __init__(self, oids: t.Sequence[OID], rng: RandomStream) -> None:
-        if not oids:
-            raise ConfigurationError("empty object population")
-        self._oids = tuple(oids)
-        self._rng = rng
-
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if count > len(self._oids):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._oids)} objects"
-            )
+    def _select(self, query_index: int, count: int) -> list[OID]:
         return self._rng.sample(self._oids, count)
 
 
@@ -137,49 +174,34 @@ class SkewedHeat(HeatDistribution):
         hot_fraction: float = 0.2,
         hot_access_probability: float = 0.8,
     ) -> None:
-        _check_skew(hot_fraction, hot_access_probability)
-        self._oids = tuple(oids)
-        if len(self._oids) < 2:
-            raise ConfigurationError("need at least two objects")
-        self._rng = rng
+        super().__init__(oids, rng)
+        if not 0.0 <= hot_access_probability <= 1.0:
+            raise ConfigurationError(
+                f"hot access probability out of range: "
+                f"{hot_access_probability!r}"
+            )
         self.hot_fraction = hot_fraction
         self.hot_access_probability = hot_access_probability
-        self._hot: list[OID] = []
-        self._cold: list[OID] = []
         self.reselect_hot_set()
-
-    @property
-    def hot_set(self) -> frozenset[OID]:
-        return frozenset(self._hot)
 
     def reselect_hot_set(self) -> None:
         """Pick a fresh random hot set (used directly by CSH)."""
-        n = len(self._oids)
-        hot_count = max(1, round(self.hot_fraction * n))
-        # random.sample reads only len() of its population, so sampling
-        # positions draws exactly the objects sampling the OIDs would.
-        # Masks over those positions split the population into buckets
-        # that keep OID order, with no per-OID hashing.
-        hot_mask = bytearray(n)
-        cold_mask = bytearray(b"\x01") * n
-        for index in self._rng.sample(range(n), hot_count):
-            hot_mask[index] = 1
-            cold_mask[index] = 0
-        self._hot = list(itertools.compress(self._oids, hot_mask))
-        self._cold = list(itertools.compress(self._oids, cold_mask))
+        self._sample_hot_set(self.hot_fraction)
 
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if count > len(self._oids):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._oids)} objects"
-            )
-        return _draw_hot_cold(
-            self._rng,
+    def _select(self, query_index: int, count: int) -> list[OID]:
+        # The probability was validated once, so each coin is a bare
+        # ``random() < p``.
+        random = self._rng.raw_random
+        choice = self._rng.choice
+        hot = self._hot
+        cold = self._cold
+        p = self.hot_access_probability
+        return _pick_distinct(
+            lambda: choice(hot) if random() < p else choice(cold),
             self._oids,
-            self._hot,
-            self._cold,
-            self.hot_access_probability,
             count,
+            [],
+            set(),
         )
 
     def describe(self) -> str:
@@ -205,12 +227,12 @@ class ChangingSkewedHeat(SkewedHeat):
         self._era = 0
         super().__init__(oids, rng, hot_fraction, hot_access_probability)
 
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
+    def _select(self, query_index: int, count: int) -> list[OID]:
         era = query_index // self.change_every
         if era != self._era:
             self._era = era
             self.reselect_hot_set()
-        return super().select_objects(query_index, count)
+        return super()._select(query_index, count)
 
     def describe(self) -> str:
         return f"CSH-{self.change_every}"
@@ -239,25 +261,12 @@ class SequentialScanHeat(SkewedHeat):
                 f"scan interval must be >= 1, got {scan_every!r}"
             )
         self.scan_every = int(scan_every)
-        self._cursor = 0
         super().__init__(oids, rng, hot_fraction, hot_access_probability)
 
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if query_index % self.scan_every != 0:
-            return super().select_objects(query_index, count)
-        if count > len(self._oids):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._oids)} objects"
-            )
-        picks: list[OID] = []
-        chosen: set[OID] = set()
-        while len(picks) < count:
-            candidate = self._oids[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._oids)
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+    def _select(self, query_index: int, count: int) -> list[OID]:
+        if query_index % self.scan_every:
+            return super()._select(query_index, count)
+        return self._scan(count)
 
     def describe(self) -> str:
         return f"scan-{self.scan_every}"
@@ -283,51 +292,32 @@ class ZipfHeat(HeatDistribution):
             raise ConfigurationError(
                 f"zipf exponent must be positive, got {s!r}"
             )
-        population = tuple(oids)
-        if len(population) < 2:
-            raise ConfigurationError("need at least two objects")
+        super().__init__(oids, rng)
         self.s = float(s)
-        self._rng = rng
         #: This client's popularity ranking: a seeded permutation.
-        self._ranked = rng.sample(population, len(population))
-        cumulative: list[float] = []
-        total = 0.0
-        for rank in range(1, len(population) + 1):
-            total += rank ** -self.s
-            cumulative.append(total)
-        self._cumulative = cumulative
+        self._ranked = rng.sample(self._oids, len(self._oids))
+        self._draw_rank = functools.partial(
+            rng.weighted_index,
+            cumulative(
+                rank ** -self.s for rank in range(1, len(self._oids) + 1)
+            ),
+        )
 
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if count > len(self._ranked):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._ranked)} objects"
-            )
-        chosen: set[OID] = set()
-        picks: list[OID] = []
+    def _select(self, query_index: int, count: int) -> list[OID]:
+        # Picks are drawn as ranks (0 = most popular): the ranking is a
+        # permutation, so distinct ranks are distinct objects, and the
+        # fallback takes the unchosen ranks head first.
         ranked = self._ranked
-        cumulative = self._cumulative
-        weighted_index = self._rng.weighted_index
-        attempts = 0
-        while len(picks) < count:
-            attempts += 1
-            if attempts > 50 * count:
-                # Same deterministic fallback as _draw_hot_cold: extreme
-                # skew could reject forever on the handful of unchosen
-                # head objects.
-                remaining = [o for o in ranked if o not in chosen]
-                picks.extend(remaining[: count - len(picks)])
-                break
-            candidate = ranked[weighted_index(cumulative)]
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+        ranks = _pick_distinct(
+            self._draw_rank, range(len(ranked)), count, [], set()
+        )
+        return [ranked[rank] for rank in ranks]
 
     def describe(self) -> str:
         return f"zipf-{self.s:g}"
 
 
-class ShiftingHotspotHeat(HeatDistribution):
+class ShiftingHotspotHeat(SkewedHeat):
     """A contiguous hot window drifting across the OID space.
 
     The hot set is ``hot_fraction`` of the population, *contiguous* in
@@ -350,62 +340,37 @@ class ShiftingHotspotHeat(HeatDistribution):
             raise ConfigurationError(
                 f"shift interval must be >= 1, got {shift_every!r}"
             )
-        _check_skew(hot_fraction, hot_access_probability)
-        self._ordered = tuple(oids)
-        if len(self._ordered) < 2:
-            raise ConfigurationError("need at least two objects")
         self.shift_every = int(shift_every)
-        self.hot_fraction = hot_fraction
-        self.hot_access_probability = hot_access_probability
-        self._hot_count = max(1, round(hot_fraction * len(self._ordered)))
-        self._step = max(1, self._hot_count // 2)
-        self._start = rng.randint(0, len(self._ordered) - 1)
         self._era = 0
-        self._rng = rng
-        self._hot: tuple[OID, ...] = ()
-        self._cold: tuple[OID, ...] = ()
-        self._rebuild_buckets()
+        #: Where era 0's window starts; drawn by the first reselection.
+        self._origin: int | None = None
+        super().__init__(oids, rng, hot_fraction, hot_access_probability)
 
-    @property
-    def hot_set(self) -> frozenset[OID]:
-        return frozenset(self._hot)
-
-    def _rebuild_buckets(self) -> None:
-        # The hot window is positions start .. start+count-1, wrapping;
-        # both buckets are slices of the population, kept in OID order.
-        ordered = self._ordered
-        start = self._start
-        end = start + self._hot_count
-        wrapped = end - len(ordered)
+    def reselect_hot_set(self) -> None:
+        """Place the window for the current era: it has slid half its
+        width once per era boundary crossed, so very long gaps between
+        queries do not teleport the hotspot."""
+        oids = self._oids
+        n = len(oids)
+        width = _hot_count(self.hot_fraction, n)
+        if self._origin is None:
+            self._origin = self._rng.randint(0, n - 1)
+        start = (self._origin + max(1, width // 2) * self._era) % n
+        end = start + width
+        wrapped = end - n
         if wrapped <= 0:
-            self._hot = ordered[start:end]
-            self._cold = ordered[:start] + ordered[end:]
+            self._hot = oids[start:end]
+            self._cold = oids[:start] + oids[end:]
         else:
-            self._hot = ordered[:wrapped] + ordered[start:]
-            self._cold = ordered[wrapped:start]
+            self._hot = oids[:wrapped] + oids[start:]
+            self._cold = oids[wrapped:start]
 
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if count > len(self._ordered):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._ordered)} objects"
-            )
+    def _select(self, query_index: int, count: int) -> list[OID]:
         era = query_index // self.shift_every
         if era != self._era:
-            # Slide once per boundary crossed, so very long gaps between
-            # queries do not teleport the hotspot.
-            self._start = (
-                self._start + self._step * (era - self._era)
-            ) % len(self._ordered)
             self._era = era
-            self._rebuild_buckets()
-        return _draw_hot_cold(
-            self._rng,
-            self._ordered,
-            self._hot,
-            self._cold,
-            self.hot_access_probability,
-            count,
-        )
+            self.reselect_hot_set()
+        return super()._select(query_index, count)
 
     def describe(self) -> str:
         return f"hotspot-{self.shift_every}"
@@ -432,56 +397,18 @@ class CyclicHeat(HeatDistribution):
             raise ConfigurationError(
                 f"scan fraction out of range: {scan_fraction!r}"
             )
-        self._all = tuple(oids)
-        if len(self._all) < 2:
-            raise ConfigurationError("need at least two objects")
-        self._rng = rng
-        n = len(self._all)
-        hot_count = max(1, round(hot_fraction * n))
-        # Same draws as sampling the OIDs (see SkewedHeat); sorting the
-        # positions puts the hot set in OID order.
-        self._hot = [
-            self._all[index]
-            for index in sorted(rng.sample(range(n), hot_count))
-        ]
+        super().__init__(oids, rng)
         self.scan_fraction = scan_fraction
-        self._cursor = 0
+        self._sample_hot_set(hot_fraction)
+        self._draw_hot = functools.partial(rng.choice, self._hot)
 
-    @property
-    def hot_set(self) -> frozenset[OID]:
-        return frozenset(self._hot)
-
-    def select_objects(self, query_index: int, count: int) -> list[OID]:
-        if count > len(self._all):
-            raise ConfigurationError(
-                f"cannot select {count} of {len(self._all)} objects"
-            )
-        scan_quota = round(self.scan_fraction * count)
-        picks: list[OID] = []
-        chosen: set[OID] = set()
-        while len(picks) < scan_quota:
-            candidate = self._all[self._cursor]
-            self._cursor = (self._cursor + 1) % len(self._all)
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        attempts = 0
-        while len(picks) < count:
-            attempts += 1
-            if attempts > 50 * count:
-                # Same deterministic fallback as _draw_hot_cold: a hot
-                # set smaller than the query's hot picks would redraw
-                # forever.
-                remaining = [o for o in self._all if o not in chosen]
-                picks.extend(remaining[: count - len(picks)])
-                break
-            candidate = self._hot[
-                self._rng.randint(0, len(self._hot) - 1)
-            ]
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+    def _select(self, query_index: int, count: int) -> list[OID]:
+        picks = self._scan(round(self.scan_fraction * count))
+        # A hot set smaller than the query's hot picks falls back to the
+        # unchosen objects in OID order.
+        return _pick_distinct(
+            self._draw_hot, self._oids, count, picks, set(picks)
+        )
 
     def describe(self) -> str:
         return "cyclic"

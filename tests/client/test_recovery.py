@@ -139,9 +139,12 @@ class TestLossyChannel:
             retry_budget=1,
             backoff_base_seconds=2.0,
         )
+        from repro.obs.events import FaultEvent
+
         simulation = Simulation(config)
+        trace = []
+        simulation.bus.subscribe(FaultEvent, trace.append)
         simulation.run()
-        trace = simulation.network.fault_trace()
         assert trace
         times = [event.time for event in trace]
         assert times == sorted(times)

@@ -144,12 +144,12 @@ class TestStorageRates:
             client.local_storage for client in simulation.clients
         ]
         for storage in storages:
-            assert storage.disk.bandwidth_bps == 12e6
-            assert storage.memory.bandwidth_bps == 34e6
+            assert storage.disk_bandwidth_bps == 12e6
+            assert storage.memory_bandwidth_bps == 34e6
             with pytest.raises(AttributeError):
-                storage.disk.bandwidth_bps = 1.0
+                storage.disk_bandwidth_bps = 1.0
             with pytest.raises(AttributeError):
-                storage.memory.bandwidth_bps = 1.0
+                storage.memory_bandwidth_bps = 1.0
 
     def test_defaults_are_the_paper_rates(self):
         simulation = Simulation(SimulationConfig(num_clients=1))
@@ -157,5 +157,5 @@ class TestStorageRates:
             simulation.server.storage,
             simulation.clients[0].local_storage,
         ):
-            assert storage.disk.bandwidth_bps == 40 * MBPS
-            assert storage.memory.bandwidth_bps == 100 * MBPS
+            assert storage.disk_bandwidth_bps == 40 * MBPS
+            assert storage.memory_bandwidth_bps == 100 * MBPS

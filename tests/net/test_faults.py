@@ -8,16 +8,24 @@ from repro.net.disconnect import DisconnectionSchedule
 from repro.net.faults import (
     BAD,
     FaultConfig,
+    FaultEvent,
     FaultInjector,
     KIND_ABORT,
     KIND_BURST_ENTER,
     KIND_DROP,
     RecoveryPolicy,
-    merged_trace,
 )
 from repro.net.network import Network
+from repro.obs.bus import EventBus
 from repro.sim.environment import Environment
 from repro.sim.rand import RandomStream
+
+
+def recorded(bus):
+    """The fault events ``bus`` carries from now on, as they fire."""
+    events = []
+    bus.subscribe(FaultEvent, events.append)
+    return events
 
 
 class TestFaultConfig:
@@ -70,23 +78,13 @@ class TestFaultInjector:
         injector = FaultInjector(
             FaultConfig(loss_rate=1.0), RandomStream(1, "f"), channel="dl"
         )
+        events = recorded(injector.bus)
         assert injector.should_drop(5.0, 123)
-        [event] = injector.trace
+        [event] = events
         assert event.kind == KIND_DROP
         assert event.time == 5.0
         assert event.channel == "dl"
         assert event.size_bytes == 123
-
-    def test_trace_limit_caps_memory_not_counters(self):
-        injector = FaultInjector(
-            FaultConfig(loss_rate=1.0),
-            RandomStream(1, "f"),
-            trace_limit=3,
-        )
-        for i in range(10):
-            injector.should_drop(float(i), 1)
-        assert len(injector.trace) == 3
-        assert injector.drops == 10
 
     def test_burst_chain_enters_and_drops(self):
         config = FaultConfig(
@@ -95,11 +93,12 @@ class TestFaultInjector:
             burst_off_probability=1e-9,
         )
         injector = FaultInjector(config, RandomStream(2, "f"))
+        events = recorded(injector.bus)
         assert injector.should_drop(0.0, 10)
         assert injector.state == BAD
-        assert injector.bursts_entered == 1
-        assert injector.burst_drops == 1
-        assert injector.trace[0].kind == KIND_BURST_ENTER
+        assert [event.kind for event in events] == [
+            KIND_BURST_ENTER, KIND_DROP
+        ]
 
     def test_good_state_loss_rate_zero_never_drops(self):
         config = FaultConfig(
@@ -117,19 +116,27 @@ class TestFaultInjector:
         injector = FaultInjector(
             FaultConfig(loss_rate=0.5), RandomStream(1, "f")
         )
+        events = recorded(injector.bus)
         injector.note_abort(2.5, 400)
-        assert injector.aborts == 1
-        assert injector.trace[0].kind == KIND_ABORT
+        assert events == [
+            FaultEvent(time=2.5, channel="channel", kind=KIND_ABORT,
+                       size_bytes=400)
+        ]
 
     def test_merged_trace_time_ordered(self):
+        """Channels sharing a bus give one subscriber one merged trace,
+        in the order the faults fired."""
         config = FaultConfig(loss_rate=1.0)
-        a = FaultInjector(config, RandomStream(1, "a"), channel="a")
-        b = FaultInjector(config, RandomStream(1, "b"), channel="b")
-        a.should_drop(3.0, 1)
+        bus = EventBus()
+        events = recorded(bus)
+        a = FaultInjector(config, RandomStream(1, "a"), channel="a", bus=bus)
+        b = FaultInjector(config, RandomStream(1, "b"), channel="b", bus=bus)
         b.should_drop(1.0, 1)
         a.should_drop(2.0, 1)
-        times = [e.time for e in merged_trace([a, b])]
-        assert times == sorted(times)
+        a.should_drop(3.0, 1)
+        assert [(e.time, e.channel) for e in events] == [
+            (1.0, "b"), (2.0, "a"), (3.0, "a")
+        ]
 
 
 class TestFaultyChannel:
@@ -175,6 +182,7 @@ class TestFaultyChannel:
 
     def test_deadline_aborts_before_completion(self):
         env, channel = self._channel(0.0)
+        events = recorded(channel.injector.bus)
         outcomes = []
 
         def sender(env):
@@ -188,7 +196,7 @@ class TestFaultyChannel:
         assert channel.messages_aborted == 1
         assert channel.bytes_aborted == pytest.approx(400.0)
         assert channel.bytes_carried == 0
-        assert channel.injector.aborts == 1
+        assert [event.kind for event in events] == [KIND_ABORT]
 
     def test_past_deadline_aborts_instantly(self):
         env, channel = self._channel(0.0)

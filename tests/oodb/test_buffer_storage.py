@@ -1,67 +1,61 @@
-"""Unit and property tests for buffer pools and the storage timing model."""
+"""Unit and property tests for the storage timing model and its LRU
+memory buffer."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._units import transmission_time
 from repro.errors import CacheError
-from repro.oodb.buffer import BufferPool
 from repro.oodb.storage import (
     DISK_BANDWIDTH_BPS,
     MEMORY_BANDWIDTH_BPS,
-    Medium,
     StorageModel,
 )
+
+
+def hit(model, key):
+    """Read ``key`` once; whether the buffer held it."""
+    hits = model.hits
+    model.access(key, 1)
+    return model.hits > hits
 
 
 class TestBufferPool:
     def test_negative_capacity_rejected(self):
         with pytest.raises(CacheError):
-            BufferPool(-1)
+            StorageModel(-1)
 
     def test_zero_capacity_never_hits(self):
-        pool = BufferPool(0)
-        assert not pool.access("a")
-        assert not pool.access("a")
-        assert pool.hit_ratio == 0.0
+        model = StorageModel(0)
+        assert not hit(model, "a")
+        assert not hit(model, "a")
+        assert model.buffer_hit_ratio == 0.0
 
     def test_miss_then_hit(self):
-        pool = BufferPool(2)
-        assert not pool.access("a")
-        assert pool.access("a")
-        assert pool.hits == 1
-        assert pool.misses == 1
+        model = StorageModel(2)
+        assert not hit(model, "a")
+        assert hit(model, "a")
+        assert model.hits == 1
+        assert model.misses == 1
 
     def test_lru_eviction_order(self):
-        pool = BufferPool(2)
-        pool.access("a")
-        pool.access("b")
-        pool.access("a")  # refresh a; b is now LRU
-        pool.access("c")  # evicts b
-        assert "b" not in pool
-        assert "a" in pool
-        assert "c" in pool
+        model = StorageModel(2)
+        hit(model, "a")
+        hit(model, "b")
+        hit(model, "a")  # refresh a; b is now LRU
+        hit(model, "c")  # evicts b
+        assert hit(model, "a")
+        assert hit(model, "c")
+        assert not hit(model, "b")
 
     def test_capacity_never_exceeded(self):
-        pool = BufferPool(3)
-        for i in range(10):
-            pool.access(i)
-            assert len(pool) <= 3
-
-    def test_evict_and_peek(self):
-        pool = BufferPool(2)
-        pool.access("a")
-        assert pool.peek("a")
-        assert pool.evict("a")
-        assert not pool.peek("a")
-        assert not pool.evict("a")
-
-    def test_keys_in_lru_order(self):
-        pool = BufferPool(3)
-        for key in ("a", "b", "c"):
-            pool.access(key)
-        pool.access("a")
-        assert pool.keys() == ["b", "c", "a"]
+        model = StorageModel(3)
+        for key in range(10):
+            hit(model, key)
+        # Probing newest first, only the last three are still resident.
+        assert [hit(model, key) for key in (9, 8, 7, 6)] == [
+            True, True, True, False
+        ]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -69,57 +63,66 @@ class TestBufferPool:
         keys=st.lists(st.integers(min_value=0, max_value=20), max_size=200),
     )
     def test_matches_reference_lru(self, capacity, keys):
-        """The pool must agree with a straightforward reference LRU."""
-        pool = BufferPool(capacity)
+        """The buffer must agree with a straightforward reference LRU."""
+        model = StorageModel(capacity)
         reference: list = []
         for key in keys:
-            hit = pool.access(key)
-            assert hit == (key in reference)
+            assert hit(model, key) == (key in reference)
             if key in reference:
                 reference.remove(key)
             reference.append(key)
             if len(reference) > capacity:
                 reference.pop(0)
-            assert set(pool.keys()) == set(reference)
 
 
 class TestMedium:
     def test_rejects_nonpositive_bandwidth(self):
         with pytest.raises(ValueError):
-            Medium(0)
+            StorageModel(1, disk_bandwidth_bps=0)
+        with pytest.raises(ValueError):
+            StorageModel(1, memory_bandwidth_bps=-1.0)
 
     def test_access_time(self):
         # 1024 bytes at 40 Mbps = 8192 bits / 40e6 bps.
-        medium = Medium(DISK_BANDWIDTH_BPS)
-        assert medium.access_time(1024) == pytest.approx(8192 / 40e6)
+        assert StorageModel(1).disk_time(1024) == pytest.approx(8192 / 40e6)
 
     def test_bandwidth_is_read_only(self):
-        # The memoized times are exact only while the rate is fixed.
-        medium = Medium(DISK_BANDWIDTH_BPS)
+        model = StorageModel(1)
         with pytest.raises(AttributeError):
-            medium.bandwidth_bps = 1.0
-        assert medium.bandwidth_bps == DISK_BANDWIDTH_BPS
+            model.disk_bandwidth_bps = 1.0
+        with pytest.raises(AttributeError):
+            model.memory_bandwidth_bps = 1.0
+        assert model.disk_bandwidth_bps == DISK_BANDWIDTH_BPS
+        assert model.memory_bandwidth_bps == MEMORY_BANDWIDTH_BPS
 
     @settings(max_examples=100, deadline=None)
     @given(
-        bandwidth=st.floats(1.0, 1e12),
+        disk=st.floats(1.0, 1e12),
+        memory=st.floats(1.0, 1e12),
         sizes=st.lists(
             st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6)),
             max_size=30,
         ),
     )
-    def test_memoized_time_matches_the_formula(self, bandwidth, sizes):
-        medium = Medium(bandwidth)
+    def test_times_match_the_formula(self, disk, memory, sizes):
+        model = StorageModel(4, disk, memory)
         for size in sizes + sizes:
-            assert medium.access_time(size) == transmission_time(
-                size, bandwidth
+            read_time = model.access(size, size)
+            memory_time = transmission_time(size, memory)
+            assert read_time in (
+                memory_time,
+                transmission_time(size, disk) + memory_time,
             )
+            assert model.disk_time(size) == transmission_time(size, disk)
+            assert model.write(size, size) == transmission_time(size, disk)
 
     def test_negative_size_still_rejected(self):
-        medium = Medium(DISK_BANDWIDTH_BPS)
+        model = StorageModel(1)
         for __ in range(2):
             with pytest.raises(ValueError):
-                medium.access_time(-1)
+                model.disk_time(-1)
+            with pytest.raises(ValueError):
+                model.access("x", -1)
 
 
 class TestStorageModel:
@@ -127,26 +130,24 @@ class TestStorageModel:
         model = StorageModel(
             2, disk_bandwidth_bps=1e6, memory_bandwidth_bps=5e6
         )
-        assert model.disk.bandwidth_bps == 1e6
-        assert model.memory.bandwidth_bps == 5e6
+        assert model.disk_bandwidth_bps == 1e6
+        assert model.memory_bandwidth_bps == 5e6
 
     def test_miss_costs_disk_plus_memory(self):
         model = StorageModel(buffer_capacity=2)
         miss_time = model.access("x", 1024)
         hit_time = model.access("x", 1024)
-        expected_miss = Medium(DISK_BANDWIDTH_BPS).access_time(
-            1024
-        ) + Medium(MEMORY_BANDWIDTH_BPS).access_time(1024)
-        assert miss_time == pytest.approx(expected_miss)
-        assert hit_time == pytest.approx(
-            Medium(MEMORY_BANDWIDTH_BPS).access_time(1024)
+        memory_time = transmission_time(1024, MEMORY_BANDWIDTH_BPS)
+        assert miss_time == (
+            transmission_time(1024, DISK_BANDWIDTH_BPS) + memory_time
         )
+        assert hit_time == memory_time
         assert miss_time > hit_time
 
     def test_write_goes_to_disk(self):
         model = StorageModel(buffer_capacity=2)
-        assert model.write("x", 1024) == pytest.approx(
-            Medium(DISK_BANDWIDTH_BPS).access_time(1024)
+        assert model.write("x", 1024) == transmission_time(
+            1024, DISK_BANDWIDTH_BPS
         )
 
     def test_buffer_hit_ratio_exposed(self):
@@ -160,4 +161,4 @@ class TestStorageModel:
         model.access("x", 10)
         model.access("y", 10)  # evicts x
         slow = model.access("x", 10)  # miss again
-        assert slow > Medium(MEMORY_BANDWIDTH_BPS).access_time(10)
+        assert slow > transmission_time(10, MEMORY_BANDWIDTH_BPS)

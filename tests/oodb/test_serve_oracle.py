@@ -137,8 +137,8 @@ def assert_same_state(real: DatabaseServer, reference: DatabaseServer):
         "updates_applied",
     ):
         assert getattr(real, counter) == getattr(reference, counter), counter
-    assert real.storage.buffer.hits == reference.storage.buffer.hits
-    assert real.storage.buffer.misses == reference.storage.buffer.misses
+    assert real.storage.hits == reference.storage.hits
+    assert real.storage.misses == reference.storage.misses
     tracker, reference_tracker = real.prefetch_tracker, reference.prefetch_tracker
     assert tracker.observed_classes() == reference_tracker.observed_classes()
     for client_id in CLIENTS:

@@ -6,6 +6,8 @@ import signal
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.config import SimulationConfig
+from repro.experiments.runner import Simulation
 from repro.oodb.objects import OID
 from repro.sim.rand import RandomStream
 from repro.workload.heat import (
@@ -67,6 +69,11 @@ class TestSkewedHeat:
             SkewedHeat(
                 oids(), RandomStream(1, "h"), hot_access_probability=1.5
             )
+        # 0.9999 of 100 objects rounds to all 100: no cold object is left
+        # for the cold draws.
+        for heat in (SkewedHeat, ChangingSkewedHeat, SequentialScanHeat):
+            with pytest.raises(ConfigurationError, match="hot_fraction"):
+                heat(oids(), RandomStream(1, "h"), hot_fraction=0.9999)
 
     def test_80_20_rule_holds_statistically(self):
         heat = SkewedHeat(oids(200), RandomStream(7, "h"))
@@ -166,6 +173,13 @@ class TestCyclicHeat:
     def test_scan_fraction_validation(self):
         with pytest.raises(ConfigurationError):
             CyclicHeat(oids(), RandomStream(1, "h"), scan_fraction=1.5)
+
+    def test_hot_fraction_validation(self):
+        for hot_fraction in (0.0, 1.5, 0.9999):
+            with pytest.raises(ConfigurationError, match="hot_fraction"):
+                CyclicHeat(
+                    oids(), RandomStream(1, "h"), hot_fraction=hot_fraction
+                )
 
     def test_more_hot_picks_than_hot_objects_fall_back(self):
         """60 objects hold 12 hot ones, but a 20-object query makes 14
@@ -336,13 +350,40 @@ class TestShiftingHotspotHeat:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             ShiftingHotspotHeat(oids(), RandomStream(1, "h"), shift_every=0)
-        with pytest.raises(ConfigurationError):
-            ShiftingHotspotHeat(
-                oids(), RandomStream(1, "h"), hot_fraction=1.0
-            )
+        for hot_fraction in (1.0, 0.9999):
+            with pytest.raises(ConfigurationError, match="hot_fraction"):
+                ShiftingHotspotHeat(
+                    oids(), RandomStream(1, "h"), hot_fraction=hot_fraction
+                )
 
     def test_describe(self):
         heat = ShiftingHotspotHeat(
             oids(), RandomStream(1, "h"), shift_every=250
         )
         assert heat.describe() == "hotspot-250"
+
+
+@pytest.mark.parametrize(
+    "heat, hot_fraction",
+    [
+        ("SH", 0.9999),
+        ("CSH", 0.9999),
+        ("scan", 0.9999),
+        ("hotspot", 0.9999),
+        ("cyclic", 0.9999),
+        ("cyclic", 1.5),
+        ("cyclic", 0.0),
+    ],
+)
+def test_simulation_rejects_hot_fraction_without_cold_objects(
+    heat, hot_fraction
+):
+    """The config accepts these values; building the run must fail with
+    a ConfigurationError, not an IndexError at the first cold draw or a
+    ValueError from the hot-set sample."""
+    config = SimulationConfig(
+        heat=heat, hot_fraction=hot_fraction, num_clients=2,
+        horizon_hours=0.5,
+    )
+    with pytest.raises(ConfigurationError, match="hot_fraction"):
+        Simulation(config)

@@ -1,13 +1,16 @@
-"""Heat set-up by index against the set-membership construction it replaced.
+"""Heat set-up and picks against standalone references.
 
 The heat distributions split their population into hot and cold buckets
 by sampling *positions* and masking (or slicing) the OID-ordered
-population.  The references below keep the older construction: sort
-the population, sample the OIDs themselves, and hash every OID against
-the sampled set.  Given the same seed, both must build the same buckets
-and then make the same picks, across CSH re-selections, hotspot shifts
-and scan cursors.  The hotspot reference also keeps its own copy of the
-hot/cold draw, which SH and the hotspot now share.
+population, and make every randomized pick through one shared
+distinct-pick loop.  The references below share no code with them: each
+sorts the population, samples the OIDs themselves, hashes every OID
+against the sampled set, and keeps its own copy of the hot/cold draw,
+the scan cursor walk and Cyclic's ``randint`` loop.  Given the same
+seed, both must build the same hot set, make the same picks across CSH
+re-selections, hotspot shifts and scan cursors, and leave their random
+streams in step.  The Zipf reference draws OIDs where the production
+code draws ranks.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -20,100 +23,181 @@ from repro.workload.heat import (
     SequentialScanHeat,
     ShiftingHotspotHeat,
     SkewedHeat,
+    ZipfHeat,
 )
 
 QUERIES = 50
 
 
-class _SetMembershipBuckets:
-    """SkewedHeat's reselection before index masks."""
+def draw_hot_cold(rng, population, hot, cold, probability, count):
+    """The hot/cold rejection loop as SH first had it."""
+    chosen, picks = set(), []
+    attempts = 0
+    while len(picks) < count:
+        attempts += 1
+        if attempts > 50 * count:
+            remaining = [o for o in population if o not in chosen]
+            picks.extend(remaining[: count - len(picks)])
+            break
+        bucket = hot if rng.bernoulli(probability) else cold
+        candidate = bucket[rng.randint(0, len(bucket) - 1)]
+        if candidate not in chosen:
+            chosen.add(candidate)
+            picks.append(candidate)
+    return picks
 
-    def reselect_hot_set(self):
-        ordered = sorted(self._oids)
-        hot_count = max(1, round(self.hot_fraction * len(self._oids)))
-        hot = set(self._rng.sample(list(self._oids), hot_count))
-        self._hot = [oid for oid in ordered if oid in hot]
-        self._cold = [oid for oid in ordered if oid not in hot]
 
+class ReferenceSkewed:
+    """SH, or CSH when ``change_every`` is given, or the scan pattern
+    when ``scan_every`` is given."""
 
-class ReferenceSkewed(_SetMembershipBuckets, SkewedHeat):
-    pass
+    def __init__(
+        self, oids, rng, hot_fraction, hot_access_probability,
+        change_every=None, scan_every=None,
+    ):
+        self.ordered = sorted(oids)
+        self.rng = rng
+        self.hot_fraction = hot_fraction
+        self.probability = hot_access_probability
+        self.change_every = change_every
+        self.scan_every = scan_every
+        self.era = 0
+        self.cursor = 0
+        self.reselect()
 
+    def reselect(self):
+        hot_count = max(1, round(self.hot_fraction * len(self.ordered)))
+        hot = set(self.rng.sample(list(self.ordered), hot_count))
+        self.hot = [oid for oid in self.ordered if oid in hot]
+        self.cold = [oid for oid in self.ordered if oid not in hot]
 
-class ReferenceChanging(_SetMembershipBuckets, ChangingSkewedHeat):
-    pass
-
-
-class ReferenceScan(_SetMembershipBuckets, SequentialScanHeat):
     def select_objects(self, query_index, count):
-        if query_index % self.scan_every != 0:
-            return super().select_objects(query_index, count)
-        ordered = sorted(self._oids)
-        picks, chosen = [], set()
-        while len(picks) < count:
-            candidate = ordered[self._cursor]
-            self._cursor = (self._cursor + 1) % len(ordered)
-            if candidate not in chosen:
-                chosen.add(candidate)
-                picks.append(candidate)
-        return picks
+        if self.change_every is not None:
+            era = query_index // self.change_every
+            if era != self.era:
+                self.era = era
+                self.reselect()
+        if self.scan_every is not None and query_index % self.scan_every == 0:
+            picks, chosen = [], set()
+            while len(picks) < count:
+                candidate = self.ordered[self.cursor]
+                self.cursor = (self.cursor + 1) % len(self.ordered)
+                if candidate not in chosen:
+                    chosen.add(candidate)
+                    picks.append(candidate)
+            return picks
+        return draw_hot_cold(
+            self.rng, self.ordered, self.hot, self.cold, self.probability,
+            count,
+        )
 
 
-class ReferenceHotspot(ShiftingHotspotHeat):
-    """The hotspot with its own bucket construction and its own copy of
-    the hot/cold rejection loop, as it was before SH and the hotspot
-    shared one draw."""
+class ReferenceHotspot:
+    """The hotspot with index-set buckets and a cumulative start."""
+
+    def __init__(
+        self, oids, rng, shift_every, hot_fraction, hot_access_probability
+    ):
+        self.ordered = sorted(oids)
+        self.rng = rng
+        self.shift_every = shift_every
+        self.probability = hot_access_probability
+        self.hot_count = max(1, round(hot_fraction * len(self.ordered)))
+        self.step = max(1, self.hot_count // 2)
+        self.start = rng.randint(0, len(self.ordered) - 1)
+        self.era = 0
+        self.rebuild()
+
+    def rebuild(self):
+        n = len(self.ordered)
+        hot_indices = {
+            (self.start + offset) % n for offset in range(self.hot_count)
+        }
+        self.hot = [
+            oid for index, oid in enumerate(self.ordered)
+            if index in hot_indices
+        ]
+        self.cold = [
+            oid for index, oid in enumerate(self.ordered)
+            if index not in hot_indices
+        ]
 
     def select_objects(self, query_index, count):
         era = query_index // self.shift_every
-        if era != self._era:
-            self._start = (
-                self._start + self._step * (era - self._era)
-            ) % len(self._ordered)
-            self._era = era
-            self._rebuild_buckets()
-        chosen, picks = set(), []
+        if era != self.era:
+            self.start = (
+                self.start + self.step * (era - self.era)
+            ) % len(self.ordered)
+            self.era = era
+            self.rebuild()
+        return draw_hot_cold(
+            self.rng, self.ordered, self.hot, self.cold, self.probability,
+            count,
+        )
+
+
+class ReferenceCyclic:
+    """Cyclic with sampled OIDs, its own cursor walk and randint loop."""
+
+    def __init__(self, oids, rng, hot_fraction, scan_fraction):
+        self.ordered = sorted(oids)
+        self.rng = rng
+        hot_count = max(1, round(hot_fraction * len(self.ordered)))
+        self.hot = sorted(rng.sample(self.ordered, hot_count))
+        self.scan_fraction = scan_fraction
+        self.cursor = 0
+
+    def select_objects(self, query_index, count):
+        scan_quota = round(self.scan_fraction * count)
+        picks, chosen = [], set()
+        while len(picks) < scan_quota:
+            candidate = self.ordered[self.cursor]
+            self.cursor = (self.cursor + 1) % len(self.ordered)
+            if candidate not in chosen:
+                chosen.add(candidate)
+                picks.append(candidate)
         attempts = 0
         while len(picks) < count:
             attempts += 1
             if attempts > 50 * count:
-                remaining = [o for o in self._ordered if o not in chosen]
+                remaining = [o for o in self.ordered if o not in chosen]
                 picks.extend(remaining[: count - len(picks)])
                 break
-            if self._rng.bernoulli(self.hot_access_probability):
-                bucket = self._hot
-            else:
-                bucket = self._cold
-            candidate = bucket[self._rng.randint(0, len(bucket) - 1)]
+            candidate = self.hot[self.rng.randint(0, len(self.hot) - 1)]
             if candidate not in chosen:
                 chosen.add(candidate)
                 picks.append(candidate)
         return picks
 
-    def _rebuild_buckets(self):
-        ordered = sorted(self._ordered)
-        n = len(ordered)
-        hot_indices = {
-            (self._start + offset) % n for offset in range(self._hot_count)
-        }
-        self._hot = [
-            oid for index, oid in enumerate(ordered) if index in hot_indices
-        ]
-        self._cold = [
-            oid
-            for index, oid in enumerate(ordered)
-            if index not in hot_indices
-        ]
 
+class ReferenceZipf:
+    """Zipf with its own weights and its own rejection loop over OIDs."""
 
-class ReferenceCyclic(CyclicHeat):
-    def __init__(self, oids, rng, hot_fraction=0.2, scan_fraction=0.3):
-        self._all = sorted(oids)
-        self._rng = rng
-        hot_count = max(1, round(hot_fraction * len(self._all)))
-        self._hot = sorted(rng.sample(self._all, hot_count))
-        self.scan_fraction = scan_fraction
-        self._cursor = 0
+    hot = ()
+
+    def __init__(self, oids, rng, s):
+        self.ranked = rng.sample(sorted(oids), len(oids))
+        self.rng = rng
+        self.cumulative = []
+        total = 0.0
+        for rank in range(1, len(oids) + 1):
+            total += rank ** -s
+            self.cumulative.append(total)
+
+    def select_objects(self, query_index, count):
+        picks, chosen = [], set()
+        attempts = 0
+        while len(picks) < count:
+            attempts += 1
+            if attempts > 50 * count:
+                remaining = [o for o in self.ranked if o not in chosen]
+                picks.extend(remaining[: count - len(picks)])
+                break
+            candidate = self.ranked[self.rng.weighted_index(self.cumulative)]
+            if candidate not in chosen:
+                chosen.add(candidate)
+                picks.append(candidate)
+        return picks
 
 
 @st.composite
@@ -130,22 +214,24 @@ def populations(draw):
     return tuple(sorted(OID(name, number) for name, number in keys))
 
 
-def buckets(heat):
-    return list(heat._hot), list(getattr(heat, "_cold", ()))
-
-
 def assume_both_buckets(population, hot_fraction):
-    # An empty cold bucket fails the first cold draw in both versions.
+    # A hot set of the whole population is rejected at construction.
     assume(max(1, round(hot_fraction * len(population))) < len(population))
 
 
-def assert_same_run(new, reference, count):
-    assert buckets(new) == buckets(reference)
+def assert_same_run(make_new, make_reference, seed, count):
+    """Same hot sets, same picks, and the streams still in step."""
+    new_rng = RandomStream(seed, "h")
+    reference_rng = RandomStream(seed, "h")
+    new = make_new(new_rng)
+    reference = make_reference(reference_rng)
     for query_index in range(QUERIES):
+        assert new.hot_set == frozenset(reference.hot)
         assert new.select_objects(query_index, count) == (
             reference.select_objects(query_index, count)
         )
-        assert buckets(new) == buckets(reference)
+    assert new.hot_set == frozenset(reference.hot)
+    assert new_rng.random() == reference_rng.random()
 
 
 common = {
@@ -165,22 +251,19 @@ def test_skewed_and_changing_match(
 ):
     assume_both_buckets(population, hot_fraction)
     count = min(count, len(population))
-    skew = {
-        "hot_fraction": hot_fraction,
-        "hot_access_probability": hot_access_probability,
-    }
+    skew = (hot_fraction, hot_access_probability)
     assert_same_run(
-        SkewedHeat(population, RandomStream(seed, "h"), **skew),
-        ReferenceSkewed(population, RandomStream(seed, "h"), **skew),
+        lambda rng: SkewedHeat(population, rng, *skew),
+        lambda rng: ReferenceSkewed(population, rng, *skew),
+        seed,
         count,
     )
     assert_same_run(
-        ChangingSkewedHeat(
-            population, RandomStream(seed, "h"), change_every, **skew
+        lambda rng: ChangingSkewedHeat(population, rng, change_every, *skew),
+        lambda rng: ReferenceSkewed(
+            population, rng, *skew, change_every=change_every
         ),
-        ReferenceChanging(
-            population, RandomStream(seed, "h"), change_every, **skew
-        ),
+        seed,
         count,
     )
 
@@ -192,20 +275,17 @@ def test_scan_and_hotspot_match(
 ):
     assume_both_buckets(population, hot_fraction)
     count = min(count, len(population))
-    skew = {
-        "hot_fraction": hot_fraction,
-        "hot_access_probability": hot_access_probability,
-    }
+    skew = (hot_fraction, hot_access_probability)
     assert_same_run(
-        SequentialScanHeat(population, RandomStream(seed, "h"), every, **skew),
-        ReferenceScan(population, RandomStream(seed, "h"), every, **skew),
+        lambda rng: SequentialScanHeat(population, rng, every, *skew),
+        lambda rng: ReferenceSkewed(population, rng, *skew, scan_every=every),
+        seed,
         count,
     )
     assert_same_run(
-        ShiftingHotspotHeat(
-            population, RandomStream(seed, "h"), every, **skew
-        ),
-        ReferenceHotspot(population, RandomStream(seed, "h"), every, **skew),
+        lambda rng: ShiftingHotspotHeat(population, rng, every, *skew),
+        lambda rng: ReferenceHotspot(population, rng, every, *skew),
+        seed,
         count,
     )
 
@@ -219,16 +299,33 @@ def test_scan_and_hotspot_match(
     count=st.integers(1, 12),
 )
 def test_cyclic_matches(population, seed, hot_fraction, scan_fraction, count):
-    hot_count = max(1, round(hot_fraction * len(population)))
-    # Cyclic picks loop until they find enough distinct hot objects, so
-    # a query may ask for at most the hot set's size.
-    count = min(count, hot_count)
+    assume_both_buckets(population, hot_fraction)
+    # Queries may ask for more than the hot set holds: both sides then
+    # finish with the unchosen objects in OID order.
+    count = min(count, len(population))
     assert_same_run(
-        CyclicHeat(
-            population, RandomStream(seed, "h"), hot_fraction, scan_fraction
+        lambda rng: CyclicHeat(population, rng, hot_fraction, scan_fraction),
+        lambda rng: ReferenceCyclic(
+            population, rng, hot_fraction, scan_fraction
         ),
-        ReferenceCyclic(
-            population, RandomStream(seed, "h"), hot_fraction, scan_fraction
-        ),
+        seed,
+        count,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    population=populations(),
+    seed=st.integers(0, 2**32 - 1),
+    s=st.floats(0.1, 6.0),
+    count=st.integers(1, 12),
+)
+def test_zipf_matches(population, seed, s, count):
+    # Steep exponents on small populations reach the rank-order fallback.
+    count = min(count, len(population))
+    assert_same_run(
+        lambda rng: ZipfHeat(population, rng, s),
+        lambda rng: ReferenceZipf(population, rng, s),
+        seed,
         count,
     )

@@ -6,7 +6,9 @@ update flag.  Any change to the order or number of random draws in
 query generation (heat picks, attribute picks, navigation, update
 coin flips) changes a digest and fails here by name, before it shows
 up only as a moved golden pin.  The digests were computed before the
-generation path was rewritten for speed and must not move.
+generation path was rewritten for speed and must not move.  The CSH
+and cyclic digests were computed before the heat distributions'
+distinct-pick loops were merged into one.
 """
 
 import hashlib
@@ -17,6 +19,8 @@ from repro.oodb.database import build_default_database
 from repro.oodb.query import QueryKind
 from repro.sim.rand import RandomStream
 from repro.workload.heat import (
+    ChangingSkewedHeat,
+    CyclicHeat,
     SequentialScanHeat,
     ShiftingHotspotHeat,
     SkewedHeat,
@@ -36,6 +40,9 @@ HEATS = {
     ),
     "scan": lambda oids, rng: SequentialScanHeat(oids, rng),
     "uniform": lambda oids, rng: UniformHeat(oids, rng),
+    # A short change period so the hot set is re-picked within the stream.
+    "CSH": lambda oids, rng: ChangingSkewedHeat(oids, rng, change_every=40),
+    "cyclic": lambda oids, rng: CyclicHeat(oids, rng),
 }
 
 PINS = {
@@ -54,6 +61,12 @@ PINS = {
     ("AQ", 0.0, "uniform"): (
         "c24646144ab7c7adda78e054458eb76e8f071791d6efce07dec711509d8bb05e"
     ),
+    ("AQ", 0.0, "cyclic"): (
+        "1b21998e9246df2c2985990112c318d9557c6f1318f6108de22c59555e8189c7"
+    ),
+    ("AQ", 0.0, "CSH"): (
+        "9687990a6de84ad2b5aa2102a56d1da5e1d96ea7a95053188a3c4a99407667b2"
+    ),
     ("AQ", 0.5, "SH"): (
         "006143bd20b4d5618b8f81a6904ea9891c4e1b35f61eb3ee082b702f7b590afc"
     ),
@@ -68,6 +81,12 @@ PINS = {
     ),
     ("AQ", 0.5, "uniform"): (
         "834d62d2394e39cd0356742f087c57729848a302a26f5ed378ede0e663660b54"
+    ),
+    ("AQ", 0.5, "cyclic"): (
+        "a64b4a992ce69eef52db2071cf3c656867acb830cea75bb25eec2bb4a06078b7"
+    ),
+    ("AQ", 0.5, "CSH"): (
+        "34219268efb6d920762e5071702e62e0150c2b4d2c022c46e06b474977947cb7"
     ),
     ("NQ", 0.0, "SH"): (
         "b7f1e62a2f3eee551b777af7cf928ed16e1d1787776700523c1ad543905fc55a"
@@ -84,6 +103,12 @@ PINS = {
     ("NQ", 0.0, "uniform"): (
         "1959b5147baef38d4c3271574f4f55a946544e4e03a728f5cf6d4d3038c35073"
     ),
+    ("NQ", 0.0, "cyclic"): (
+        "c31e2beab3c908a6bb910646a4cdd01d3ccc2a70090a692097bdcf99b9a18e0f"
+    ),
+    ("NQ", 0.0, "CSH"): (
+        "e522ebe3641a9d0f2629b51cf2b921042660dfe524989db937a5d3d28c7eb2de"
+    ),
     ("NQ", 0.5, "SH"): (
         "f20f7651991e0295be34779cff7ad01068c550fd29f8c6f03edb572828f44c56"
     ),
@@ -98,6 +123,12 @@ PINS = {
     ),
     ("NQ", 0.5, "uniform"): (
         "2c36ea5ef12cf0ee6075718b0c4632f00a631bca7cd3b3128cd1fe3e51a4c745"
+    ),
+    ("NQ", 0.5, "cyclic"): (
+        "3ceefb195991d1fca4b63d8d848268e98e2f5f02727fc3cc5f00cb71d8b84020"
+    ),
+    ("NQ", 0.5, "CSH"): (
+        "955c107f04f0a6509954e7260ac1cd05132ef90fdd3269ffe50866820a5096bd"
     ),
 }
 
