@@ -26,8 +26,8 @@ Under fault injection (Experiment #7) the remote round grows recovery
 machinery: a request timeout, bounded retries with exponential backoff
 plus seeded jitter, and — when the budget is exhausted — graceful
 degradation to cache-only answers via the same local-serve path
-Experiment #6 uses.  With recovery off the round is the original
-single-shot path, bit for bit.
+Experiment #6 uses.  With recovery off the round is single-shot: one
+transmission and a wait on the reply box with no deadline.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ class MobileClient:
         )
         #: Recovery machinery for lossy links: request timeouts, bounded
         #: retries with backoff + jitter, degradation to cache-only
-        #: answers.  ``None`` preserves the original single-shot remote
-        #: round bit-for-bit.
+        #: answers.  ``None`` makes the remote round single-shot, with
+        #: no deadline on the reply.
         self.recovery = recovery
         if recovery is not None and recovery_rng is None:
             raise NetworkError(
@@ -358,8 +358,8 @@ class MobileClient:
     ) -> t.Generator[t.Any, t.Any, "ReplyMessage | None"]:
         """One remote round; ``None`` when the retry budget is exhausted.
 
-        Without a recovery policy this is the original single-shot path:
-        transmit, enqueue at the server, block on the reply.  With one,
+        Without a recovery policy the round is single-shot: transmit,
+        enqueue at the server, block on the reply.  With one,
         each attempt transmits (possibly dropped or aborted by the fault
         layer), waits up to the timeout for the matching reply, and
         retries after an exponential backoff with seeded jitter, up to
@@ -434,33 +434,24 @@ class MobileClient:
     ) -> t.Generator[t.Any, t.Any, "ReplyMessage | None"]:
         """Wait for the reply matching ``request``; ``None`` on timeout.
 
-        Replies of earlier, abandoned attempts may still arrive (the
-        server serves every request copy it receives); they are
-        discarded by query id without ending the wait.  On timeout the
-        pending get is cancelled — the :class:`Store` re-queues an item
-        that fired in the same instant but was never delivered, so a
-        reply racing the timeout is picked up by the retry.
+        Without a recovery policy the wait has no deadline.  With one,
+        each get carries the time left until the attempt's deadline and
+        fires with ``None`` once it passes; a reply put after that stays
+        in the reply box for the next attempt's wait.  Replies of
+        earlier, abandoned attempts may still arrive (the server serves
+        every request copy it receives); they are discarded by query id
+        without ending the wait.
         """
-        if self.recovery is None:
-            while True:
-                reply = yield self.reply_box.get()
-                if reply.query_id == request.query_id:
-                    return reply
-                self._note_late_reply(reply)
-        deadline = self.env.now + self.recovery.timeout_seconds
+        deadline = (
+            None
+            if self.recovery is None
+            else self.env.now + self.recovery.timeout_seconds
+        )
         while True:
-            remaining = deadline - self.env.now
-            if remaining <= 0:
-                return None
-            get_event = self.reply_box.get()
-            fired = yield self.env.any_of(
-                [get_event, self.env.timeout(remaining)]
+            reply = yield self.reply_box.get(
+                None if deadline is None else max(deadline - self.env.now, 0.0)
             )
-            if get_event not in fired:
-                self.reply_box.cancel(get_event)
-                return None
-            reply = fired[get_event]
-            if reply.query_id == request.query_id:
+            if reply is None or reply.query_id == request.query_id:
                 return reply
             self._note_late_reply(reply)
 

@@ -175,6 +175,21 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"heat must be one of {HEAT_PATTERNS}, got {self.heat!r}"
             )
+        if not 0.0 < self.hot_fraction < 1.0:
+            raise ConfigurationError(
+                f"hot_fraction must lie in (0, 1), got {self.hot_fraction!r}"
+            )
+        for name in ("hot_access_probability", "cyclic_scan_fraction"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ConfigurationError(
+                    f"{name} must lie in [0, 1], got {value!r}"
+                )
+        if self.csh_change_every < 1:
+            raise ConfigurationError(
+                f"csh_change_every must be >= 1, got "
+                f"{self.csh_change_every!r}"
+            )
         if self.scan_every < 1:
             raise ConfigurationError(
                 f"scan_every must be >= 1, got {self.scan_every!r}"

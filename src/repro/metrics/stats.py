@@ -173,6 +173,10 @@ class Tally:
     numerically stable over millions of samples.
     """
 
+    # One tally per written key (``WriteIntervalStats``): slots keep each
+    # a fixed-size block with no per-instance dict.
+    __slots__ = ("name", "_count", "_mean", "_m2")
+
     def __init__(self, name: str = "tally") -> None:
         self.name = name
         self._count = 0

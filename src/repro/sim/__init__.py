@@ -5,24 +5,23 @@ Public surface::
     from repro.sim import Environment, Resource, Store, RandomStream
 
     env = Environment()
+    inbox = Store(env)
 
     def greeter(env):
         yield env.timeout(3.0)
-        return "hello at t=3"
+        inbox.put("hello at t=3")
 
-    proc = env.process(greeter(env))
+    def listener(env):
+        message = yield inbox.get(timeout=5.0)  # None if nothing came
+        assert message == "hello at t=3"
+
+    env.process(greeter(env))
+    env.process(listener(env))
     env.run()
-    assert proc.value == "hello at t=3"
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import (
-    AnyOf,
-    Event,
-    Initialize,
-    Resume,
-    Timeout,
-)
+from repro.sim.events import Event, Initialize, Timeout
 from repro.sim.process import Process
 from repro.sim.rand import (
     RandomStream,
@@ -33,12 +32,10 @@ from repro.sim.rand import (
 from repro.sim.resources import Request, Resource, Store, StoreGet
 
 __all__ = [
-    "AnyOf",
     "Environment",
     "Event",
     "Initialize",
     "Process",
-    "Resume",
     "RandomStream",
     "Request",
     "Resource",

@@ -18,7 +18,7 @@ from itertools import count
 
 from repro._units import Seconds
 from repro.errors import SchedulingError, SimulationError, StopSimulation
-from repro.sim.events import AnyOf, Event, NORMAL, Timeout
+from repro.sim.events import Event, NORMAL, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -62,10 +62,6 @@ class Environment:
     # ------------------------------------------------------------------
     # Event factories
     # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create a new untriggered event bound to this environment."""
-        return Event(self)
-
     def timeout(self, delay: Seconds, value: t.Any = None) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
@@ -75,10 +71,6 @@ class Environment:
     ) -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: t.Iterable[Event]) -> AnyOf:
-        """Event firing when any of ``events`` fires."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Scheduling and the run loop
@@ -116,16 +108,6 @@ class Environment:
         event.callbacks = None
         self._live -= 1
 
-    def peek(self) -> Seconds:
-        """Time of the next live event, or ``inf`` when none is queued.
-
-        Purges defused entries from the heap head as a side effect.
-        """
-        queue = self._queue
-        while queue and queue[0][3]._defused:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else float("inf")
-
     def step(self) -> None:
         """Process exactly one live event (advancing the clock to it)."""
         queue = self._queue
@@ -154,72 +136,33 @@ class Environment:
                     profiler.record(
                         getattr(owner, "name", None) or "", elapsed
                     )
-        elif not event.ok:
-            # A failed event nobody waits on would silently swallow the
-            # exception; surface it instead ("errors should never pass
-            # silently").
-            raise t.cast(BaseException, event.value)
 
-    def run(self, until: "Seconds | Event | None" = None) -> t.Any:
+    def run(self, until: Seconds | None = None) -> None:
         """Run the simulation.
 
-        ``until`` may be:
-
-        * ``None`` — run until the event queue drains;
-        * a number — run until the clock reaches that time.  The internal
-          stopper fires at priority −1, ahead of URGENT (0) events at the
-          same instant: anything scheduled for *exactly* the horizon —
-          URGENT events included — is never delivered.  The horizon is
-          therefore a half-open interval ``[start, until)``;
-        * an :class:`Event` — run until that event is processed, returning
-          its value (and raising its exception if it failed).
+        With ``until=None`` run until the event queue drains; with a
+        number, run until the clock reaches that time.  The internal
+        stopper fires at priority −1, ahead of URGENT (0) events at the
+        same instant: anything scheduled for *exactly* the horizon —
+        URGENT events included — is never delivered.  The horizon is
+        therefore a half-open interval ``[start, until)``.
         """
-        stop_value: t.Any = None
-        if until is None:
-            pass
-        elif isinstance(until, Event):
-            if until.processed:
-                return until.value
-            callbacks = until.callbacks
-            if callbacks is None:
+        if until is not None:
+            if until < self._now:
                 raise SchedulingError(
-                    f"cannot run until {until!r}: it was defused and will "
-                    "never fire"
-                )
-            callbacks.append(self._stop_on_event)
-        else:
-            at = float(until)
-            if at < self._now:
-                raise SchedulingError(
-                    f"cannot run until {at!r}; clock is at {self._now!r}"
+                    f"cannot run until {until!r}; clock is at {self._now!r}"
                 )
             stopper = Event(self)
-            stopper._ok = True
-            stopper._value = None
-            stopper.callbacks.append(self._stop_on_event)  # type: ignore[union-attr]
-            self.schedule(stopper, delay=at - self._now, priority=-1)
-
+            stopper._value = float(until)
+            stopper.callbacks.append(self._stop)  # type: ignore[union-attr]
+            self.schedule(stopper, delay=until - self._now, priority=-1)
         try:
             while self._live:
                 self.step()
-        except StopSimulation as stop:
-            stop_value = stop.value
-            if isinstance(until, Event):
-                if not until.ok:
-                    # The event's own failure is the error; the internal
-                    # StopSimulation control-flow signal is not its cause.
-                    raise t.cast(BaseException, until.value) from None
-                return until.value
-            if isinstance(until, (int, float)):
-                # Clamp the clock exactly at the stop time.
-                self._now = float(until)
-            return stop_value
-        if isinstance(until, Event) and not until.processed:
-            raise SimulationError(
-                "event queue drained before the awaited event fired"
-            )
-        return stop_value
+        except StopSimulation:
+            pass
 
-    @staticmethod
-    def _stop_on_event(event: Event) -> None:
-        raise StopSimulation(event._value)
+    def _stop(self, event: Event) -> None:
+        # Clamp the clock exactly at the stop time.
+        self._now = event._value
+        raise StopSimulation()

@@ -7,13 +7,14 @@ resumes each process when the yielded event fires.
 
 An event moves through three states::
 
-    pending  --trigger-->  triggered  --step-->  processed
+    pending  --succeed-->  triggered  --step-->  processed
 
 ``triggered`` means the event has a value and sits in the event queue;
 ``processed`` means its callbacks have run.  A fourth, terminal state —
 *defused* — marks a triggered event whose outcome became irrelevant
-before it was processed (e.g. the losing timeout of a retry race); its
-queue entry is skipped at pop time and its callbacks never run (see
+before it was processed (e.g. the timeout of a store get that an item
+reached first); its queue entry is skipped at pop time and its
+callbacks never run (see
 :meth:`~repro.sim.environment.Environment.cancel`).
 """
 
@@ -38,20 +39,18 @@ URGENT = 0
 class Event:
     """A happening at a point in simulated time, carrying a value.
 
-    Processes wait on events by yielding them.  An event is *triggered*
-    with either :meth:`succeed` (normal value) or :meth:`fail` (exception,
-    which is re-raised inside every waiting process).
+    Processes wait on events by yielding them; :meth:`succeed` triggers
+    the event and the waiting process resumes with its value.
     """
 
-    __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
+    __slots__ = ("env", "callbacks", "_value", "_defused")
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
         #: Callables invoked with this event once it is processed; ``None``
-        #: after processing (used as the "already processed" flag).
+        #: once processed or defused (the "will not fire again" flag).
         self.callbacks: list[t.Callable[["Event"], None]] | None = []
         self._value: t.Any = _PENDING
-        self._ok: bool = True
         self._defused: bool = False
 
     def __repr__(self) -> str:
@@ -86,39 +85,17 @@ class Event:
         return self._defused
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded, ``False`` if it failed."""
-        if not self.triggered:
-            raise SchedulingError("event value not yet available")
-        return self._ok
-
-    @property
     def value(self) -> t.Any:
-        """The event's value (or the exception it failed with)."""
+        """The event's value."""
         if self._value is _PENDING:
             raise SchedulingError("event value not yet available")
         return self._value
 
     def succeed(self, value: t.Any = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+        """Trigger the event with ``value``."""
         if self.triggered:
             raise SchedulingError(f"{self!r} has already been triggered")
-        self._ok = True
         self._value = value
-        self.env.schedule(self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event with an exception.
-
-        The exception is raised inside every process waiting on the event.
-        """
-        if self.triggered:
-            raise SchedulingError(f"{self!r} has already been triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError(f"fail() needs an exception, got {exception!r}")
-        self._ok = False
-        self._value = exception
         self.env.schedule(self)
         return self
 
@@ -129,17 +106,6 @@ class Initialize(Event):
     A distinct type so a process start, whose same-instant order is
     fixed by program order, can be told apart from an ordinary
     zero-delay event.
-    """
-
-    __slots__ = ()
-
-
-class Resume(Event):
-    """Kernel bookkeeping event resuming a process immediately.
-
-    Used when a process yields an event that has already been processed
-    (its value is copied here) and when the kernel must re-deliver an
-    outcome at the current instant.
     """
 
     __slots__ = ()
@@ -157,82 +123,8 @@ class Timeout(Event):
             raise SchedulingError(f"negative timeout delay: {delay!r}")
         super().__init__(env)
         self.delay = delay
-        self._ok = True
         self._value = value
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay!r}>"
-
-
-class AnyOf(Event):
-    """Composite event that fires when *any* of its children fires.
-
-    Its value is a dict mapping each already-triggered child event to that
-    child's value, in trigger order.  Failures propagate: if a child fails
-    first, the composite fails with the child's exception.
-
-    Once the outcome is decided, the ``_collect`` callback is detached
-    from every still-pending child — the losers of the race.  Without
-    the detachment every retry/timeout race leaves one dead callback
-    behind per loser for the rest of the run; with many clients retrying
-    for hours those accumulate unboundedly.  A losing :class:`Timeout`
-    with no other subscribers is additionally *defused* so the kernel
-    skips its queue entry at pop time (see
-    :meth:`~repro.sim.environment.Environment.cancel`) instead of
-    walking an empty callback list at its expiry instant.
-    """
-
-    __slots__ = ("events",)
-
-    def __init__(self, env: "Environment", events: t.Iterable[Event]) -> None:
-        super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            raise SchedulingError("AnyOf needs at least one event")
-        for event in self.events:
-            if event.env is not env:
-                raise SchedulingError("all events must share one environment")
-        for event in self.events:
-            if self.triggered:
-                # An earlier child already decided the race; the remaining
-                # children are losers and must not be subscribed at all.
-                break
-            if event.processed:
-                self._collect(event)
-            else:
-                assert event.callbacks is not None
-                event.callbacks.append(self._collect)
-
-    def _collect(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(t.cast(BaseException, event.value))
-        else:
-            # Only children that have actually *fired* belong in the value
-            # dict (Timeouts carry their value from creation, so `triggered`
-            # alone would wrongly include still-pending ones).
-            values = {
-                child: child.value
-                for child in self.events
-                if (child.processed or child is event) and child.ok
-            }
-            self.succeed(values)
-        self._detach_losers(event)
-
-    def _detach_losers(self, winner: Event) -> None:
-        collect = self._collect
-        for child in self.events:
-            callbacks = child.callbacks
-            if child is winner or callbacks is None:
-                continue
-            try:
-                callbacks.remove(collect)
-            except ValueError:
-                pass
-            # Only Timeouts are defused: they are anonymous fire-and-forget
-            # events, whereas a Store get or a Process may be referenced
-            # (and e.g. cancelled or re-awaited) by other code.
-            if not callbacks and type(child) is Timeout and child.triggered:
-                child.env.cancel(child)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
+from repro._units import Seconds
 from repro.obs.events import ResourceWait
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.obs.bus import EventBus
@@ -154,16 +155,23 @@ class Resource:
 class StoreGet(Event):
     """A pending retrieval from a :class:`Store`.
 
-    ``requeued`` marks a get whose event fired but whose item was
-    returned to the buffer because the waiting process abandoned it
-    (see :meth:`Store.cancel`); it guards against double re-queueing.
+    Fires with the oldest item, or with ``None`` if its ``timeout``
+    passes first.  Whichever of a ``put`` and the timeout runs first
+    decides the race: a ``put`` defuses the timeout, and an expired get
+    leaves the getter queue, so a later item waits for the next get.
     """
 
-    __slots__ = ("requeued",)
+    __slots__ = ("store", "timeout")
 
-    def __init__(self, env: "Environment") -> None:
-        super().__init__(env)
-        self.requeued = False
+    def __init__(self, store: "Store") -> None:
+        super().__init__(store.env)
+        self.store = store
+        #: The armed deadline, or ``None`` for a get without timeout.
+        self.timeout: Timeout | None = None
+
+    def _expire(self, timeout: Event) -> None:
+        self.store._getters.remove(self)
+        self.succeed(None)
 
 
 class Store:
@@ -191,36 +199,26 @@ class Store:
     def put(self, item: t.Any) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            if getter.timeout is not None:
+                self.env.cancel(getter.timeout)
+            getter.succeed(item)
         else:
             self._items.append(item)
 
-    def get(self) -> StoreGet:
-        """Return an event that fires with the next available item."""
-        event = StoreGet(self.env)
+    def get(self, timeout: Seconds | None = None) -> StoreGet:
+        """Return an event that fires with the next available item.
+
+        With a ``timeout`` the event fires with ``None`` instead if no
+        item arrives within that many seconds.  An item already in the
+        store is handed over at once, with no timeout armed.
+        """
+        event = StoreGet(self)
         if self._items:
             event.succeed(self._items.popleft())
         else:
             self._getters.append(event)
+            if timeout is not None:
+                expiry = event.timeout = Timeout(self.env, timeout)
+                expiry.callbacks.append(event._expire)  # type: ignore[union-attr]
         return event
-
-    def cancel(self, event: StoreGet) -> None:
-        """Withdraw a get whose waiter gave up (e.g. it lost a timeout race).
-
-        A still-queued get is simply removed; cancelling it again is a
-        no-op.  If the get's event has *already fired* — the item was
-        popped and attached to the event — but the waiting process
-        abandoned it before resuming (it lost a same-instant race
-        against a timeout), dropping the event would silently lose the
-        item.  Instead the undelivered item is returned to the *head* of
-        the buffer so the next getter receives it: no message is ever
-        dropped by a lost race.  Only call this for a get whose value
-        was never consumed.
-        """
-        if not event.triggered:
-            if event in self._getters:
-                self._getters.remove(event)
-            return
-        if event.ok and not event.requeued:
-            event.requeued = True
-            self._items.appendleft(event.value)

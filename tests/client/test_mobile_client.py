@@ -70,8 +70,15 @@ class Harness:
         query = Query(
             query_id=1, client_id=0, kind=kind, accesses=accesses
         )
-        done = self.env.process(self.client.execute(query))
-        self.env.run(until=done)
+        done = []
+
+        def wrapper():
+            yield from self.client.execute(query)
+            done.append(True)
+
+        self.env.process(wrapper())
+        while not done:
+            self.env.step()
 
 
 def reads(*pairs):

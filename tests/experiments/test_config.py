@@ -40,6 +40,24 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"hot_access_probability": 1.5}, "hot_access_probability"),
+            ({"hot_fraction": 1.5}, "hot_fraction"),
+            ({"cyclic_scan_fraction": 2.0}, "cyclic_scan_fraction"),
+            ({"heat": "zipf", "hot_fraction": 7.0}, "hot_fraction"),
+            ({"hot_fraction": 0.0}, "hot_fraction"),
+            ({"hot_access_probability": -0.1}, "hot_access_probability"),
+            ({"csh_change_every": 0}, "csh_change_every"),
+        ],
+    )
+    def test_heat_fields_checked_whatever_the_heat(self, overrides, field):
+        # Rejected at construction, not later when a sweep's worker
+        # builds the heat.
+        with pytest.raises(ConfigurationError, match=field):
+            SimulationConfig(**overrides)
+
     @pytest.mark.parametrize("hours", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_horizon_is_reported_before_other_checks(self, hours):
         # A disconnection that would "exceed" a negative horizon must

@@ -58,8 +58,31 @@ def test_default_trace_bytes_pinned(tmp_path):
         SimulationConfig(horizon_hours=0.5, trace_path=str(path))
     )
     trace = path.read_bytes()
-    assert result.events_processed == 2822
+    assert result.events_processed == 2620
     assert trace.count(b"\n") == 31098
     assert hashlib.sha256(trace).hexdigest() == (
         "3565a48ab1249b1792c246513d60ef710cb961491eca5d6210c44b23f7e734af"
+    )
+
+
+def test_lossy_recovery_trace_bytes_pinned(tmp_path):
+    # The fault-free pin above never times out, retries or drops a late
+    # reply; this one pins the bus event order through the client's
+    # reply-or-timeout wait.  ``events_processed`` is left out, as in
+    # the bench fingerprint: it counts kernel bookkeeping, not outcomes.
+    path = tmp_path / "trace.jsonl"
+    run_simulation(
+        SimulationConfig(
+            num_clients=100,
+            horizon_hours=0.2,
+            loss_rate=0.05,
+            request_timeout_seconds=20.0,
+            retry_budget=2,
+            trace_path=str(path),
+        )
+    )
+    trace = path.read_bytes()
+    assert trace.count(b"\n") == 58132
+    assert hashlib.sha256(trace).hexdigest() == (
+        "bfcec6d12aefaf9fb6dc9c63385cb6f48bb5ea34c437bf74a8eb07eb3b2885f4"
     )

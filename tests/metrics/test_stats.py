@@ -5,6 +5,7 @@ truncation and replication confidence intervals.
 """
 
 import math
+import pickle
 import statistics
 
 import pytest
@@ -82,6 +83,18 @@ def test_merge_with_empty_sides():
     empty.merge(summarize([5.0]))
     assert empty.count == 1
     assert empty.mean == 5.0
+
+
+def test_tally_is_slotted_and_pickles():
+    # Sweep workers ship results holding tallies between processes.
+    tally = Tally("rt")
+    for value in (1.0, 2.0, 4.0):
+        tally.record(value)
+    assert not hasattr(tally, "__dict__")
+    copy = pickle.loads(pickle.dumps(tally))
+    assert (copy.name, copy.count, copy.mean, copy.variance) == (
+        "rt", 3, tally.mean, tally.variance
+    )
 
 
 def test_confidence_interval_contains_mean():

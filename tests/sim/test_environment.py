@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from repro.sim.events import URGENT
 
 
@@ -27,30 +27,6 @@ def test_run_until_time_stops_clock_exactly():
     assert env.now == 10.5
 
 
-def test_run_until_event_returns_its_value():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(4.0)
-        return "result"
-
-    proc = env.process(worker(env))
-    assert env.run(until=proc) == "result"
-    assert env.now == 4.0
-
-
-def test_run_until_failed_event_raises():
-    env = Environment()
-
-    def bad(env):
-        yield env.timeout(1.0)
-        raise ValueError("bad")
-
-    proc = env.process(bad(env))
-    with pytest.raises(ValueError, match="bad"):
-        env.run(until=proc)
-
-
 def test_run_until_past_time_is_error():
     env = Environment(initial_time=10.0)
     with pytest.raises(SchedulingError):
@@ -66,7 +42,8 @@ def test_run_drains_queue_when_no_until():
     env.process(worker(env))
     env.run()
     assert env.now == 3.0
-    assert env.peek() == float("inf")
+    with pytest.raises(SimulationError, match="nothing left"):
+        env.step()
 
 
 def test_step_on_empty_queue_is_error():
@@ -91,7 +68,7 @@ def test_simultaneous_events_fire_in_creation_order():
 def test_schedule_into_past_is_error():
     env = Environment()
     with pytest.raises(SchedulingError):
-        env.schedule(env.event(), delay=-0.1)
+        env.schedule(Event(env), delay=-0.1)
 
 
 def test_identical_runs_produce_identical_traces():
@@ -110,18 +87,6 @@ def test_identical_runs_produce_identical_traces():
         return trace
 
     assert build_and_run() == build_and_run()
-
-
-def test_run_until_event_already_processed():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1.0)
-        return 5
-
-    proc = env.process(worker(env))
-    env.run()
-    assert env.run(until=proc) == 5
 
 
 # -- run(until=<time>) horizon semantics --------------------------------
@@ -166,9 +131,8 @@ def test_timeout_strictly_before_horizon_fires():
 def test_urgent_event_at_horizon_is_not_delivered():
     env = Environment()
     seen = []
-    event = env.event()
+    event = Event(env)
     event.callbacks.append(lambda e: seen.append(env.now))
-    event._ok = True
     event._value = None
     env.schedule(event, delay=10.0, priority=URGENT)
     env.run(until=10.0)
@@ -197,7 +161,7 @@ def test_cancel_skips_event_at_pop_time():
 
 def test_cancel_is_idempotent_and_validated():
     env = Environment()
-    pending = env.event()
+    pending = Event(env)
     with pytest.raises(SchedulingError):
         env.cancel(pending)  # never triggered: holds no queue entry
     timeout = env.timeout(1.0)
@@ -208,14 +172,6 @@ def test_cancel_is_idempotent_and_validated():
     env.cancel(timeout)  # still a no-op after the run
     with pytest.raises(SchedulingError):
         env.cancel(done)  # processed: no queue entry left to skip
-
-
-def test_cancelled_run_until_target_is_rejected():
-    env = Environment()
-    timeout = env.timeout(1.0)
-    env.cancel(timeout)
-    with pytest.raises(SchedulingError):
-        env.run(until=timeout)
 
 
 def test_yielding_defused_event_raises():
@@ -231,17 +187,18 @@ def test_yielding_defused_event_raises():
         env.run()
 
 
-def test_cancelled_events_leave_clock_and_peek_clean():
+def test_cancelled_events_leave_the_clock_clean():
     env = Environment()
     early = env.timeout(1.0)
     late = env.timeout(2.0)
     late.callbacks.append(lambda e: None)
     env.cancel(early)
-    assert env.peek() == 2.0  # defused head purged, clock untouched
     assert env.now == 0.0
-    env.step()
+    env.step()  # skips the defused head without stopping the clock on it
     assert env.now == 2.0
-    assert env.peek() == float("inf")
+    assert late.processed
+    with pytest.raises(SimulationError, match="nothing left"):
+        env.step()
 
 
 def test_events_processed_counts_only_live_events():
@@ -269,12 +226,12 @@ def test_same_instant_cascades_preserve_seeded_order():
     def kickoff(env):
         yield env.timeout(1.0)
         # Now at t=1: mix zero-delay NORMAL/URGENT with pre-scheduled.
-        a = env.event()
-        a._ok, a._value = True, None
+        a = Event(env)
+        a._value = None
         a.callbacks.append(note("zero-normal"))
         env.schedule(a, delay=0.0)
-        b = env.event()
-        b._ok, b._value = True, None
+        b = Event(env)
+        b._value = None
         b.callbacks.append(note("zero-urgent"))
         env.schedule(b, delay=0.0, priority=URGENT)
 

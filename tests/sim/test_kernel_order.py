@@ -6,14 +6,16 @@ programs: events at delays {0, 0.5, 1.0} and priorities {-1, 0, 1},
 cancels of earlier events, and callbacks that schedule more events
 (zero-delay ones land at the current instant) or cancel when they fire.
 Both sides run the same program step by step; the firing order, the
-clock, ``peek()`` and ``events_processed`` must agree throughout.
+clock and ``events_processed`` must agree throughout.
 """
 
 import bisect
 import typing as t
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.sim import Environment, Event
 
 DELAYS = (0.0, 0.5, 1.0)
@@ -67,9 +69,6 @@ class Reference:
                         self.pending.remove(entry)
                         break
 
-    def peek(self) -> float:
-        return self.pending[0][0] if self.pending else float("inf")
-
     def step(self) -> None:
         self.now, __, insertion = self.pending.pop(0)
         self.fired.append(insertion)
@@ -88,8 +87,8 @@ class Kernel:
         for kind, arg in actions:
             if kind == "schedule":
                 delay, priority, on_fire = arg
-                event = self.env.event()
-                event._ok, event._value = True, len(self.events)
+                event = Event(self.env)
+                event._value = len(self.events)
                 event.callbacks.append(self._fire(on_fire))
                 self.env.schedule(event, delay=delay, priority=priority)
                 self.events.append(event)
@@ -112,16 +111,15 @@ def test_event_order_matches_sorted_reference(program):
     reference, kernel = Reference(), Kernel()
     reference.run_actions(program)
     kernel.run_actions(program)
-    while True:
-        assert kernel.env.peek() == reference.peek()
-        if not reference.pending:
-            break
+    while reference.pending:
         reference.step()
         kernel.env.step()
         assert kernel.env.now == reference.now
         assert kernel.fired == reference.fired
         assert kernel.env.events_processed == len(reference.fired)
     assert kernel.env.events_processed == len(reference.fired)
+    with pytest.raises(SimulationError, match="nothing left"):
+        kernel.env.step()  # no live event outlasts the reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,4 +134,3 @@ def test_run_fires_the_reference_order(program):
     assert kernel.fired == reference.fired
     assert kernel.env.events_processed == len(reference.fired)
     assert kernel.env.now == reference.now
-    assert kernel.env.peek() == float("inf")

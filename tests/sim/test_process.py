@@ -1,8 +1,8 @@
-"""Unit tests for process semantics: start, return values, failures."""
+"""Unit tests for process semantics: start, finish, failures."""
 
 import pytest
 
-from repro.errors import SchedulingError, SimulationError
+from repro.errors import SimulationError
 from repro.sim import Environment
 
 
@@ -26,36 +26,26 @@ def test_process_refuses_a_coroutine():
             env.process(body)  # type: ignore[arg-type]
     finally:
         body.close()  # never started: no "never awaited" warning
-    assert env.peek() == float("inf")  # nothing was scheduled
+    with pytest.raises(SimulationError, match="nothing left"):
+        env.step()  # nothing was scheduled
 
 
-def test_process_return_value_becomes_event_value():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1.0)
-        return "done"
-
-    proc = env.process(worker(env))
-    env.run()
-    assert proc.value == "done"
-
-
-def test_process_waits_on_child_process():
+def test_finished_process_schedules_nothing():
     env = Environment()
     log = []
 
-    def child(env):
-        yield env.timeout(2.0)
-        return 99
+    def worker(env):
+        yield env.timeout(1.0)
+        log.append(env.now)
+        return "done"
 
-    def parent(env):
-        result = yield env.process(child(env))
-        log.append((env.now, result))
-
-    env.process(parent(env))
+    env.process(worker(env))
     env.run()
-    assert log == [(2.0, 99)]
+    # The start and the timeout; the return itself is no event.
+    assert log == [1.0]
+    assert env.events_processed == 2
+    with pytest.raises(SimulationError, match="nothing left"):
+        env.step()
 
 
 def test_process_starts_at_current_time_not_immediately():
@@ -72,19 +62,20 @@ def test_process_starts_at_current_time_not_immediately():
     assert log == [0.0]
 
 
-def test_uncaught_exception_fails_the_process_event():
+def test_uncaught_exception_propagates_out_of_step():
     env = Environment()
+    raised = KeyError("oops")
 
     def bad(env):
         yield env.timeout(1.0)
-        raise KeyError("oops")
+        raise raised
 
-    def parent(env):
-        with pytest.raises(KeyError):
-            yield env.process(bad(env))
-
-    env.process(parent(env))
-    env.run()
+    env.process(bad(env))
+    env.step()  # the start
+    with pytest.raises(KeyError) as caught:
+        env.step()
+    assert caught.value is raised  # the very exception, not a wrapper
+    assert env.now == 1.0
 
 
 def test_unwatched_process_failure_surfaces():
@@ -110,17 +101,15 @@ def test_yield_non_event_is_error():
         env.run()
 
 
-def test_process_yielding_already_processed_event_resumes_same_time():
+def test_yielding_processed_event_raises():
     env = Environment()
-    log = []
 
     def worker(env):
         timeout = env.timeout(1.0, value="v")
         yield timeout
-        # Yield it again after it has been processed.
-        value = yield timeout
-        log.append((env.now, value))
+        # Yield it again after it has fired: it will never fire again.
+        yield timeout
 
     env.process(worker(env))
-    env.run()
-    assert log == [(1.0, "v")]
+    with pytest.raises(SimulationError, match="processed"):
+        env.run()

@@ -236,103 +236,66 @@ def test_utilization_zero_at_creation_instant():
     assert resource.utilization() == 0.0
 
 
-def test_store_cancel_removes_pending_getter():
+# -- timed get -----------------------------------------------------------
+#
+# ``get(timeout)`` fires with the oldest item, or with ``None`` once the
+# timeout passes.  Whichever of the put and the timeout runs first
+# decides the race; the loser leaves nothing live behind.
+
+
+def test_timed_get_returns_item_put_before_deadline():
     env = Environment()
     store = Store(env)
     got = []
 
-    def fickle(env):
-        event = store.get()
-        yield env.timeout(1.0)
-        store.cancel(event)
-
-    def steady(env):
-        yield env.timeout(0.5)
-        item = yield store.get()
-        got.append(item)
+    def waiter(env):
+        got.append((yield store.get(timeout=5.0)))
 
     def producer(env):
         yield env.timeout(2.0)
-        store.put("only")
+        store.put("reply")
 
-    env.process(fickle(env))
-    env.process(steady(env))
+    env.process(waiter(env))
     env.process(producer(env))
     env.run()
-    assert got == ["only"]
+    assert got == ["reply"]
+    # The deadline was defused: the run ends at the put, not at t=5, and
+    # its heap entry is skipped rather than counted.
+    assert env.now == 2.0
+    # Two process starts, the producer's timeout and the get.
+    assert env.events_processed == 4
 
 
-def test_store_double_cancel_of_queued_get_is_a_noop():
-    env = Environment()
-    store = Store(env)
-    first = store.get()
-    second = store.get()
-    store.cancel(first)
-    store.cancel(first)  # already withdrawn: must not raise
-    store.put("only")
-    assert not first.triggered
-    assert second.triggered and second.value == "only"
-    assert len(store) == 0
-
-
-def test_store_cancel_requeues_fired_but_unconsumed_item():
-    """A fired-but-abandoned get must return its item to the buffer."""
+def test_timed_get_expiry_gives_none_and_leaves_no_getter():
     env = Environment()
     store = Store(env)
     got = []
 
-    def racer(env):
-        store.put("item")
-        event = store.get()  # fires immediately: the item is attached
-        assert len(store) == 0
-        store.cancel(event)  # ...but the process abandons it
-        assert len(store) == 1
-        item = yield store.get()
-        got.append(item)
+    def waiter(env):
+        item = yield store.get(timeout=1.5)
+        got.append((env.now, item))
 
-    env.process(racer(env))
+    env.process(waiter(env))
     env.run()
-    assert got == ["item"]
-
-
-def test_store_cancel_requeues_at_the_head():
-    env = Environment()
-    store = Store(env)
-    store.put("first")
-    store.put("second")
-    event = store.get()  # pops "first"
-    store.cancel(event)
-    assert [store.get().value, store.get().value] == ["first", "second"]
-
-
-def test_store_double_cancel_requeues_once():
-    env = Environment()
-    store = Store(env)
-    store.put("only")
-    event = store.get()
-    store.cancel(event)
-    store.cancel(event)
+    assert got == [(1.5, None)]
+    assert not store._getters
+    store.put("later")  # nobody waits: the item is kept
     assert len(store) == 1
 
 
 def test_store_interrupted_getter_does_not_lose_item():
-    """An item granted to a getter whose wait a timeout cut short survives.
+    """An item put at the instant a get's timeout already fired survives.
 
     The client's reply wait: the put lands at the timeout's instant,
-    after the timeout has already decided the race, so the get fires
-    with nobody left to resume.  Cancelling it hands the item on.
+    after the timeout has decided the race, so the get fires with
+    ``None`` and the item stays in the store for the next get.
     """
     env = Environment()
     store = Store(env)
     got = []
 
     def waiter(env):
-        get = store.get()
-        fired = yield env.any_of([get, env.timeout(1.0)])
-        if get in fired:
-            got.append(("waiter", fired[get]))
-        else:
-            store.cancel(get)
+        got.append(("waiter", (yield store.get(timeout=1.0))))
 
     def producer(env):
         yield env.timeout(1.0)
@@ -340,11 +303,22 @@ def test_store_interrupted_getter_does_not_lose_item():
 
     def successor(env):
         yield env.timeout(2.0)
-        item = yield store.get()
-        got.append(("successor", item))
+        got.append(("successor", (yield store.get(timeout=1.0))))
 
     env.process(waiter(env))
     env.process(producer(env))
     env.process(successor(env))
     env.run()
-    assert got == [("successor", "payload")]
+    assert got == [("waiter", None), ("successor", "payload")]
+
+
+def test_timed_get_of_buffered_item_arms_no_timeout():
+    env = Environment()
+    store = Store(env)
+    store.put("ready")
+    event = store.get(timeout=10.0)
+    assert event.timeout is None
+    assert event.value == "ready"
+    env.run()
+    assert env.now == 0.0
+    assert env.events_processed == 1

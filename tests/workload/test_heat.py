@@ -378,12 +378,13 @@ class TestShiftingHotspotHeat:
 def test_simulation_rejects_hot_fraction_without_cold_objects(
     heat, hot_fraction
 ):
-    """The config accepts these values; building the run must fail with
-    a ConfigurationError, not an IndexError at the first cold draw or a
-    ValueError from the hot-set sample."""
-    config = SimulationConfig(
-        heat=heat, hot_fraction=hot_fraction, num_clients=2,
-        horizon_hours=0.5,
-    )
+    """A ConfigurationError, not an IndexError at the first cold draw or
+    a ValueError from the hot-set sample.  The config rejects a fraction
+    outside (0, 1) itself; one inside that leaves no cold object among
+    the database's objects fails when the run is built."""
     with pytest.raises(ConfigurationError, match="hot_fraction"):
+        config = SimulationConfig(
+            heat=heat, hot_fraction=hot_fraction, num_clients=2,
+            horizon_hours=0.5,
+        )
         Simulation(config)
