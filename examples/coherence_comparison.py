@@ -35,7 +35,7 @@ def run(coherence, hours, disconnected=False, ir_interval=1000.0):
         for client in simulation.clients
         if client.invalidation is not None
     )
-    broadcast_bytes = simulation.network.broadcast.bytes_carried
+    broadcast_bytes = simulation.network.broadcast.stats.bytes_carried
     return result, purges, broadcast_bytes
 
 

@@ -15,17 +15,24 @@ stream:
   attempt 0 opens each round, every retry increments by exactly one,
   and :class:`RequestSent`/:class:`ReplyTimeout` carry the attempt
   number of the round they belong to.
+* **CAU004** (reconcile) — each client's own counters equal its
+  events: ``queries`` counts :class:`QueryComplete`, ``retries``
+  :class:`RemoteRound` past attempt 0, ``timeouts``
+  :class:`ReplyTimeout`, ``degraded_queries`` :class:`QueryDegraded`,
+  and the uplink series' byte total is the sum of
+  :class:`RequestSent` sizes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from repro.analysis.invariants.engine import InvariantChecker
+from repro.analysis.invariants.engine import InvariantChecker, RunContext
 from repro.obs.events import (
     CacheAccess,
     LateReply,
     QueryComplete,
+    QueryDegraded,
     RemoteRound,
     ReplyReceived,
     ReplyTimeout,
@@ -43,10 +50,16 @@ class _ClientState:
     accesses_since_complete: int = 0
     round_query: int | None = None
     round_attempt: int = -1
+    completed: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    degraded: int = 0
+    uplink_bytes: int = 0
 
 
 class CausalityChecker(InvariantChecker):
-    """CAU001-CAU003: replies pair with requests, attempts count up."""
+    """CAU001-CAU003 (+CAU004 reconcile): replies pair with requests,
+    attempts count up."""
 
     checker_id = "CAU"
     title = "request/reply causality and retry numbering per client"
@@ -59,6 +72,7 @@ class CausalityChecker(InvariantChecker):
         ReplyReceived,
         RequestServed,
         QueryComplete,
+        QueryDegraded,
     )
 
     def __init__(self) -> None:
@@ -81,14 +95,19 @@ class CausalityChecker(InvariantChecker):
         elif isinstance(event, RequestSent):
             self._on_request(event)
         elif isinstance(event, ReplyTimeout):
+            self._state(event.client_id).timeouts += 1
             self._check_attempt(event, event.attempt, "ReplyTimeout")
         elif isinstance(event, (ReplyReceived, LateReply, RequestServed)):
             self._on_reply_side(event)
         elif isinstance(event, QueryComplete):
             self._on_complete(event)
+        elif isinstance(event, QueryDegraded):
+            self._state(event.client_id).degraded += 1
 
     def _on_round(self, event: RemoteRound) -> None:
         state = self._state(event.client_id)
+        if event.attempt:
+            state.retries += 1
         scope = f"client-{event.client_id}/query-{event.query_id}"
         if event.query_id != state.round_query:
             if event.attempt != 0:
@@ -114,6 +133,7 @@ class CausalityChecker(InvariantChecker):
     def _on_request(self, event: RequestSent) -> None:
         state = self._state(event.client_id)
         state.requested.add(event.query_id)
+        state.uplink_bytes += event.size_bytes
         self._check_attempt(event, event.attempt, "RequestSent")
 
     def _check_attempt(
@@ -150,6 +170,7 @@ class CausalityChecker(InvariantChecker):
 
     def _on_complete(self, event: QueryComplete) -> None:
         state = self._state(event.client_id)
+        state.completed += 1
         if state.accesses_since_complete == 0:
             self.violation(
                 "CAU002",
@@ -159,3 +180,31 @@ class CausalityChecker(InvariantChecker):
                 "previous completion",
             )
         state.accesses_since_complete = 0
+
+    def reconcile(self, context: RunContext) -> None:
+        for client_id, metrics in sorted(context.metrics.items()):
+            state = self._clients.get(client_id, _ClientState())
+            pairs = (
+                ("completed queries", state.completed, metrics.queries),
+                ("retries", state.retries, metrics.retries),
+                ("timeouts", state.timeouts, metrics.timeouts),
+                (
+                    "degraded queries",
+                    state.degraded,
+                    metrics.degraded_queries,
+                ),
+                (
+                    "uplink bytes",
+                    state.uplink_bytes,
+                    metrics.uplink_series.sum,
+                ),
+            )
+            for label, from_events, from_metrics in pairs:
+                if from_events != from_metrics:
+                    self.violation(
+                        "CAU004",
+                        0.0,
+                        f"client-{client_id}",
+                        f"{label} derived from events ({from_events:g}) "
+                        f"!= client metrics ({from_metrics:g})",
+                    )

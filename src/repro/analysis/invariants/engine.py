@@ -71,8 +71,11 @@ class RunContext:
     Fields are duck-typed so the invariant layer stays decoupled from
     the domain modules (and unnecessary for pure trace checking):
 
-    * ``metrics`` — ``client_id -> ClientMetrics``;
-    * ``channel_stats`` — ``channel name -> ChannelStats``;
+    * ``metrics`` — ``client_id -> ClientMetrics``, the counters each
+      client keeps where it emits its events;
+    * ``channel_stats`` — ``channel name -> ChannelStats``, the record
+      each channel updates where a transmission ends
+      (``WirelessChannel.stats``);
     * ``caches`` — ``(client_id, cache name) -> ClientStorageCache``;
     * ``raw_bytes`` / ``goodput_bytes`` — the network's run totals.
     """

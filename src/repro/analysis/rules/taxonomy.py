@@ -1,10 +1,4 @@
-"""REP008-REP010 — cross-module taxonomy hygiene.
-
-REP008: metrics counters are mutated only by the metrics layer
-reacting to bus events.  An inline ``self.metrics.retries += 1`` in
-domain code bypasses the event bus — the trace and the counters drift
-apart, and the invariant checkers (which reconcile events against
-counters) can no longer prove anything.
+"""REP009-REP010 — cross-module taxonomy hygiene.
 
 REP009: every event type declared in ``repro/obs/events.py`` (each
 top-level ``NamedTuple`` class there) must be both *emitted*
@@ -36,61 +30,13 @@ from repro.analysis.engine import (
     FileContext,
     Finding,
     ProjectRule,
-    Rule,
     register_rule,
 )
-
-#: Modules allowed to mutate metrics state directly.
-_METRICS_OWNERS = ("metrics", "obs")
 
 _EVENTS_MODULE = "repro/obs/events.py"
 _CONFIG_MODULE = "repro/experiments/config.py"
 #: Config methods whose field reads are validation, not consumption.
 _CONFIG_SELF_READERS = ("validate", "__post_init__")
-
-
-def _attribute_chain(node: ast.expr) -> list[str]:
-    """``a.b.c`` -> ``["a", "b", "c"]`` (empty for non-chains)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
-
-
-@register_rule
-class InlineMetricsMutation(Rule):
-    rule_id = "REP008"
-    title = (
-        "metrics counters mutated inline; emit a bus event and let the "
-        "metrics sink count"
-    )
-
-    def applies_to(self, ctx: FileContext) -> bool:
-        return not ctx.in_package(*_METRICS_OWNERS)
-
-    def check(
-        self, tree: ast.Module, ctx: FileContext
-    ) -> t.Iterator[Finding]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.AugAssign):
-                continue
-            chain = _attribute_chain(node.target)
-            # `self.metrics.retries += 1`, `client.metrics.hits.total
-            # += 1`: any augmented write through a `metrics` link.
-            if "metrics" in chain[:-1]:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"augmented assignment to "
-                    f"{'.'.join(chain)!r}: metrics state may only "
-                    "change in the metrics layer, driven by bus "
-                    "events",
-                )
 
 
 def _find_file(
@@ -122,8 +68,10 @@ def declared_events(events_tree: ast.Module) -> dict[str, ast.ClassDef]:
         for node in events_tree.body
         if isinstance(node, ast.ClassDef)
         and any(
-            _attribute_chain(base)[-1:] == ["NamedTuple"]
+            (base.attr if isinstance(base, ast.Attribute) else base.id)
+            == "NamedTuple"
             for base in node.bases
+            if isinstance(base, (ast.Attribute, ast.Name))
         )
     }
 

@@ -48,7 +48,7 @@ from repro.core.replacement import create_policy
 from repro.core.replacement.lru import LRUPolicy
 from repro.core.storage_cache import ClientStorageCache
 from repro.errors import NetworkError
-from repro.metrics.collectors import MetricsSink
+from repro.metrics.collectors import ClientMetrics
 from repro.net.channel import DELIVERED
 from repro.net.faults import RecoveryPolicy
 from repro.net.message import ReplyMessage, RequestMessage, UpdateValue
@@ -124,12 +124,12 @@ class MobileClient:
         #: Whether a cache key names a whole object (``(oid, None)``),
         #: read once per access by the probe.
         self._caches_objects = granularity.caches_objects
-        #: Every observable moment is emitted here; a private bus (with
-        #: just the metrics sink) keeps standalone construction working.
+        #: Every observable moment is emitted here; a private bus keeps
+        #: standalone construction working.
         self.bus = bus if bus is not None else EventBus()
-        #: Stable per-client metrics handle, owned by the bus's shared
-        #: metrics sink and updated only through events.
-        self.metrics = MetricsSink.install(self.bus).client(client_id)
+        #: The client's counters, updated where each counted event is
+        #: emitted.
+        self.metrics = ClientMetrics(client_id)
         self.reply_box: Store = Store(env, name=f"client-{client_id}-replies")
 
         if granularity.uses_storage_cache:
@@ -212,15 +212,7 @@ class MobileClient:
         block the query loop).
         """
         if reply.is_trailer:
-            self.bus.emit(
-                ReplyReceived(
-                    time=self.env.now,
-                    client_id=self.client_id,
-                    query_id=reply.query_id,
-                    size_bytes=reply.size_bytes,
-                    is_trailer=True,
-                )
-            )
+            self._receive(reply, is_trailer=True)
             self._absorb(reply)
         else:
             self.reply_box.put(reply)
@@ -332,12 +324,14 @@ class MobileClient:
             else:
                 yield from self._serve_degraded(probe, query.query_id)
 
+        now = self.env.now
+        self.metrics.record_query(now, now - issued_at, connected)
         self.bus.emit(
             QueryComplete(
-                time=self.env.now,
+                time=now,
                 client_id=self.client_id,
                 query_id=query.query_id,
-                response_seconds=self.env.now - issued_at,
+                response_seconds=now - issued_at,
                 connected=connected,
             )
         )
@@ -366,11 +360,16 @@ class MobileClient:
         the retry budget.  Exhaustion degrades the query to cache-only
         answers at the caller.
         """
+        metrics = self.metrics
         attempts = 1 if self.recovery is None else self.recovery.max_attempts
         for attempt in range(attempts):
             # Attempt 0 opens the round; every later attempt is a retry,
             # counted before backoff so a round the horizon (or a
             # scheduled disconnection) cuts mid-backoff still shows it.
+            if attempt:
+                metrics.retries += 1
+            else:
+                metrics.remote_rounds += 1
             self.bus.emit(
                 RemoteRound(
                     time=self.env.now,
@@ -391,15 +390,16 @@ class MobileClient:
                     # caller observes the None reply and emits
                     # QueryDegraded, so this exit is not silent.
                     break
-            self.bus.emit(
-                RequestSent(
-                    time=self.env.now,
-                    client_id=self.client_id,
-                    query_id=request.query_id,
-                    attempt=attempt,
-                    size_bytes=request.size_bytes,
-                )
+            sent = RequestSent(
+                time=self.env.now,
+                client_id=self.client_id,
+                query_id=request.query_id,
+                attempt=attempt,
+                size_bytes=request.size_bytes,
             )
+            metrics.bytes_sent += sent.size_bytes
+            metrics.uplink_series.record(sent.time, float(sent.size_bytes))
+            self.bus.emit(sent)
             outcome = yield from self.network.uplink.transmit(
                 request.size_bytes,
                 deadline=self.network.abort_deadline(self.client_id),
@@ -410,15 +410,9 @@ class MobileClient:
             # it simply waits out the timeout before retrying.
             reply = yield from self._await_reply(request)
             if reply is not None:
-                self.bus.emit(
-                    ReplyReceived(
-                        time=self.env.now,
-                        client_id=self.client_id,
-                        query_id=reply.query_id,
-                        size_bytes=reply.size_bytes,
-                    )
-                )
+                self._receive(reply, is_trailer=False)
                 return reply
+            metrics.timeouts += 1
             self.bus.emit(
                 ReplyTimeout(
                     time=self.env.now,
@@ -455,9 +449,24 @@ class MobileClient:
                 return reply
             self._note_late_reply(reply)
 
+    def _receive(self, reply: ReplyMessage, is_trailer: bool) -> None:
+        """Count a reply the client consumes: a primary reply or a
+        prefetch trailer."""
+        received = ReplyReceived(
+            time=self.env.now,
+            client_id=self.client_id,
+            query_id=reply.query_id,
+            size_bytes=reply.size_bytes,
+            is_trailer=is_trailer,
+        )
+        self.metrics.bytes_received += received.size_bytes
+        self.metrics.goodput_bytes += received.size_bytes
+        self.bus.emit(received)
+
     def _note_late_reply(self, reply: ReplyMessage) -> None:
         """A reply for an abandoned attempt arrived: counted, discarded
         unread (its bytes never enter ``bytes_received``/goodput)."""
+        self.metrics.late_replies += 1
         self.bus.emit(
             LateReply(
                 time=self.env.now,
@@ -495,14 +504,15 @@ class MobileClient:
                 self._record_miss(
                     key, probe.recorded_at, answered=False, connected=True
                 )
+        lost_updates = sum(len(changes) for changes in probe.updates.values())
+        self.metrics.degraded_queries += 1
+        self.metrics.lost_updates += lost_updates
         self.bus.emit(
             QueryDegraded(
                 time=self.env.now,
                 client_id=self.client_id,
                 query_id=query_id,
-                lost_updates=sum(
-                    len(changes) for changes in probe.updates.values()
-                ),
+                lost_updates=lost_updates,
             )
         )
         if read_time > 0:
@@ -533,6 +543,10 @@ class MobileClient:
         is_error = ErrorOracle.is_stale(
             entry.version, self.server.current_version(key[0], key[1])
         )
+        metrics = self.metrics
+        metrics.record_access(time, hit, is_error, True, connected)
+        if not hit:
+            metrics.stale_served_accesses += 1
         # Built positionally, once per access.  Field order: time,
         # client_id, key, hit, error, answered, connected,
         # stale_served, age_seconds.
@@ -555,6 +569,9 @@ class MobileClient:
         self, key: CacheKey, time: float, answered: bool, connected: bool
     ) -> None:
         """Record a miss: fetched fresh (``answered``) or left unanswered."""
+        self.metrics.record_access(time, False, False, answered, connected)
+        if not answered:
+            self.metrics.unanswered_accesses += 1
         # Positional, like _serve_local's: time, client_id, key, hit,
         # error, answered, connected (stale_served and age_seconds keep
         # their defaults).

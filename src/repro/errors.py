@@ -26,10 +26,6 @@ class StopSimulation(Exception):
     Deliberately *not* a :class:`ReproError`: user code should never catch it.
     """
 
-    def __init__(self, value: object = None) -> None:
-        super().__init__(value)
-        self.value = value
-
 
 class SchemaError(ReproError):
     """An OODB schema definition is invalid or violated."""

@@ -16,7 +16,7 @@ from repro.core.granularity import CachingGranularity
 from repro.core.prefetch import AttributeAccessTracker
 from repro.errors import ConfigurationError
 from repro.experiments.config import SimulationConfig
-from repro.metrics.collectors import MetricsSink, MetricsSummary
+from repro.metrics.collectors import MetricsSummary
 from repro.net.disconnect import DisconnectionSchedule, plan_single_windows
 from repro.net.faults import FaultConfig, RecoveryPolicy
 from repro.net.network import Network
@@ -125,10 +125,8 @@ class Simulation:
         self.config = config
         self.env = Environment()
         #: One bus per run: every layer publishes here, every sink
-        #: subscribes here.  The metrics sink is installed first so the
-        #: headline numbers never depend on optional sink order.
+        #: subscribes here.
         self.bus = EventBus()
-        MetricsSink.install(self.bus)
         self.trace_sink: TraceSink | None = None
         if config.trace_path is not None:
             self.trace_sink = TraceSink(config.trace_path).attach(self.bus)
@@ -137,8 +135,6 @@ class Simulation:
             self.staleness_sink = StalenessTimeline().attach(self.bus)
         self.invariant_engine: InvariantEngine | None = None
         if config.invariants:
-            # Attached after the metrics sink so every checker observes
-            # the same stream the headline counters are built from.
             self.invariant_engine = InvariantEngine().attach(self.bus)
         if config.profile:
             self.env.profiler = WallClockProfiler()

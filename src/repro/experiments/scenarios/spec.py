@@ -322,8 +322,13 @@ def load_toml(path: str) -> dict[str, Scenario]:
         base = { granularity = "HC" }
         sweep = [ { name = "beta", values = [-1.0, 0.0, 1.0] } ]
     """
-    import tomllib
-
+    try:
+        import tomllib
+    except ImportError:
+        raise ScenarioError(
+            f"cannot read scenario spec {path}: TOML specs need "
+            "Python 3.11 or later (the standard library's tomllib)"
+        ) from None
     try:
         with open(path, "rb") as handle:
             data = tomllib.load(handle)

@@ -15,21 +15,8 @@ The paper's three headline metrics (Section 5):
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro._units import Bytes, HOUR, Ratio, Seconds
 from repro.metrics.stats import BucketedSeries, Tally
-from repro.obs.bus import EventBus
-from repro.obs.events import (
-    CacheAccess,
-    LateReply,
-    QueryComplete,
-    QueryDegraded,
-    RemoteRound,
-    ReplyReceived,
-    ReplyTimeout,
-    RequestSent,
-)
 
 #: Bucket width of every per-client time series (seconds).
 DEFAULT_SERIES_BUCKET: Seconds = 0.5 * HOUR
@@ -40,7 +27,12 @@ def _series(name: str) -> BucketedSeries:
 
 
 class ClientMetrics:
-    """All counters for one mobile client."""
+    """All counters for one mobile client.
+
+    The client updates them itself, where it emits the event each
+    counter tallies; the invariant checkers reconcile the two
+    (DESIGN.md §12).
+    """
 
     def __init__(self, client_id: int) -> None:
         self.client_id = client_id
@@ -115,123 +107,6 @@ class ClientMetrics:
         self.response_series.record(now, response_time)
         if not connected:
             self.disconnected_queries += 1
-
-
-class MetricsSink:
-    """The bus subscriber that builds every :class:`ClientMetrics`.
-
-    Domain code emits events; this sink folds them into the same
-    counters the pre-bus code mutated inline, reproducing the headline
-    numbers exactly (the mapping below mirrors the old call sites one
-    to one).  One sink is shared per bus — :meth:`install` registers it
-    under ``bus.sinks["metrics"]`` and is idempotent — and each client
-    keeps a stable handle to its :class:`ClientMetrics` via
-    :meth:`client`.
-    """
-
-    SINK_NAME = "metrics"
-
-    def __init__(self) -> None:
-        self._clients: dict[int, ClientMetrics] = {}
-
-    def __repr__(self) -> str:
-        return f"<MetricsSink clients={len(self._clients)}>"
-
-    @classmethod
-    def install(cls, bus: EventBus) -> "MetricsSink":
-        """The bus's shared metrics sink, subscribing it on first use."""
-        existing = bus.sinks.get(cls.SINK_NAME)
-        if isinstance(existing, cls):
-            return existing
-        sink = cls()
-        bus.sinks[cls.SINK_NAME] = sink
-        bus.subscribe(CacheAccess, sink.on_access)
-        bus.subscribe(QueryComplete, sink.on_query_complete)
-        bus.subscribe(QueryDegraded, sink.on_query_degraded)
-        bus.subscribe(RemoteRound, sink.on_remote_round)
-        bus.subscribe(RequestSent, sink.on_request_sent)
-        bus.subscribe(ReplyTimeout, sink.on_reply_timeout)
-        bus.subscribe(LateReply, sink.on_late_reply)
-        bus.subscribe(ReplyReceived, sink.on_reply_received)
-        return sink
-
-    def client(self, client_id: int) -> ClientMetrics:
-        """The (stable) per-client metrics object, created on demand."""
-        metrics = self._clients.get(client_id)
-        if metrics is None:
-            metrics = ClientMetrics(client_id)
-            self._clients[client_id] = metrics
-        return metrics
-
-    # -- handlers -------------------------------------------------------
-    def on_access(self, event: CacheAccess) -> None:
-        # Runs once per attribute access: one probe for the client's
-        # metrics, and a positional call.
-        metrics = self._clients.get(event.client_id)
-        if metrics is None:
-            metrics = self.client(event.client_id)
-        answered = event.answered
-        metrics.record_access(
-            event.time, event.hit, event.error, answered, event.connected
-        )
-        if event.stale_served:
-            metrics.stale_served_accesses += 1
-        if not answered:
-            metrics.unanswered_accesses += 1
-
-    def on_query_complete(self, event: QueryComplete) -> None:
-        self.client(event.client_id).record_query(
-            event.time, event.response_seconds, event.connected
-        )
-
-    def on_query_degraded(self, event: QueryDegraded) -> None:
-        metrics = self.client(event.client_id)
-        metrics.degraded_queries += 1
-        metrics.lost_updates += event.lost_updates
-
-    def on_remote_round(self, event: RemoteRound) -> None:
-        # Attempt 0 opens the round; every later attempt is a retry.
-        metrics = self.client(event.client_id)
-        if event.attempt == 0:
-            metrics.remote_rounds += 1
-        else:
-            metrics.retries += 1
-
-    def on_request_sent(self, event: RequestSent) -> None:
-        metrics = self.client(event.client_id)
-        metrics.bytes_sent += event.size_bytes
-        metrics.uplink_series.record(event.time, float(event.size_bytes))
-
-    def on_reply_timeout(self, event: ReplyTimeout) -> None:
-        self.client(event.client_id).timeouts += 1
-
-    def on_late_reply(self, event: LateReply) -> None:
-        # Late replies are discarded unread: counted, but their bytes
-        # never enter bytes_received/goodput (matching the old path).
-        self.client(event.client_id).late_replies += 1
-
-    def on_reply_received(self, event: ReplyReceived) -> None:
-        metrics = self.client(event.client_id)
-        metrics.bytes_received += event.size_bytes
-        metrics.goodput_bytes += event.size_bytes
-
-
-@dataclasses.dataclass
-class SummaryRow:
-    """One aggregated result line, as printed in reports."""
-
-    label: str
-    hit_ratio: Ratio
-    response_time: Seconds
-    error_rate: Ratio
-    queries: int
-
-    def formatted(self) -> str:
-        return (
-            f"{self.label:<28} hit={self.hit_ratio:6.2%} "
-            f"resp={self.response_time:8.3f}s err={self.error_rate:6.2%} "
-            f"(n={self.queries})"
-        )
 
 
 class MetricsSummary:
@@ -314,12 +189,3 @@ class MetricsSummary:
         self, level: float = 0.95
     ) -> tuple[float, float]:
         return self.response.confidence_interval(level)
-
-    def row(self, label: str) -> SummaryRow:
-        return SummaryRow(
-            label=label,
-            hit_ratio=self.hit_ratio,
-            response_time=self.response_time,
-            error_rate=self.error_rate,
-            queries=self.total_queries,
-        )

@@ -36,11 +36,7 @@ from repro._units import (
 from repro.errors import NetworkError
 from repro.net.faults import FaultInjector
 from repro.obs.bus import EventBus
-from repro.obs.events import (
-    OUTCOME_ABORTED,
-    OUTCOME_DELIVERED,
-    TransmitOutcome,
-)
+from repro.obs.events import TransmitOutcome
 from repro.sim.environment import Environment
 from repro.sim.resources import Resource
 
@@ -55,16 +51,13 @@ ABORTED = "aborted"
 
 
 class ChannelStats:
-    """One channel's byte/message accounting, fed by bus events.
+    """One channel's byte and message accounting.
 
-    The channel no longer mutates counters inline: every transmission
-    exit emits a :class:`TransmitOutcome` and this subscriber folds it
-    into the same tallies the pre-bus code kept (events for other
-    channels on the shared bus are filtered out by name).
+    :meth:`WirelessChannel.transmit` updates it where each transmission
+    ends, just before it emits the matching :class:`TransmitOutcome`.
     """
 
-    def __init__(self, channel: str) -> None:
-        self.channel = channel
+    def __init__(self) -> None:
         #: Bytes whose airtime completed (delivered *or* corrupted).
         self.bytes_carried: Bytes = 0.0
         self.messages_carried = 0
@@ -74,24 +67,6 @@ class ChannelStats:
         #: Partial airtime of transmissions cut mid-air.
         self.bytes_aborted: Bytes = 0.0
         self.messages_aborted = 0
-
-    def attach(self, bus: EventBus) -> "ChannelStats":
-        bus.subscribe(TransmitOutcome, self.on_outcome)
-        return self
-
-    def on_outcome(self, event: TransmitOutcome) -> None:
-        if event.channel != self.channel:
-            return
-        if event.outcome == OUTCOME_ABORTED:
-            self.messages_aborted += 1
-            self.bytes_aborted += event.bytes_on_air
-            return
-        self.bytes_carried += event.size_bytes
-        self.messages_carried += 1
-        if event.outcome == OUTCOME_DELIVERED:
-            self.bytes_delivered += event.size_bytes
-        else:
-            self.messages_dropped += 1
 
 
 class WirelessChannel:
@@ -114,7 +89,7 @@ class WirelessChannel:
         self.name = name
         self.injector = injector
         self.bus = bus if bus is not None else EventBus()
-        self.stats = ChannelStats(name).attach(self.bus)
+        self.stats = ChannelStats()
         self._facility = Resource(env, name=name, bus=self.bus)
 
     def __repr__(self) -> str:
@@ -122,31 +97,6 @@ class WirelessChannel:
             f"<WirelessChannel {self.name!r} {self.bandwidth_bps:g} bps "
             f"queued={self.queue_length}>"
         )
-
-    # -- accounting views (delegating to the bus-fed stats) -------------
-    @property
-    def bytes_carried(self) -> Bytes:
-        return self.stats.bytes_carried
-
-    @property
-    def messages_carried(self) -> int:
-        return self.stats.messages_carried
-
-    @property
-    def bytes_delivered(self) -> Bytes:
-        return self.stats.bytes_delivered
-
-    @property
-    def messages_dropped(self) -> int:
-        return self.stats.messages_dropped
-
-    @property
-    def bytes_aborted(self) -> Bytes:
-        return self.stats.bytes_aborted
-
-    @property
-    def messages_aborted(self) -> int:
-        return self.stats.messages_aborted
 
     @property
     def queue_length(self) -> int:
@@ -185,6 +135,13 @@ class WirelessChannel:
             dropped = self.injector is not None and self.injector.should_drop(
                 self.env.now, size_bytes
             )
+            stats = self.stats
+            stats.bytes_carried += size_bytes
+            stats.messages_carried += 1
+            if dropped:
+                stats.messages_dropped += 1
+            else:
+                stats.bytes_delivered += size_bytes
             self.bus.emit(
                 TransmitOutcome(
                     time=self.env.now,
@@ -206,6 +163,8 @@ class WirelessChannel:
         bytes_on_air = (
             size_bytes * (elapsed / airtime) if airtime > 0 else 0.0
         )
+        self.stats.messages_aborted += 1
+        self.stats.bytes_aborted += bytes_on_air
         self.bus.emit(
             TransmitOutcome(
                 time=self.env.now,

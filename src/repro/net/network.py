@@ -116,24 +116,26 @@ class Network:
     # ------------------------------------------------------------------
     @property
     def bytes_upstream(self) -> float:
-        return self.uplink.bytes_carried
+        return self.uplink.stats.bytes_carried
 
     @property
     def bytes_downstream(self) -> float:
-        return self.downlink.bytes_carried
+        return self.downlink.stats.bytes_carried
 
     @property
     def raw_bytes(self) -> float:
         """All airtime spent, in bytes: completed plus aborted partials."""
         return sum(
-            channel.bytes_carried + channel.bytes_aborted
+            channel.stats.bytes_carried + channel.stats.bytes_aborted
             for channel in self.channels()
         )
 
     @property
     def goodput_bytes(self) -> float:
         """Bytes of messages that actually reached their receiver."""
-        return sum(channel.bytes_delivered for channel in self.channels())
+        return sum(
+            channel.stats.bytes_delivered for channel in self.channels()
+        )
 
     # ------------------------------------------------------------------
     # Fault accounting
@@ -143,8 +145,12 @@ class Network:
 
     @property
     def messages_dropped(self) -> int:
-        return sum(channel.messages_dropped for channel in self.channels())
+        return sum(
+            channel.stats.messages_dropped for channel in self.channels()
+        )
 
     @property
     def messages_aborted(self) -> int:
-        return sum(channel.messages_aborted for channel in self.channels())
+        return sum(
+            channel.stats.messages_aborted for channel in self.channels()
+        )

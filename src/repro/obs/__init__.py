@@ -35,7 +35,6 @@ from repro.obs.events import (
 )
 from repro.obs.profiler import WallClockProfiler, bucket_for
 from repro.obs.sinks import (
-    EventCounter,
     StalenessBucket,
     StalenessTimeline,
     TraceSink,
@@ -50,7 +49,6 @@ __all__ = [
     "CacheAdmit",
     "CacheEvict",
     "EventBus",
-    "EventCounter",
     "FaultEvent",
     "Handler",
     "KIND_ABORT",

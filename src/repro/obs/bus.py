@@ -2,15 +2,16 @@
 
 One :class:`EventBus` per simulation.  Emitters are domain objects
 (client, cache, channels, server, kernel resources); subscribers are
-sinks (metric collectors, the JSONL trace writer, the staleness
-timeline).  Dispatch is by exact event type — a handler subscribed to
-:class:`~repro.obs.events.CacheAccess` sees only those.
+optional sinks (the JSONL trace writer, the staleness timeline, the
+invariant checkers).  Dispatch is by exact event type — a handler
+subscribed to :class:`~repro.obs.events.CacheAccess` sees only those.
 
 The **zero-overhead-when-off contract**: an emit site whose event only
 exists for optional sinks guards itself with :meth:`EventBus.wants`;
 when no subscriber asked for the type, the event object is never even
-constructed.  Always-on events (the ones the headline metrics are built
-from) skip the guard — their sink is attached in every run.
+constructed.  Always-on events (the ones each emitter also counts in
+its own metrics) skip the guard: they are emitted in every run, so the
+per-type counts are the same whichever sinks are attached.
 
 Dispatch order is subscription order, which the wiring code keeps
 deterministic, so two runs of the same configuration emit and process
@@ -55,7 +56,7 @@ class _TypeRecord:
 class EventBus:
     """Type-dispatched publish/subscribe hub with per-type counters."""
 
-    __slots__ = ("_handlers", "_catch_all", "_records", "sinks")
+    __slots__ = ("_handlers", "_catch_all", "_records")
 
     def __init__(self) -> None:
         self._handlers: dict[type[SimEvent], tuple[Handler, ...]] = {}
@@ -63,9 +64,6 @@ class EventBus:
         #: Dispatch cache, keyed by exact event type; also the backing
         #: store for the per-type emit counters (see :attr:`counts`).
         self._records: dict[type[SimEvent], _TypeRecord] = {}
-        #: Named sink registry so wiring code can share one sink per bus
-        #: (e.g. the metrics sink all clients report through).
-        self.sinks: dict[str, object] = {}
 
     def __repr__(self) -> str:
         return (

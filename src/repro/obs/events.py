@@ -2,18 +2,20 @@
 
 Every observable moment in a simulation is one :class:`typing.NamedTuple`
 emitted on the run's :class:`~repro.obs.bus.EventBus`, with ``time`` as its
-first field.  Domain code constructs an event and emits it; it never
-touches a metrics object.  Sinks — the metric collectors, the JSONL trace
-writer, the staleness timeline — subscribe to the types they care about.
-A named tuple is immutable, so every sink sees the event as it was
-emitted, and it is cheap to build: an always-on event is built once per
-attribute read.  :class:`SimEvent` is the structural type of "any
+first field.  Domain code constructs an event and emits it; a counter
+that tallies an event is updated by its emitter at the same site.
+Optional sinks — the JSONL trace writer, the staleness timeline, the
+invariant checkers — subscribe to the types they care about.  A named
+tuple is immutable, so every sink sees the event as it was emitted, and
+it is cheap to build: an always-on event is built once per attribute
+read.  :class:`SimEvent` is the structural type of "any
 event"; no event class inherits from it.
 
 Two emission disciplines keep the bus cheap:
 
-* **always-on events** feed the headline metrics, so they are emitted
-  unconditionally: :class:`CacheAccess`, :class:`QueryComplete`,
+* **always-on events** mark what the headline metrics count, so they
+  are emitted unconditionally and ``event_counts`` never depends on
+  the sinks attached: :class:`CacheAccess`, :class:`QueryComplete`,
   :class:`QueryDegraded`, :class:`RemoteRound`, :class:`RequestSent`,
   :class:`ReplyTimeout`, :class:`LateReply`, :class:`ReplyReceived`,
   :class:`TransmitOutcome`, :class:`FaultEvent`;

@@ -318,19 +318,3 @@ class StalenessTimeline:
                 )
             )
         return out
-
-
-class EventCounter:
-    """Minimal sink: counts events per type (testing and spot checks).
-
-    The bus already tallies emitted events; this counter exists for
-    subscribing to a *subset* and for asserting dispatch behaviour in
-    tests without a full sink.
-    """
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {}
-
-    def on_event(self, event: SimEvent) -> None:
-        name = type(event).__name__
-        self.counts[name] = self.counts.get(name, 0) + 1

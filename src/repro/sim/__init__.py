@@ -21,7 +21,7 @@ Public surface::
 """
 
 from repro.sim.environment import Environment
-from repro.sim.events import Event, Initialize, Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rand import (
     RandomStream,
@@ -34,7 +34,6 @@ from repro.sim.resources import Request, Resource, Store, StoreGet
 __all__ = [
     "Environment",
     "Event",
-    "Initialize",
     "Process",
     "RandomStream",
     "Request",

@@ -62,9 +62,9 @@ class Environment:
     # ------------------------------------------------------------------
     # Event factories
     # ------------------------------------------------------------------
-    def timeout(self, delay: Seconds, value: t.Any = None) -> Timeout:
+    def timeout(self, delay: Seconds) -> Timeout:
         """Create an event firing ``delay`` seconds from now."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def process(
         self, generator: ProcessGenerator, name: str | None = None

@@ -58,7 +58,7 @@ class Event:
             "defused"
             if self._defused
             else "processed"
-            if self.processed
+            if self.callbacks is None
             else "triggered"
             if self.triggered
             else "pending"
@@ -69,20 +69,6 @@ class Event:
     def triggered(self) -> bool:
         """``True`` once the event has a value (it may not be processed yet)."""
         return self._value is not _PENDING
-
-    @property
-    def processed(self) -> bool:
-        """``True`` once callbacks have been run."""
-        return self.callbacks is None and not self._defused
-
-    @property
-    def defused(self) -> bool:
-        """``True`` once the event was lazily cancelled after triggering.
-
-        A defused event never reaches the processed state: the kernel
-        skips its queue entry at pop time and its callbacks never run.
-        """
-        return self._defused
 
     @property
     def value(self) -> t.Any:
@@ -100,30 +86,17 @@ class Event:
         return self
 
 
-class Initialize(Event):
-    """Kernel bootstrap event that starts a process (URGENT priority).
-
-    A distinct type so a process start, whose same-instant order is
-    fixed by program order, can be told apart from an ordinary
-    zero-delay event.
-    """
-
-    __slots__ = ()
-
-
 class Timeout(Event):
     """An event that fires automatically ``delay`` seconds in the future."""
 
     __slots__ = ("delay",)
 
-    def __init__(
-        self, env: "Environment", delay: float, value: t.Any = None
-    ) -> None:
+    def __init__(self, env: "Environment", delay: float) -> None:
         if delay < 0:
             raise SchedulingError(f"negative timeout delay: {delay!r}")
         super().__init__(env)
         self.delay = delay
-        self._value = value
+        self._value = None
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:

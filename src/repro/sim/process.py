@@ -14,7 +14,7 @@ import types
 import typing as t
 
 from repro.errors import SimulationError
-from repro.sim.events import Event, Initialize, URGENT
+from repro.sim.events import Event, URGENT
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
@@ -41,9 +41,9 @@ class Process:
             )
         self._generator = generator
         self.name = name or generator.__name__
-        # Kick off the generator at the current simulation time via an
-        # initialisation event so process start order is deterministic.
-        init = Initialize(env)
+        # Kick off the generator at the current simulation time with an
+        # URGENT zero-delay event, so processes start in program order.
+        init = Event(env)
         init._value = None
         init.callbacks.append(self._resume)  # type: ignore[union-attr]
         env.schedule(init, priority=URGENT)

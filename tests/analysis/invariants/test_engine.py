@@ -6,10 +6,12 @@ import tempfile
 import typing as t
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.invariants import (
     CacheConservationChecker,
+    CausalityChecker,
     ChannelConservationChecker,
     CoherenceChecker,
     InvariantChecker,
@@ -27,6 +29,10 @@ from repro.obs.events import (
     CacheEvict,
     CacheReject,
     QueryComplete,
+    QueryDegraded,
+    RemoteRound,
+    ReplyTimeout,
+    RequestSent,
 )
 from repro.obs.sinks import encode_event
 
@@ -369,7 +375,62 @@ class FakeMetrics:
     unanswered_accesses: int = 0
 
 
+@dataclasses.dataclass
+class FakeClientCounters:
+    """The lifecycle counters CAU004 reads, matching ``_degraded_round``."""
+
+    queries: int = 1
+    retries: int = 1
+    timeouts: int = 2
+    degraded_queries: int = 1
+    uplink_series: FakeSeries = dataclasses.field(
+        default_factory=lambda: FakeSeries(250, 2)
+    )
+
+
+def _degraded_round():
+    """One query whose two attempts both time out, then degrade."""
+    return [
+        RemoteRound(1.0, 0, 1, 0),
+        RequestSent(1.0, 0, 1, 0, 100),
+        ReplyTimeout(21.0, 0, 1, 0),
+        RemoteRound(21.0, 0, 1, 1),
+        RequestSent(22.0, 0, 1, 1, 150),
+        ReplyTimeout(42.0, 0, 1, 1),
+        QueryDegraded(42.0, 0, 1, 0),
+        access(42.0),
+        QueryComplete(42.0, 0, 1, 41.0, True),
+    ]
+
+
 class TestReconcile:
+    def test_matching_client_counters_are_clean(self):
+        engine = InvariantEngine([CausalityChecker()])
+        for event in _degraded_round():
+            engine.feed(event)
+        engine.reconcile(RunContext(metrics={0: FakeClientCounters()}))
+        assert engine.report().ok
+
+    @pytest.mark.parametrize(
+        "counters",
+        [
+            FakeClientCounters(queries=2),
+            FakeClientCounters(retries=0),
+            FakeClientCounters(timeouts=3),
+            FakeClientCounters(degraded_queries=0),
+            FakeClientCounters(uplink_series=FakeSeries(251, 2)),
+        ],
+        ids=["queries", "retries", "timeouts", "degraded", "uplink"],
+    )
+    def test_client_counter_off_by_one_is_one_violation(self, counters):
+        engine = InvariantEngine([CausalityChecker()])
+        for event in _degraded_round():
+            engine.feed(event)
+        engine.reconcile(RunContext(metrics={0: counters}))
+        (violation,) = engine.report().violations
+        assert violation.checker_id == "CAU004"
+        assert violation.scope == "client-0"
+
     def test_coherence_counts_must_match_metrics(self):
         checker = CoherenceChecker()
         engine = InvariantEngine([checker])

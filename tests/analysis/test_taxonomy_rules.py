@@ -1,4 +1,4 @@
-"""REP008-REP010: metrics mutation, event reachability, dead knobs."""
+"""REP009-REP010: event reachability, dead knobs."""
 
 import ast
 from pathlib import Path
@@ -56,51 +56,6 @@ def install(bus, sink):
     bus.subscribe(GoodEvent, sink)
     bus.subscribe(PhantomEvent, sink)
 """
-
-
-class TestREP008InlineMetricsMutation:
-    def test_augmented_metrics_write_is_flagged(self, lint):
-        findings = lint(
-            "repro/client/mod.py",
-            "def f(self):\n    self.metrics.retries += 1\n",
-            select=["REP008"],
-        )
-        assert ids(findings) == ["REP008"]
-        assert "metrics" in findings[0].message
-
-    def test_nested_counter_write_is_flagged(self, lint):
-        findings = lint(
-            "repro/client/mod.py",
-            "def f(client):\n    client.metrics.hit.total += 1\n",
-            select=["REP008"],
-        )
-        assert ids(findings) == ["REP008"]
-
-    def test_metrics_layer_itself_may_mutate(self, lint):
-        findings = lint(
-            "repro/metrics/collectors.py",
-            "def f(self):\n    self.metrics.retries += 1\n",
-            select=["REP008"],
-        )
-        assert findings == []
-
-    def test_unrelated_aug_assign_is_fine(self, lint):
-        findings = lint(
-            "repro/client/mod.py",
-            "def f(self):\n    self.count += 1\n",
-            select=["REP008"],
-        )
-        assert findings == []
-
-    def test_plain_local_named_metrics_is_fine(self, lint):
-        # `metrics += 1` on a bare name is not a counter write through
-        # a metrics object.
-        findings = lint(
-            "repro/client/mod.py",
-            "def f(metrics):\n    metrics += 1\n    return metrics\n",
-            select=["REP008"],
-        )
-        assert findings == []
 
 
 class TestREP009EventReachability:

@@ -117,7 +117,7 @@ class TestBroadcaster:
             log.record(key(n, "a0"), 1.0)
         env.run(until=1100.0)
         assert len(received) == 1
-        assert channel.bytes_carried == received[0].size_bytes
+        assert channel.stats.bytes_carried == received[0].size_bytes
 
 
 class TestEndToEndInvalidation:
@@ -141,7 +141,7 @@ class TestEndToEndInvalidation:
         # IR coherence keeps errors very low while connected.
         assert result.error_rate < 0.05
         # And the broadcast channel actually carried the reports.
-        assert simulation.network.broadcast.messages_carried > 0
+        assert simulation.network.broadcast.stats.messages_carried > 0
 
     def test_refresh_time_mode_has_no_broadcasts(self):
         from repro import SimulationConfig
@@ -151,5 +151,5 @@ class TestEndToEndInvalidation:
             SimulationConfig(coherence="refresh-time", horizon_hours=0.5)
         )
         simulation.run()
-        assert simulation.network.broadcast.messages_carried == 0
+        assert simulation.network.broadcast.stats.messages_carried == 0
         assert all(c.invalidation is None for c in simulation.clients)

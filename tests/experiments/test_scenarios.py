@@ -8,6 +8,7 @@ tiny in-line scenarios, plus the spec validation surface and the CLI.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -204,6 +205,7 @@ class TestExpansion:
 
 class TestTomlRoundTrip:
     def test_load_register_and_run_list(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "scenarios.toml"
         path.write_text(
             """
@@ -233,15 +235,28 @@ values = ["OC", "HC"]
         assert runs_toml == runs_dict
 
     def test_invalid_toml_raises_scenario_error(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "broken.toml"
         path.write_text("[unterminated\n")
         with pytest.raises(ScenarioError, match="invalid TOML"):
             load_toml(str(path))
 
     def test_invalid_spec_in_toml_raises(self, tmp_path):
+        pytest.importorskip("tomllib")
         path = tmp_path / "bad.toml"
         path.write_text("[bad]\ntitle = 'no sweep'\n")
         with pytest.raises(ScenarioError, match="sweeps no dimensions"):
+            load_toml(str(path))
+
+    def test_toml_without_tomllib_raises_scenario_error(
+        self, tmp_path, monkeypatch
+    ):
+        # Python 3.10 has no tomllib: the spec is refused by name, not
+        # with a ModuleNotFoundError.
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        path = tmp_path / "spec.toml"
+        path.write_text("[tiny]\ntitle = 'any'\n")
+        with pytest.raises(ScenarioError, match="Python 3.11"):
             load_toml(str(path))
 
 
@@ -420,6 +435,7 @@ class TestCli:
         assert not envelope["failures"]
 
     def test_scenario_run_from_toml_spec(self, capsys, tmp_path):
+        pytest.importorskip("tomllib")
         spec = tmp_path / "extra.toml"
         spec.write_text(
             """

@@ -66,10 +66,3 @@ class TestMetricsSummary:
         summary = MetricsSummary([a])
         low, high = summary.response_confidence_interval()
         assert low <= summary.response_time <= high
-
-    def test_row_rendering(self):
-        a = make_client(0, accesses=[(True, False)], queries=[(1.0, True)])
-        row = MetricsSummary([a]).row("label")
-        assert row.label == "label"
-        assert "label" in row.formatted()
-        assert row.queries == 1

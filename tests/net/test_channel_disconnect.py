@@ -43,8 +43,8 @@ class TestWirelessChannel:
         env.process(sender(env, "second", 500))
         env.run()
         assert done == [("first", 1.0), ("second", 1.5)]
-        assert channel.bytes_carried == 1500
-        assert channel.messages_carried == 2
+        assert channel.stats.bytes_carried == 1500
+        assert channel.stats.messages_carried == 2
 
     def test_negative_size_rejected(self):
         env = Environment()

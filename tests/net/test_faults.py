@@ -163,9 +163,9 @@ class TestFaultyChannel:
         env.run()
         # The message still burned its full airtime before being lost.
         assert outcomes == [(DROPPED, 1.0)]
-        assert channel.bytes_carried == 1000
-        assert channel.bytes_delivered == 0
-        assert channel.messages_dropped == 1
+        assert channel.stats.bytes_carried == 1000
+        assert channel.stats.bytes_delivered == 0
+        assert channel.stats.messages_dropped == 1
 
     def test_no_loss_yields_delivered(self):
         env, channel = self._channel(0.0)
@@ -178,7 +178,7 @@ class TestFaultyChannel:
         env.process(sender(env))
         env.run()
         assert outcomes == [DELIVERED]
-        assert channel.bytes_delivered == 1000
+        assert channel.stats.bytes_delivered == 1000
 
     def test_deadline_aborts_before_completion(self):
         env, channel = self._channel(0.0)
@@ -193,9 +193,9 @@ class TestFaultyChannel:
         env.process(sender(env))
         env.run()
         assert outcomes == [(ABORTED, 0.4)]
-        assert channel.messages_aborted == 1
-        assert channel.bytes_aborted == pytest.approx(400.0)
-        assert channel.bytes_carried == 0
+        assert channel.stats.messages_aborted == 1
+        assert channel.stats.bytes_aborted == pytest.approx(400.0)
+        assert channel.stats.bytes_carried == 0
         assert [event.kind for event in events] == [KIND_ABORT]
 
     def test_past_deadline_aborts_instantly(self):
@@ -210,7 +210,7 @@ class TestFaultyChannel:
         env.process(sender(env))
         env.run()
         assert outcomes == [(ABORTED, 5.0)]
-        assert channel.bytes_aborted == 0.0
+        assert channel.stats.bytes_aborted == 0.0
 
 
 class TestNetworkFaults:

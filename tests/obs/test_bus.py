@@ -7,7 +7,6 @@ from repro.obs.events import (
     CacheEvict,
     QueryComplete,
 )
-from repro.obs.sinks import EventCounter
 
 
 def access(time=1.0, **overrides):
@@ -95,19 +94,16 @@ class TestCounts:
 
     def test_event_counter_sink_matches_bus_counts(self):
         bus = EventBus()
-        counter = EventCounter()
-        bus.subscribe_all(counter.on_event)
+        counts = {}
+
+        def count(event):
+            name = type(event).__name__
+            counts[name] = counts.get(name, 0) + 1
+
+        bus.subscribe_all(count)
         for i in range(3):
             bus.emit(access(time=float(i)))
-        assert counter.counts == bus.counts
-
-
-class TestSinkRegistry:
-    def test_named_sinks_are_shared_per_bus(self):
-        bus = EventBus()
-        sink = object()
-        bus.sinks["demo"] = sink
-        assert bus.sinks["demo"] is sink
+        assert counts == bus.counts
 
 
 class TestEventShape:

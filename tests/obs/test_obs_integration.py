@@ -13,7 +13,6 @@ import pytest
 from repro.experiments.config import SimulationConfig
 from repro.experiments.runner import run_simulation
 from repro.experiments.scenarios import get_scenario
-from repro.metrics.collectors import MetricsSink
 from repro.obs.sinks import summarize_trace
 
 #: Short but non-trivial: a few hundred queries across 10 clients.
@@ -95,22 +94,6 @@ class TestTraceRoundTrip:
         run_simulation(config.replaced(trace_path=second))
         with open(first) as fa, open(second) as fb:
             assert fa.read() == fb.read()
-
-
-class TestMetricsSink:
-    def test_install_is_idempotent_per_bus(self):
-        from repro.obs.bus import EventBus
-
-        bus = EventBus()
-        sink = MetricsSink.install(bus)
-        assert MetricsSink.install(bus) is sink
-
-    def test_client_views_are_stable(self):
-        from repro.obs.bus import EventBus
-
-        sink = MetricsSink.install(EventBus())
-        assert sink.client(3) is sink.client(3)
-        assert sink.client(3) is not sink.client(4)
 
 
 class TestProfileSurface:

@@ -199,7 +199,7 @@ class TestDelivery:
         assert len(received) == 1
         assert received[0].items[0].oid == oid
         # The reply spent time on the 19.2 kbps downlink.
-        assert network.downlink.bytes_carried == received[0].size_bytes
+        assert network.downlink.stats.bytes_carried == received[0].size_bytes
 
     def test_unroutable_reply_raises(self):
         env = Environment()

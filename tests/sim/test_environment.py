@@ -147,13 +147,13 @@ def test_urgent_event_at_horizon_is_not_delivered():
 def test_cancel_skips_event_at_pop_time():
     env = Environment()
     fired = []
-    keep = env.timeout(5.0, value="keep")
-    keep.callbacks.append(lambda e: fired.append(e.value))
-    drop = env.timeout(5.0, value="drop")
-    drop.callbacks.append(lambda e: fired.append(e.value))
+    keep = env.timeout(5.0)
+    keep.callbacks.append(lambda e: fired.append("keep"))
+    drop = env.timeout(5.0)
+    drop.callbacks.append(lambda e: fired.append("drop"))
     env.cancel(drop)
-    assert drop.defused
-    assert not drop.processed
+    # Defusing discards the callbacks: the event can never fire.
+    assert drop.callbacks is None
     env.run()
     assert fired == ["keep"]
     assert env.now == 5.0
@@ -196,7 +196,7 @@ def test_cancelled_events_leave_the_clock_clean():
     assert env.now == 0.0
     env.step()  # skips the defused head without stopping the clock on it
     assert env.now == 2.0
-    assert late.processed
+    assert late.callbacks is None  # processed
     with pytest.raises(SimulationError, match="nothing left"):
         env.step()
 
@@ -236,10 +236,10 @@ def test_same_instant_cascades_preserve_seeded_order():
         env.schedule(b, delay=0.0, priority=URGENT)
 
     env.process(kickoff(env))
-    ahead = env.timeout(1.0, value=None)
+    ahead = env.timeout(1.0)
     ahead.callbacks.append(note("heap-normal"))
     env.run()
-    # The kickoff process resumes first (its Initialize is URGENT at
+    # The kickoff process resumes first (its start event is URGENT at
     # t=0); at t=1 the heap-scheduled timeout (seq earlier) fires before
     # the process's turn creates the zero-delay pair, and the URGENT
     # zero-delay event overtakes the NORMAL one.

@@ -10,7 +10,7 @@ def test_event_starts_pending():
     env = Environment()
     event = Event(env)
     assert not event.triggered
-    assert not event.processed
+    assert event.callbacks == []
 
 
 def test_event_value_unavailable_before_trigger():
@@ -53,17 +53,3 @@ def test_timeout_negative_delay_rejected():
     env = Environment()
     with pytest.raises(SchedulingError):
         env.timeout(-1.0)
-
-
-def test_timeout_carries_value():
-    env = Environment()
-    seen = []
-
-    def waiter(env):
-        value = yield env.timeout(1.0, value="payload")
-        seen.append(value)
-
-    env.process(waiter(env))
-    env.run()
-    assert seen == ["payload"]
-

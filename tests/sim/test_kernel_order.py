@@ -94,7 +94,8 @@ class Kernel:
                 self.events.append(event)
             elif self.events:
                 target = self.events[arg % len(self.events)]
-                if not target.processed:  # a defused target is a no-op
+                # A processed or defused target is a no-op.
+                if target.callbacks is not None:
                     self.env.cancel(target)
 
     def _fire(self, on_fire: tuple[t.Any, ...]) -> t.Callable[[Event], None]:

@@ -105,7 +105,7 @@ def test_yielding_processed_event_raises():
     env = Environment()
 
     def worker(env):
-        timeout = env.timeout(1.0, value="v")
+        timeout = env.timeout(1.0)
         yield timeout
         # Yield it again after it has fired: it will never fire again.
         yield timeout
