@@ -35,6 +35,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import run_simulation
 from repro.experiments.scenarios.spec import default_horizon_hours
 from repro.experiments.tables import render_table1
+from repro.obs.profiler import peak_rss_mib
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "to PATH (see 'trace summarize')")
     obs_group.add_argument("--profile", action="store_true",
                            help="print a per-subsystem wall-clock "
-                                "breakdown of the run")
+                                "breakdown of the run and the process's "
+                                "peak RSS")
     obs_group.add_argument("--staleness-timeline", action="store_true",
                            help="print the bucketed age-at-read series")
     obs_group.add_argument("--invariants", action="store_true",
@@ -263,6 +265,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  {bucket:<16} {cells['seconds']:>9.3f} s  "
                   f"{cells['share']:>6.1%}  "
                   f"({cells['calls']:.0f} callbacks)")
+        print(f"peak RSS      : {peak_rss_mib():.1f} MiB (whole process)")
     if config.staleness_timeline:
         print("staleness timeline (age at cache read):")
         for bucket in result.staleness:

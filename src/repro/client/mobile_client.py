@@ -67,7 +67,7 @@ from repro.obs.events import (
 )
 from repro.oodb.database import Database
 from repro.oodb.objects import OID
-from repro.oodb.query import Query
+from repro.oodb.query import AttributeAccess, Query
 from repro.oodb.server import DatabaseServer
 from repro.oodb.storage import (
     DISK_BANDWIDTH_BPS,
@@ -459,14 +459,12 @@ class MobileClient:
             size_bytes=reply.size_bytes,
             is_trailer=is_trailer,
         )
-        self.metrics.bytes_received += received.size_bytes
         self.metrics.goodput_bytes += received.size_bytes
         self.bus.emit(received)
 
     def _note_late_reply(self, reply: ReplyMessage) -> None:
-        """A reply for an abandoned attempt arrived: counted, discarded
-        unread (its bytes never enter ``bytes_received``/goodput)."""
-        self.metrics.late_replies += 1
+        """A reply for an abandoned attempt arrived: emitted, discarded
+        unread (its bytes never enter goodput)."""
         self.bus.emit(
             LateReply(
                 time=self.env.now,
@@ -488,13 +486,17 @@ class MobileClient:
         never reached the server are lost.
         """
         read_time = 0.0
-        for key, attr_size in probe.deferred:
+        caches_objects = self._caches_objects
+        attribute_sizes = self.database.schema.attribute_sizes
+        for access in probe.deferred:
+            oid = access.oid
+            key = (oid, None if caches_objects else access.attribute)
             entry = self.cache.lookup(key)
             if entry is not None:
                 read_time += self._serve_local(
                     key,
                     entry,
-                    attr_size,
+                    attribute_sizes[oid.class_name, access.attribute],
                     time=probe.recorded_at,
                     hit=False,
                     connected=True,
@@ -504,15 +506,15 @@ class MobileClient:
                 self._record_miss(
                     key, probe.recorded_at, answered=False, connected=True
                 )
-        lost_updates = sum(len(changes) for changes in probe.updates.values())
         self.metrics.degraded_queries += 1
-        self.metrics.lost_updates += lost_updates
         self.bus.emit(
             QueryDegraded(
                 time=self.env.now,
                 client_id=self.client_id,
                 query_id=query_id,
-                lost_updates=lost_updates,
+                lost_updates=sum(
+                    len(changes) for changes in probe.updates.values()
+                ),
             )
         )
         if read_time > 0:
@@ -584,9 +586,13 @@ class MobileClient:
     def _record_fresh_misses(self, probe: "_ProbeResult") -> None:
         """Record a round's deferred misses as answered by the server,
         stamped with the probe instant."""
-        for key, __ in probe.deferred:
+        caches_objects = self._caches_objects
+        for access in probe.deferred:
             self._record_miss(
-                key, probe.recorded_at, answered=True, connected=True
+                (access.oid, None if caches_objects else access.attribute),
+                probe.recorded_at,
+                answered=True,
+                connected=True,
             )
 
     # ------------------------------------------------------------------
@@ -652,7 +658,7 @@ class MobileClient:
                     result.existent.append(key)
             elif connected:
                 if defer:
-                    result.deferred.append((key, attr_size))
+                    result.deferred.append(access)
                 else:
                     self._record_miss(key, now, answered=True, connected=True)
                 self._add_needed(result, seen_needed, key)
@@ -794,10 +800,12 @@ class MobileClient:
 class _ProbeResult:
     """What one probe pass produces.
 
-    ``deferred`` lists connected miss accesses (key, attribute size)
-    whose metric recording waits for the remote round's outcome; it is
-    only populated when recovery machinery is active.  ``recorded_at``
-    is the probe instant every deferred access is stamped with.
+    ``deferred`` lists the query's connected miss accesses whose metric
+    recording waits for the remote round's outcome; each recording
+    rebuilds the access's cache key and attribute size, so an in-flight
+    round holds no tuple per access.  It is only populated when
+    recovery machinery is active.  ``recorded_at`` is the probe instant
+    every deferred access is stamped with.
     """
 
     __slots__ = (
@@ -816,5 +824,5 @@ class _ProbeResult:
         self.existent: list[CacheKey] = []
         self.held: list[CacheKey] = []
         self.updates: dict[OID, list[UpdateValue]] = {}
-        self.deferred: list[tuple[CacheKey, int]] = []
+        self.deferred: list[AttributeAccess] = []
         self.recorded_at = 0.0

@@ -200,20 +200,25 @@ class Simulation:
         )
         self.clients: list[MobileClient] = []
         for client_id in range(config.num_clients):
-            client_rng = root_rng.fork(f"client-{client_id}")
-            heat = self._build_heat(client_rng.fork("heat"))
+            # ``fork`` joins labels with "/", so forking the root gives
+            # each stream the seed a fork of a ``client-N`` stream had,
+            # without seeding a generator nothing draws from.
+            prefix = f"client-{client_id}"
+            heat = self._build_heat(root_rng.fork(f"{prefix}/heat"))
             workload = QueryWorkload(
                 client_id=client_id,
                 database=self.database,
                 heat=heat,
-                rng=client_rng.fork("queries"),
+                rng=root_rng.fork(f"{prefix}/queries"),
                 kind=kind,
                 selectivity=config.selectivity,
                 attrs_per_object=config.attrs_per_object,
                 update_probability=config.update_probability,
                 attribute_skew=config.attribute_skew,
             )
-            arrivals = self._build_arrivals(client_rng.fork("arrivals"))
+            arrivals = self._build_arrivals(
+                root_rng.fork(f"{prefix}/arrivals")
+            )
             client = MobileClient(
                 client_id=client_id,
                 env=self.env,
@@ -235,7 +240,7 @@ class Simulation:
                 ir_interval=config.ir_interval_seconds,
                 recovery=recovery,
                 recovery_rng=(
-                    client_rng.fork("recovery") if recovery else None
+                    root_rng.fork(f"{prefix}/recovery") if recovery else None
                 ),
                 bus=self.bus,
                 disk_bandwidth_bps=config.disk_bps,

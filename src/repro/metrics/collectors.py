@@ -56,7 +56,6 @@ class ClientMetrics:
         self.unanswered_accesses = 0
         self.stale_served_accesses = 0
         self.bytes_sent = 0
-        self.bytes_received = 0
         # -- fault-injection / recovery counters (Experiment #7) --------
         #: Request re-sends after a reply wait expired.
         self.retries = 0
@@ -64,11 +63,8 @@ class ClientMetrics:
         self.timeouts = 0
         #: Queries answered cache-only after the retry budget ran out.
         self.degraded_queries = 0
-        #: Replies for an abandoned earlier attempt, discarded on arrival.
-        self.late_replies = 0
-        #: Attribute writes lost because no attempt reached the server.
-        self.lost_updates = 0
-        #: Bytes of replies actually consumed (vs ``bytes_received`` raw).
+        #: Bytes of the replies the client consumed: primary replies and
+        #: prefetch trailers, not the late replies it discards.
         self.goodput_bytes = 0
 
     def __repr__(self) -> str:

@@ -6,10 +6,16 @@ complete wall-clock breakdown.  When ``Environment.profiler`` is
 ``None`` (the default) the hook is one ``if`` per step; when set, each
 callback execution is timed with ``perf_counter`` and charged to a
 subsystem bucket derived from the process name.
+
+:func:`peak_rss_mib` reads the process's peak resident set size, which
+``repro run --profile`` prints beside the breakdown.  Like the
+breakdown, it is a measurement of the host, so no deterministic output
+carries it.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 
 from repro._units import WallSeconds
@@ -27,6 +33,15 @@ def bucket_for(name: str) -> str:
         return "kernel"
     tokens = [tok for tok in name.split("-") if not tok.isdigit()]
     return "-".join(tokens) if tokens else "kernel"
+
+
+def peak_rss_mib() -> float:
+    """Peak resident set size of this process so far (``ru_maxrss``), in
+    MiB.  The kernel reports it in KiB on Linux and in bytes on macOS."""
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024 * 1024 if sys.platform == "darwin" else 1024)
 
 
 class WallClockProfiler:

@@ -29,9 +29,12 @@ The Experiment #8 tournament adds three modern stress patterns:
 
 Every distribution takes its population **in OID order**, the order
 :meth:`repro.oodb.database.Database.oids` returns: the scans walk
-it, and the hot and cold buckets keep it.  A tuple is held as is, so a
-fleet whose clients all pass the database's shared listing holds one
-sequence, sorted once, instead of one sorted copy per client.
+it, and the hot bucket and the cold draws keep it.  A tuple is held as
+is, so a fleet whose clients all pass the database's shared listing
+holds one sequence, sorted once, instead of one sorted copy per client.
+A client holds its hot bucket but no cold one: a cold draw reads the
+complement through a map of the hot positions, so per-client state
+grows with the hot set, not with the database.
 
 All seven share one skeleton: :class:`HeatDistribution` holds the
 population, the random stream, the scan cursor and the hot set, and
@@ -43,8 +46,10 @@ from __future__ import annotations
 
 import abc
 import functools
-import itertools
+import operator
 import typing as t
+from array import array
+from bisect import bisect_right
 
 from repro.errors import ConfigurationError
 from repro.oodb.objects import OID
@@ -107,7 +112,9 @@ class HeatDistribution(abc.ABC):
         self._rng = rng
         self._cursor = 0
         self._hot: t.Sequence[OID] = ()
-        self._cold: t.Sequence[OID] = ()
+        #: The cold bucket's complement map: ``_shift[m]`` is the
+        #: number of cold objects before the ``m``-th hot one.
+        self._shift = array("I")
 
     @property
     def hot_set(self) -> frozenset[OID]:
@@ -130,21 +137,31 @@ class HeatDistribution(abc.ABC):
         return type(self).__name__
 
     def _sample_hot_set(self, hot_fraction: float) -> None:
-        """Draw a random hot set; both buckets keep OID order.
+        """Draw a random hot set.
 
         ``random.sample`` reads only ``len()`` of its population, so
         sampling positions draws exactly the objects sampling the OIDs
-        would.  Masks over those positions split the population with no
-        per-OID hashing.
+        would.
         """
         n = len(self._oids)
-        hot_mask = bytearray(n)
-        cold_mask = bytearray(b"\x01") * n
-        for index in self._rng.sample(range(n), _hot_count(hot_fraction, n)):
-            hot_mask[index] = 1
-            cold_mask[index] = 0
-        self._hot = list(itertools.compress(self._oids, hot_mask))
-        self._cold = list(itertools.compress(self._oids, cold_mask))
+        self._place_hot_set(
+            sorted(self._rng.sample(range(n), _hot_count(hot_fraction, n)))
+        )
+
+    def _place_hot_set(self, positions: t.Sequence[int]) -> None:
+        """Make the objects at the ascending ``positions`` hot.
+
+        The hot bucket keeps OID order.  The cold bucket is never built:
+        with ``shift[m] = positions[m] - m``, the ``i``-th cold object
+        (in OID order) sits at ``i + bisect_right(shift, i)``, because
+        a hot object lies before it exactly when fewer than ``i + 1``
+        cold objects lie before that hot one.
+        """
+        oids = self._oids
+        self._hot = [oids[p] for p in positions]
+        self._shift = array(
+            "I", map(operator.sub, positions, range(len(positions)))
+        )
 
     def _scan(self, quota: int) -> list[OID]:
         """The next ``quota`` (at most all) objects in OID order from the
@@ -190,15 +207,22 @@ class SkewedHeat(HeatDistribution):
 
     def _select(self, query_index: int, count: int) -> list[OID]:
         # The probability was validated once, so each coin is a bare
-        # ``random() < p``.
+        # ``random() < p``.  A cold draw picks a cold index with the
+        # ``_randbelow(n - k)`` call ``choice`` on a cold bucket made.
         random = self._rng.raw_random
         choice = self._rng.choice
+        oids = self._oids
         hot = self._hot
-        cold = self._cold
+        shift = self._shift
+        cold = range(len(oids) - len(hot))
         p = self.hot_access_probability
         return _pick_distinct(
-            lambda: choice(hot) if random() < p else choice(cold),
-            self._oids,
+            lambda: (
+                choice(hot)
+                if random() < p
+                else oids[(i := choice(cold)) + bisect_right(shift, i)]
+            ),
+            oids,
             count,
             [],
             set(),
@@ -272,6 +296,13 @@ class SequentialScanHeat(SkewedHeat):
         return f"scan-{self.scan_every}"
 
 
+@functools.lru_cache(maxsize=8)
+def _zipf_weights(n: int, s: float) -> tuple[float, ...]:
+    """Cumulative Zipf weights ``r**-s`` of ranks 1..``n``, built once
+    per ``(n, s)`` and shared by every client of a fleet."""
+    return tuple(cumulative(rank ** -s for rank in range(1, n + 1)))
+
+
 class ZipfHeat(HeatDistribution):
     """Zipf-distributed popularity over a per-client object ranking.
 
@@ -297,10 +328,7 @@ class ZipfHeat(HeatDistribution):
         #: This client's popularity ranking: a seeded permutation.
         self._ranked = rng.sample(self._oids, len(self._oids))
         self._draw_rank = functools.partial(
-            rng.weighted_index,
-            cumulative(
-                rank ** -self.s for rank in range(1, len(self._oids) + 1)
-            ),
+            rng.weighted_index, _zipf_weights(len(self._oids), self.s)
         )
 
     def _select(self, query_index: int, count: int) -> list[OID]:
@@ -350,20 +378,14 @@ class ShiftingHotspotHeat(SkewedHeat):
         """Place the window for the current era: it has slid half its
         width once per era boundary crossed, so very long gaps between
         queries do not teleport the hotspot."""
-        oids = self._oids
-        n = len(oids)
+        n = len(self._oids)
         width = _hot_count(self.hot_fraction, n)
         if self._origin is None:
             self._origin = self._rng.randint(0, n - 1)
         start = (self._origin + max(1, width // 2) * self._era) % n
         end = start + width
-        wrapped = end - n
-        if wrapped <= 0:
-            self._hot = oids[start:end]
-            self._cold = oids[:start] + oids[end:]
-        else:
-            self._hot = oids[:wrapped] + oids[start:]
-            self._cold = oids[wrapped:start]
+        wrapped = max(0, end - n)
+        self._place_hot_set([*range(wrapped), *range(start, min(end, n))])
 
     def _select(self, query_index: int, count: int) -> list[OID]:
         era = query_index // self.shift_every

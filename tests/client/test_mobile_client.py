@@ -295,10 +295,10 @@ class TestExistentList:
     def test_existent_suppresses_retransmission(self):
         harness = Harness("AC")
         harness.run_query(reads((1, "a0"), (1, "a1")))
-        bytes_after_first = harness.client.metrics.bytes_received
+        bytes_after_first = harness.client.metrics.goodput_bytes
         # a0 cached and valid; only a2 should come back.
         harness.run_query(reads((1, "a0"), (1, "a2")))
-        delta = harness.client.metrics.bytes_received - bytes_after_first
+        delta = harness.client.metrics.goodput_bytes - bytes_after_first
         first_reply_items = 2
         assert delta < bytes_after_first * (
             first_reply_items - 0.5
@@ -325,14 +325,14 @@ class TestPageCaching:
     def test_held_page_mates_suppress_retransmission(self):
         harness = Harness("PC")
         harness.run_query(reads((5, "a0")))
-        received_once = harness.client.metrics.bytes_received
+        received_once = harness.client.metrics.goodput_bytes
         # Expire object 5 only; page-mates stay valid and are listed as
         # held, so the refresh reply carries a single object.
         entry = harness.client.cache.lookup((OID("Root", 5), None))
         entry.expires_at = harness.env.now
         harness.env._now = harness.env.now + 1.0
         harness.run_query(reads((5, "a0")))
-        delta = harness.client.metrics.bytes_received - received_once
+        delta = harness.client.metrics.goodput_bytes - received_once
         assert delta < received_once / 2
 
     def test_page_transfer_slower_than_object(self):

@@ -38,6 +38,8 @@ def test_run_short_simulation(capsys):
     out = capsys.readouterr().out
     assert "hit ratio" in out
     assert "response time" in out
+    # Peak RSS is a host measurement: only --profile prints it.
+    assert "peak RSS" not in out
 
 
 def test_run_with_trace_and_summarize(capsys, tmp_path):
@@ -59,6 +61,10 @@ def test_run_with_trace_and_summarize(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "trace         :" in out
     assert "wall-clock profile:" in out
+    peak = next(
+        line for line in out.splitlines() if line.startswith("peak RSS")
+    )
+    assert float(peak.split(":")[1].split()[0]) > 0
     assert "staleness timeline" in out
 
     assert main(["trace", "summarize", trace_path]) == 0

@@ -14,6 +14,15 @@ Three stores used to grow with every access or write:
 * the server logged every write for invalidation reports, also under
   refresh-time coherence, where no broadcaster ever prunes the log.
 
+Two per-client stores grew with the database or the query instead:
+
+* every SH-family heat kept a cold bucket of the whole population
+  outside its hot set; a heat now holds its hot set and a map of the
+  hot positions, and shares the database's OID tuple;
+* a lossy client's in-flight round held a ``(key, attribute size)``
+  tuple, and a key tuple, per deferred miss; it now holds the query's
+  own accesses.
+
 The report digests below were computed before the write log became
 IR-only, so they pin that IR runs broadcast exactly what they did.
 """
@@ -28,6 +37,7 @@ from repro.core.replacement import available_policies, create_policy
 from repro.core.replacement.base import COMPACTION_SLACK
 from repro.experiments.runner import Simulation
 from repro.oodb.objects import OID
+from repro.oodb.query import AttributeAccess
 
 GRANULARITIES = ("AC", "OC", "HC", "PC", "NC")
 
@@ -187,3 +197,62 @@ def held_keys(policy):
     for key, record in getattr(policy, "_records", {}).items():
         yield key, key
         yield key, record[1]
+
+
+@pytest.mark.parametrize("heat", ("SH", "CSH", "scan", "hotspot", "cyclic"))
+def test_heat_holds_no_container_beyond_its_hot_set(heat):
+    """Apart from the database's shared OID tuple, a heat distribution
+    holds nothing longer than its hot set, across re-selections."""
+    sim = Simulation(
+        SimulationConfig(
+            heat=heat,
+            num_clients=3,
+            csh_change_every=10,
+            hotspot_shift_every=10,
+        )
+    )
+    shared = sim.database.oids("Root")
+    hot_count = round(sim.config.hot_fraction * len(shared))
+    for client in sim.clients:
+        distribution = client.workload.heat
+        for query_index in range(50):
+            distribution.select_objects(query_index, 5)
+        assert len(distribution.hot_set) == hot_count
+        assert distribution._oids is shared
+        sizes = [
+            len(value)
+            for value in vars(distribution).values()
+            if value is not shared and hasattr(value, "__len__")
+        ]
+        assert sizes
+        assert max(sizes) <= hot_count
+
+
+def test_deferred_misses_are_the_querys_own_accesses():
+    sim = Simulation(
+        SimulationConfig(
+            num_clients=20,
+            horizon_hours=0.2,
+            loss_rate=0.05,
+            request_timeout_seconds=20.0,
+            retry_budget=2,
+        )
+    )
+    probes = []
+    for client in sim.clients:
+
+        def capture(query, connected, probe=client._probe):
+            result = probe(query, connected)
+            probes.append((query, result.deferred))
+            return result
+
+        client._probe = capture
+    sim.run()
+    deferred = 0
+    for query, accesses in probes:
+        own = {id(access) for access in query.accesses}
+        for access in accesses:
+            assert type(access) is AttributeAccess
+            assert id(access) in own
+        deferred += len(accesses)
+    assert deferred > 100

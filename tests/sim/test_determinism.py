@@ -19,8 +19,9 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.runner import run_simulation
+from repro.experiments.runner import Simulation, run_simulation
 from repro.sim import Environment, RandomStream, Resource
+from repro.sim.rand import _derive_seed
 
 
 def traced_mini_simulation(seed: int, horizon: float = 50.0):
@@ -115,6 +116,33 @@ def test_full_simulation_sensitive_to_seed():
     a = run_simulation(config.replaced(seed=1))
     b = run_simulation(config.replaced(seed=2))
     assert result_fingerprint(a) != result_fingerprint(b)
+
+
+def test_client_streams_fork_to_the_per_client_seeds():
+    """Each client stream forks from the root under a joined label and
+    gets the seed a fork of a per-client ``client-N`` stream would."""
+    seed = 1234
+    sim = Simulation(
+        SimulationConfig(
+            seed=seed,
+            num_clients=3,
+            request_timeout_seconds=20.0,
+            horizon_hours=0.1,
+        )
+    )
+    root = RandomStream(seed, label="root")
+    for client_id, client in enumerate(sim.clients):
+        streams = {
+            "heat": client.workload.heat._rng,
+            "queries": client.workload._rng,
+            "arrivals": client.arrivals._rng,
+            "recovery": client._backoff_rng,
+        }
+        for name, stream in streams.items():
+            nested = root.fork(f"client-{client_id}").fork(name)
+            assert _derive_seed(stream.seed, stream.label) == _derive_seed(
+                nested.seed, nested.label
+            )
 
 
 _TRACED_RUN = """\

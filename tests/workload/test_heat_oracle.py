@@ -1,16 +1,18 @@
 """Heat set-up and picks against standalone references.
 
-The heat distributions split their population into hot and cold buckets
-by sampling *positions* and masking (or slicing) the OID-ordered
-population, and make every randomized pick through one shared
-distinct-pick loop.  The references below share no code with them: each
-sorts the population, samples the OIDs themselves, hashes every OID
-against the sampled set, and keeps its own copy of the hot/cold draw,
-the scan cursor walk and Cyclic's ``randint`` loop.  Given the same
-seed, both must build the same hot set, make the same picks across CSH
-re-selections, hotspot shifts and scan cursors, and leave their random
-streams in step.  The Zipf reference draws OIDs where the production
-code draws ranks.
+The heat distributions sample hot *positions* (or place a window of
+them), keep the hot objects, read each cold draw through a map of those
+positions instead of a cold bucket, and make every randomized pick
+through one shared distinct-pick loop.  The references below share no
+code with them: each sorts the population, samples the OIDs themselves,
+hashes every OID against the sampled set, and keeps its own copy of the
+hot/cold draw, the scan cursor walk and Cyclic's ``randint`` loop.
+Given the same seed, both must build the same hot set, make the same
+picks across CSH re-selections, hotspot shifts and scan cursors, and
+leave their random streams in step.  The Zipf reference draws OIDs where
+the production code draws ranks.  Hot sets placed at the population's
+ends, with one cold or one hot object, and populations above the drawn
+300 exercise the cold-position map at its edges.
 """
 
 from hypothesis import assume, given, settings, strategies as st
@@ -328,4 +330,85 @@ def test_zipf_matches(population, seed, s, count):
         lambda rng: ReferenceZipf(population, rng, s),
         seed,
         count,
+    )
+
+
+def assert_placed_buckets_match(population, positions, seed, probability):
+    """SH with its hot set placed at the ascending ``positions`` against
+    the reference holding the two buckets as lists."""
+    new_rng = RandomStream(seed, "h")
+    reference_rng = RandomStream(seed, "h")
+    new = SkewedHeat(population, new_rng, 0.2, probability)
+    reference = ReferenceSkewed(population, reference_rng, 0.2, probability)
+    placed = set(positions)
+    new._place_hot_set(positions)
+    reference.hot = [o for i, o in enumerate(population) if i in placed]
+    reference.cold = [o for i, o in enumerate(population) if i not in placed]
+    assert new.hot_set == frozenset(reference.hot)
+    count = min(3, len(population))
+    for query_index in range(QUERIES):
+        assert new.select_objects(query_index, count) == (
+            reference.select_objects(query_index, count)
+        )
+    assert new_rng.random() == reference_rng.random()
+    # Cold-only single picks reach every cold object and no hot one.
+    cold_only = SkewedHeat(population, RandomStream(seed, "c"), 0.2, 0.0)
+    cold_only._place_hot_set(positions)
+    drawn = {
+        cold_only.select_objects(query_index, 1)[0]
+        for query_index in range(40 * len(reference.cold))
+    }
+    assert drawn == set(reference.cold)
+
+
+def ordered_population(n):
+    return tuple(OID("Root", number) for number in range(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    probability=st.floats(0.0, 1.0),
+)
+def test_hot_sets_at_the_edges(n, data, seed, probability):
+    """Hot objects at both ends, one cold object, one hot object."""
+    alone = data.draw(st.integers(0, n - 1))
+    for positions in (
+        [0, n - 1],
+        [i for i in range(n) if i != alone],
+        [alone],
+    ):
+        assert_placed_buckets_match(
+            ordered_population(n), positions, seed, probability
+        )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(301, 2500),
+    seed=st.integers(0, 2**32 - 1),
+    hot_fraction=st.floats(0.01, 0.99),
+    hot_access_probability=st.floats(0.0, 1.0),
+    every=st.integers(1, 20),
+)
+def test_large_populations_match(
+    n, seed, hot_fraction, hot_access_probability, every
+):
+    population = ordered_population(n)
+    skew = (hot_fraction, hot_access_probability)
+    assert_same_run(
+        lambda rng: ChangingSkewedHeat(population, rng, every, *skew),
+        lambda rng: ReferenceSkewed(
+            population, rng, *skew, change_every=every
+        ),
+        seed,
+        12,
+    )
+    assert_same_run(
+        lambda rng: ShiftingHotspotHeat(population, rng, every, *skew),
+        lambda rng: ReferenceHotspot(population, rng, every, *skew),
+        seed,
+        12,
     )
