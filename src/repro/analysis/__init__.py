@@ -12,20 +12,7 @@
 Hash-seed independence is checked end to end, not here:
 ``scripts/determinism_smoke.py`` compares the SHA-256 of a run's JSONL
 trace under two ``PYTHONHASHSEED`` values.
+
+Neither half imports the other, so a run that checks invariants does
+not load the lint engine.
 """
-
-from repro.analysis.engine import (
-    Finding,
-    all_rules,
-    lint_paths,
-    render_json,
-    render_text,
-)
-
-__all__ = [
-    "Finding",
-    "all_rules",
-    "lint_paths",
-    "render_json",
-    "render_text",
-]

@@ -180,6 +180,29 @@ class InvariantReport:
         )
 
 
+class _ViolationLog:
+    """The violations reported to one engine: the first
+    ``max_violations`` kept, the rest counted.
+
+    Checkers report through this log's :meth:`record`, not through a
+    method of the engine, so an engine and its checkers hold no
+    reference cycle and a dropped run frees them without the collector.
+    """
+
+    __slots__ = ("max_violations", "violations", "dropped")
+
+    def __init__(self, max_violations: int) -> None:
+        self.max_violations = max_violations
+        self.violations: list[Violation] = []
+        self.dropped = 0
+
+    def record(self, violation: Violation) -> None:
+        if len(self.violations) < self.max_violations:
+            self.violations.append(violation)
+        else:
+            self.dropped += 1
+
+
 class InvariantEngine:
     """Drives registered checkers over an event stream."""
 
@@ -193,9 +216,7 @@ class InvariantEngine:
 
             checkers = default_checkers()
         self.checkers: list[InvariantChecker] = list(checkers)
-        self.max_violations = int(max_violations)
-        self.violations: list[Violation] = []
-        self.dropped_violations = 0
+        self._log = _ViolationLog(int(max_violations))
         self.events_checked = 0
         self.malformed_lines = 0
         self.unknown_records = 0
@@ -204,7 +225,7 @@ class InvariantEngine:
             type[SimEvent], tuple[t.Callable[[t.Any], None], ...]
         ] = {}
         for checker in self.checkers:
-            checker.bind(self._record)
+            checker.bind(self._log.record)
             for event_type in checker.event_types:
                 existing = self._dispatch.get(event_type, ())
                 self._dispatch[event_type] = existing + (checker.on_event,)
@@ -213,14 +234,8 @@ class InvariantEngine:
         return (
             f"<InvariantEngine checkers={len(self.checkers)} "
             f"events={self.events_checked} "
-            f"violations={len(self.violations)}>"
+            f"violations={len(self._log.violations)}>"
         )
-
-    def _record(self, violation: Violation) -> None:
-        if len(self.violations) < self.max_violations:
-            self.violations.append(violation)
-        else:
-            self.dropped_violations += 1
 
     # ------------------------------------------------------------------
     def attach(self, bus: EventBus) -> "InvariantEngine":
@@ -253,12 +268,12 @@ class InvariantEngine:
         """Finalize (if needed) and assemble the report."""
         self.finalize()
         return InvariantReport(
-            violations=list(self.violations),
+            violations=list(self._log.violations),
             events_checked=self.events_checked,
             checkers=tuple(
                 checker.checker_id for checker in self.checkers
             ),
-            dropped_violations=self.dropped_violations,
+            dropped_violations=self._log.dropped,
             malformed_lines=self.malformed_lines,
             unknown_records=self.unknown_records,
         )

@@ -284,8 +284,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import all_rules, lint_paths, render_json, render_text
-    from repro.analysis.engine import PARSE_ERROR_ID
+    from repro.analysis.engine import (
+        PARSE_ERROR_ID,
+        all_rules,
+        lint_paths,
+        render_json,
+        render_text,
+    )
 
     if args.list_rules:
         for rule in all_rules():

@@ -16,13 +16,6 @@ scenario run's envelope is the one experiment result type.  Quick use::
 """
 
 from repro.experiments.config import SimulationConfig
-from repro.experiments.parallel import (
-    ParallelExecutor,
-    RunDescriptor,
-    RunFailure,
-    RunOutcome,
-    resolve_jobs,
-)
 from repro.experiments.runner import (
     Simulation,
     SimulationResult,
@@ -30,13 +23,8 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ParallelExecutor",
-    "RunDescriptor",
-    "RunFailure",
-    "RunOutcome",
     "Simulation",
     "SimulationConfig",
     "SimulationResult",
-    "resolve_jobs",
     "run_simulation",
 ]

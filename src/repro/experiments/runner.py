@@ -14,7 +14,7 @@ from repro.analysis.invariants import (
 from repro.client.mobile_client import MobileClient
 from repro.core.granularity import CachingGranularity
 from repro.core.prefetch import AttributeAccessTracker
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.config import SimulationConfig
 from repro.metrics.collectors import MetricsSummary
 from repro.net.disconnect import DisconnectionSchedule, plan_single_windows
@@ -123,6 +123,7 @@ class Simulation:
     def __init__(self, config: SimulationConfig) -> None:
         config.validate()
         self.config = config
+        self._ran = False
         self.env = Environment()
         #: One bus per run: every layer publishes here, every sink
         #: subscribes here.
@@ -316,7 +317,24 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Run to the configured horizon and summarise."""
+        """Run to the configured horizon and summarise.
+
+        A simulation runs once.  Its end breaks the run's reference
+        cycles (:meth:`_release`), so a dropped simulation is freed by
+        reference counting alone.
+        """
+        if self._ran:
+            raise SimulationError(
+                "this Simulation has already run; build a new one to "
+                "run the config again"
+            )
+        self._ran = True
+        try:
+            return self._run()
+        finally:
+            self._release()
+
+    def _run(self) -> SimulationResult:
         with contextlib.ExitStack() as stack:
             # Flush the trace tail even when the run dies mid-flight —
             # a partial trace of a crashed run is exactly what you want.
@@ -377,11 +395,23 @@ class Simulation:
             invariants=invariant_report,
         )
 
+    def _release(self) -> None:
+        """Break the wiring's reference cycles once the run is over.
 
-#: Whether a simulation has run in this process.  A finished simulation
-#: is one large cyclic graph, so once its owner drops it only the cyclic
-#: collector can free it.
-_ran_in_this_process = False
+        Server and clients refer to each other, and every process
+        waiting at the horizon is held by an event that its generator
+        holds in turn.  Dropping the waiters of every channel and store,
+        the server's client callbacks and the kernel's pending events
+        leaves a graph that reference counting frees.  The channels go
+        first, so a freed transmission releases nothing.  Caches,
+        policies, metrics and counters stay readable.
+        """
+        for channel in self.network.channels():
+            channel.close()
+        self.server.close()
+        for client in self.clients:
+            client.reply_box.close()
+        self.env.close()
 
 
 def _pause_collector(stack: contextlib.ExitStack) -> None:
@@ -391,19 +421,11 @@ def _pause_collector(stack: contextlib.ExitStack) -> None:
     Its passes start when allocations outrun deallocations, that is,
     while a run's live state grows, and on a run they find nothing: a
     running simulation drops no reference cycles, so reference counting
-    frees whatever it lets go
-    (``tests/integration/test_no_reference_cycles.py`` checks this).
-    Earlier simulations in the same process are another matter: paused
-    runs leave the collector too few passes to free them, so they would
-    pile up across a sweep.  A full collection before every run after
-    the first frees them where the paused passes would have.
+    frees whatever it lets go, and a finished one breaks its own
+    (``tests/integration/test_no_reference_cycles.py`` checks both).
     """
-    global _ran_in_this_process
     if not gc.isenabled():
         return
-    if _ran_in_this_process:
-        gc.collect()
-    _ran_in_this_process = True
     gc.disable()
     stack.callback(gc.enable)
 

@@ -178,6 +178,11 @@ class WirelessChannel:
         if self.injector is not None:
             self.injector.note_abort(self.env.now, size_bytes)
 
+    def close(self) -> None:
+        """Drop the message in flight and the queue behind it, for
+        good (see :meth:`Resource.close`)."""
+        self._facility.close()
+
     def utilization(self) -> Ratio:
         """Fraction of elapsed time the channel has been busy."""
         return self._facility.utilization()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import typing as t
 
 from repro.errors import QueryError, SchemaError
-from repro.oodb.objects import DBObject, OID
+from repro.oodb.objects import AttributeState, DBObject, OID
 from repro.oodb.schema import Schema, default_root_schema
 from repro.sim.rand import RandomStream
 
@@ -88,22 +88,51 @@ def build_default_database(
     Primitive attributes get arbitrary integer tokens; each relationship
     points at a uniformly random *other* object so navigational queries
     always have somewhere to go.
+
+    Each value is what ``rng.randint`` would draw, in the same order:
+    ``randint(0, m - 1)`` is ``Random._randbelow(m)``, which draws
+    ``getrandbits(m.bit_length())`` until the draw is below ``m``.  The
+    loop runs here, on the generator's bound ``getrandbits``, so a
+    value costs no Python frame, and the stream ends in the state the
+    per-value calls leave.  The class is checked against the schema
+    once (``schema.class_def``), and each object's values are built for
+    exactly its class's attributes, so the objects skip the per-object
+    checks of ``DBObject(...)``.
+    ``tests/oodb/test_database_builder_twin.py`` compares the build
+    with the per-value ``randint`` builder.
     """
     if object_count < 2:
         raise SchemaError("need at least two objects for relationships")
     rng = rng or RandomStream(seed=0, label="database")
     schema = schema or default_root_schema()
     class_def = schema.class_def("Root")
+    plan = [
+        (name, attribute.is_relationship)
+        for name, attribute in class_def.attributes.items()
+    ]
+    getrandbits = rng.raw_getrandbits
+    # A relationship draws below n - 1 and skips its own number; a
+    # primitive value draws on [0, 1_000_000].
+    targets = object_count - 1
+    target_bits = targets.bit_length()
+    tokens = 1_000_001
+    token_bits = tokens.bit_length()
     database = Database(schema)
+    objects = database._objects
     for number in range(object_count):
-        values: dict[str, int] = {}
-        for name, attribute in class_def.attributes.items():
-            if attribute.is_relationship:
-                target = rng.randint(0, object_count - 2)
-                if target >= number:  # never self-reference
-                    target += 1
-                values[name] = target
+        states: dict[str, AttributeState] = {}
+        for name, is_relationship in plan:
+            if is_relationship:
+                value = getrandbits(target_bits)
+                while value >= targets:
+                    value = getrandbits(target_bits)
+                if value >= number:  # never self-reference
+                    value += 1
             else:
-                values[name] = rng.randint(0, 1_000_000)
-        database.add(DBObject(OID("Root", number), class_def, values))
+                value = getrandbits(token_bits)
+                while value >= tokens:
+                    value = getrandbits(token_bits)
+            states[name] = AttributeState(value)
+        oid = OID(class_def.name, number)
+        objects[oid] = DBObject.from_states(oid, class_def, states)
     return database

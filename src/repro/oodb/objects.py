@@ -83,11 +83,32 @@ class DBObject:
         self.oid = oid
         self.class_def = class_def
         self._attributes: dict[str, AttributeState] = {
-            name: AttributeState(value=value) for name, value in values.items()
+            name: AttributeState(value) for name, value in values.items()
         }
         #: Bumped on every write to any attribute (object-level version).
         self.object_version = 0
         self.last_write_time = 0.0
+
+    @classmethod
+    def from_states(
+        cls,
+        oid: OID,
+        class_def: ClassDef,
+        states: dict[str, AttributeState],
+    ) -> "DBObject":
+        """An object over ready attribute states, built unchecked.
+
+        For a builder that makes ``oid`` of ``class_def``'s class and
+        one state per attribute of ``class_def``; every other caller
+        goes through ``DBObject(...)``, which checks both.
+        """
+        obj = cls.__new__(cls)
+        obj.oid = oid
+        obj.class_def = class_def
+        obj._attributes = states
+        obj.object_version = 0
+        obj.last_write_time = 0.0
+        return obj
 
     def __repr__(self) -> str:
         return f"<DBObject {self.oid} v{self.object_version}>"

@@ -167,6 +167,14 @@ class DatabaseServer:
                 name=f"{self.name}-ir-broadcaster",
             )
 
+    def close(self) -> None:
+        """Forget the clients and drop the inbox's waiting get, for
+        good.  A client's callbacks hold the client, which holds this
+        server; the counters stay readable."""
+        self._deliver_fns.clear()
+        self._report_fns.clear()
+        self.inbox.close()
+
     def _broadcast_report(self, report: InvalidationReport) -> None:
         for on_report in self._report_fns.values():
             on_report(report)

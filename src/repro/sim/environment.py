@@ -162,6 +162,20 @@ class Environment:
         except StopSimulation:
             pass
 
+    def close(self) -> None:
+        """Drop every pending event, unprocessed, with its callbacks.
+
+        A pending event's callbacks hold the processes waiting on it,
+        and their generators hold whatever they use, often the event
+        itself: dropping the callbacks breaks those cycles, so the
+        processes are freed by reference counting.  The clock and the
+        counters stay readable; nothing runs after this.
+        """
+        for __, __, __, event in self._queue:
+            event.callbacks = None
+        self._queue.clear()
+        self._live = 0
+
     def _stop(self, event: Event) -> None:
         # Clamp the clock exactly at the stop time.
         self._now = event._value

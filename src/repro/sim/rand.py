@@ -113,6 +113,16 @@ class RandomStream:
         """
         return self._rng.random
 
+    @property
+    def raw_getrandbits(self) -> t.Callable[[int], int]:
+        """The generator's own ``getrandbits``, bound.
+
+        ``randint`` and ``choice`` reduce to draws of it (see
+        ``random.Random._randbelow``); a loop that repeats that
+        reduction calls it without the Python frames in between.
+        """
+        return self._rng.getrandbits
+
     def exponential(self, mean: float) -> float:
         """Exponential variate with the given *mean* (not rate)."""
         if mean <= 0:

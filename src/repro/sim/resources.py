@@ -127,6 +127,20 @@ class Resource:
         # Releasing twice is not an error, so the context-manager form
         # stays exception safe.
 
+    def close(self) -> None:
+        """Drop the holder and every queued request, for good.
+
+        A queued request's callbacks hold its waiting process, whose
+        generator holds the request: dropping them breaks the cycle.
+        The busy time is accounted first, so :meth:`utilization` reads
+        as before; a process freed afterwards releases nothing.
+        """
+        self._account()
+        self._holder = None
+        waiting, self._waiting = self._waiting, deque()
+        for request in waiting:
+            request.callbacks = None
+
     def _grant(self, request: Request) -> None:
         self._holder = request
         request.granted_at = self.env.now
@@ -195,6 +209,13 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def close(self) -> None:
+        """Drop every waiting get, for good (a get's callbacks hold its
+        waiting process, whose generator may hold this store)."""
+        getters, self._getters = self._getters, deque()
+        for getter in getters:
+            getter.callbacks = None
 
     def put(self, item: t.Any) -> None:
         """Deposit ``item``, waking the oldest waiting getter if any."""

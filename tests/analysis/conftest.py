@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from repro.analysis import lint_paths
+from repro.analysis.engine import lint_paths
 
 
 @pytest.fixture

@@ -5,8 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import all_rules, lint_paths, render_json, render_text
-from repro.analysis.engine import PARSE_ERROR_ID
+from repro.analysis.engine import (
+    PARSE_ERROR_ID,
+    all_rules,
+    lint_paths,
+    render_json,
+    render_text,
+)
 
 #: A snippet that violates REP002 (unseeded randomness) and REP001
 #: (wall clock) at known lines when written under ``repro/``.

@@ -1,18 +1,24 @@
-"""A run drops no reference cycles, so it can run without the collector.
+"""A run drops no reference cycles, and a finished run breaks its own.
 
 ``Simulation.run`` switches the cyclic garbage collector off for the
 kernel loop.  That is safe only while everything a running simulation
-lets go of is freed by reference counting alone.  Each configuration
-below is built, then run with the collector off, and a collection after
-the run must find nothing unreachable.  The wired simulation is itself
-one large cyclic graph, but it stays referenced here until the check is
-done; once dropped it is left to the collector as before.
+lets go of is freed by reference counting alone.  The wired simulation
+itself is cyclic while it runs: server and clients refer to each other,
+and each waiting process is held by an event its generator holds.  The
+end of ``run`` breaks those cycles, so a dropped simulation is freed at
+``del``, and a sweep of many runs in one process leaves nothing for the
+collector.
 
-The matrix covers every granularity, invalidation reports,
-disconnections, message loss with retries, bursty loss with retries and
-disconnections, bursty arrivals under TinyLFU, and the optional sinks
-(invariants, staleness timeline, profiler, JSONL trace).  If a
-configuration ever fails, break the cycle where it is made.
+Each configuration below is built and run with the collector off.  A
+collection while the simulation is still referenced must find nothing
+(the run dropped no cycle), and so must one after ``del`` (the finished
+run broke its own).  The matrix covers every granularity, invalidation
+reports, disconnections, message loss with retries, bursty loss with
+retries and disconnections, bursty arrivals under TinyLFU, a lossy
+100-client fleet whose channels still hold queued messages at the
+horizon, and the optional sinks (invariants, staleness timeline,
+profiler, JSONL trace).  If a configuration ever fails, break the cycle
+where it is made, or in ``Simulation._release`` if it is wiring.
 """
 
 import collections
@@ -22,6 +28,7 @@ import weakref
 import pytest
 
 from repro import SimulationConfig
+from repro.errors import SimulationError
 from repro.experiments.runner import Simulation
 
 HOURS = 1.0
@@ -49,6 +56,12 @@ CONFIGS = {
         "burst_off_probability": 0.3,
     },
     "bursty-tinylfu": {"replacement": "tinylfu-adaptive", "arrival": "bursty"},
+    "lossy-fleet": {
+        **FAULTS,
+        "num_clients": 100,
+        "horizon_hours": 0.2,
+        "retry_budget": 2,
+    },
     "invariants-staleness-profile-trace": {
         "invariants": True,
         "staleness_timeline": True,
@@ -59,31 +72,36 @@ CONFIGS = {
 }
 
 
-def unreachable_after_run(sim: Simulation) -> tuple[int, str]:
-    """Run ``sim`` with the collector off; return how many unreachable
-    objects a collection then finds, and their commonest types."""
-    gc.collect()
-    gc.disable()
+def unreachable() -> tuple[int, str]:
+    """Collect; return how many unreachable objects the collector found
+    and their commonest types."""
+    gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        sim.run()
-        gc.set_debug(gc.DEBUG_SAVEALL)
         found = gc.collect()
         kinds = collections.Counter(type(o).__name__ for o in gc.garbage)
         gc.garbage.clear()
     finally:
         gc.set_debug(0)
-        gc.enable()
     return found, str(kinds.most_common(10))
 
 
 @pytest.mark.parametrize("overrides", CONFIGS.values(), ids=list(CONFIGS))
 def test_run_leaves_nothing_for_the_collector(overrides, tmp_path):
-    overrides = dict(overrides)
+    overrides = {"horizon_hours": HOURS, **overrides}
     if overrides.pop("trace", False):
         overrides["trace_path"] = str(tmp_path / "trace.jsonl")
-    sim = Simulation(SimulationConfig(horizon_hours=HOURS, **overrides))
-    found, kinds = unreachable_after_run(sim)
-    assert found == 0, kinds
+    sim = Simulation(SimulationConfig(**overrides))
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        during = unreachable()
+        del sim
+        after = unreachable()
+    finally:
+        gc.enable()
+    assert during[0] == 0, f"dropped by the run: {during[1]}"
+    assert after[0] == 0, f"left by the finished run: {after[1]}"
 
 
 def _probe_collector(env, seen):
@@ -138,18 +156,29 @@ class TestCollectorState:
             sim.run()
         assert gc.isenabled()
 
-    def test_dropped_simulations_do_not_pile_up(self):
-        """A finished simulation is a cyclic graph, and paused runs give
-        the collector few passes; each run after the first in a process
-        collects the ones dropped before it."""
-        gc.enable()
+
+@pytest.mark.usefixtures("restore_collector")
+def test_dropped_simulation_is_freed_at_del():
+    """With the collector off, dropping a finished simulation frees it
+    at once: each run's client is gone as soon as its simulation is."""
+    gc.collect()
+    gc.disable()
+    for seed in range(3):
+        sim = short_simulation(seed)
         # A client, not the Simulation object: nothing refers back to
-        # that, so it is freed on ``del`` while its graph lingers.
-        alive = []
-        for seed in range(4):
-            sim = short_simulation(seed)
-            alive.append(weakref.ref(sim.clients[0]))
-            sim.run()
-            del sim
-        # Only the last one can still wait for the collector.
-        assert [ref() is None for ref in alive[:-1]] == [True] * 3
+        # the Simulation, so it alone would be freed even if its graph
+        # lingered.
+        client = weakref.ref(sim.clients[0])
+        sim.run()
+        del sim
+        assert client() is None, f"seed {seed}: the run outlived del"
+
+
+def test_second_run_is_refused():
+    """A finished run has broken its wiring; running it again would
+    start a second server and client processes on that graph."""
+    sim = short_simulation()
+    result = sim.run()
+    with pytest.raises(SimulationError, match="already run"):
+        sim.run()
+    assert sim.env.events_processed == result.events_processed
