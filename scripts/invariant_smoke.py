@@ -3,9 +3,10 @@
 
 Runs short simulations over the AC/OC/HC granularities — each with
 faults off (experiment-1 conditions) and with loss + retry recovery on
-(experiment-7 conditions) — with the in-process invariant checkers
-attached *and* a JSONL trace exported, then replays every trace through
-``check_trace``.  Both passes must report zero violations, and the
+(experiment-7 conditions) — plus one HC run in which five clients are
+cut off for half the horizon (experiment-6 conditions), with the
+in-process invariant checkers attached *and* a JSONL trace exported,
+then replays every trace through ``check_trace``.  Both passes must report zero violations, and the
 replay must decode every trace line (none malformed or unknown): the
 in-process pass additionally reconciles event-derived totals against
 the live metrics/channel/cache objects, and the replay pass proves the
@@ -83,60 +84,89 @@ def main(argv: "list[str] | None" = None) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for granularity in GRANULARITIES:
-        for faults in (False, True):
-            label = f"{granularity}-{'faults' if faults else 'clean'}"
-            trace_path = outdir / f"{label}.jsonl"
-            config = SimulationConfig(
-                granularity=granularity,
-                horizon_hours=args.hours,
-                invariants=True,
-                trace_path=str(trace_path),
-                loss_rate=0.05 if faults else 0.0,
-                request_timeout_seconds=20.0 if faults else 0.0,
-                retry_budget=3 if faults else 0,
-            )
-            sim = Simulation(config)
-            gc.collect()
-            gc.disable()
-            try:
-                result = sim.run()
-                # The simulation is still referenced: whatever this
-                # finds, the run dropped in a reference cycle.
-                unreachable = gc.collect()
-            finally:
-                gc.enable()
-            live = result.invariants
-            assert live is not None
-            replay = check_trace(str(trace_path))
-            stores, unbounded = store_bounds(sim)
-            logged = len(sim.server.write_log)
-            ok = (
-                live.ok
-                and replay.ok
-                and not replay.malformed_lines
-                and not replay.unknown_records
-                and unreachable == 0
-                and stores > 0
-                and unbounded == 0
-                and logged == 0
-            )
-            status = "ok" if ok else "FAIL"
-            print(
-                f"[{status}] {label:<12} live: {live.summary()} | "
-                f"replay: {replay.summary()}, "
-                f"{replay.unknown_records} unknown record(s) | "
-                f"unreachable after run: {unreachable} | "
-                f"unbounded stores: {unbounded} of {stores} | "
-                f"logged writes: {logged}"
-            )
-            if not ok:
-                failures += 1
-                for violation in (live.violations + replay.violations)[:20]:
-                    print(f"    {violation.formatted()}")
-                print(f"    trace kept at {trace_path}")
-            else:
-                trace_path.unlink()
+    matrix = [
+        (
+            f"{granularity}-{'faults' if faults else 'clean'}",
+            {
+                "granularity": granularity,
+                "loss_rate": 0.05 if faults else 0.0,
+                "request_timeout_seconds": 20.0 if faults else 0.0,
+                "retry_budget": 3 if faults else 0,
+            },
+        )
+        for granularity in GRANULARITIES
+        for faults in (False, True)
+    ]
+    # Disconnected clients serve expired entries and leave uncached
+    # reads unanswered (experiment-6 conditions), so the stale-serve
+    # and unanswered counters are reconciled too.
+    matrix.append(
+        (
+            "HC-disconnect",
+            {
+                "granularity": "HC",
+                "disconnected_clients": 5,
+                "disconnection_hours": args.hours / 2,
+            },
+        )
+    )
+    for label, overrides in matrix:
+        trace_path = outdir / f"{label}.jsonl"
+        config = SimulationConfig(
+            horizon_hours=args.hours,
+            invariants=True,
+            trace_path=str(trace_path),
+            **overrides,
+        )
+        sim = Simulation(config)
+        gc.collect()
+        gc.disable()
+        try:
+            result = sim.run()
+            # The simulation is still referenced: whatever this
+            # finds, the run dropped in a reference cycle.
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        live = result.invariants
+        assert live is not None
+        replay = check_trace(str(trace_path))
+        stores, unbounded = store_bounds(sim)
+        logged = len(sim.server.write_log)
+        # The disconnection run must reach the counters it is there for.
+        reached = not overrides.get("disconnected_clients") or all(
+            sum(getattr(client.metrics, counter) for client in sim.clients)
+            for counter in ("stale_served_accesses", "unanswered_accesses")
+        )
+        ok = (
+            live.ok
+            and replay.ok
+            and not replay.malformed_lines
+            and not replay.unknown_records
+            and unreachable == 0
+            and stores > 0
+            and unbounded == 0
+            and logged == 0
+            and reached
+        )
+        status = "ok" if ok else "FAIL"
+        print(
+            f"[{status}] {label:<13} live: {live.summary()} | "
+            f"replay: {replay.summary()}, "
+            f"{replay.unknown_records} unknown record(s) | "
+            f"unreachable after run: {unreachable} | "
+            f"unbounded stores: {unbounded} of {stores} | "
+            f"logged writes: {logged}"
+        )
+        if not ok:
+            failures += 1
+            if not reached:
+                print("    no stale serve or no unanswered read")
+            for violation in (live.violations + replay.violations)[:20]:
+                print(f"    {violation.formatted()}")
+            print(f"    trace kept at {trace_path}")
+        else:
+            trace_path.unlink()
 
     if failures:
         print(

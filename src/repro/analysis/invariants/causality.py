@@ -108,13 +108,12 @@ class CausalityChecker(InvariantChecker):
         state = self._state(event.client_id)
         if event.attempt:
             state.retries += 1
-        scope = f"client-{event.client_id}/query-{event.query_id}"
         if event.query_id != state.round_query:
             if event.attempt != 0:
                 self.violation(
                     "CAU003",
                     event.time,
-                    scope,
+                    f"client-{event.client_id}/query-{event.query_id}",
                     f"first RemoteRound of a query has attempt="
                     f"{event.attempt}; rounds must open at attempt 0",
                 )
@@ -123,7 +122,7 @@ class CausalityChecker(InvariantChecker):
             self.violation(
                 "CAU003",
                 event.time,
-                scope,
+                f"client-{event.client_id}/query-{event.query_id}",
                 f"RemoteRound attempt jumped from "
                 f"{state.round_attempt} to {event.attempt}; retries "
                 "must increment by exactly one",

@@ -111,12 +111,11 @@ class CoherenceChecker(InvariantChecker):
             counts.unanswered += 1
         if event.stale_served:
             counts.stale_served += 1
-        scope = f"client-{event.client_id}/{event.key}"
         if event.hit and event.stale_served:
             self.violation(
                 "COH002",
                 event.time,
-                scope,
+                f"client-{event.client_id}/{event.key}",
                 "access flagged both hit and stale_served; a hit is by "
                 "definition a fresh (unexpired) read",
             )
@@ -131,7 +130,7 @@ class CoherenceChecker(InvariantChecker):
             self.violation(
                 "COH001",
                 event.time,
-                scope,
+                f"client-{event.client_id}/{event.key}",
                 f"cache hit {event.time - state.expires_at:g}s after "
                 f"the refresh deadline ({state.expires_at:g}) with no "
                 "intervening refresh round",
@@ -140,7 +139,7 @@ class CoherenceChecker(InvariantChecker):
             self.violation(
                 "COH003",
                 event.time,
-                scope,
+                f"client-{event.client_id}/{event.key}",
                 "cache hit after RefreshExpired was observed for this "
                 "key and before any refresh round",
             )

@@ -35,7 +35,6 @@ from __future__ import annotations
 import typing as t
 
 from repro.core.coherence import ErrorOracle
-from repro.core.entry import CacheEntry
 from repro.core.granularity import CacheKey, CachingGranularity
 from repro.core.invalidation import (
     DEFAULT_IR_INTERVAL,
@@ -485,27 +484,9 @@ class MobileClient:
         against the error oracle — or goes unanswered.  Updates that
         never reached the server are lost.
         """
-        read_time = 0.0
-        caches_objects = self._caches_objects
-        attribute_sizes = self.database.schema.attribute_sizes
-        for access in probe.deferred:
-            oid = access.oid
-            key = (oid, None if caches_objects else access.attribute)
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                read_time += self._serve_local(
-                    key,
-                    entry,
-                    attribute_sizes[oid.class_name, access.attribute],
-                    time=probe.recorded_at,
-                    hit=False,
-                    connected=True,
-                    age_seconds=max(0.0, self.env.now - entry.fetched_at),
-                )
-            else:
-                self._record_miss(
-                    key, probe.recorded_at, answered=False, connected=True
-                )
+        read_time = self._read_pass(
+            probe.deferred, probe.recorded_at, True, None
+        )
         self.metrics.degraded_queries += 1
         self.bus.emit(
             QueryDegraded(
@@ -520,184 +501,209 @@ class MobileClient:
         if read_time > 0:
             yield self.env.timeout(read_time)
 
-    # ------------------------------------------------------------------
-    # Access recording
-    # ------------------------------------------------------------------
-    def _serve_local(
-        self,
-        key: CacheKey,
-        entry: CacheEntry,
-        attr_size: float,
-        time: float,
-        hit: bool,
-        connected: bool,
-        age_seconds: float,
-    ) -> float:
-        """Serve ``key`` from its cached ``entry``; returns the read time.
-
-        A valid entry is a hit.  An expired one (disconnected, or the
-        remote round failed) is a stale serve, checked against the
-        error oracle all the same.
-        """
-        read_time = self.local_storage.access(key[0], attr_size)
-        # The entry's key is the one the policy already holds.
-        self.cache.touch(entry.key, self.env.now)
-        is_error = ErrorOracle.is_stale(
-            entry.version, self.server.current_version(key[0], key[1])
-        )
-        metrics = self.metrics
-        metrics.record_access(time, hit, is_error, True, connected)
-        if not hit:
-            metrics.stale_served_accesses += 1
-        # Built positionally, once per access.  Field order: time,
-        # client_id, key, hit, error, answered, connected,
-        # stale_served, age_seconds.
-        self.bus.emit(
-            CacheAccess(
-                time,
-                self.client_id,
-                key,
-                hit,
-                is_error,
-                True,
-                connected,
-                not hit,
-                age_seconds,
-            )
-        )
-        return read_time
-
-    def _record_miss(
-        self, key: CacheKey, time: float, answered: bool, connected: bool
-    ) -> None:
-        """Record a miss: fetched fresh (``answered``) or left unanswered."""
-        self.metrics.record_access(time, False, False, answered, connected)
-        if not answered:
-            self.metrics.unanswered_accesses += 1
-        # Positional, like _serve_local's: time, client_id, key, hit,
-        # error, answered, connected (stale_served and age_seconds keep
-        # their defaults).
-        self.bus.emit(
-            CacheAccess(
-                time, self.client_id, key, False, False, answered, connected
-            )
-        )
-
     def _record_fresh_misses(self, probe: "_ProbeResult") -> None:
         """Record a round's deferred misses as answered by the server,
         stamped with the probe instant."""
+        deferred = probe.deferred
+        stamp = probe.recorded_at
+        client_id = self.client_id
         caches_objects = self._caches_objects
-        for access in probe.deferred:
-            self._record_miss(
-                (access.oid, None if caches_objects else access.attribute),
-                probe.recorded_at,
-                answered=True,
-                connected=True,
+        emit = self.bus.emit
+        for access in deferred:
+            # Positional: time, client_id, key, hit, error, answered,
+            # connected (stale_served and age_seconds keep their
+            # defaults).
+            emit(
+                CacheAccess(
+                    stamp,
+                    client_id,
+                    (access.oid, None if caches_objects else access.attribute),
+                    False,
+                    False,
+                    True,
+                    True,
+                )
             )
+        self.metrics.record_reads(stamp, len(deferred), 0, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # Probe phase
     # ------------------------------------------------------------------
     def _probe(self, query: Query, connected: bool) -> "_ProbeResult":
-        now = self.env.now
         result = _ProbeResult()
-        result.recorded_at = now
-        # With recovery machinery active, a connected miss may end up
-        # served by the server (fresh), by a stale cached entry, or not
-        # at all — so its hit/error recording is deferred until the
-        # remote round resolves.  Without recovery the round cannot
-        # fail, and misses are recorded eagerly exactly as before.
-        defer = self.recovery is not None
-        seen_existent: set[CacheKey] = set()
-        seen_needed: set[CacheKey] = set()
-        seen_updates: set[tuple[OID, str]] = set()
+        result.recorded_at = self.env.now
+        result.local_read_time = self._read_pass(
+            query.accesses, result.recorded_at, connected, result
+        )
+        return result
 
+    def _read_pass(
+        self,
+        accesses: t.Sequence[AttributeAccess],
+        stamp: float,
+        connected: bool,
+        probe: "_ProbeResult | None",
+    ) -> float:
+        """Read one pass of accesses from the cache; return the read time.
+
+        With ``probe`` the pass is a query's probe and fills ``probe``
+        in.  A valid entry is a hit.  On a connected probe every other
+        access is a miss the server answers: it goes on the needed list
+        and, with recovery machinery active, on the deferred list, since
+        the round may yet fail and leave it served stale or not at all.
+        Cut off from the server, an expired entry is served anyway and
+        an uncached item goes unanswered.  Without ``probe`` the pass is
+        a failed round's cache-only answer to its deferred misses, where
+        every cached entry is served stale.
+
+        The local-serve rule: a value read from the cache costs a local
+        storage read and a policy touch, and is checked against the
+        error oracle.  Every access is emitted as a ``CacheAccess``
+        stamped ``stamp``, the probe instant (a degraded answer keeps
+        its probe's); touches and ages use the clock.  The pass's
+        tallies reach the client's metrics in one call at the end.
+        """
+        now = self.env.now
+        client_id = self.client_id
         caches_objects = self._caches_objects
         attribute_sizes = self.database.schema.attribute_sizes
         lookup = self.cache.lookup
-        serve_local = self._serve_local
-        for access in query.accesses:
-            oid = access.oid
-            # CachingGranularity.key_for, built inline.
-            key = (oid, None if caches_objects else access.attribute)
-            entry = lookup(key)
-            valid = entry is not None and entry.is_valid(now)
-            attr_size = attribute_sizes[oid.class_name, access.attribute]
+        touch = self.cache.touch
+        storage_access = self.local_storage.access
+        current_version = self.server.current_version
+        is_stale = ErrorOracle.is_stale
+        emit = self.bus.emit
+        probing = probe is not None
+        # Only a connected probe can send a miss to the server.
+        fetch = connected and probing
+        emit_expired = probing and self.bus.wants(RefreshExpired)
+        # Without recovery the round cannot fail, so a miss is recorded
+        # here as answered; with it, the round's outcome decides.
+        defer = self.recovery is not None
+        if probing:
+            needed = probe.needed
+            existent = probe.existent
+            deferred = probe.deferred
+            updates = probe.updates
+        seen_existent: set[CacheKey] = set()
+        seen_needed: set[CacheKey] = set()
+        seen_updates: set[tuple[OID, str]] = set()
+        read_time = 0.0
+        hits = stale_served = errors = unanswered = 0
 
-            if (
-                entry is not None
-                and not valid
-                and self.bus.wants(RefreshExpired)
-            ):
-                self.bus.emit(
-                    RefreshExpired(
-                        time=now,
-                        client_id=self.client_id,
-                        key=key,
-                        age_seconds=now - entry.fetched_at,
-                        expired_for_seconds=now - entry.expires_at,
+        for access in accesses:
+            oid = access.oid
+            attribute = access.attribute
+            # CachingGranularity.key_for, built inline.
+            key = (oid, None if caches_objects else attribute)
+            entry = lookup(key)
+            valid = False
+            if entry is not None and probing:
+                valid = entry.is_valid(now)
+                if not valid and emit_expired:
+                    emit(
+                        RefreshExpired(
+                            time=now,
+                            client_id=client_id,
+                            key=key,
+                            age_seconds=now - entry.fetched_at,
+                            expired_for_seconds=now - entry.expires_at,
+                        )
+                    )
+            need = False
+            if valid or (entry is not None and not fetch):
+                read_time += storage_access(
+                    oid, attribute_sizes[oid.class_name, attribute]
+                )
+                # The entry's key is the one the policy already holds.
+                touch(entry.key, now)
+                is_error = is_stale(
+                    entry.version, current_version(oid, key[1])
+                )
+                errors += is_error
+                if valid:
+                    hits += 1
+                else:
+                    stale_served += 1
+                # Positional.  Field order: time, client_id, key, hit,
+                # error, answered, connected, stale_served, age_seconds.
+                emit(
+                    CacheAccess(
+                        stamp,
+                        client_id,
+                        key,
+                        valid,
+                        is_error,
+                        True,
+                        connected,
+                        not valid,
+                        now - entry.fetched_at,
                     )
                 )
-
-            if valid:
-                result.local_read_time += serve_local(
-                    key,
-                    entry,
-                    attr_size,
-                    time=now,
-                    hit=True,
-                    connected=connected,
-                    age_seconds=now - entry.fetched_at,
-                )
                 if (
-                    connected
+                    valid
+                    and fetch
                     and not access.is_update
                     and key not in seen_existent
                 ):
                     seen_existent.add(key)
-                    result.existent.append(key)
-            elif connected:
+                    existent.append(key)
+            elif fetch:
                 if defer:
-                    result.deferred.append(access)
+                    deferred.append(access)
                 else:
-                    self._record_miss(key, now, answered=True, connected=True)
-                self._add_needed(result, seen_needed, key)
-            elif entry is not None:
-                # Disconnected: use the expired entry anyway.
-                result.local_read_time += serve_local(
-                    key,
-                    entry,
-                    attr_size,
-                    time=now,
-                    hit=False,
-                    connected=False,
-                    age_seconds=now - entry.fetched_at,
-                )
+                    emit(
+                        CacheAccess(
+                            stamp, client_id, key, False, False, True, True
+                        )
+                    )
+                need = True
             else:
-                self._record_miss(key, now, answered=False, connected=False)
-
-            if access.is_update and connected:
-                update_id = (oid, access.attribute)
-                if update_id in seen_updates:
-                    continue
-                seen_updates.add(update_id)
-                self._add_needed(result, seen_needed, key)
-                result.updates.setdefault(oid, []).append(
-                    UpdateValue(
-                        attribute=access.attribute,
-                        value=self.workload.new_value_for(
-                            oid, access.attribute
-                        ),
-                        size_bytes=attr_size,
+                unanswered += 1
+                emit(
+                    CacheAccess(
+                        stamp, client_id, key, False, False, False, connected
                     )
                 )
 
-        if result.needed and self.granularity in (
-            CachingGranularity.HYBRID,
-            CachingGranularity.PAGE,
+            if fetch and access.is_update:
+                update_id = (oid, attribute)
+                if update_id not in seen_updates:
+                    seen_updates.add(update_id)
+                    need = True
+                    updates.setdefault(oid, []).append(
+                        UpdateValue(
+                            attribute=attribute,
+                            value=self.workload.new_value_for(oid, attribute),
+                            size_bytes=attribute_sizes[
+                                oid.class_name, attribute
+                            ],
+                        )
+                    )
+            if need and key not in seen_needed:
+                seen_needed.add(key)
+                if caches_objects:
+                    needed.setdefault(oid, [])
+                else:
+                    needed.setdefault(oid, []).append(attribute)
+
+        self.metrics.record_reads(
+            stamp,
+            len(accesses) - len(deferred) if probing else len(accesses),
+            hits,
+            errors,
+            stale_served,
+            unanswered,
+            connected,
+        )
+        if (
+            probe is not None
+            and needed
+            and self.granularity
+            in (CachingGranularity.HYBRID, CachingGranularity.PAGE)
         ):
-            self._collect_held(result, seen_existent, seen_needed, now)
-        return result
+            self._collect_held(probe, seen_existent, seen_needed, now)
+        return read_time
 
     def _collect_held(
         self,
@@ -745,21 +751,6 @@ class MobileClient:
                 entry = lookup(key)
                 if entry is not None and entry.is_valid(now):
                     held.append(key)
-
-    def _add_needed(
-        self,
-        result: "_ProbeResult",
-        seen: set[CacheKey],
-        key: CacheKey,
-    ) -> None:
-        if key in seen:
-            return
-        seen.add(key)
-        oid, attribute = key
-        if attribute is None:
-            result.needed.setdefault(oid, [])
-        else:
-            result.needed.setdefault(oid, []).append(attribute)
 
     # ------------------------------------------------------------------
     # Absorb phase

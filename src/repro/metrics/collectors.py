@@ -73,27 +73,36 @@ class ClientMetrics:
             f"err={self.error.mean:.3f} resp={self.response.mean:.3f}s>"
         )
 
-    def record_access(
+    def record_reads(
         self,
         now: Seconds,
-        is_hit: bool,
-        is_error: bool,
-        answered: bool = True,
+        accesses: int,
+        hits: int,
+        errors: int,
+        stale_served: int,
+        unanswered: int,
         connected: bool = True,
     ) -> None:
-        """One attribute access: hit/miss plus error-oracle outcome.
+        """One pass of attribute accesses, all stamped ``now``.
 
-        ``answered`` is ``False`` for reads that returned no value at all
-        (uncached items during disconnection); they count as misses but
-        stay out of the error denominator.
+        Every access is a hit or a miss.  The answered ones (all but
+        ``unanswered``: uncached items while cut off from the server)
+        enter the error denominator; only a value served from the
+        cache, a hit or one of ``stale_served``, can be an error.
         """
-        self.hit.record(now, is_hit)
-        if answered:
-            self.error.record(now, is_error)
-            if not connected:
-                self.disconnected_error.record(now, is_error)
-        elif is_error:
-            raise ValueError("an unanswered read cannot be an error")
+        answered = accesses - unanswered
+        if not 0 <= errors <= hits + stale_served <= answered <= accesses:
+            raise ValueError(
+                f"inconsistent read tally: {accesses} accesses, {hits} "
+                f"hits, {errors} errors, {stale_served} stale serves, "
+                f"{unanswered} unanswered"
+            )
+        self.hit.record_batch(now, accesses, hits)
+        self.error.record_batch(now, answered, errors)
+        if not connected:
+            self.disconnected_error.record_batch(now, answered, errors)
+        self.stale_served_accesses += stale_served
+        self.unanswered_accesses += unanswered
 
     def record_query(
         self, now: Seconds, response_time: Seconds, connected: bool

@@ -285,6 +285,27 @@ class BucketedSeries:
             counts[bucket] = 1
             self._sums[bucket] = 0.0 + value
 
+    def record_batch(self, now: Seconds, count: int, total: int) -> None:
+        """Add ``count`` samples at ``now`` whose values sum to ``total``.
+
+        For 0/1 samples this equals ``count`` calls of :meth:`record`
+        bit for bit: every partial sum is an integer below 2**53, so
+        each float addition is exact.  A batch of no samples creates no
+        bucket, as no :meth:`record` call would.
+        """
+        if not count:
+            return
+        if now < 0:
+            raise ValueError(f"negative sample time: {now!r}")
+        bucket = int(now // self.bucket_seconds)
+        counts = self._counts
+        if bucket in counts:
+            counts[bucket] += count
+            self._sums[bucket] += total
+        else:
+            counts[bucket] = count
+            self._sums[bucket] = 0.0 + total
+
     # -- whole run -----------------------------------------------------
     @property
     def count(self) -> int:

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 import random
 import typing as t
+from collections.abc import Sequence
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -144,8 +146,48 @@ class RandomStream:
         return self._rng.choice(population)
 
     def sample(self, population: t.Sequence[t.Any], k: int) -> list[t.Any]:
-        """Pick ``k`` distinct elements uniformly without replacement."""
-        return self._rng.sample(population, k)
+        """Pick ``k`` distinct elements uniformly without replacement.
+
+        The picks, the generator's state afterwards and the errors are
+        those of ``random.Random.sample``.  Both of its branches run
+        here, with ``Random._randbelow``'s loop (draw
+        ``getrandbits(m.bit_length())`` until below ``m``) written out
+        on the bound ``getrandbits``: a pool of the population, whose
+        ``i``-th pick draws below ``n - i`` and moves the pool's last
+        live element into the gap, or, once ``n`` outgrows a ``k``-sized
+        set, positions drawn below ``n`` until one is new.  A
+        population that is not a sequence, or a ``k`` that is not an
+        int in ``[0, n]``, goes to the library call, which raises.
+        """
+        n = len(population) if isinstance(population, Sequence) else -1
+        if not (isinstance(k, int) and 0 <= k <= n):
+            return self._rng.sample(population, k)
+        getrandbits = self._rng.getrandbits
+        # The library's size rule: a small set's size minus an empty
+        # list's, plus a big set's table size.
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        result: list[t.Any] = []
+        if n <= setsize:
+            pool = list(population)
+            for m in range(n, n - k, -1):
+                bits = m.bit_length()
+                j = getrandbits(bits)
+                while j >= m:
+                    j = getrandbits(bits)
+                result.append(pool[j])
+                pool[j] = pool[m - 1]
+        else:
+            bits = n.bit_length()
+            selected: set[int] = set()
+            for __ in range(k):
+                j = getrandbits(bits)
+                while j >= n or j in selected:
+                    j = getrandbits(bits)
+                selected.add(j)
+                result.append(population[j])
+        return result
 
     def shuffle(self, items: list[t.Any]) -> None:
         """Shuffle ``items`` in place."""

@@ -8,7 +8,10 @@ from repro.metrics.collectors import ClientMetrics, MetricsSummary
 def make_client(client_id=0, accesses=(), queries=()):
     metrics = ClientMetrics(client_id)
     for now, (is_hit, is_error) in enumerate(accesses):
-        metrics.record_access(float(now), is_hit, is_error)
+        # A pass of one answered read; a miss that errs was served stale.
+        metrics.record_reads(
+            float(now), 1, is_hit, is_error, is_error and not is_hit, 0
+        )
     for now, (response, connected) in enumerate(queries):
         metrics.record_query(float(now), response, connected)
     return metrics
@@ -21,6 +24,40 @@ class TestClientMetrics:
         )
         assert metrics.hit.mean == pytest.approx(2 / 3)
         assert metrics.error.mean == pytest.approx(1 / 3)
+
+    def test_pass_accounting(self):
+        metrics = ClientMetrics(0)
+        # Disconnected: 5 accesses, 1 hit, 2 stale serves (1 an error),
+        # 2 unanswered.
+        metrics.record_reads(10.0, 5, 1, 1, 2, 2, connected=False)
+        metrics.record_reads(20.0, 4, 4, 0, 0, 0)
+        assert (metrics.hit.count, metrics.hit.sum) == (9, 5.0)
+        assert (metrics.error.count, metrics.error.sum) == (7, 1.0)
+        assert (
+            metrics.disconnected_error.count,
+            metrics.disconnected_error.sum,
+        ) == (3, 1.0)
+        assert metrics.stale_served_accesses == 2
+        assert metrics.unanswered_accesses == 2
+
+    def test_empty_pass_leaves_no_bucket(self):
+        metrics = ClientMetrics(0)
+        metrics.record_reads(10.0, 2, 0, 0, 0, 2)
+        assert metrics.hit.series() == [(0.0, 0.0, 2)]
+        assert metrics.error.series() == []
+
+    @pytest.mark.parametrize(
+        "tally",
+        [
+            (2, 0, 1, 0, 2),  # an error among unanswered reads only
+            (2, 1, 2, 0, 0),  # more errors than served values
+            (2, 2, 0, 1, 0),  # more served values than accesses
+            (2, 0, 0, 0, 3),  # more unanswered reads than accesses
+        ],
+    )
+    def test_inconsistent_tally_is_refused(self, tally):
+        with pytest.raises(ValueError, match="inconsistent read tally"):
+            ClientMetrics(0).record_reads(0.0, *tally)
 
     def test_query_accounting(self):
         metrics = make_client(
